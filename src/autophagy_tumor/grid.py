@@ -123,14 +123,15 @@ def limited_slope(n_prev, n_mid, n_next, dx: float):
 def _edge_arrays(values: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray]:
     """Second-order left/right states at every interior face.
 
-    Boundary cells get slope 0 (one-sided reconstruction degenerates to the
-    cell value there).
+    Works along the last axis, so a (k, N) stack of fields is reconstructed
+    in one call, row by row. Boundary cells get slope 0 (one-sided
+    reconstruction degenerates to the cell value there).
     """
     s = np.zeros_like(values)
-    if values.size >= 3:
-        s[1:-1] = limited_slope(values[:-2], values[1:-1], values[2:], dx)
-    left = values[:-1] + 0.5 * dx * s[:-1]
-    right = values[1:] - 0.5 * dx * s[1:]
+    if values.shape[-1] >= 3:
+        s[..., 1:-1] = limited_slope(values[..., :-2], values[..., 1:-1], values[..., 2:], dx)
+    left = values[..., :-1] + 0.5 * dx * s[..., :-1]
+    right = values[..., 1:] - 0.5 * dx * s[..., 1:]
     return left, right
 
 

@@ -43,6 +43,7 @@ from .solver import (
     RunResult,
     SolverConfig,
     SolverError,
+    check_compatible,
     read_checkpoint,
     run,
     solve_nutrient_quasistatic,
@@ -165,6 +166,7 @@ class ScenarioConfig:
     outputs: tuple[str, ...] = ("timeseries", "checkpoint")
 
     def __post_init__(self):
+        check_compatible(self.params, self.solver)
         for entry in self.outputs:
             if entry in ("timeseries", "checkpoint"):
                 continue

@@ -14,6 +14,12 @@ Each time step, in order:
 Velocities live on interior faces; the two wall faces always carry zero
 flux, so the scheme conserves mass up to the reaction terms and the
 clamping of negative densities (which is tracked and reported).
+
+Every tridiagonal system (the velocity prediction and both nutrient
+updates) goes through `TridiagonalSystem.solve`, which calls LAPACK `gtsv`
+directly: the routine `scipy.linalg.solve_banded` picks for (1, 1) bands,
+without the wrapper's per-call overhead, so the results are the same bit
+for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .diagnostics import SERIES_CHANNELS, TimeSeries, support_info, total_population
 from .grid import Grid1D, _edge_arrays, numerical_flux, pressure_from_density
@@ -52,6 +58,7 @@ __all__ = [
     "step_nutrient_neumann",
     "enlarge_domain_if_needed",
     "step",
+    "check_compatible",
     "run",
     "write_checkpoint",
     "read_checkpoint",
@@ -146,17 +153,22 @@ class TridiagonalSystem:
     rhs: np.ndarray
 
     def solve(self) -> np.ndarray:
-        m = len(self.diag)
-        ab = np.zeros((3, m))
-        ab[0, 1:] = self.upper
-        ab[1, :] = self.diag
-        ab[2, :-1] = self.lower
-        try:
-            x = solve_banded((1, 1), ab, self.rhs)
-        except (ValueError, np.linalg.LinAlgError) as err:
-            # scipy rejects non-finite inputs and singular diagonals with its
-            # own error types; fold them into the solver failure channel
-            raise SolverError(f"tridiagonal solve failed: {err}") from err
+        """Solve by Gaussian elimination with partial pivoting (LAPACK gtsv).
+
+        Non-finite entries, a singular matrix and a non-finite solution all
+        raise SolverError.
+        """
+        if not np.isfinite(np.concatenate((self.lower, self.diag, self.upper, self.rhs))).all():
+            raise SolverError("tridiagonal system has non-finite entries")
+        if len(self.diag) < 2:
+            # gtsv rejects a 1x1 system; solve_banded divides, and so do we
+            x = self.rhs / self.diag
+        else:
+            x, info = dgtsv(self.lower, self.diag, self.upper, self.rhs)[3:]
+            if info > 0:
+                raise SolverError(f"tridiagonal solve failed: singular matrix (zero pivot {info})")
+            if info < 0:
+                raise SolverError(f"tridiagonal solve failed: bad argument {-info} to gtsv")
         if not np.all(np.isfinite(x)):
             raise SolverError("tridiagonal solve produced non-finite values")
         return x
@@ -216,12 +228,12 @@ def correct_densities(
     g1 = growth
     g2 = growth - params.D
 
-    div = []
-    for ns in (state.n1, state.n2):
-        left, right = _edge_arrays(ns, dx)
-        flux = numerical_flux(left, right, u_star)
-        div.append(np.diff(np.concatenate(([0.0], flux, [0.0]))) / dx)
-    div1, div2 = div
+    # both species in one pass: row 0 is n1, row 1 is n2; the wall faces
+    # carry zero flux
+    left, right = _edge_arrays(np.stack((state.n1, state.n2)), dx)
+    flux = np.zeros((2, grid.n_cells + 1))
+    flux[:, 1:-1] = numerical_flux(left, right, u_star)
+    div1, div2 = np.diff(flux) / dx
 
     a11 = 1.0 / dt - g1 + K1
     a22 = 1.0 / dt - g2 + K2
@@ -435,6 +447,19 @@ def _series_row(
     return [t, info.radius, mass_total, mass_auto, sup_dev, l2, l4, l8, c_max, clamped_cum]
 
 
+def check_compatible(params: ModelParameters, cfg: SolverConfig) -> None:
+    """Raise ValueError if the scheme cannot run this model with these
+    solver settings, before any step is taken."""
+    if params.gamma < 2.0:
+        raise ValueError(f"velocity prediction requires gamma >= 2, got {params.gamma:g}")
+    if params.nutrient_mode == NEUMANN and cfg.boundary_mode != NEUMANN_BOX:
+        raise ValueError("dynamic nutrient mode requires the fixed-box boundary mode")
+    if params.nutrient_mode == QUASISTATIC and cfg.boundary_mode != PADDED:
+        raise ValueError("quasi-static nutrient mode requires the padded boundary mode")
+    if not isinstance(params.consumption, LinearConsumption):
+        raise ValueError("the grid solver supports linear nutrient consumption only")
+
+
 def run(
     initial: FieldState,
     params: ModelParameters,
@@ -448,12 +473,7 @@ def run(
     and end), captures field snapshots at the requested times (rounded to
     the nearest step), and records warnings (CFL excursions, nutrient
     clamping) and violations (bound breaches, excessive clamped mass)."""
-    if params.nutrient_mode == NEUMANN and cfg.boundary_mode != NEUMANN_BOX:
-        raise ValueError("dynamic nutrient mode requires the fixed-box boundary mode")
-    if params.nutrient_mode == QUASISTATIC and cfg.boundary_mode != PADDED:
-        raise ValueError("quasi-static nutrient mode requires the padded boundary mode")
-    if not isinstance(params.consumption, LinearConsumption):
-        raise ValueError("the grid solver supports linear nutrient consumption only")
+    check_compatible(params, cfg)
 
     log = RunLog()
     t0 = initial.t

@@ -145,6 +145,30 @@ def test_run_rejects_unknown_config_key(tmp_path, capsys):
     assert "gamm" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, entries, message",
+    [
+        ("model", {"gamma": 1.5}, "gamma >= 2"),
+        (
+            "model",
+            {"nutrient_mode": "dynamic_neumann", "lambda_schedule": {"type": "constant", "value": 0.0}},
+            "fixed-box boundary",
+        ),
+        ("solver", {"boundary_mode": "neumann_box"}, "padded boundary"),
+    ],
+)
+def test_run_rejects_unrunnable_model_at_load(tmp_path, capsys, section, entries, message):
+    # caught when the config is loaded: exit 2 and no output directory
+    data = tiny_config_dict()
+    data[section].update(entries)
+    out_dir = tmp_path / "x"
+    rc = main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad config" in err and message in err
+    assert not out_dir.exists()
+
+
 def test_run_reports_solver_failure(tmp_path, capsys):
     n1 = np.zeros(61)
     n1[25:36] = 1e200
@@ -279,4 +303,8 @@ def test_sweep_usage_errors(tmp_path, capsys):
         ["sweep", "--preset", "fig-s4limit-gamma5", "--vary", "gamma=0.5", "--out", str(tmp_path)]
     ) == 2
     assert "bad sweep" in capsys.readouterr().err
+    assert main(
+        ["sweep", "--preset", "fig-s4limit-gamma5", "--vary", "gamma=1.5", "--out", str(tmp_path)]
+    ) == 2
+    assert "gamma >= 2" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())

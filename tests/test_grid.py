@@ -138,6 +138,25 @@ def test_edge_values_spike_reverts_to_first_order():
     np.testing.assert_allclose(right, [1.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.array([[0.0, 1.0, 0.0], [0.3, 0.2, 0.9]]),
+        np.array([np.full(7, 1.3), np.full(7, 0.0)]),
+        np.random.default_rng(7).random((2, 50)),
+        np.random.default_rng(8).random((3, 50)) - 0.5,
+    ],
+    ids=["N3", "constant", "random", "random-signed-3rows"],
+)
+def test_edge_arrays_stacked_rows_match_one_dimensional_calls(rows):
+    left, right = _edge_arrays(rows, 0.1)
+    assert left.shape == right.shape == (rows.shape[0], rows.shape[1] - 1)
+    for k, row in enumerate(rows):
+        row_left, row_right = _edge_arrays(row, 0.1)
+        assert np.array_equal(left[k], row_left)
+        assert np.array_equal(right[k], row_right)
+
+
 def test_numerical_flux_upwinding():
     assert numerical_flux(0.5, 0.9, 0.0) == 0.0
     assert numerical_flux(0.5, 0.9, 2.0) == pytest.approx(1.0)

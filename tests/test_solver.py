@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
-from autophagy_tumor.grid import Grid1D, pressure_from_density
+from autophagy_tumor.grid import Grid1D, _edge_arrays, numerical_flux, pressure_from_density
 from autophagy_tumor.kinetics import (
     ConstantFlux,
     ConstantTransitions,
@@ -12,6 +13,8 @@ from autophagy_tumor.kinetics import (
     Proportional,
     QUASISTATIC,
     equilibrium_roots,
+    eval_growth,
+    eval_transitions,
 )
 from autophagy_tumor.solver import (
     NEUMANN_BOX,
@@ -96,6 +99,66 @@ def test_tridiagonal_matches_dense_solve(rng):
     x = TridiagonalSystem(lower, diag, upper, rhs).solve()
     dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
     np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-12)
+
+
+def test_tridiagonal_matches_solve_banded_bit_for_bit(rng):
+    # solve_banded uses the same LAPACK gtsv for (1, 1) bands
+    for m in (2, 3, 12, 251):
+        lower = rng.random(m - 1) - 0.5
+        upper = rng.random(m - 1) - 0.5
+        diag = 1.0 + rng.random(m)
+        rhs = rng.random(m) - 0.5
+        ab = np.zeros((3, m))
+        ab[0, 1:] = upper
+        ab[1, :] = diag
+        ab[2, :-1] = lower
+        x = TridiagonalSystem(lower, diag, upper, rhs).solve()
+        np.testing.assert_array_equal(x, solve_banded((1, 1), ab, rhs))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["lower", "diag", "upper", "rhs"])
+def test_tridiagonal_rejects_non_finite_entries(which, bad):
+    arrays = {
+        "lower": np.full(4, -1.0),
+        "diag": np.full(5, 4.0),
+        "upper": np.full(4, -1.0),
+        "rhs": np.ones(5),
+    }
+    arrays[which][1] = bad
+    with pytest.raises(SolverError):
+        TridiagonalSystem(**arrays).solve()
+
+
+def test_tridiagonal_singular_matrix_raises():
+    # rows (1, 1) and (1, 1): elimination leaves a zero pivot
+    system = TridiagonalSystem(np.ones(1), np.ones(2), np.ones(1), np.array([1.0, 2.0]))
+    with pytest.raises(SolverError, match="singular"):
+        system.solve()
+    zero = TridiagonalSystem(np.zeros(2), np.zeros(3), np.zeros(2), np.ones(3))
+    with pytest.raises(SolverError, match="singular"):
+        zero.solve()
+
+
+def test_tridiagonal_one_by_one_divides():
+    x = TridiagonalSystem(np.empty(0), np.array([4.0]), np.empty(0), np.array([3.0])).solve()
+    np.testing.assert_array_equal(x, np.array([0.75]))
+
+
+def test_quasistatic_single_cell_component_matches_dense():
+    # a one-cell occupied component makes a 1x1 system
+    dx = 0.1
+    n1 = np.zeros(9)
+    n2 = np.zeros(9)
+    n1[4] = 0.7
+    n2[4] = 0.2
+    state = make_state(n1, n2, dx=dx)
+    params = basic_params(a=0.5, c_B=1.5)
+    c = solve_nutrient_quasistatic(state, params, threshold=1e-8)
+    dense = np.array([[2.0 / dx**2 + 0.9]])
+    rhs = np.array([0.5 * 0.2 + 2.0 * 1.5 / dx**2])
+    np.testing.assert_allclose(c[4:5], np.linalg.solve(dense, rhs), rtol=1e-14)
+    np.testing.assert_array_equal(np.delete(c, 4), 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +297,49 @@ def test_correct_densities_clamps_negative_mass():
     out1, out2, clamped = correct_densities(state, np.zeros(4), params, dt)
     np.testing.assert_array_equal(out1, np.zeros(5))
     assert clamped == pytest.approx(0.1 * np.sum(n1), rel=1e-13)
+
+
+def correct_densities_per_species(state, u_star, params, dt):
+    """Reference: the transport half of correct_densities run once per
+    species on 1-D arrays, followed by the same reaction solve."""
+    dx = state.grid.dx
+    growth = eval_growth(params.growth, state.c, state.total_density)
+    K1, K2 = eval_transitions(params.transitions, state.c)
+    div = []
+    for ns in (state.n1, state.n2):
+        left, right = _edge_arrays(ns, dx)
+        flux = numerical_flux(left, right, u_star)
+        div.append(np.diff(np.concatenate(([0.0], flux, [0.0]))) / dx)
+    a11 = 1.0 / dt - growth + K1
+    a22 = 1.0 / dt - (growth - params.D) + K2
+    det = a11 * a22 - K1 * K2
+    r1 = state.n1 / dt - div[0]
+    r2 = state.n2 / dt - div[1]
+    n1_new = (a22 * r1 + K2 * r2) / det
+    n2_new = (K1 * r1 + a11 * r2) / det
+    clamped = 0.0
+    for arr in (n1_new, n2_new):
+        neg = arr < 0.0
+        if neg.any():
+            clamped -= dx * float(np.sum(arr[neg]))
+            arr[neg] = 0.0
+    return n1_new, n2_new, clamped
+
+
+@pytest.mark.parametrize("m, dt", [(3, 0.01), (4, 0.01), (41, 0.01), (41, 0.2)])
+def test_correct_densities_matches_per_species_reference(rng, m, dt):
+    # dt = 0.2 puts the CFL number near 8 and drives cells negative
+    n1 = rng.random(m) * (rng.random(m) > 0.3)
+    n2 = rng.random(m) * (rng.random(m) > 0.3)
+    state = make_state(n1, n2, c=0.2 + rng.random(m), dx=0.05)
+    u_star = 4.0 * (rng.random(m - 1) - 0.5)
+    params = basic_params(g=1.3, D=0.4, K1=0.7, K2=1.1)
+    got = correct_densities(state, u_star, params, dt)
+    want = correct_densities_per_species(state, u_star, params, dt)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    assert got[2] == want[2]
+    assert (want[2] > 0.0) == (dt > 0.1)
 
 
 # ---------------------------------------------------------------------------
