@@ -8,7 +8,7 @@ Subcommands:
   check     validate a finished run directory
 
 Exit codes: 0 on success, 1 on solver failure or a failed check, 2 on usage
-errors (bad flags, malformed configs).
+errors (bad flags, malformed configs, an initial state that cannot be built).
 """
 
 from __future__ import annotations
@@ -106,6 +106,11 @@ def _cmd_run(args) -> int:
     except SolverError as err:
         print(f"solver failed: {err}", file=sys.stderr)
         return 1
+    except ValueError as err:
+        # the config loaded, but its initial state cannot be built (for
+        # example a checkpoint written with another gamma)
+        print(f"bad config: {err}", file=sys.stderr)
+        return 2
     for line in result.log.warnings:
         print(f"warning: {line}", file=sys.stderr)
     for line in result.log.violations:

@@ -25,6 +25,8 @@ __all__ = [
     "TimeSeries",
     "SERIES_CHANNELS",
     "support_info",
+    "support_components",
+    "support_radius",
     "density_fraction_field",
     "sup_deviation",
     "l2n_deviation",
@@ -46,23 +48,29 @@ class SupportInfo:
     total_mass: float
 
 
-def _support_mask(state, threshold: float) -> np.ndarray:
-    return (state.n1 + state.n2) > threshold
+def support_components(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """Inclusive (start, end) index runs of a 1D support mask, left to right."""
+    padded = np.zeros(mask.size + 2, dtype=bool)
+    padded[1:-1] = mask
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return tuple(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
+
+
+def support_radius(grid, mask: np.ndarray) -> float:
+    """Largest |x| over the cells of a non-empty support mask."""
+    return float(np.abs(grid.cell_x[mask]).max())
 
 
 def support_info(state, threshold: float) -> SupportInfo:
-    mask = _support_mask(state, threshold)
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
+    n = state.n1 + state.n2
+    mask = n > threshold
+    if not mask.any():
         return SupportInfo(components=(), radius=0.0, total_mass=0.0)
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [idx.size - 1]))
-    components = tuple((int(idx[s]), int(idx[e])) for s, e in zip(starts, ends))
-    x = state.grid.cell_x
-    radius = float(np.max(np.abs(x[idx])))
-    total = float(state.grid.dx * np.sum((state.n1 + state.n2)[idx]))
-    return SupportInfo(components=components, radius=radius, total_mass=total)
+    return SupportInfo(
+        components=support_components(mask),
+        radius=support_radius(state.grid, mask),
+        total_mass=float(state.grid.dx * n[mask].sum()),
+    )
 
 
 def density_fraction_field(state, threshold: float) -> np.ndarray:
@@ -141,7 +149,7 @@ def nutrient_bound_check(
 def total_population(state) -> tuple[float, float]:
     """(total mass, autophagic mass) over the whole grid."""
     dx = state.grid.dx
-    return float(dx * np.sum(state.n1 + state.n2)), float(dx * np.sum(state.n2))
+    return float(dx * (state.n1 + state.n2).sum()), float(dx * state.n2.sum())
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
-"""Uniform 1D grid with a staggered companion, plus the pointwise pressure
-law and the slope-limited reconstruction kernels used by the transport step.
+"""Uniform 1D grid, the pointwise pressure law, and the slope-limited
+reconstruction kernels used by the transport step.
 
-Cell-centered ("regular") quantities live at x_i = x_min + i*dx for
-i = 0..n_cells-1; face ("staggered") quantities live at the midpoints
-x_{i+1/2}, of which there are n_cells - 1.
+Cell-centered quantities live at x_i = x_min + i*dx for i = 0..n_cells-1;
+face quantities live at the interior midpoints x_{i+1/2}, of which there
+are n_cells - 1.
 """
 
 from __future__ import annotations
@@ -15,19 +15,11 @@ import numpy as np
 
 __all__ = [
     "Grid1D",
-    "GridFunction",
-    "REGULAR",
-    "STAGGERED",
     "pressure_from_density",
     "density_from_pressure",
-    "staggered_density",
     "limited_slope",
-    "edge_values",
     "numerical_flux",
 ]
-
-REGULAR = "regular"
-STAGGERED = "staggered"
 
 
 @dataclass(frozen=True)
@@ -51,29 +43,6 @@ class Grid1D:
         return self.x_min + self.dx * (np.arange(self.n_cells - 1) + 0.5)
 
 
-@dataclass
-class GridFunction:
-    """An array of values tagged with its placement on the grid.
-
-    The tag catches regular/staggered mixups at construction time instead of
-    as an off-by-one deep inside the scheme.
-    """
-
-    grid: Grid1D
-    values: np.ndarray
-    placement: str
-
-    def __post_init__(self):
-        if self.placement not in (REGULAR, STAGGERED):
-            raise ValueError(f"unknown placement {self.placement!r}")
-        self.values = np.asarray(self.values, dtype=float)
-        expected = self.grid.n_cells if self.placement == REGULAR else self.grid.n_cells - 1
-        if self.values.shape != (expected,):
-            raise ValueError(
-                f"{self.placement} values must have shape ({expected},), got {self.values.shape}"
-            )
-
-
 # ---------------------------------------------------------------------------
 # pressure law p = gamma/(gamma-1) * n^(gamma-1)
 
@@ -82,7 +51,7 @@ def pressure_from_density(n, gamma: float):
     if not gamma > 1.0:
         raise ValueError(f"gamma must exceed 1, got {gamma}")
     n = np.asarray(n, dtype=float) if np.ndim(n) else float(n)
-    if np.any(np.asarray(n) < 0.0):
+    if (np.asarray(n) < 0.0).any():
         raise ValueError("negative density passed to the pressure law")
     return gamma / (gamma - 1.0) * n ** (gamma - 1.0)
 
@@ -97,11 +66,7 @@ def density_from_pressure(p, gamma: float):
 
 
 # ---------------------------------------------------------------------------
-# reconstruction kernels (array level; GridFunction wrappers below)
-
-
-def _staggered_avg(values: np.ndarray) -> np.ndarray:
-    return 0.5 * (values[:-1] + values[1:])
+# reconstruction kernels
 
 
 def limited_slope(n_prev, n_mid, n_next, dx: float):
@@ -142,18 +107,3 @@ def numerical_flux(left, right, u):
     states agree.
     """
     return 0.5 * ((left + right) * u - np.abs(u) * (right - left))
-
-
-def staggered_density(f: GridFunction) -> GridFunction:
-    """Midpoint average of a cell-centered field onto the faces."""
-    if f.placement != REGULAR:
-        raise ValueError("staggered_density expects a regular-placement field")
-    return GridFunction(f.grid, _staggered_avg(f.values), STAGGERED)
-
-
-def edge_values(f: GridFunction) -> tuple[GridFunction, GridFunction]:
-    """Slope-limited (left, right) face states of a cell-centered field."""
-    if f.placement != REGULAR:
-        raise ValueError("edge_values expects a regular-placement field")
-    left, right = _edge_arrays(f.values, f.grid.dx)
-    return GridFunction(f.grid, left, STAGGERED), GridFunction(f.grid, right, STAGGERED)

@@ -204,9 +204,9 @@ class ModelParameters:
     """All model constants and rate-law choices for one setup.
 
     nutrient_mode selects between the instantaneous-diffusion closure
-    (Dirichlet value c_B outside the occupied region, epsilon = 0) and the
-    time-dependent flux-driven nutrient equation on a fixed box
-    (epsilon = 1, requires a lambda_schedule for the wall flux).
+    (Dirichlet value c_B outside the occupied region) and the
+    time-dependent flux-driven nutrient equation on a fixed box (requires a
+    lambda_schedule for the wall flux).
     """
 
     gamma: float
@@ -218,7 +218,6 @@ class ModelParameters:
     transitions: TransitionSpec = ConstantTransitions(1.0, 1.0)
     nutrient_mode: str = QUASISTATIC
     lambda_schedule: FluxSchedule | None = None
-    epsilon: int | None = None
 
     def __post_init__(self):
         if not self.gamma > 1.0:
@@ -231,13 +230,6 @@ class ModelParameters:
             raise ValueError(f"ambient nutrient level c_B must be > 0, got {self.c_B}")
         if self.nutrient_mode not in (QUASISTATIC, NEUMANN):
             raise ValueError(f"unknown nutrient_mode {self.nutrient_mode!r}")
-        expected_eps = 0 if self.nutrient_mode == QUASISTATIC else 1
-        if self.epsilon is None:
-            object.__setattr__(self, "epsilon", expected_eps)
-        elif self.epsilon != expected_eps:
-            raise ValueError(
-                f"epsilon={self.epsilon} inconsistent with nutrient_mode={self.nutrient_mode!r}"
-            )
         if self.nutrient_mode == NEUMANN and self.lambda_schedule is None:
             raise ValueError("dynamic_neumann mode needs a lambda_schedule")
 

@@ -42,7 +42,6 @@ from .solver import (
     FieldState,
     RunResult,
     SolverConfig,
-    SolverError,
     check_compatible,
     read_checkpoint,
     run,
@@ -279,10 +278,11 @@ def build_initial_state(
     else:
         raise TypeError(f"unknown initial recipe {type(initial).__name__}")
 
-    p_disc = pressure_from_density(state.total_density, params.gamma)
+    n = state.n1 + state.n2
+    p_disc = pressure_from_density(n, params.gamma)
     state.u = -np.diff(p_disc) / grid.dx
     if params.nutrient_mode == QUASISTATIC:
-        state.c = solve_nutrient_quasistatic(state, params, solver_cfg.support_threshold)
+        state.c = solve_nutrient_quasistatic(state, params, solver_cfg.support_threshold, n)
     return state
 
 
@@ -724,13 +724,12 @@ def write_profile_csv(path, state: FieldState, gamma: float) -> None:
 def run_scenario(cfg: ScenarioConfig, out_dir) -> RunResult:
     """Run a scenario and write its outputs and manifest under out_dir.
 
-    On solver failure the manifest is still written (failed: true) before
-    the error propagates.
+    Whatever fails once the directory exists (the initial state, the solver,
+    writing an output), the manifest is still written (failed: true, with
+    the error) before the exception propagates.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    initial = build_initial_state(cfg.initial, cfg.params, cfg.solver)
-
     manifest = {
         "name": cfg.name,
         "config": config_to_dict(cfg),
@@ -740,34 +739,35 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunResult:
     }
     started = time.perf_counter()
     try:
+        initial = build_initial_state(cfg.initial, cfg.params, cfg.solver)
+        started = time.perf_counter()
         result = run(initial, cfg.params, cfg.solver, cfg.t_end, cfg.snapshot_times())
-    except SolverError as err:
+        manifest["wall_time_s"] = time.perf_counter() - started
+        manifest["steps"] = result.log.steps
+        manifest["warnings"] = result.log.warnings
+        manifest["violations"] = result.log.violations
+        manifest["clamped_neg_mass"] = result.log.clamped_neg_mass
+
+        if "timeseries" in cfg.outputs:
+            result.series.to_csv(out / "timeseries.csv")
+            manifest["outputs"]["timeseries"] = "timeseries.csv"
+        profile_files = {}
+        for ts, snap in sorted(result.snapshots.items()):
+            fname = f"profile_t{ts:g}.csv"
+            write_profile_csv(out / fname, snap, cfg.params.gamma)
+            profile_files[f"{ts:g}"] = fname
+        if profile_files:
+            manifest["outputs"]["profiles"] = profile_files
+        if "checkpoint" in cfg.outputs:
+            write_checkpoint(out / "checkpoint_final.txt", result.final_state, cfg.params.gamma)
+            manifest["outputs"]["checkpoint"] = "checkpoint_final.txt"
+    except Exception as err:
         manifest["failed"] = True
         manifest["error"] = str(err)
         manifest["wall_time_s"] = time.perf_counter() - started
         with open(out / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2)
         raise
-
-    manifest["wall_time_s"] = time.perf_counter() - started
-    manifest["steps"] = result.log.steps
-    manifest["warnings"] = result.log.warnings
-    manifest["violations"] = result.log.violations
-    manifest["clamped_neg_mass"] = result.log.clamped_neg_mass
-
-    if "timeseries" in cfg.outputs:
-        result.series.to_csv(out / "timeseries.csv")
-        manifest["outputs"]["timeseries"] = "timeseries.csv"
-    profile_files = {}
-    for ts, snap in sorted(result.snapshots.items()):
-        fname = f"profile_t{ts:g}.csv"
-        write_profile_csv(out / fname, snap, cfg.params.gamma)
-        profile_files[f"{ts:g}"] = fname
-    if profile_files:
-        manifest["outputs"]["profiles"] = profile_files
-    if "checkpoint" in cfg.outputs:
-        write_checkpoint(out / "checkpoint_final.txt", result.final_state, cfg.params.gamma)
-        manifest["outputs"]["checkpoint"] = "checkpoint_final.txt"
 
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)

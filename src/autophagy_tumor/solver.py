@@ -20,6 +20,19 @@ updates) goes through `TridiagonalSystem.solve`, which calls LAPACK `gtsv`
 directly: the routine `scipy.linalg.solve_banded` picks for (1, 1) bands,
 without the wrapper's per-call overhead, so the results are the same bit
 for bit.
+
+A step computes each shared quantity once and passes it on explicitly.
+The total density n = n1 + n2 of the old state feeds the enlargement check
+(and is rebuilt only when the grid grows), the velocity prediction and the
+backward-Euler nutrient step; the growth rate G(c, n) feeds the prediction
+and the correction. n_new = n1 + n2 of the corrected state feeds the
+pressure law and the quasi-static nutrient solve, which finds the occupied
+components with one scan (`diagnostics.support_components`). Each sample
+of the time series builds n, the support mask and the normal fraction on
+it once for the series row and the bound checks. The hot path calls
+ndarray methods rather than the `np.sum`/`np.max`/... wrappers; the
+arithmetic is the same elementwise, so the results are the same bit for
+bit.
 """
 
 from __future__ import annotations
@@ -30,7 +43,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .diagnostics import SERIES_CHANNELS, TimeSeries, support_info, total_population
+from .diagnostics import (
+    SERIES_CHANNELS,
+    TimeSeries,
+    support_components,
+    support_radius,
+    total_population,
+)
 from .grid import Grid1D, _edge_arrays, numerical_flux, pressure_from_density
 from .kinetics import (
     NEUMANN,
@@ -169,36 +188,39 @@ class TridiagonalSystem:
                 raise SolverError(f"tridiagonal solve failed: singular matrix (zero pivot {info})")
             if info < 0:
                 raise SolverError(f"tridiagonal solve failed: bad argument {-info} to gtsv")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise SolverError("tridiagonal solve produced non-finite values")
         return x
 
 
-def predict_velocity(state: FieldState, params: ModelParameters, dt: float) -> np.ndarray:
+def predict_velocity(
+    state: FieldState, params: ModelParameters, dt: float, n: np.ndarray, growth: np.ndarray
+) -> np.ndarray:
     """Implicit prediction of the face velocities for the transport step.
 
     Solves, on interior faces, the linear system obtained from a backward
     Euler discretization of the pressure-gradient evolution with lagged
     density weights. Needs gamma >= 2 so the weights n^(gamma-2) stay
     bounded at vacuum. The first and last interior faces are held at zero.
+    `n` is the total density n1 + n2 of `state` and `growth` the rate
+    G(c, n) on it.
     """
     gamma = params.gamma
     if gamma < 2.0:
         raise ValueError(f"velocity prediction requires gamma >= 2, got {gamma}")
-    grid = state.grid
-    dx = grid.dx
-    n = state.total_density
+    dx = state.grid.dx
     w = n ** (gamma - 2.0)
-    growth = eval_growth(params.growth, state.c, n)
     source = state.n1 * growth + state.n2 * (growth - params.D)
 
     A = gamma * dt / dx**2
     B = gamma * dt / dx
     m = 0.5 * (n[:-1] + n[1:])
     diag = 1.0 + A * m * (w[:-1] + w[1:])
-    upper = -A * w[1:-1] * m[1:]
-    lower = -A * w[1:-1] * m[:-1]
-    rhs = state.u - B * (w[1:] * source[1:] - w[:-1] * source[:-1])
+    aw = -A * w[1:-1]
+    upper = aw * m[1:]
+    lower = aw * m[:-1]
+    ws = w * source
+    rhs = state.u - B * (ws[1:] - ws[:-1])
 
     # hold the outermost interior faces at rest
     diag[0] = 1.0
@@ -212,34 +234,34 @@ def predict_velocity(state: FieldState, params: ModelParameters, dt: float) -> n
 
 
 def correct_densities(
-    state: FieldState, u_star: np.ndarray, params: ModelParameters, dt: float
+    state: FieldState, u_star: np.ndarray, params: ModelParameters, dt: float, growth: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Transport both species with the predicted velocity and apply the
-    exchange/growth terms semi-implicitly.
+    exchange/growth terms semi-implicitly; `growth` is the rate G(c, n) on
+    `state`.
 
     Returns (n1, n2, clamped_mass) where clamped_mass is the total mass
     removed by zeroing negative densities.
     """
     grid = state.grid
     dx = grid.dx
-    n = state.total_density
-    growth = eval_growth(params.growth, state.c, n)
     K1, K2 = eval_transitions(params.transitions, state.c)
     g1 = growth
     g2 = growth - params.D
 
     # both species in one pass: row 0 is n1, row 1 is n2; the wall faces
     # carry zero flux
-    left, right = _edge_arrays(np.stack((state.n1, state.n2)), dx)
+    stacked = np.concatenate((state.n1, state.n2)).reshape(2, grid.n_cells)
+    left, right = _edge_arrays(stacked, dx)
     flux = np.zeros((2, grid.n_cells + 1))
     flux[:, 1:-1] = numerical_flux(left, right, u_star)
-    div1, div2 = np.diff(flux) / dx
+    div1, div2 = (flux[:, 1:] - flux[:, :-1]) / dx
 
     a11 = 1.0 / dt - g1 + K1
     a22 = 1.0 / dt - g2 + K2
     det = a11 * a22 - K1 * K2
     scale = 1.0 / dt**2
-    if np.min(np.abs(det)) < 1e-14 * scale:
+    if np.abs(det).min() < 1e-14 * scale:
         raise SolverError(
             "reaction solve is singular (dt too large for the reaction rates)",
             state=state,
@@ -254,26 +276,25 @@ def correct_densities(
     for arr in (n1_new, n2_new):
         neg = arr < 0.0
         if neg.any():
-            clamped -= dx * float(np.sum(arr[neg]))
+            clamped -= dx * float(arr[neg].sum())
             arr[neg] = 0.0
     return n1_new, n2_new, clamped
 
 
 def solve_nutrient_quasistatic(
-    state: FieldState, params: ModelParameters, threshold: float
+    state: FieldState, params: ModelParameters, threshold: float, n: np.ndarray
 ) -> np.ndarray:
-    """Solve -c'' + c*n = a*n2 on each occupied component, with c equal to
-    the ambient level at the first unoccupied cell on either side, and
-    ambient everywhere off the occupied region."""
+    """Solve -c'' + c*n = a*n2 on each occupied component (cells where the
+    total density `n` = n1 + n2 of `state` exceeds `threshold`), with c
+    equal to the ambient level at the first unoccupied cell on either side,
+    and ambient everywhere off the occupied region."""
     if not isinstance(params.consumption, LinearConsumption):
         raise ValueError("quasi-static nutrient solve requires linear consumption")
     grid = state.grid
     dx = grid.dx
     c_B = params.c_B
     c = np.full(grid.n_cells, c_B)
-    n = state.total_density
-    info = support_info(state, threshold)
-    for s, e in info.components:
+    for s, e in support_components(n > threshold):
         if s == 0 or e == grid.n_cells - 1:
             raise SolverError(
                 "occupied region reached the domain edge; "
@@ -284,15 +305,15 @@ def solve_nutrient_quasistatic(
         size = e - s + 1
         diag = 2.0 / dx**2 + n[s : e + 1]
         off = np.full(size - 1, -1.0 / dx**2)
-        rhs = params.a * state.n2[s : e + 1].copy()
+        rhs = params.a * state.n2[s : e + 1]
         rhs[0] += c_B / dx**2
         rhs[-1] += c_B / dx**2
-        c[s : e + 1] = TridiagonalSystem(off, diag, off.copy(), rhs).solve()
+        c[s : e + 1] = TridiagonalSystem(off, diag, off, rhs).solve()
     return c
 
 
 def step_nutrient_neumann(
-    state: FieldState, params: ModelParameters, dt: float, t_new: float
+    state: FieldState, params: ModelParameters, dt: float, t_new: float, n: np.ndarray
 ) -> tuple[np.ndarray, int]:
     """One backward Euler step of c_t - c'' + c*n = a*n2 on the whole box,
     with the wall flux lambda(t) prescribed through the boundary rows
@@ -302,15 +323,15 @@ def step_nutrient_neumann(
     rows, so each step satisfies
     dx*sum(c_new - c_old)/dt = -2*lambda - dx*sum(c_new*n - a*n2) over the
     interior cells exactly (positive lambda lowers both wall cells below
-    their neighbours and carries nutrient out). Negative values are clamped
-    to zero; returns (c, number of clamped cells).
+    their neighbours and carries nutrient out). `n` is the total density
+    n1 + n2 of `state`. Negative values are clamped to zero; returns
+    (c, number of clamped cells).
     """
     if not isinstance(params.consumption, LinearConsumption):
         raise ValueError("nutrient step requires linear consumption")
     grid = state.grid
     dx = grid.dx
     m = grid.n_cells
-    n = state.total_density
     lam = eval_flux(params.lambda_schedule, t_new)
 
     diag = 1.0 / dt + 2.0 / dx**2 + n
@@ -334,12 +355,13 @@ def step_nutrient_neumann(
 
 
 def enlarge_domain_if_needed(
-    state: FieldState, params: ModelParameters, cfg: SolverConfig
+    state: FieldState, params: ModelParameters, cfg: SolverConfig, n: np.ndarray
 ) -> tuple[FieldState, bool]:
-    """Extend the grid with vacuum cells when the occupied region gets within
+    """Extend the grid with vacuum cells when the occupied region (where the
+    total density `n` of `state` exceeds the support threshold) gets within
     `enlargement_margin` cells of an edge, restoring a gap of twice the
     margin on that side. Existing cell values are preserved bit for bit."""
-    idx = np.flatnonzero(state.total_density > cfg.support_threshold)
+    idx = np.flatnonzero(n > cfg.support_threshold)
     if idx.size == 0:
         return state, False
     n_cells = state.grid.n_cells
@@ -382,26 +404,32 @@ def step(
     """Advance one time step and return the new state with per-step
     diagnostics."""
     dt = cfg.dt
+    n = state.n1 + state.n2
     enlarged = False
     if cfg.boundary_mode == PADDED:
-        state, enlarged = enlarge_domain_if_needed(state, params, cfg)
+        state, enlarged = enlarge_domain_if_needed(state, params, cfg, n)
+        if enlarged:
+            n = state.n1 + state.n2
+    growth = eval_growth(params.growth, state.c, n)
 
-    u_star = predict_velocity(state, params, dt)
-    cfl = float(np.max(np.abs(u_star)) * dt / state.grid.dx) if len(u_star) else 0.0
-    n1, n2, clamped = correct_densities(state, u_star, params, dt)
+    dx = state.grid.dx
+    u_star = predict_velocity(state, params, dt, n, growth)
+    cfl = float(np.abs(u_star).max() * dt / dx) if len(u_star) else 0.0
+    n1, n2, clamped = correct_densities(state, u_star, params, dt, growth)
 
     new = FieldState(grid=state.grid, n1=n1, n2=n2, c=state.c, u=state.u, t=state.t + dt)
-    p = pressure_from_density(new.total_density, params.gamma)
-    new.u = -np.diff(p) / state.grid.dx
+    n_new = n1 + n2
+    p = pressure_from_density(n_new, params.gamma)
+    new.u = -(p[1:] - p[:-1]) / dx
 
     nutrient_clamped = 0
     if params.nutrient_mode == QUASISTATIC:
-        new.c = solve_nutrient_quasistatic(new, params, cfg.support_threshold)
+        new.c = solve_nutrient_quasistatic(new, params, cfg.support_threshold, n_new)
     else:
-        new.c, nutrient_clamped = step_nutrient_neumann(state, params, dt, new.t)
+        new.c, nutrient_clamped = step_nutrient_neumann(state, params, dt, new.t, n)
 
     for name, arr in (("n1", new.n1), ("n2", new.n2), ("c", new.c), ("u", new.u)):
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise SolverError(
                 f"non-finite values in {name} at t={new.t:.6g}", state=state, t=new.t
             )
@@ -427,24 +455,30 @@ class RunResult:
 
 
 def _series_row(
-    state: FieldState, t: float, cfg: SolverConfig, mu_star: float | None, clamped_cum: float
+    state: FieldState,
+    mask: np.ndarray,
+    mu: np.ndarray | None,
+    t: float,
+    mu_star: float | None,
+    clamped_cum: float,
 ) -> list[float]:
-    info = support_info(state, cfg.support_threshold)
+    """One time-series row; `mask` is the support and `mu` the normal-cell
+    fraction on it (None when the support is empty)."""
     mass_total, mass_auto = total_population(state)
+    radius = 0.0
     sup_dev = l2 = l4 = l8 = math.nan
     c_max = math.nan
-    if info.components:
-        mask = state.total_density > cfg.support_threshold
-        c_max = float(np.max(state.c[mask]))
+    if mu is not None:
+        radius = support_radius(state.grid, mask)
+        c_max = float(state.c[mask].max())
         if mu_star is not None:
-            mu = state.n1[mask] / state.total_density[mask]
             dev = mu - mu_star
-            sup_dev = float(np.max(np.abs(dev)))
+            sup_dev = float(np.abs(dev).max())
             dx = state.grid.dx
-            l2 = float((dx * np.sum(dev**2)) ** (1.0 / 2.0))
-            l4 = float((dx * np.sum(dev**4)) ** (1.0 / 4.0))
-            l8 = float((dx * np.sum(dev**8)) ** (1.0 / 8.0))
-    return [t, info.radius, mass_total, mass_auto, sup_dev, l2, l4, l8, c_max, clamped_cum]
+            l2 = float((dx * (dev**2).sum()) ** (1.0 / 2.0))
+            l4 = float((dx * (dev**4).sum()) ** (1.0 / 4.0))
+            l8 = float((dx * (dev**8).sum()) ** (1.0 / 8.0))
+    return [t, radius, mass_total, mass_auto, sup_dev, l2, l4, l8, c_max, clamped_cum]
 
 
 def check_compatible(params: ModelParameters, cfg: SolverConfig) -> None:
@@ -503,35 +537,41 @@ def run(
 
     nutrient_bound = params.c_B
     if params.nutrient_mode == QUASISTATIC:
-        mask0 = state.total_density > cfg.support_threshold
+        mask0 = (state.n1 + state.n2) > cfg.support_threshold
         if mask0.any():
-            nutrient_bound = max(params.c_B, float(np.max(state.c[mask0])))
+            nutrient_bound = max(params.c_B, float(state.c[mask0].max()))
 
     rows: list[list[float]] = []
     max_cfl = 0.0
     first_cfl_t = None
     nutrient_clamp_events = 0
 
-    def check_bounds(t: float) -> None:
-        mask = state.total_density > cfg.support_threshold
-        if not mask.any():
+    def check_bounds(mask: np.ndarray, mu: np.ndarray | None, t: float) -> None:
+        if mu is None:
             return
-        mu = state.n1[mask] / state.total_density[mask]
-        if np.min(mu) < -1e-8 or np.max(mu) > 1.0 + 1e-8:
+        if mu.min() < -1e-8 or mu.max() > 1.0 + 1e-8:
             log.violations.append(
                 f"composition fraction left [0, 1] at t={t:.6g} "
-                f"(range [{np.min(mu):.3e}, {np.max(mu):.3e}])"
+                f"(range [{mu.min():.3e}, {mu.max():.3e}])"
             )
         if params.nutrient_mode == QUASISTATIC:
-            worst = float(np.max(state.c[mask])) - nutrient_bound
+            worst = float(state.c[mask].max()) - nutrient_bound
             if worst > 1e-6:
                 log.violations.append(
                     f"nutrient exceeded its maximum-principle bound by {worst:.3e} at t={t:.6g}"
                 )
 
+    def sample(t: float) -> None:
+        # one density, support mask and fraction per sample, shared by the
+        # series row and the bound checks
+        n = state.n1 + state.n2
+        mask = n > cfg.support_threshold
+        mu = state.n1[mask] / n[mask] if mask.any() else None
+        rows.append(_series_row(state, mask, mu, t, mu_star, log.clamped_neg_mass))
+        check_bounds(mask, mu, t)
+
     if n_steps > 0:
-        rows.append(_series_row(state, t0, cfg, mu_star, log.clamped_neg_mass))
-        check_bounds(t0)
+        sample(t0)
 
     for j in range(n_steps):
         try:
@@ -551,12 +591,10 @@ def run(
         for ts in snapshot_steps.get(j + 1, []):
             snapshots[ts] = state.copy()
         if (j + 1) % steps_per_sample == 0:
-            rows.append(_series_row(state, state.t, cfg, mu_star, log.clamped_neg_mass))
-            check_bounds(state.t)
+            sample(state.t)
 
     if n_steps > 0 and n_steps % steps_per_sample != 0:
-        rows.append(_series_row(state, state.t, cfg, mu_star, log.clamped_neg_mass))
-        check_bounds(state.t)
+        sample(state.t)
 
     if max_cfl > 0.5:
         log.warnings.append(

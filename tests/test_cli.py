@@ -186,6 +186,24 @@ def test_run_reports_solver_failure(tmp_path, capsys):
     assert manifest["failed"] is True
 
 
+def test_run_rejects_checkpoint_with_other_gamma(tmp_path, capsys):
+    # the config loads, but its initial state cannot be built: exit 2, and
+    # the run directory still gets a failed manifest
+    n1 = np.zeros(61)
+    n1[25:36] = 0.5
+    chk = tmp_path / "gamma4.txt"
+    write_checkpoint(chk, make_state(n1, np.zeros(61), dx=0.1), gamma=4.0)
+    data = tiny_config_dict()
+    data["initial"] = {"type": "checkpoint", "path": str(chk)}
+    out_dir = tmp_path / "mismatch"
+    rc = main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)])
+    assert rc == 2
+    assert "bad config" in capsys.readouterr().err
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["failed"] is True
+    assert "gamma=4" in manifest["error"] and "gamma=5" in manifest["error"]
+
+
 # ---------------------------------------------------------------------------
 # check
 

@@ -10,6 +10,7 @@ from autophagy_tumor.diagnostics import (
     norm_report,
     nutrient_bound_check,
     sup_deviation,
+    support_components,
     support_info,
     total_population,
     uniform_bound_at,
@@ -69,6 +70,28 @@ def test_support_info_two_bumps():
     x = state.grid.cell_x
     assert info.radius == pytest.approx(max(abs(x[5]), abs(x[31])))
     assert info.total_mass == pytest.approx(dx * (5 * 1.0 + 7 * 0.5))
+
+
+@pytest.mark.parametrize(
+    "occupied, want",
+    [
+        ([], ()),
+        ([4], ((4, 4),)),
+        ([0], ((0, 0),)),
+        ([8], ((8, 8),)),
+        ([0, 1, 2, 6, 7, 8], ((0, 2), (6, 8))),
+        (list(range(9)), ((0, 8),)),
+        ([1, 3, 5], ((1, 1), (3, 3), (5, 5))),
+    ],
+    ids=["empty", "single", "left-edge", "right-edge", "both-edges", "full", "isolated"],
+)
+def test_support_components_match_support_info(occupied, want):
+    n = np.zeros(9)
+    n[occupied] = 0.5
+    comps = support_components(n > THRESH)
+    assert comps == want
+    assert comps == support_info(make_state(n, np.zeros(9)), THRESH).components
+    assert all(type(i) is int for run in comps for i in run)
 
 
 def test_density_fraction_field():
@@ -212,7 +235,7 @@ def test_total_population_invariant_under_domain_growth(rng):
     before = total_population(state)
     cfg = SolverConfig(dt=1e-3, enlargement_margin=5)
     params = params_with(ConstantTransitions(K1=1.0, K2=1.0))
-    grown, changed = enlarge_domain_if_needed(state, params, cfg)
+    grown, changed = enlarge_domain_if_needed(state, params, cfg, state.total_density)
     assert changed
     assert grown.grid.n_cells > state.grid.n_cells
     # old cells are preserved bitwise inside the padded arrays

@@ -4,18 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autophagy_tumor.grid import (
-    REGULAR,
-    STAGGERED,
     Grid1D,
-    GridFunction,
+    _edge_arrays,
     density_from_pressure,
-    edge_values,
     limited_slope,
     numerical_flux,
     pressure_from_density,
-    staggered_density,
 )
-from autophagy_tumor.grid import _edge_arrays
 
 
 def test_grid_validation_and_coordinates():
@@ -28,18 +23,6 @@ def test_grid_validation_and_coordinates():
         Grid1D(x_min=0.0, dx=-0.1, n_cells=4)
     with pytest.raises(ValueError):
         Grid1D(x_min=0.0, dx=0.5, n_cells=2)
-
-
-def test_grid_function_placement_checks():
-    g = Grid1D(x_min=0.0, dx=1.0, n_cells=4)
-    GridFunction(g, np.zeros(4), REGULAR)
-    GridFunction(g, np.zeros(3), STAGGERED)
-    with pytest.raises(ValueError):
-        GridFunction(g, np.zeros(3), REGULAR)
-    with pytest.raises(ValueError):
-        GridFunction(g, np.zeros(4), STAGGERED)
-    with pytest.raises(ValueError):
-        GridFunction(g, np.zeros(4), "diagonal")
 
 
 def test_pressure_law_values():
@@ -73,21 +56,6 @@ def test_pressure_law_rejects_bad_inputs():
         pressure_from_density(np.array([0.5, -1e-9]), 2.0)
 
 
-def test_staggered_average():
-    g = Grid1D(x_min=0.0, dx=1.0, n_cells=5)
-    const = staggered_density(GridFunction(g, np.full(5, 0.7), REGULAR))
-    assert const.placement == STAGGERED
-    np.testing.assert_allclose(const.values, 0.7)
-    two = staggered_density(GridFunction(g, np.array([0.0, 2.0, 0.0, 2.0, 0.0]), REGULAR))
-    np.testing.assert_allclose(two.values, 1.0)
-    # averaging a linear profile hits the face value exactly
-    lin = 0.3 + 0.25 * g.cell_x
-    faces = staggered_density(GridFunction(g, lin, REGULAR))
-    np.testing.assert_allclose(faces.values, 0.3 + 0.25 * g.face_x, atol=1e-15)
-    with pytest.raises(ValueError):
-        staggered_density(GridFunction(g, np.zeros(4), STAGGERED))
-
-
 def test_limited_slope_three_point_cases():
     assert limited_slope(0.0, 1.0, 2.0, 1.0) == pytest.approx(1.0)
     assert limited_slope(1.0, 2.0, 1.0, 1.0) == 0.0
@@ -119,17 +87,16 @@ def test_limited_slope_is_bounded_by_one_sided_differences(prev, mid, nxt):
 
 def test_edge_values_linear_and_constant():
     g = Grid1D(x_min=0.0, dx=0.5, n_cells=8)
-    const = GridFunction(g, np.full(8, 1.3), REGULAR)
-    left, right = edge_values(const)
-    np.testing.assert_allclose(left.values, 1.3)
-    np.testing.assert_allclose(right.values, 1.3)
-    lin = GridFunction(g, 2.0 - 0.4 * g.cell_x, REGULAR)
-    left, right = edge_values(lin)
+    left, right = _edge_arrays(np.full(8, 1.3), g.dx)
+    assert left.shape == right.shape == (7,)
+    np.testing.assert_allclose(left, 1.3)
+    np.testing.assert_allclose(right, 1.3)
+    left, right = _edge_arrays(2.0 - 0.4 * g.cell_x, g.dx)
     exact = 2.0 - 0.4 * g.face_x
     # away from the two boundary cells the reconstruction is exact and the
     # two one-sided states agree
-    np.testing.assert_allclose(left.values[1:], exact[1:], atol=1e-14)
-    np.testing.assert_allclose(right.values[:-1], exact[:-1], atol=1e-14)
+    np.testing.assert_allclose(left[1:], exact[1:], atol=1e-14)
+    np.testing.assert_allclose(right[:-1], exact[:-1], atol=1e-14)
 
 
 def test_edge_values_spike_reverts_to_first_order():

@@ -8,7 +8,6 @@ from scipy.integrate import solve_ivp
 
 from autophagy_tumor.kinetics import (
     NEUMANN,
-    QUASISTATIC,
     AffineDeath,
     ConstantFlux,
     ConstantTransitions,
@@ -109,13 +108,11 @@ def test_flux_schedules():
 
 
 def test_model_parameters_validation():
-    ok = ModelParameters(gamma=2.0, D=0.3, a=0.5, c_B=1.0, growth=Proportional(1.0))
-    assert ok.epsilon == 0
-    box = ModelParameters(
+    ModelParameters(gamma=2.0, D=0.3, a=0.5, c_B=1.0, growth=Proportional(1.0))
+    ModelParameters(
         gamma=2.0, D=0.3, a=0.5, c_B=1.0, growth=Proportional(1.0),
         nutrient_mode=NEUMANN, lambda_schedule=ConstantFlux(0.2),
     )
-    assert box.epsilon == 1
     with pytest.raises(ValueError):
         ModelParameters(gamma=1.0, D=0.3, a=0.5, c_B=1.0, growth=Proportional(1.0))
     with pytest.raises(ValueError):
@@ -130,9 +127,6 @@ def test_model_parameters_validation():
     with pytest.raises(ValueError):
         ModelParameters(gamma=2.0, D=0.3, a=0.5, c_B=1.0, growth=Proportional(1.0),
                         nutrient_mode=NEUMANN)  # no schedule
-    with pytest.raises(ValueError):
-        ModelParameters(gamma=2.0, D=0.3, a=0.5, c_B=1.0, growth=Proportional(1.0),
-                        nutrient_mode=QUASISTATIC, epsilon=1)
 
 
 # ---------------------------------------------------------------------------

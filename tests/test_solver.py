@@ -5,14 +5,19 @@ import pytest
 from scipy.linalg import solve_banded
 
 from autophagy_tumor.grid import Grid1D, _edge_arrays, numerical_flux, pressure_from_density
+from autophagy_tumor.diagnostics import support_info
 from autophagy_tumor.kinetics import (
+    AffineDeath,
     ConstantFlux,
     ConstantTransitions,
+    HullTransitions,
     ModelParameters,
     NEUMANN,
+    PeriodicFlux,
     Proportional,
     QUASISTATIC,
     equilibrium_roots,
+    eval_flux,
     eval_growth,
     eval_transitions,
 )
@@ -35,6 +40,19 @@ from autophagy_tumor.solver import (
 )
 
 from conftest import make_state
+
+
+def predict(state, params, dt):
+    """predict_velocity with the total density and growth rate that `step`
+    computes once and passes on."""
+    n = state.total_density
+    return predict_velocity(state, params, dt, n, eval_growth(params.growth, state.c, n))
+
+
+def correct(state, u_star, params, dt):
+    """correct_densities with the growth rate that `step` passes on."""
+    growth = eval_growth(params.growth, state.c, state.total_density)
+    return correct_densities(state, u_star, params, dt, growth)
 
 
 def basic_params(gamma=2.0, g=1.0, D=0.0, K1=0.0, K2=0.0, a=0.5, c_B=1.0, **kw):
@@ -154,7 +172,7 @@ def test_quasistatic_single_cell_component_matches_dense():
     n2[4] = 0.2
     state = make_state(n1, n2, dx=dx)
     params = basic_params(a=0.5, c_B=1.5)
-    c = solve_nutrient_quasistatic(state, params, threshold=1e-8)
+    c = solve_nutrient_quasistatic(state, params, 1e-8, state.total_density)
     dense = np.array([[2.0 / dx**2 + 0.9]])
     rhs = np.array([0.5 * 0.2 + 2.0 * 1.5 / dx**2])
     np.testing.assert_allclose(c[4:5], np.linalg.solve(dense, rhs), rtol=1e-14)
@@ -168,13 +186,13 @@ def test_quasistatic_single_cell_component_matches_dense():
 def test_predict_velocity_rejects_small_gamma():
     state = make_state(np.ones(9), np.zeros(9))
     with pytest.raises(ValueError):
-        predict_velocity(state, basic_params(gamma=1.5), dt=0.01)
+        predict(state, basic_params(gamma=1.5), dt=0.01)
 
 
 def test_predict_velocity_rest_state_stays_at_rest():
     # uniform density, uniform source, zero velocity: nothing moves
     state = make_state(0.4 * np.ones(15), 0.3 * np.ones(15))
-    u = predict_velocity(state, basic_params(gamma=3.0, g=0.7, D=0.2), dt=0.02)
+    u = predict(state, basic_params(gamma=3.0, g=0.7, D=0.2), dt=0.02)
     np.testing.assert_array_equal(u, np.zeros(14))
 
 
@@ -183,7 +201,7 @@ def test_predict_velocity_vacuum_passes_input_through(rng):
     # pinned end faces the prediction is the identity
     m = 11
     state = make_state(np.zeros(m), np.zeros(m), u=rng.random(m - 1))
-    u = predict_velocity(state, basic_params(gamma=3.0, g=0.0), dt=0.05)
+    u = predict(state, basic_params(gamma=3.0, g=0.0), dt=0.05)
     assert u[0] == 0.0 and u[-1] == 0.0
     np.testing.assert_array_equal(u[1:-1], state.u[1:-1])
 
@@ -202,7 +220,7 @@ def test_predict_velocity_sine_mode_exact():
     params = basic_params(gamma=2.0, g=0.0)
     A = params.gamma * dt / dx**2
     expected = u_in / (1.0 + 4.0 * A * n0 * math.sin(theta / 2.0) ** 2)
-    u = predict_velocity(state, params, dt)
+    u = predict(state, params, dt)
     np.testing.assert_allclose(u, expected, rtol=1e-12, atol=1e-14)
 
 
@@ -212,7 +230,7 @@ def test_predict_velocity_mirror_antisymmetry():
     x = (np.arange(m) - (m - 1) / 2) * 0.1
     n = np.exp(-x**2)
     state = make_state(0.6 * n, 0.4 * n, dx=0.1)
-    u = predict_velocity(state, basic_params(gamma=2.0, g=1.0, D=0.3), dt=0.01)
+    u = predict(state, basic_params(gamma=2.0, g=1.0, D=0.3), dt=0.01)
     np.testing.assert_allclose(u, -u[::-1], atol=1e-12)
     assert np.max(np.abs(u)) > 1e-4  # the test is not vacuous
 
@@ -229,7 +247,7 @@ def test_correct_densities_pure_transport_is_identity(rng):
     n2 = rng.random(13)
     state = make_state(n1, n2)
     params = basic_params(g=0.0)
-    out1, out2, clamped = correct_densities(state, np.zeros(12), params, dt)
+    out1, out2, clamped = correct(state, np.zeros(12), params, dt)
     assert clamped == 0.0
     np.testing.assert_array_equal(out1, n1)
     np.testing.assert_array_equal(out2, n2)
@@ -243,7 +261,7 @@ def test_correct_densities_growth_only_backward_euler():
     n2 = np.array([0.0, 0.1, 0.1, 0.1, 0.0])
     state = make_state(n1, n2, c=np.full(5, c0))
     params = basic_params(g=1.25)
-    out1, out2, clamped = correct_densities(state, np.zeros(4), params, dt)
+    out1, out2, clamped = correct(state, np.zeros(4), params, dt)
     G = 1.25 * c0
     np.testing.assert_allclose(out1, n1 / (1.0 - G * dt), rtol=1e-14)
     np.testing.assert_allclose(out2, n2 / (1.0 - G * dt), rtol=1e-14)
@@ -256,7 +274,7 @@ def test_correct_densities_exchange_splits_mass():
     dt = 0.1
     state = make_state(np.ones(5), np.zeros(5))
     params = basic_params(g=0.0, K1=1.0, K2=1.0)
-    out1, out2, _ = correct_densities(state, np.zeros(4), params, dt)
+    out1, out2, _ = correct(state, np.zeros(4), params, dt)
     np.testing.assert_allclose(out1, 11.0 / 12.0, rtol=1e-14)
     np.testing.assert_allclose(out2, 1.0 / 12.0, rtol=1e-14)
     np.testing.assert_allclose(out1 + out2, 1.0, rtol=1e-14)
@@ -271,7 +289,7 @@ def test_correct_densities_transports_with_given_velocity():
     state = make_state(n1, np.zeros(7), dx=dx)
     u_star = np.full(6, 0.5)
     params = basic_params(g=0.0)
-    out1, out2, clamped = correct_densities(state, u_star, params, dt)
+    out1, out2, clamped = correct(state, u_star, params, dt)
     assert clamped == 0.0
     np.testing.assert_array_equal(out2, np.zeros(7))
     assert np.sum(out1) == pytest.approx(np.sum(n1), rel=1e-14)
@@ -285,7 +303,7 @@ def test_correct_densities_singular_reaction_raises():
     state = make_state(0.5 * np.ones(5), np.zeros(5), c=np.full(5, 10.0))
     params = basic_params(g=1.0)  # G = c = 10 = 1/dt
     with pytest.raises(SolverError):
-        correct_densities(state, np.zeros(4), params, dt)
+        correct(state, np.zeros(4), params, dt)
 
 
 def test_correct_densities_clamps_negative_mass():
@@ -294,7 +312,7 @@ def test_correct_densities_clamps_negative_mass():
     n1 = np.array([0.0, 0.3, 0.6, 0.3, 0.0])
     state = make_state(n1, np.zeros(5), c=np.full(5, 10.0), dx=0.1)
     params = basic_params(g=2.0)
-    out1, out2, clamped = correct_densities(state, np.zeros(4), params, dt)
+    out1, out2, clamped = correct(state, np.zeros(4), params, dt)
     np.testing.assert_array_equal(out1, np.zeros(5))
     assert clamped == pytest.approx(0.1 * np.sum(n1), rel=1e-13)
 
@@ -334,7 +352,7 @@ def test_correct_densities_matches_per_species_reference(rng, m, dt):
     state = make_state(n1, n2, c=0.2 + rng.random(m), dx=0.05)
     u_star = 4.0 * (rng.random(m - 1) - 0.5)
     params = basic_params(g=1.3, D=0.4, K1=0.7, K2=1.1)
-    got = correct_densities(state, u_star, params, dt)
+    got = correct(state, u_star, params, dt)
     want = correct_densities_per_species(state, u_star, params, dt)
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1], want[1])
@@ -359,7 +377,7 @@ def quasistatic_case(mu, a, R, dx, pad=6):
 
 def test_quasistatic_vacuum_gives_ambient():
     state = make_state(np.zeros(9), np.zeros(9))
-    c = solve_nutrient_quasistatic(state, basic_params(c_B=1.25), threshold=1e-8)
+    c = solve_nutrient_quasistatic(state, basic_params(c_B=1.25), 1e-8, state.total_density)
     np.testing.assert_array_equal(c, np.full(9, 1.25))
 
 
@@ -371,14 +389,14 @@ def test_quasistatic_matches_closed_form_and_converges():
     errors = []
     for dx in (R / 20, R / 40, R / 80):
         state, x = quasistatic_case(mu, a, R, dx)
-        c = solve_nutrient_quasistatic(state, params, threshold=1e-8)
+        c = solve_nutrient_quasistatic(state, params, 1e-8, state.total_density)
         exact = 0.25 + 0.75 * np.cosh(x) / np.cosh(1.0)
         inside = np.abs(x) <= R + dx / 2
         errors.append(np.max(np.abs(c[inside] - exact[inside])))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all(orders > 1.9)
     state, x = quasistatic_case(mu, a, R, R / 80)
-    c = solve_nutrient_quasistatic(state, params, threshold=1e-8)
+    c = solve_nutrient_quasistatic(state, params, 1e-8, state.total_density)
     center = c[np.argmin(np.abs(x))]
     assert center == pytest.approx(0.7360407052479141, abs=2e-4)
 
@@ -386,7 +404,7 @@ def test_quasistatic_matches_closed_form_and_converges():
 def test_quasistatic_pure_normal_center_value():
     # mu = 1 slab: c(0) -> 1/cosh(1)
     state, x = quasistatic_case(1.0, 0.5, 1.0, 1.0 / 80)
-    c = solve_nutrient_quasistatic(state, basic_params(a=0.5, c_B=1.0), threshold=1e-8)
+    c = solve_nutrient_quasistatic(state, basic_params(a=0.5, c_B=1.0), 1e-8, state.total_density)
     center = c[np.argmin(np.abs(x))]
     assert center == pytest.approx(0.6480542736638855, abs=2e-4)
 
@@ -397,7 +415,7 @@ def test_quasistatic_components_solved_independently():
     n[8:12] = 1.0
     n[28:33] = 1.0
     state = make_state(n, np.zeros(41), dx=dx)
-    c = solve_nutrient_quasistatic(state, basic_params(a=0.0, c_B=2.0), threshold=1e-8)
+    c = solve_nutrient_quasistatic(state, basic_params(a=0.0, c_B=2.0), 1e-8, state.total_density)
     # gap and exterior hold the ambient level exactly
     np.testing.assert_array_equal(c[:8], 2.0)
     np.testing.assert_array_equal(c[12:28], 2.0)
@@ -413,7 +431,7 @@ def test_quasistatic_edge_contact_raises():
     n[0:3] = 1.0
     state = make_state(n, np.zeros(9))
     with pytest.raises(SolverError):
-        solve_nutrient_quasistatic(state, basic_params(), threshold=1e-8)
+        solve_nutrient_quasistatic(state, basic_params(), 1e-8, state.total_density)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +446,7 @@ def test_neumann_uniform_fixed_point():
     params = neumann_params(a=0.5)
     c0 = params.a * n2[0] / (n1[0] + n2[0])
     state = make_state(n1, n2, c=np.full(m, c0))
-    c, clamped = step_nutrient_neumann(state, params, dt=0.01, t_new=0.01)
+    c, clamped = step_nutrient_neumann(state, params, dt=0.01, t_new=0.01, n=state.total_density)
     assert clamped == 0
     np.testing.assert_allclose(c, c0, rtol=1e-12)
 
@@ -438,7 +456,7 @@ def test_neumann_wall_rows_hold_exactly():
     lam = 0.3
     state = make_state(np.full(m, 0.4), np.full(m, 0.2), c=np.ones(m), dx=0.1)
     params = neumann_params(a=0.5, lambda_schedule=ConstantFlux(lam))
-    c, clamped = step_nutrient_neumann(state, params, dt=0.01, t_new=0.01)
+    c, clamped = step_nutrient_neumann(state, params, dt=0.01, t_new=0.01, n=state.total_density)
     assert clamped == 0
     assert c[1] - c[0] == pytest.approx(lam * 0.1, rel=1e-12)
     assert c[-2] - c[-1] == pytest.approx(lam * 0.1, rel=1e-12)
@@ -457,7 +475,7 @@ def test_neumann_interior_balance_identity():
     c_old = 1.0 + 0.1 * np.cos(x)
     state = make_state(n1, n2, c=c_old, dx=dx)
     params = neumann_params(a=0.5, lambda_schedule=ConstantFlux(lam))
-    c, clamped = step_nutrient_neumann(state, params, dt=dt, t_new=dt)
+    c, clamped = step_nutrient_neumann(state, params, dt=dt, t_new=dt, n=state.total_density)
     assert clamped == 0
     n = n1 + n2
     interior = slice(1, m - 1)
@@ -473,11 +491,11 @@ def test_neumann_positive_flux_drains_the_box():
     m = 25
     state = make_state(np.zeros(m), np.zeros(m), c=np.ones(m), dx=0.1)
     params = neumann_params(a=0.0, lambda_schedule=ConstantFlux(0.4))
-    c, _ = step_nutrient_neumann(state, params, dt=0.05, t_new=0.05)
+    c, _ = step_nutrient_neumann(state, params, dt=0.05, t_new=0.05, n=state.total_density)
     assert np.sum(c[1:-1]) < np.sum(np.ones(m)[1:-1])
     # and an inward (negative) flux replenishes it
     params_in = neumann_params(a=0.0, lambda_schedule=ConstantFlux(-0.4))
-    c_in, _ = step_nutrient_neumann(state, params_in, dt=0.05, t_new=0.05)
+    c_in, _ = step_nutrient_neumann(state, params_in, dt=0.05, t_new=0.05, n=state.total_density)
     assert np.sum(c_in[1:-1]) > np.sum(c[1:-1])
 
 
@@ -485,7 +503,7 @@ def test_neumann_clamps_negative_cells():
     m = 25
     state = make_state(np.zeros(m), np.zeros(m), c=np.zeros(m), dx=0.1)
     params = neumann_params(a=0.0, lambda_schedule=ConstantFlux(2.0))
-    c, clamped = step_nutrient_neumann(state, params, dt=0.05, t_new=0.05)
+    c, clamped = step_nutrient_neumann(state, params, dt=0.05, t_new=0.05, n=state.total_density)
     assert clamped > 0
     assert np.all(c >= 0.0)
 
@@ -499,7 +517,7 @@ def test_enlarge_noop_when_gap_is_wide():
     n[14:17] = 1.0
     state = make_state(n, np.zeros(31))
     cfg = SolverConfig(dt=0.01, enlargement_margin=5)
-    out, changed = enlarge_domain_if_needed(state, basic_params(), cfg)
+    out, changed = enlarge_domain_if_needed(state, basic_params(), cfg, state.total_density)
     assert not changed
     assert out is state
 
@@ -513,7 +531,7 @@ def test_enlarge_pads_to_double_margin():
     state = make_state(n, 0.5 * n, c=c, u=u, dx=dx)
     cfg = SolverConfig(dt=0.01, enlargement_margin=5)
     params = basic_params(c_B=2.0)
-    out, changed = enlarge_domain_if_needed(state, params, cfg)
+    out, changed = enlarge_domain_if_needed(state, params, cfg, state.total_density)
     assert changed
     pad_left = 2 * 5 - 3
     idx = np.flatnonzero(out.total_density > cfg.support_threshold)
@@ -531,7 +549,7 @@ def test_enlarge_pads_to_double_margin():
 def test_enlarge_ignores_empty_state():
     state = make_state(np.zeros(9), np.zeros(9))
     cfg = SolverConfig(dt=0.01, enlargement_margin=4)
-    out, changed = enlarge_domain_if_needed(state, basic_params(), cfg)
+    out, changed = enlarge_domain_if_needed(state, basic_params(), cfg, state.total_density)
     assert not changed and out is state
 
 
@@ -585,7 +603,9 @@ def test_step_discrete_mass_balance():
     from autophagy_tumor.kinetics import eval_growth
 
     state = bump_state()
-    state.c = solve_nutrient_quasistatic(state, basic_params(a=0.5, D=0.3), 1e-8)
+    state.c = solve_nutrient_quasistatic(
+        state, basic_params(a=0.5, D=0.3), 1e-8, state.total_density
+    )
     params = basic_params(g=1.0, D=0.3, K1=1.0, K2=1.0, a=0.5)
     cfg = SolverConfig(dt=0.002, enlargement_margin=5)
     new, diag = step(state, params, cfg)
@@ -677,6 +697,204 @@ def test_run_composition_relaxes_toward_equilibrium():
     assert dev[0] == pytest.approx(1.0 - eq.mu_star, abs=1e-12)
     assert dev[-1] < 0.1 * dev[0]
     assert np.all(np.diff(dev) < 0)
+
+
+# ---------------------------------------------------------------------------
+# reference step: the scheme written without shared intermediates, each
+# helper rebuilding n1 + n2, the growth rate and the support itself with the
+# numpy wrapper functions. `step` must match it bit for bit.
+
+
+def reference_components(n, threshold):
+    idx = np.flatnonzero(n > threshold)
+    if idx.size == 0:
+        return ()
+    breaks = np.flatnonzero(np.diff(idx) > 1)
+    starts = np.concatenate(([0], breaks + 1))
+    ends = np.concatenate((breaks, [idx.size - 1]))
+    return tuple((int(idx[s]), int(idx[e])) for s, e in zip(starts, ends))
+
+
+def reference_enlarge(state, params, cfg):
+    idx = np.flatnonzero(state.total_density > cfg.support_threshold)
+    if idx.size == 0:
+        return state
+    n_cells = state.grid.n_cells
+    margin = cfg.enlargement_margin
+    left_gap = int(idx[0])
+    right_gap = int(n_cells - 1 - idx[-1])
+    pad_left = 2 * margin - left_gap if left_gap <= margin else 0
+    pad_right = 2 * margin - right_gap if right_gap <= margin else 0
+    if pad_left == 0 and pad_right == 0:
+        return state
+    grid = Grid1D(
+        x_min=state.grid.x_min - pad_left * state.grid.dx,
+        dx=state.grid.dx,
+        n_cells=n_cells + pad_left + pad_right,
+    )
+    zl = np.zeros(pad_left)
+    zr = np.zeros(pad_right)
+    cl = np.full(pad_left, params.c_B)
+    cr = np.full(pad_right, params.c_B)
+    return FieldState(
+        grid=grid,
+        n1=np.concatenate((zl, state.n1, zr)),
+        n2=np.concatenate((zl, state.n2, zr)),
+        c=np.concatenate((cl, state.c, cr)),
+        u=np.concatenate((zl, state.u, zr)),
+        t=state.t,
+    )
+
+
+def reference_predict(state, params, dt):
+    gamma = params.gamma
+    dx = state.grid.dx
+    n = state.total_density
+    w = n ** (gamma - 2.0)
+    growth = eval_growth(params.growth, state.c, n)
+    source = state.n1 * growth + state.n2 * (growth - params.D)
+    A = gamma * dt / dx**2
+    B = gamma * dt / dx
+    m = 0.5 * (n[:-1] + n[1:])
+    diag = 1.0 + A * m * (w[:-1] + w[1:])
+    upper = -A * w[1:-1] * m[1:]
+    lower = -A * w[1:-1] * m[:-1]
+    rhs = state.u - B * (w[1:] * source[1:] - w[:-1] * source[:-1])
+    diag[0] = diag[-1] = 1.0
+    rhs[0] = rhs[-1] = 0.0
+    upper[0] = lower[-1] = 0.0
+    return TridiagonalSystem(lower, diag, upper, rhs).solve()
+
+
+def reference_quasistatic(state, params, threshold):
+    dx = state.grid.dx
+    c = np.full(state.grid.n_cells, params.c_B)
+    n = state.total_density
+    for s, e in reference_components(n, threshold):
+        assert 0 < s and e < state.grid.n_cells - 1
+        off = np.full(e - s, -1.0 / dx**2)
+        rhs = params.a * state.n2[s : e + 1].copy()
+        rhs[0] += params.c_B / dx**2
+        rhs[-1] += params.c_B / dx**2
+        diag = 2.0 / dx**2 + n[s : e + 1]
+        c[s : e + 1] = TridiagonalSystem(off, diag, off.copy(), rhs).solve()
+    return c
+
+
+def reference_neumann(state, params, dt, t_new):
+    dx = state.grid.dx
+    m = state.grid.n_cells
+    lam = eval_flux(params.lambda_schedule, t_new)
+    diag = 1.0 / dt + 2.0 / dx**2 + state.total_density
+    lower = np.full(m - 1, -1.0 / dx**2)
+    upper = np.full(m - 1, -1.0 / dx**2)
+    rhs = state.c / dt + params.a * state.n2
+    diag[0] = diag[-1] = -1.0
+    upper[0] = lower[-1] = 1.0
+    rhs[0] = rhs[-1] = lam * dx
+    c = TridiagonalSystem(lower, diag, upper, rhs).solve()
+    c[c < 0.0] = 0.0
+    return c
+
+
+def reference_step(state, params, cfg):
+    """Returns (new state, clamped density mass)."""
+    dt = cfg.dt
+    if cfg.boundary_mode == PADDED:
+        state = reference_enlarge(state, params, cfg)
+    u_star = reference_predict(state, params, dt)
+    n1, n2, clamped = correct_densities_per_species(state, u_star, params, dt)
+    new = FieldState(grid=state.grid, n1=n1, n2=n2, c=state.c, u=state.u, t=state.t + dt)
+    p = pressure_from_density(new.total_density, params.gamma)
+    new.u = -np.diff(p) / state.grid.dx
+    if params.nutrient_mode == QUASISTATIC:
+        new.c = reference_quasistatic(new, params, cfg.support_threshold)
+    else:
+        new.c = reference_neumann(state, params, dt, new.t)
+    return new, clamped
+
+
+def two_bump_state(m=121, dx=0.1):
+    x = (np.arange(m) - (m - 1) / 2) * dx
+    n = 0.8 * np.clip(1.0 - ((np.abs(x) - 2.5) / 0.8) ** 2, 0.0, None)
+    return make_state(0.7 * n, 0.3 * n, dx=dx)
+
+
+def hull_box_state(m=101, dx=0.08):
+    x = (np.arange(m) - (m - 1) / 2) * dx
+    n = np.clip(1.0 - np.cosh(x) / np.cosh(2.5), 0.0, None) ** (1.0 / 39.0)
+    return make_state(n, np.zeros(m), c=0.5 + 0.1 * np.cos(x), dx=dx)
+
+
+def edge_bump_state():
+    m = 31
+    x = (np.arange(m) - (m - 1) / 2) * 0.1
+    n = 0.8 * np.clip(1.0 - (x / 1.2) ** 2, 0.0, None)
+    return make_state(0.5 * n, 0.5 * n, dx=0.1)
+
+
+REFERENCE_CASES = {
+    # support within the margin of both edges: the grid grows on step one
+    "padded-enlarges": (
+        edge_bump_state,
+        basic_params(g=1.0, K1=1.0, K2=1.0, a=0.5),
+        SolverConfig(dt=0.005, enlargement_margin=4),
+    ),
+    "two-components": (
+        two_bump_state,
+        basic_params(gamma=3.0, g=1.0, D=0.3, K1=1.0, K2=0.5, a=0.5),
+        SolverConfig(dt=0.005, enlargement_margin=5),
+    ),
+    # stiff pressure, starvation-switching rates, a periodic wall flux
+    "neumann-hull": (
+        hull_box_state,
+        ModelParameters(
+            gamma=40.0,
+            D=0.1,
+            a=0.5,
+            c_B=1.0,
+            growth=AffineDeath(delta=0.5),
+            transitions=HullTransitions(k1max=2.0, k2max=1.0, omega=0.5),
+            nutrient_mode=NEUMANN,
+            lambda_schedule=PeriodicFlux(high=0.3, period=0.1),
+        ),
+        SolverConfig(dt=0.002, boundary_mode=NEUMANN_BOX),
+    ),
+    # too large a step: the CFL number climbs past one and the transport
+    # drives cells negative on most steps
+    "clamps": (
+        bump_state,
+        basic_params(g=1.0, D=0.3, K1=1.0, K2=1.0, a=0.5),
+        SolverConfig(dt=0.08, enlargement_margin=5),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_step_matches_reference_bit_for_bit(case):
+    make, params, cfg = REFERENCE_CASES[case]
+    state = ref = make()
+    n_cells0 = state.grid.n_cells
+    clamped = ref_clamped = 0.0
+    for _ in range(50):
+        state, diag = step(state, params, cfg)
+        ref, ref_step_clamped = reference_step(ref, params, cfg)
+        clamped += diag.clamped_mass
+        ref_clamped += ref_step_clamped
+    for name in ("n1", "n2", "c", "u"):
+        assert np.array_equal(getattr(state, name), getattr(ref, name)), name
+    assert state.grid == ref.grid
+    assert clamped == ref_clamped
+    # each case exercises what it is named for
+    if case == "padded-enlarges":
+        assert state.grid.n_cells > n_cells0
+    elif case == "two-components":
+        assert len(support_info(state, cfg.support_threshold).components) == 2
+    elif case == "neumann-hull":
+        # cells on both sides of the switch threshold
+        assert state.c.min() < params.transitions.omega < state.c.max()
+    else:
+        assert clamped > 0.0
 
 
 # ---------------------------------------------------------------------------
