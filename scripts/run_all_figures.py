@@ -4,9 +4,9 @@ outputs to its own subdirectory."""
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+from autophagy_tumor.cli import fan_out
 from autophagy_tumor.scenarios import PRESETS, run_scenario
 from autophagy_tumor.solver import SolverError
 
@@ -16,14 +16,16 @@ def _run_one(item):
     try:
         result = run_scenario(PRESETS[name], out_dir)
         return name, None, result.log.violations
-    except SolverError as err:
+    except (SolverError, ValueError) as err:
         return name, str(err), []
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="runs", help="parent output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    parser.add_argument(
+        "--jobs", type=int, default=1, help="parallel workers (at most one per preset)"
+    )
     parser.add_argument(
         "--only", default=None, help="substring filter on preset names (comma-separated)"
     )
@@ -37,12 +39,12 @@ def main(argv=None) -> int:
         print("no presets match the filter", file=sys.stderr)
         return 2
 
-    jobs = [(name, str(Path(args.out) / name)) for name in names]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_one, jobs))
-    else:
-        results = [_run_one(job) for job in jobs]
+    items = [(name, str(Path(args.out) / name)) for name in names]
+    try:
+        results = fan_out(_run_one, items, args.jobs)
+    except ValueError as err:  # bad --jobs; _run_one reports its own errors
+        print(err, file=sys.stderr)
+        return 2
 
     failed = 0
     for name, error, violations in results:

@@ -17,7 +17,6 @@ import argparse
 import copy
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +33,7 @@ from .scenarios import (
 )
 from .solver import SolverError, read_checkpoint
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "fan_out"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,7 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="config key to vary (dotted path or bare key) and its values",
     )
     p_sweep.add_argument("--out", required=True, help="parent output directory")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_sweep.add_argument(
+        "--jobs", type=int, default=1, help="parallel workers (at most one per value)"
+    )
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_check = sub.add_parser("check", help="validate a finished run directory")
@@ -208,6 +209,24 @@ def _parse_value(token: str):
         return token
 
 
+def fan_out(func, items: list, jobs: int) -> list:
+    """[func(item) for item in items], in min(jobs, len(items)) worker
+    processes, or in this process when that is 1.
+
+    Raises ValueError for jobs < 1 before anything runs. The process pool is
+    imported only when it is used, so the other commands start without it.
+    """
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        return [func(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(func, items))
+
+
 def _sweep_worker(item: tuple[dict, str]) -> tuple[str, str | None]:
     data, out_dir = item
     try:
@@ -231,23 +250,23 @@ def _cmd_sweep(args) -> int:
         return 2
 
     base = config_to_dict(PRESETS[args.preset])
-    jobs = []
+    members = []
     try:
         for tok in tokens:
             data = copy.deepcopy(base)
             set_config_value(data, key, _parse_value(tok))
             data["name"] = f"{args.preset}-{key}={tok}"
             config_from_dict(data)  # validate before launching
-            jobs.append((data, str(Path(args.out) / f"{args.preset}-{key}={tok}")))
+            members.append((data, str(Path(args.out) / f"{args.preset}-{key}={tok}")))
     except ValueError as err:
         print(f"bad sweep: {err}", file=sys.stderr)
         return 2
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
-    else:
-        results = [_sweep_worker(job) for job in jobs]
+    try:
+        results = fan_out(_sweep_worker, members, args.jobs)
+    except ValueError as err:  # bad --jobs; _sweep_worker reports its own errors
+        print(f"bad sweep: {err}", file=sys.stderr)
+        return 2
 
     failed = 0
     for out_dir, error in results:

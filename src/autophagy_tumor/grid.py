@@ -73,16 +73,16 @@ def limited_slope(n_prev, n_mid, n_next, dx: float):
     """Monotone slope from the three one-cell stencils.
 
     Takes the smallest of {upwind, centered, downwind} differences when all
-    three agree in sign (positive or negative), else 0. Elementwise.
+    three agree in sign (positive or negative), else 0. Elementwise. All
+    three are positive exactly when the smallest is, and all negative
+    exactly when the largest is; a NaN propagates into both and gives 0.
     """
     d_minus = (n_mid - n_prev) / dx
     d_plus = (n_next - n_mid) / dx
     d_center = (n_next - n_prev) / (2.0 * dx)
     smallest = np.minimum(np.minimum(d_minus, d_plus), d_center)
     largest = np.maximum(np.maximum(d_minus, d_plus), d_center)
-    pos = (d_minus > 0) & (d_plus > 0) & (d_center > 0)
-    neg = (d_minus < 0) & (d_plus < 0) & (d_center < 0)
-    return np.where(pos, smallest, np.where(neg, largest, 0.0))
+    return np.where(smallest > 0, smallest, np.where(largest < 0, largest, 0.0))
 
 
 def _edge_arrays(values: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray]:

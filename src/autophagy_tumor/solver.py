@@ -19,7 +19,12 @@ Every tridiagonal system (the velocity prediction and both nutrient
 updates) goes through `TridiagonalSystem.solve`, which calls LAPACK `gtsv`
 directly: the routine `scipy.linalg.solve_banded` picks for (1, 1) bands,
 without the wrapper's per-call overhead, so the results are the same bit
-for bit.
+for bit. `dgtsv` comes from scipy's compiled LAPACK wrapper
+`scipy/linalg/_flapack`, loaded on its own (`_load_dgtsv`): it is the same
+function object `scipy.linalg.lapack.dgtsv` exposes, but the package init
+of `scipy.linalg` (its array-API layer pulls in `numpy.f2py`,
+`numpy.testing` and `numpy.ma`), which cost more than half of the start-up
+of every command, never runs.
 
 A step computes each shared quantity once and passes it on explicitly.
 The total density n = n1 + n2 of the old state feeds the enlargement check
@@ -37,11 +42,14 @@ bit.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .diagnostics import (
     SERIES_CHANNELS,
@@ -148,6 +156,37 @@ class FieldState:
     @property
     def total_density(self) -> np.ndarray:
         return self.n1 + self.n2
+
+
+def _load_dgtsv():
+    """`dgtsv` from scipy's compiled `scipy/linalg/_flapack` extension alone.
+
+    Registered under its own name in `sys.modules`, so a later
+    `import scipy.linalg` reuses this module rather than loading a second
+    copy. Raises ImportError naming the directories searched when the
+    extension is missing.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("scipy is not installed")
+    searched = []
+    for package_dir in spec.submodule_search_locations:
+        linalg_dir = os.path.join(package_dir, "linalg")
+        searched.append(linalg_dir)
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(linalg_dir, "_flapack" + suffix)
+            if os.path.isfile(path):
+                flapack_spec = importlib.util.spec_from_file_location(
+                    "scipy.linalg._flapack", path
+                )
+                flapack = importlib.util.module_from_spec(flapack_spec)
+                sys.modules[flapack_spec.name] = flapack
+                flapack_spec.loader.exec_module(flapack)
+                return flapack.dgtsv
+    raise ImportError(f"scipy's LAPACK wrapper _flapack not found in {', '.join(searched)}")
+
+
+dgtsv = _load_dgtsv()
 
 
 class SolverError(RuntimeError):

@@ -325,4 +325,37 @@ def test_sweep_usage_errors(tmp_path, capsys):
         ["sweep", "--preset", "fig-s4limit-gamma5", "--vary", "gamma=1.5", "--out", str(tmp_path)]
     ) == 2
     assert "gamma >= 2" in capsys.readouterr().err
+    for jobs in ("0", "-1"):
+        assert main(
+            ["sweep", "--preset", "fig-s4limit-gamma5", "--vary", "t_end=0.004",
+             "--out", str(tmp_path), "--jobs", jobs]
+        ) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_sweep_starts_at_most_one_worker_per_member(tmp_path, monkeypatch, capsys):
+    import concurrent.futures
+
+    started = []
+
+    class FakePool:
+        # runs the members in this process and records the pool size asked for
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return map(func, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    argv = ["sweep", "--preset", "fig-s4limit-gamma5", "--vary", "t_end=0.004,0.008",
+            "--out", str(tmp_path), "--jobs", "64"]
+    assert main(argv) == 0
+    assert started == [2]
+    assert len(list(tmp_path.iterdir())) == 2

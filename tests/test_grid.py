@@ -85,6 +85,40 @@ def test_limited_slope_is_bounded_by_one_sided_differences(prev, mid, nxt):
         assert s * d_minus >= 0
 
 
+def _limited_slope_six_compares(n_prev, n_mid, n_next, dx):
+    # the limiter as first written: each sign tested on all three differences
+    d_minus = (n_mid - n_prev) / dx
+    d_plus = (n_next - n_mid) / dx
+    d_center = (n_next - n_prev) / (2.0 * dx)
+    smallest = np.minimum(np.minimum(d_minus, d_plus), d_center)
+    largest = np.maximum(np.maximum(d_minus, d_plus), d_center)
+    pos = (d_minus > 0) & (d_plus > 0) & (d_center > 0)
+    neg = (d_minus < 0) & (d_plus < 0) & (d_center < 0)
+    return np.where(pos, smallest, np.where(neg, largest, 0.0))
+
+
+_LIMITER_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, 1e308]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(_LIMITER_VALUES, _LIMITER_VALUES, _LIMITER_VALUES), min_size=1, max_size=12
+    ),
+    dx=st.one_of(st.sampled_from([1.0, 0.5, 5e-324, 1e-300]), st.floats(1e-6, 1e6)),
+)
+def test_limited_slope_matches_six_compare_reference(rows, dx):
+    prev, mid, nxt = (np.array(col) for col in zip(*rows))
+    with np.errstate(all="ignore"):
+        got = limited_slope(prev, mid, nxt, dx)
+        want = _limited_slope_six_compares(prev, mid, nxt, dx)
+    assert np.array_equal(got, want, equal_nan=True)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_edge_values_linear_and_constant():
     g = Grid1D(x_min=0.0, dx=0.5, n_cells=8)
     left, right = _edge_arrays(np.full(8, 1.3), g.dx)
