@@ -53,7 +53,9 @@ def pressure_from_density(n, gamma: float):
     n = np.asarray(n, dtype=float) if np.ndim(n) else float(n)
     if (np.asarray(n) < 0.0).any():
         raise ValueError("negative density passed to the pressure law")
-    return gamma / (gamma - 1.0) * n ** (gamma - 1.0)
+    p = n ** (gamma - 1.0)
+    p *= gamma / (gamma - 1.0)
+    return p
 
 
 def density_from_pressure(p, gamma: float):
@@ -69,20 +71,33 @@ def density_from_pressure(p, gamma: float):
 # reconstruction kernels
 
 
+def _limit(d_minus, d_plus, d_center, out):
+    """Write the limited slope of three differences into `out`, which holds
+    zeros; returns `out`.
+
+    The smallest difference where all three are positive, the largest where
+    all three are negative, else the 0 already in `out`. All three are
+    positive exactly when the smallest is, and all negative exactly when
+    the largest is; a NaN propagates into both and leaves 0.
+    """
+    smallest = np.minimum(np.minimum(d_minus, d_plus), d_center)
+    largest = np.maximum(np.maximum(d_minus, d_plus), d_center)
+    np.copyto(out, largest, where=largest < 0)
+    np.copyto(out, smallest, where=smallest > 0)
+    return out
+
+
 def limited_slope(n_prev, n_mid, n_next, dx: float):
     """Monotone slope from the three one-cell stencils.
 
     Takes the smallest of {upwind, centered, downwind} differences when all
-    three agree in sign (positive or negative), else 0. Elementwise. All
-    three are positive exactly when the smallest is, and all negative
-    exactly when the largest is; a NaN propagates into both and gives 0.
+    three agree in sign (positive or negative), else 0. Elementwise.
     """
     d_minus = (n_mid - n_prev) / dx
     d_plus = (n_next - n_mid) / dx
     d_center = (n_next - n_prev) / (2.0 * dx)
-    smallest = np.minimum(np.minimum(d_minus, d_plus), d_center)
-    largest = np.maximum(np.maximum(d_minus, d_plus), d_center)
-    return np.where(smallest > 0, smallest, np.where(largest < 0, largest, 0.0))
+    out = np.zeros(np.broadcast(d_minus, d_plus, d_center).shape)
+    return _limit(d_minus, d_plus, d_center, out)
 
 
 def _edge_arrays(values: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray]:
@@ -90,13 +105,20 @@ def _edge_arrays(values: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray]
 
     Works along the last axis, so a (k, N) stack of fields is reconstructed
     in one call, row by row. Boundary cells get slope 0 (one-sided
-    reconstruction degenerates to the cell value there).
+    reconstruction degenerates to the cell value there). The upwind and
+    downwind differences of `limited_slope` are the two overlapping slices
+    of one difference array, the same values elementwise.
     """
-    s = np.zeros_like(values)
+    s = np.zeros(values.shape)
     if values.shape[-1] >= 3:
-        s[..., 1:-1] = limited_slope(values[..., :-2], values[..., 1:-1], values[..., 2:], dx)
-    left = values[..., :-1] + 0.5 * dx * s[..., :-1]
-    right = values[..., 1:] - 0.5 * dx * s[..., 1:]
+        d = values[..., 1:] - values[..., :-1]
+        d /= dx
+        d_center = values[..., 2:] - values[..., :-2]
+        d_center /= 2.0 * dx
+        _limit(d[..., :-1], d[..., 1:], d_center, s[..., 1:-1])
+    s *= 0.5 * dx
+    left = values[..., :-1] + s[..., :-1]
+    right = values[..., 1:] - s[..., 1:]
     return left, right
 
 
@@ -106,4 +128,10 @@ def numerical_flux(left, right, u):
     Reduces to left*u for u > 0, right*u for u < 0, and n*u when the two
     states agree.
     """
-    return 0.5 * ((left + right) * u - np.abs(u) * (right - left))
+    flux = left + right
+    flux *= u
+    jump = right - left
+    jump *= np.abs(u)
+    flux -= jump
+    flux *= 0.5
+    return flux

@@ -20,6 +20,7 @@ from typing import Union
 import numpy as np
 
 from .analytic import AnalyticSetup, analytic_pressure
+from .diagnostics import write_table
 from .grid import Grid1D, density_from_pressure, pressure_from_density
 from .kinetics import (
     NEUMANN,
@@ -170,7 +171,12 @@ class ScenarioConfig:
             if entry in ("timeseries", "checkpoint"):
                 continue
             if entry.startswith("profiles@"):
-                float(entry.split("@", 1)[1])
+                ts = float(entry.split("@", 1)[1])
+                if not (math.isfinite(ts) and 0.0 <= ts <= self.t_end):
+                    raise ValueError(
+                        f"output {entry!r}: the profile time must be finite "
+                        f"and lie in [0, t_end = {self.t_end:g}]"
+                    )
                 continue
             raise ValueError(f"unknown output entry {entry!r}")
 
@@ -708,17 +714,10 @@ def write_profile_csv(path, state: FieldState, gamma: float) -> None:
     n = state.total_density
     p = pressure_from_density(n, gamma)
     u_padded = np.concatenate((state.u, [0.0]))
-    x = state.grid.cell_x
+    table = np.column_stack((state.grid.cell_x, state.n1, state.n2, n, state.c, p, u_padded))
     with open(path, "w") as fh:
         fh.write(",".join(PROFILE_COLUMNS) + "\n")
-        for i in range(state.grid.n_cells):
-            fh.write(
-                ",".join(
-                    "%.17g" % v
-                    for v in (x[i], state.n1[i], state.n2[i], n[i], state.c[i], p[i], u_padded[i])
-                )
-                + "\n"
-            )
+        write_table(fh, table, ",")
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir) -> RunResult:

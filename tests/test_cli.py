@@ -145,6 +145,36 @@ def test_run_rejects_unknown_config_key(tmp_path, capsys):
     assert "gamm" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", ["profiles@inf", "profiles@nan", "profiles@5"])
+def test_run_rejects_bad_profile_time_at_load(tmp_path, capsys, entry):
+    # t_end = 1: an infinite, NaN or later-than-t_end profile time exits 2
+    # before the output directory is created
+    data = tiny_config_dict(t_end=1.0)
+    data["outputs"] = ["timeseries", entry]
+    out_dir = tmp_path / "never"
+    rc = main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)])
+    assert rc == 2
+    assert entry in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_restart_warns_about_profile_before_its_start(tmp_path, capsys):
+    first = tmp_path / "first"
+    assert main(["run", "--config", write_config(tmp_path, tiny_config_dict()),
+                 "--out", str(first)]) == 0
+    data = tiny_config_dict(t_end=0.02)
+    data["initial"] = {"type": "checkpoint", "path": str(first / "checkpoint_final.txt")}
+    data["outputs"] = ["timeseries", "profiles@0.004", "profiles@0.02"]
+    out_dir = tmp_path / "restart"
+    capsys.readouterr()
+    assert main(["run", "--config", write_config(tmp_path, data, "restart.json"),
+                 "--out", str(out_dir)]) == 0
+    assert "no snapshot at t=0.004" in capsys.readouterr().err
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["outputs"]["profiles"] == {"0.02": "profile_t0.02.csv"}
+    assert any("no snapshot at t=0.004" in w for w in manifest["warnings"])
+
+
 @pytest.mark.parametrize(
     "section, entries, message",
     [
@@ -291,15 +321,16 @@ def test_set_config_value_errors():
 
 
 def test_sweep_runs_each_value(tmp_path, capsys):
+    # a preset without profile outputs, so any positive t_end is valid
     rc = main(
-        ["sweep", "--preset", "fig-s4limit-gamma5",
+        ["sweep", "--preset", "fig-s4f2-D0.3",
          "--vary", "t_end=0.004,0.008", "--out", str(tmp_path)]
     )
     captured = capsys.readouterr()
     assert rc == 0
     assert captured.out.count("done ") == 2
     for tok in ("0.004", "0.008"):
-        run_dir = tmp_path / f"fig-s4limit-gamma5-t_end={tok}"
+        run_dir = tmp_path / f"fig-s4f2-D0.3-t_end={tok}"
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["failed"] is False
         assert manifest["config"]["t_end"] == float(tok)
@@ -325,9 +356,14 @@ def test_sweep_usage_errors(tmp_path, capsys):
         ["sweep", "--preset", "fig-s4limit-gamma5", "--vary", "gamma=1.5", "--out", str(tmp_path)]
     ) == 2
     assert "gamma >= 2" in capsys.readouterr().err
+    # fig-s4limit-gamma5 writes a profile at t = 1
+    assert main(
+        ["sweep", "--preset", "fig-s4limit-gamma5", "--vary", "t_end=0.004", "--out", str(tmp_path)]
+    ) == 2
+    assert "'profiles@1'" in capsys.readouterr().err
     for jobs in ("0", "-1"):
         assert main(
-            ["sweep", "--preset", "fig-s4limit-gamma5", "--vary", "t_end=0.004",
+            ["sweep", "--preset", "fig-s4f2-D0.3", "--vary", "t_end=0.004",
              "--out", str(tmp_path), "--jobs", jobs]
         ) == 2
         assert "--jobs must be at least 1" in capsys.readouterr().err
@@ -354,7 +390,7 @@ def test_sweep_starts_at_most_one_worker_per_member(tmp_path, monkeypatch, capsy
             return map(func, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    argv = ["sweep", "--preset", "fig-s4limit-gamma5", "--vary", "t_end=0.004,0.008",
+    argv = ["sweep", "--preset", "fig-s4f2-D0.3", "--vary", "t_end=0.004,0.008",
             "--out", str(tmp_path), "--jobs", "64"]
     assert main(argv) == 0
     assert started == [2]

@@ -1,5 +1,9 @@
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autophagy_tumor.diagnostics import (
     SERIES_CHANNELS,
@@ -14,6 +18,7 @@ from autophagy_tumor.diagnostics import (
     support_info,
     total_population,
     uniform_bound_at,
+    write_table,
 )
 from autophagy_tumor.kinetics import (
     ConstantTransitions,
@@ -294,3 +299,52 @@ def test_time_series_flat_data_reshapes():
     flat = np.arange(2 * len(SERIES_CHANNELS), dtype=float)
     ts = TimeSeries(channels=SERIES_CHANNELS, data=flat)
     assert ts.data.shape == (2, len(SERIES_CHANNELS))
+
+
+_TABLE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1e308, 0.1]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_cols=st.integers(1, 7),
+    values=st.lists(_TABLE_VALUES, max_size=60),
+    sep=st.sampled_from([",", " "]),
+)
+def test_write_table_matches_per_value_loop(n_cols, values, sep):
+    # the writers' loop before the table writer: one "%.17g" per value
+    table = np.array(values[: len(values) // n_cols * n_cols], dtype=float).reshape(-1, n_cols)
+    want = "".join(sep.join("%.17g" % v for v in row) + "\n" for row in table)
+    fh = io.StringIO()
+    write_table(fh, table, sep)
+    assert fh.getvalue() == want
+
+
+def test_write_table_blocks_match_per_value_loop(rng):
+    # several blocks and a partial last one
+    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1e308])
+    table = np.where(rng.random((1000, 3)) < 0.3, rng.choice(specials, (1000, 3)),
+                     rng.standard_normal((1000, 3)))
+    want = "".join(" ".join("%.17g" % v for v in row) + "\n" for row in table)
+    fh = io.StringIO()
+    write_table(fh, table, " ")
+    assert fh.getvalue() == want
+
+
+def test_norms_accept_the_on_support_fraction(rng):
+    # the series passes the fraction on the support; a field with NaN off
+    # the support gives the same norms
+    mu = rng.random(17)
+    field = np.full(25, np.nan)
+    field[4:21] = mu
+    field[0] = np.inf  # non-finite entries are not on the support
+    field[-1] = -np.inf
+    assert sup_deviation(mu, 0.4) == sup_deviation(field, 0.4)
+    for n in (1, 2, 4):
+        assert l2n_deviation(mu, 0.4, 0.1, n) == l2n_deviation(field, 0.4, 0.1, n)
+    with pytest.raises(ValueError, match="empty support"):
+        sup_deviation(np.empty(0), 0.4)
+    with pytest.raises(ValueError, match="empty support"):
+        l2n_deviation(np.empty(0), 0.4, 0.1, 1)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from autophagy_tumor.grid import (
@@ -156,6 +156,62 @@ def test_edge_arrays_stacked_rows_match_one_dimensional_calls(rows):
         row_left, row_right = _edge_arrays(row, 0.1)
         assert np.array_equal(left[k], row_left)
         assert np.array_equal(right[k], row_right)
+
+
+def _edge_arrays_three_stencils(values, dx):
+    # the reconstruction as first written: the limiter on three shifted
+    # copies of the cell values, then out-of-place half-slope offsets
+    s = np.zeros_like(values)
+    if values.shape[-1] >= 3:
+        s[..., 1:-1] = _limited_slope_six_compares(
+            values[..., :-2], values[..., 1:-1], values[..., 2:], dx
+        )
+    left = values[..., :-1] + 0.5 * dx * s[..., :-1]
+    right = values[..., 1:] - 0.5 * dx * s[..., 1:]
+    return left, right
+
+
+def _assert_same_bits(got, want):
+    assert np.array_equal(got, want, equal_nan=True)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cells=st.lists(st.tuples(_LIMITER_VALUES, _LIMITER_VALUES), min_size=3, max_size=12),
+    dx=st.one_of(st.sampled_from([0.04, 1.0, 5e-324]), st.floats(1e-6, 1e6)),
+)
+def test_edge_arrays_match_three_stencil_reference(cells, dx):
+    # (2, N) stacks as correct_densities passes them, special values included
+    values = np.array(cells).T.copy()
+    with np.errstate(all="ignore"):
+        got = _edge_arrays(values, dx)
+        want = _edge_arrays_three_stencils(values, dx)
+    for g, w in zip(got, want):
+        _assert_same_bits(g, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    faces=st.lists(
+        st.tuples(_LIMITER_VALUES, _LIMITER_VALUES, _LIMITER_VALUES, _LIMITER_VALUES,
+                  _LIMITER_VALUES),
+        min_size=1,
+        max_size=12,
+    )
+)
+# (left + right)*u - |u|*(right - left) overflows although its half does not
+@example(faces=[(9e307, 9e307, 0.0, 0.0, 1.0)])
+# half of a subnormal sum rounds differently from the sum of halves
+@example(faces=[(5e-324, 5e-324, 0.0, 0.0, 1.0)])
+def test_numerical_flux_matches_formula_bit_for_bit(faces):
+    l1, l2, r1, r2, u = (np.array(col) for col in zip(*faces))
+    left = np.stack((l1, l2))
+    right = np.stack((r1, r2))
+    with np.errstate(all="ignore"):
+        got = numerical_flux(left, right, u)
+        want = 0.5 * ((left + right) * u - np.abs(u) * (right - left))
+    _assert_same_bits(got, want)
 
 
 def test_numerical_flux_upwinding():

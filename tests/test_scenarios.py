@@ -76,12 +76,22 @@ def test_initializer_validation():
 
 def test_scenario_config_output_entries():
     base = PRESETS["fig-s4limit-gamma5"]
-    cfg = dataclasses.replace(base, outputs=("timeseries", "profiles@1", "profiles@2.5"))
+    cfg = dataclasses.replace(
+        base, t_end=3.0, outputs=("timeseries", "profiles@1", "profiles@2.5")
+    )
     assert cfg.snapshot_times() == (1.0, 2.5)
     with pytest.raises(ValueError):
         dataclasses.replace(base, outputs=("movies",))
     with pytest.raises(ValueError):
         dataclasses.replace(base, outputs=("profiles@soon",))
+    # profile times must be finite and within [0, t_end]
+    assert dataclasses.replace(base, outputs=("profiles@0", "profiles@1")).snapshot_times() == (
+        0.0,
+        1.0,
+    )
+    for entry in ("profiles@2.5", "profiles@inf", "profiles@nan", "profiles@-0.5"):
+        with pytest.raises(ValueError, match="profile time"):
+            dataclasses.replace(base, outputs=(entry,))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 from autophagy_tumor.grid import Grid1D, _edge_arrays, numerical_flux, pressure_from_density
@@ -27,6 +28,7 @@ from autophagy_tumor.solver import (
     FieldState,
     SolverConfig,
     SolverError,
+    StepDiagnostics,
     TridiagonalSystem,
     correct_densities,
     enlarge_domain_if_needed,
@@ -156,6 +158,27 @@ def test_tridiagonal_singular_matrix_raises():
     zero = TridiagonalSystem(np.zeros(2), np.zeros(3), np.zeros(2), np.ones(3))
     with pytest.raises(SolverError, match="singular"):
         zero.solve()
+
+
+def test_tridiagonal_non_finite_solution_raises():
+    # finite entries whose solution overflows: x[0] = 1e300 / 1e-300
+    system = TridiagonalSystem(
+        np.zeros(1), np.array([1e-300, 1.0]), np.zeros(1), np.array([1e300, 1.0])
+    )
+    with np.errstate(over="ignore"), pytest.raises(SolverError, match="non-finite values"):
+        system.solve()
+
+
+def test_tridiagonal_reports_bad_gtsv_argument(monkeypatch):
+    import autophagy_tumor.solver as solver
+
+    def rejecting_gtsv(dl, d, du, b):
+        return dl, d, du, b, -3
+
+    monkeypatch.setattr(solver, "dgtsv", rejecting_gtsv)
+    system = TridiagonalSystem(np.zeros(2), np.ones(3), np.zeros(2), np.ones(3))
+    with pytest.raises(SolverError, match="bad argument 3 to gtsv"):
+        system.solve()
 
 
 def test_tridiagonal_one_by_one_divides():
@@ -546,6 +569,45 @@ def test_enlarge_pads_to_double_margin():
     assert out.t == state.t
 
 
+def enlargement_pads_by_scan(n, threshold, margin):
+    """The enlargement decision from a scan of the whole support."""
+    idx = np.flatnonzero(n > threshold)
+    if idx.size == 0:
+        return 0, 0
+    left_gap = int(idx[0])
+    right_gap = int(n.size - 1 - idx[-1])
+    pad_left = 2 * margin - left_gap if left_gap <= margin else 0
+    pad_right = 2 * margin - right_gap if right_gap <= margin else 0
+    return pad_left, pad_right
+
+
+_THRESHOLD = 1e-8
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    margin=st.integers(3, 9),
+    cells=st.lists(st.sampled_from([0.0, _THRESHOLD, 2 * _THRESHOLD, 0.5]), min_size=3, max_size=40),
+)
+@example(margin=3, cells=[0.0] * 12)  # empty support
+@example(margin=3, cells=[0.0] * 3 + [0.5] + [0.0] * 12)  # inside the left window only
+@example(margin=3, cells=[0.0] * 12 + [0.5] + [0.0] * 3)  # inside the right window only
+@example(margin=3, cells=[0.0] * 8 + [0.5] + [0.0] * 8)  # between the windows
+@example(margin=3, cells=[0.0, 0.5, 0.0])  # grid shorter than the margin
+@example(margin=5, cells=[0.0] * 4 + [0.5] + [0.0] * 4)  # windows overlap
+@example(margin=3, cells=[0.0, 0.0, 0.0, _THRESHOLD, 0.0])  # at the threshold is vacuum
+def test_enlarge_edge_windows_match_support_scan(margin, cells):
+    n = np.array(cells)
+    state = make_state(0.5 * n, 0.5 * n, dx=0.1)
+    cfg = SolverConfig(dt=0.01, support_threshold=_THRESHOLD, enlargement_margin=margin)
+    pad_left, pad_right = enlargement_pads_by_scan(n, _THRESHOLD, margin)
+    out, changed = enlarge_domain_if_needed(state, basic_params(), cfg, n)
+    assert changed == (pad_left > 0 or pad_right > 0)
+    assert out.grid.n_cells == n.size + pad_left + pad_right
+    assert out.grid.x_min == state.grid.x_min - pad_left * 0.1
+    assert np.array_equal(out.n1[pad_left : pad_left + n.size], state.n1)
+
+
 def test_enlarge_ignores_empty_state():
     state = make_state(np.zeros(9), np.zeros(9))
     cfg = SolverConfig(dt=0.01, enlargement_margin=4)
@@ -617,6 +679,53 @@ def test_step_discrete_mass_balance():
     G = eval_growth(params.growth, state.c, state.total_density)
     source = dx * np.sum(G * new.n1 + (G - params.D) * new.n2)
     assert (mass_new - mass_old) / cfg.dt == pytest.approx(source, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "bad, named",
+    [
+        (("n1",), "n1"),
+        (("n2",), "n2"),
+        (("c",), "c"),
+        (("u",), "u"),
+        (("n1", "n2"), "n1"),
+        (("n2", "c"), "n2"),
+        (("c", "u"), "c"),
+    ],
+)
+def test_step_names_the_first_non_finite_field(monkeypatch, bad, named):
+    # one non-finite cell injected where `step` gets each bad field; the
+    # error names the first bad field in the order n1, n2, c, u
+    import autophagy_tumor.solver as solver
+
+    def poisoned(func, *rows):
+        def wrapper(*args, **kwargs):
+            out = func(*args, **kwargs)
+            for row in rows:
+                (out if row is None else out[row])[3] = np.inf
+            return out
+
+        return wrapper
+
+    rows = [("n1", "n2").index(f) for f in bad if f in ("n1", "n2")]
+    if rows:
+        monkeypatch.setattr(solver, "correct_densities", poisoned(solver.correct_densities, *rows))
+    if "c" in bad:
+        monkeypatch.setattr(
+            solver, "step_nutrient_neumann", poisoned(solver.step_nutrient_neumann, 0)
+        )
+    if "u" in bad:
+        monkeypatch.setattr(
+            solver, "pressure_from_density", poisoned(solver.pressure_from_density, None)
+        )
+    # the fixed box: no enlargement, and the nutrient step reads the old state
+    state = bump_state()
+    params = neumann_params(g=1.0, D=0.3, K1=1.0, K2=1.0)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(SolverError, match=f"non-finite values in {named} at t=0.005$") as err:
+            step(state, params, SolverConfig(dt=0.005, boundary_mode=NEUMANN_BOX))
+    assert err.value.state is state
+    assert err.value.t == 0.005
 
 
 def test_run_mode_pairing_is_validated():
@@ -716,9 +825,10 @@ def reference_components(n, threshold):
 
 
 def reference_enlarge(state, params, cfg):
+    """Returns (state, enlarged)."""
     idx = np.flatnonzero(state.total_density > cfg.support_threshold)
     if idx.size == 0:
-        return state
+        return state, False
     n_cells = state.grid.n_cells
     margin = cfg.enlargement_margin
     left_gap = int(idx[0])
@@ -726,7 +836,7 @@ def reference_enlarge(state, params, cfg):
     pad_left = 2 * margin - left_gap if left_gap <= margin else 0
     pad_right = 2 * margin - right_gap if right_gap <= margin else 0
     if pad_left == 0 and pad_right == 0:
-        return state
+        return state, False
     grid = Grid1D(
         x_min=state.grid.x_min - pad_left * state.grid.dx,
         dx=state.grid.dx,
@@ -743,7 +853,7 @@ def reference_enlarge(state, params, cfg):
         c=np.concatenate((cl, state.c, cr)),
         u=np.concatenate((zl, state.u, zr)),
         t=state.t,
-    )
+    ), True
 
 
 def reference_predict(state, params, dt):
@@ -782,6 +892,7 @@ def reference_quasistatic(state, params, threshold):
 
 
 def reference_neumann(state, params, dt, t_new):
+    """Returns (c, number of clamped cells)."""
     dx = state.grid.dx
     m = state.grid.n_cells
     lam = eval_flux(params.lambda_schedule, t_new)
@@ -793,25 +904,32 @@ def reference_neumann(state, params, dt, t_new):
     upper[0] = lower[-1] = 1.0
     rhs[0] = rhs[-1] = lam * dx
     c = TridiagonalSystem(lower, diag, upper, rhs).solve()
+    clamped = int(np.count_nonzero(c < 0.0))
     c[c < 0.0] = 0.0
-    return c
+    return c, clamped
 
 
 def reference_step(state, params, cfg):
-    """Returns (new state, clamped density mass)."""
+    """Returns (new state, StepDiagnostics) with the clamped density mass,
+    the CFL number, the clamped nutrient cells and the enlarged flag."""
     dt = cfg.dt
+    enlarged = False
     if cfg.boundary_mode == PADDED:
-        state = reference_enlarge(state, params, cfg)
+        state, enlarged = reference_enlarge(state, params, cfg)
     u_star = reference_predict(state, params, dt)
+    cfl = float(np.max(np.abs(u_star)) * dt / state.grid.dx) if len(u_star) else 0.0
     n1, n2, clamped = correct_densities_per_species(state, u_star, params, dt)
     new = FieldState(grid=state.grid, n1=n1, n2=n2, c=state.c, u=state.u, t=state.t + dt)
     p = pressure_from_density(new.total_density, params.gamma)
     new.u = -np.diff(p) / state.grid.dx
+    nutrient_clamped = 0
     if params.nutrient_mode == QUASISTATIC:
         new.c = reference_quasistatic(new, params, cfg.support_threshold)
     else:
-        new.c = reference_neumann(state, params, dt, new.t)
-    return new, clamped
+        new.c, nutrient_clamped = reference_neumann(state, params, dt, new.t)
+    return new, StepDiagnostics(
+        cfl=cfl, clamped_mass=clamped, nutrient_cells_clamped=nutrient_clamped, enlarged=enlarged
+    )
 
 
 def two_bump_state(m=121, dx=0.1):
@@ -860,6 +978,22 @@ REFERENCE_CASES = {
         ),
         SolverConfig(dt=0.002, boundary_mode=NEUMANN_BOX),
     ),
+    # an outward wall flux larger than the supply: the nutrient step clamps
+    # negative cells on most steps
+    "neumann-nutrient-clamps": (
+        hull_box_state,
+        ModelParameters(
+            gamma=40.0,
+            D=0.1,
+            a=0.5,
+            c_B=1.0,
+            growth=AffineDeath(delta=0.5),
+            transitions=HullTransitions(k1max=2.0, k2max=1.0, omega=0.5),
+            nutrient_mode=NEUMANN,
+            lambda_schedule=ConstantFlux(2.0),
+        ),
+        SolverConfig(dt=0.002, boundary_mode=NEUMANN_BOX),
+    ),
     # too large a step: the CFL number climbs past one and the transport
     # drives cells negative on most steps
     "clamps": (
@@ -875,24 +1009,30 @@ def test_step_matches_reference_bit_for_bit(case):
     make, params, cfg = REFERENCE_CASES[case]
     state = ref = make()
     n_cells0 = state.grid.n_cells
-    clamped = ref_clamped = 0.0
-    for _ in range(50):
+    clamped = 0.0
+    enlargements = nutrient_clamps = 0
+    for j in range(50):
         state, diag = step(state, params, cfg)
-        ref, ref_step_clamped = reference_step(ref, params, cfg)
+        ref, ref_diag = reference_step(ref, params, cfg)
+        # every per-step diagnostic, not only their sums
+        assert diag == ref_diag, j
         clamped += diag.clamped_mass
-        ref_clamped += ref_step_clamped
+        enlargements += diag.enlarged
+        nutrient_clamps += diag.nutrient_cells_clamped
     for name in ("n1", "n2", "c", "u"):
         assert np.array_equal(getattr(state, name), getattr(ref, name)), name
     assert state.grid == ref.grid
-    assert clamped == ref_clamped
     # each case exercises what it is named for
     if case == "padded-enlarges":
         assert state.grid.n_cells > n_cells0
+        assert enlargements > 0
     elif case == "two-components":
         assert len(support_info(state, cfg.support_threshold).components) == 2
     elif case == "neumann-hull":
         # cells on both sides of the switch threshold
         assert state.c.min() < params.transitions.omega < state.c.max()
+    elif case == "neumann-nutrient-clamps":
+        assert nutrient_clamps > 0
     else:
         assert clamped > 0.0
 
