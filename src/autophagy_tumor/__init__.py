@@ -13,13 +13,10 @@ from .analytic import (
 )
 from .diagnostics import (
     SERIES_CHANNELS,
-    NormReport,
     SupportInfo,
     TimeSeries,
-    density_fraction_field,
     l2n_condition_and_rate,
     l2n_deviation,
-    norm_report,
     nutrient_bound_check,
     sup_deviation,
     support_components,
@@ -42,7 +39,6 @@ from .kinetics import (
     ConstantFlux,
     ConstantTransitions,
     HullTransitions,
-    LinearConsumption,
     Logistic,
     ModelParameters,
     OdeState,
@@ -50,7 +46,6 @@ from .kinetics import (
     Proportional,
     RationalPairTransitions,
     ReactionEquilibrium,
-    critical_concentration,
     equilibrium_roots,
     eval_flux,
     eval_growth,

@@ -227,13 +227,13 @@ def fan_out(func, items: list, jobs: int) -> list:
         return list(pool.map(func, items))
 
 
-def _sweep_worker(item: tuple[dict, str]) -> tuple[str, str | None]:
+def _sweep_worker(item: tuple[dict, str]) -> tuple[str, str | None, list[str]]:
+    """(out_dir, error or None, the run's violations)"""
     data, out_dir = item
     try:
-        run_scenario(config_from_dict(data), out_dir)
-        return out_dir, None
+        return out_dir, None, run_scenario(config_from_dict(data), out_dir).log.violations
     except (SolverError, ValueError) as err:
-        return out_dir, str(err)
+        return out_dir, str(err), []
 
 
 def _cmd_sweep(args) -> int:
@@ -269,12 +269,15 @@ def _cmd_sweep(args) -> int:
         return 2
 
     failed = 0
-    for out_dir, error in results:
-        if error is None:
-            print(f"done {out_dir}")
-        else:
+    for out_dir, error, violations in results:
+        if error is not None:
             failed += 1
             print(f"FAILED {out_dir}: {error}", file=sys.stderr)
+            continue
+        # as in `run`, a violation is reported but does not fail the member
+        for line in violations:
+            print(f"VIOLATION {out_dir}: {line}", file=sys.stderr)
+        print(f"done {out_dir}")
     return 1 if failed else 0
 
 

@@ -7,7 +7,6 @@ threshold; composition diagnostics are only defined there.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,20 +21,17 @@ from .kinetics import (
 
 __all__ = [
     "SupportInfo",
-    "NormReport",
     "TimeSeries",
     "SERIES_CHANNELS",
     "support_info",
     "support_components",
     "support_radius",
-    "density_fraction_field",
     "sup_deviation",
     "l2n_deviation",
     "uniform_bound_at",
     "l2n_condition_and_rate",
     "nutrient_bound_check",
     "total_population",
-    "norm_report",
     "write_table",
 ]
 
@@ -75,37 +71,17 @@ def support_info(state, threshold: float) -> SupportInfo:
     )
 
 
-def density_fraction_field(state, threshold: float) -> np.ndarray:
-    """Normal-cell fraction n1/(n1+n2), NaN off the support."""
-    n = state.n1 + state.n2
-    mask = n > threshold
-    mu = np.full(n.shape, np.nan)
-    mu[mask] = state.n1[mask] / n[mask]
-    return mu
-
-
 def _support_norm(norm, mu: np.ndarray, mu_star: float) -> float:
-    """norm(mu - mu*) over the support: the finite entries of `mu`, which is
-    either the fraction on the support cells or a `density_fraction_field`
-    (NaN off the support). Raises ValueError when the support is empty.
-
-    The norm of the whole array is taken first. Any non-finite entry makes
-    it non-finite, so only then are the finite entries picked out and the
-    norm taken again.
-    """
-    if mu.size:
-        value = norm(mu - mu_star)
-        if math.isfinite(value):
-            return value
-        mu = mu[np.isfinite(mu)]
-        if mu.size:
-            return norm(mu - mu_star)
-    raise ValueError("empty support: fraction deviation undefined")
+    """norm(mu - mu*), `mu` the fraction on the support cells. Raises
+    ValueError when the support is empty."""
+    if not mu.size:
+        raise ValueError("empty support: fraction deviation undefined")
+    return norm(mu - mu_star)
 
 
 def sup_deviation(mu: np.ndarray, mu_star: float) -> float:
     """max |mu - mu*| over the support; errors on empty support. `mu` is the
-    fraction on the support, or a field with NaN off it."""
+    fraction on the support."""
     return _support_norm(lambda dev: float(np.abs(dev).max()), mu, mu_star)
 
 
@@ -168,36 +144,6 @@ def total_population(state) -> tuple[float, float]:
     """(total mass, autophagic mass) over the whole grid."""
     dx = state.grid.dx
     return float(dx * (state.n1 + state.n2).sum()), float(dx * state.n2.sum())
-
-
-@dataclass(frozen=True)
-class NormReport:
-    sup_dev: float
-    l2n_devs: dict[int, float]
-    theoretical_sup_bound: float
-    theoretical_l2n_rates: dict[int, float]
-
-
-def norm_report(
-    state,
-    threshold: float,
-    mu_star: float,
-    eq: ReactionEquilibrium,
-    params: ModelParameters,
-    c0: float,
-    t: float,
-    initial_sup_dev: float,
-) -> NormReport:
-    mu = density_fraction_field(state, threshold)
-    dx = state.grid.dx
-    return NormReport(
-        sup_dev=sup_deviation(mu, mu_star),
-        l2n_devs={n: l2n_deviation(mu, mu_star, dx, n) for n in (1, 2, 4)},
-        theoretical_sup_bound=float(uniform_bound_at(t, initial_sup_dev, eq)),
-        theoretical_l2n_rates={
-            n: l2n_condition_and_rate(n, params, eq, c0)[1] for n in (1, 2, 4)
-        },
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -38,10 +38,6 @@ class Grid1D:
     def cell_x(self) -> np.ndarray:
         return self.x_min + self.dx * np.arange(self.n_cells)
 
-    @cached_property
-    def face_x(self) -> np.ndarray:
-        return self.x_min + self.dx * (np.arange(self.n_cells - 1) + 0.5)
-
 
 # ---------------------------------------------------------------------------
 # pressure law p = gamma/(gamma-1) * n^(gamma-1)

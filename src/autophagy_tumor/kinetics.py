@@ -16,7 +16,7 @@ for the space-free (n1, n2, c) system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -26,8 +26,6 @@ __all__ = [
     "AffineDeath",
     "Logistic",
     "GrowthSpec",
-    "LinearConsumption",
-    "ConsumptionSpec",
     "ConstantTransitions",
     "HullTransitions",
     "RationalPairTransitions",
@@ -41,8 +39,6 @@ __all__ = [
     "ReactionEquilibrium",
     "OdeState",
     "eval_growth",
-    "eval_consumption",
-    "critical_concentration",
     "eval_transitions",
     "eval_flux",
     "reaction_rate_f",
@@ -80,14 +76,6 @@ class Logistic:
 
 
 GrowthSpec = Union[Proportional, AffineDeath, Logistic]
-
-
-@dataclass(frozen=True)
-class LinearConsumption:
-    """Nutrient consumption psi(c) = c."""
-
-
-ConsumptionSpec = LinearConsumption
 
 
 @dataclass(frozen=True)
@@ -144,31 +132,10 @@ def eval_growth(spec: GrowthSpec, c, n=0.0):
     raise TypeError(f"unknown growth spec {spec!r}")
 
 
-def eval_consumption(spec: ConsumptionSpec, c):
-    if isinstance(spec, LinearConsumption):
-        return c
-    raise TypeError(f"unknown consumption spec {spec!r}")
-
-
-def critical_concentration(spec: ConsumptionSpec, a: float) -> float:
-    """Concentration c0 at which consumption balances release: psi(c0) = a.
-
-    The linear law is inverted directly; a non-monotone or bounded variant
-    would need a bracketing root solve here instead.
-    """
-    if a < 0.0:
-        raise ValueError(f"release rate a={a} is outside the range of the consumption law")
-    if isinstance(spec, LinearConsumption):
-        return float(a)
-    raise TypeError(f"unknown consumption spec {spec!r}")
-
-
 def eval_transitions(spec: TransitionSpec, c):
-    """Return the switch-rate pair (K1(c), K2(c)), elementwise in c."""
+    """Return the switch-rate pair (K1(c), K2(c)), elementwise in c; constant
+    rates come back as scalars, which broadcast against c."""
     if isinstance(spec, ConstantTransitions):
-        if np.ndim(c):
-            shape = np.shape(c)
-            return np.full(shape, spec.K1), np.full(shape, spec.K2)
         return spec.K1, spec.K2
     if isinstance(spec, HullTransitions):
         c4 = np.asarray(c, dtype=float) ** 4
@@ -214,7 +181,6 @@ class ModelParameters:
     a: float
     c_B: float
     growth: GrowthSpec
-    consumption: ConsumptionSpec = field(default_factory=LinearConsumption)
     transitions: TransitionSpec = ConstantTransitions(1.0, 1.0)
     nutrient_mode: str = QUASISTATIC
     lambda_schedule: FluxSchedule | None = None
@@ -341,7 +307,7 @@ def integrate_ode_model(
 
         n1' = G(c, n)*n1 - K1(c)*n1 + K2(c)*n2
         n2' = (G(c, n) - D)*n2 + K1(c)*n1 - K2(c)*n2
-        c'  = -lambda(t)*(c - c_B(t)) - psi(c)*(n1 + n2) + a*n2
+        c'  = -lambda(t)*(c - c_B(t)) - c*(n1 + n2) + a*n2
 
     Returns the state at every step, s0 included. Raises ValueError naming
     the offending time if the solution leaves the physical range (NaN,
@@ -361,7 +327,7 @@ def integrate_ode_model(
             [
                 G * n1 - K1 * n1 + K2 * n2,
                 (G - p.D) * n2 + K1 * n1 - K2 * n2,
-                -lambda_fn(t) * (c - c_B_fn(t)) - eval_consumption(p.consumption, c) * n + p.a * n2,
+                -lambda_fn(t) * (c - c_B_fn(t)) - c * n + p.a * n2,
             ]
         )
 

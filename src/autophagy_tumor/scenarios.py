@@ -13,7 +13,7 @@ import copy
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Union
 
@@ -29,7 +29,6 @@ from .kinetics import (
     ConstantFlux,
     ConstantTransitions,
     HullTransitions,
-    LinearConsumption,
     Logistic,
     ModelParameters,
     PeriodicFlux,
@@ -167,6 +166,9 @@ class ScenarioConfig:
 
     def __post_init__(self):
         check_compatible(self.params, self.solver)
+        t_end = self.t_end
+        if not (isinstance(t_end, (int, float)) and math.isfinite(t_end) and t_end > 0.0):
+            raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
         for entry in self.outputs:
             if entry in ("timeseries", "checkpoint"):
                 continue
@@ -313,72 +315,62 @@ def _check_empty(d: dict, path: str) -> None:
         raise ValueError(f"unknown keys at {path}: {sorted(d)}")
 
 
-def _growth_from_dict(d: dict, path: str):
+# JSON "type" tag -> recipe class, for each tagged-union config section; a
+# section's other keys are the fields of its recipe class
+_VARIANTS = {
+    "growth": {"proportional": Proportional, "affine_death": AffineDeath, "logistic": Logistic},
+    "transitions": {
+        "constant": ConstantTransitions,
+        "hull": HullTransitions,
+        "rational_pair": RationalPairTransitions,
+    },
+    "flux schedule": {"constant": ConstantFlux, "periodic": PeriodicFlux},
+    "composition": {
+        "constant": ConstantComposition,
+        "profile": ProfileComposition,
+        "table": TableComposition,
+    },
+    "initial": {
+        "analytic_pressure": AnalyticPressureInit,
+        "custom_cosh": CustomCoshInit,
+        "checkpoint": CheckpointInit,
+    },
+}
+_TAGS = {cls: tag for variants in _VARIANTS.values() for tag, cls in variants.items()}
+
+
+def _variant_from_dict(family: str, d: dict, path: str):
     kind = _pop(d, "type", path)
-    if kind == "proportional":
-        out = Proportional(g=_pop(d, "g", path, cast=float))
-    elif kind == "affine_death":
-        out = AffineDeath(delta=_pop(d, "delta", path, cast=float))
-    elif kind == "logistic":
-        out = Logistic(
-            g=_pop(d, "g", path, cast=float),
-            M=_pop(d, "M", path, cast=float),
-            delta=_pop(d, "delta", path, cast=float),
-        )
-    else:
-        raise ValueError(f"unknown growth type {kind!r} at {path}")
+    cls = _VARIANTS[family].get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown {family} type {kind!r} at {path}")
+    values = {}
+    for f in fields(cls):
+        value = _pop(d, f.name, path, cast=float if f.type == "float" else None)
+        if f.type == "CompositionInit":
+            value = _variant_from_dict("composition", value, f"{path}.{f.name}")
+        elif f.type == "tuple[float, ...]":
+            value = tuple(float(v) for v in value)
+        values[f.name] = value
+    out = cls(**values)
     _check_empty(d, path)
     return out
 
 
-def _transitions_from_dict(d: dict, path: str):
-    kind = _pop(d, "type", path)
-    if kind == "constant":
-        out = ConstantTransitions(K1=_pop(d, "K1", path, cast=float), K2=_pop(d, "K2", path, cast=float))
-    elif kind == "hull":
-        out = HullTransitions(
-            k1max=_pop(d, "k1max", path, cast=float),
-            k2max=_pop(d, "k2max", path, cast=float),
-            omega=_pop(d, "omega", path, cast=float),
-        )
-    elif kind == "rational_pair":
-        out = RationalPairTransitions()
-    else:
-        raise ValueError(f"unknown transitions type {kind!r} at {path}")
-    _check_empty(d, path)
-    return out
-
-
-def _flux_from_dict(d: dict, path: str):
-    kind = _pop(d, "type", path)
-    if kind == "constant":
-        out = ConstantFlux(value=_pop(d, "value", path, cast=float))
-    elif kind == "periodic":
-        out = PeriodicFlux(high=_pop(d, "high", path, cast=float), period=_pop(d, "period", path, cast=float))
-    else:
-        raise ValueError(f"unknown flux schedule type {kind!r} at {path}")
-    _check_empty(d, path)
-    return out
-
-
-def _composition_from_dict(d: dict, path: str) -> CompositionInit:
-    kind = _pop(d, "type", path)
-    if kind == "constant":
-        out = ConstantComposition(value=_pop(d, "value", path, cast=float))
-    elif kind == "profile":
-        out = ProfileComposition(name=_pop(d, "name", path))
-    elif kind == "table":
-        out = TableComposition(
-            x=tuple(float(v) for v in _pop(d, "x", path)),
-            mu=tuple(float(v) for v in _pop(d, "mu", path)),
-        )
-    else:
-        raise ValueError(f"unknown composition type {kind!r} at {path}")
-    _check_empty(d, path)
+def _variant_to_dict(spec) -> dict:
+    out = {"type": _TAGS[type(spec)]}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if is_dataclass(value):
+            value = _variant_to_dict(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[f.name] = value
     return out
 
 
 def _model_from_dict(d: dict, path: str) -> ModelParameters:
+    # the model has one consumption law, psi(c) = c; configs may still name it
     consumption_d = _pop(d, "consumption", path, default={"type": "linear"})
     kind = _pop(consumption_d, "type", f"{path}.consumption")
     if kind != "linear":
@@ -391,11 +383,15 @@ def _model_from_dict(d: dict, path: str) -> ModelParameters:
         D=_pop(d, "D", path, cast=float),
         a=_pop(d, "a", path, cast=float),
         c_B=_pop(d, "c_B", path, cast=float),
-        growth=_growth_from_dict(_pop(d, "growth", path), f"{path}.growth"),
-        consumption=LinearConsumption(),
-        transitions=_transitions_from_dict(_pop(d, "transitions", path), f"{path}.transitions"),
+        growth=_variant_from_dict("growth", _pop(d, "growth", path), f"{path}.growth"),
+        transitions=_variant_from_dict(
+            "transitions", _pop(d, "transitions", path), f"{path}.transitions"
+        ),
         nutrient_mode=_pop(d, "nutrient_mode", path, default=QUASISTATIC),
-        lambda_schedule=None if lam is None else _flux_from_dict(lam, f"{path}.lambda_schedule"),
+        lambda_schedule=(
+            None if lam is None
+            else _variant_from_dict("flux schedule", lam, f"{path}.lambda_schedule")
+        ),
     )
     _check_empty(d, path)
     return out
@@ -413,30 +409,6 @@ def _solver_from_dict(d: dict, path: str) -> SolverConfig:
     return out
 
 
-def _initial_from_dict(d: dict, path: str) -> InitialSpec:
-    kind = _pop(d, "type", path)
-    if kind == "analytic_pressure":
-        out = AnalyticPressureInit(
-            R0=_pop(d, "R0", path, cast=float),
-            dx=_pop(d, "dx", path, cast=float),
-            composition=_composition_from_dict(
-                _pop(d, "composition", path), f"{path}.composition"
-            ),
-        )
-    elif kind == "custom_cosh":
-        out = CustomCoshInit(
-            R=_pop(d, "R", path, cast=float),
-            dx=_pop(d, "dx", path, cast=float),
-            halfwidth=_pop(d, "halfwidth", path, cast=float),
-        )
-    elif kind == "checkpoint":
-        out = CheckpointInit(path=_pop(d, "path", path))
-    else:
-        raise ValueError(f"unknown initial type {kind!r} at {path}")
-    _check_empty(d, path)
-    return out
-
-
 def config_from_dict(data: dict) -> ScenarioConfig:
     d = copy.deepcopy(data)
     if "preset" in d:
@@ -449,7 +421,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         name=_pop(d, "name", "config"),
         params=_model_from_dict(_pop(d, "model", "config"), "config.model"),
         solver=_solver_from_dict(_pop(d, "solver", "config"), "config.solver"),
-        initial=_initial_from_dict(_pop(d, "initial", "config"), "config.initial"),
+        initial=_variant_from_dict("initial", _pop(d, "initial", "config"), "config.initial"),
         t_end=_pop(d, "t_end", "config", cast=float),
         outputs=tuple(_pop(d, "outputs", "config", default=["timeseries", "checkpoint"])),
     )
@@ -465,51 +437,6 @@ def load_config(path) -> ScenarioConfig:
     return config_from_dict(data)
 
 
-def _growth_to_dict(g) -> dict:
-    if isinstance(g, Proportional):
-        return {"type": "proportional", "g": g.g}
-    if isinstance(g, AffineDeath):
-        return {"type": "affine_death", "delta": g.delta}
-    if isinstance(g, Logistic):
-        return {"type": "logistic", "g": g.g, "M": g.M, "delta": g.delta}
-    raise TypeError(f"unknown growth spec {type(g).__name__}")
-
-
-def _transitions_to_dict(tr) -> dict:
-    if isinstance(tr, ConstantTransitions):
-        return {"type": "constant", "K1": tr.K1, "K2": tr.K2}
-    if isinstance(tr, HullTransitions):
-        return {"type": "hull", "k1max": tr.k1max, "k2max": tr.k2max, "omega": tr.omega}
-    if isinstance(tr, RationalPairTransitions):
-        return {"type": "rational_pair"}
-    raise TypeError(f"unknown transitions spec {type(tr).__name__}")
-
-
-def _flux_to_dict(f) -> dict:
-    if isinstance(f, ConstantFlux):
-        return {"type": "constant", "value": f.value}
-    if isinstance(f, PeriodicFlux):
-        return {"type": "periodic", "high": f.high, "period": f.period}
-    raise TypeError(f"unknown flux schedule {type(f).__name__}")
-
-
-def _initial_to_dict(init: InitialSpec) -> dict:
-    if isinstance(init, AnalyticPressureInit):
-        comp = init.composition
-        if isinstance(comp, ConstantComposition):
-            comp_d = {"type": "constant", "value": comp.value}
-        elif isinstance(comp, ProfileComposition):
-            comp_d = {"type": "profile", "name": comp.name}
-        else:
-            comp_d = {"type": "table", "x": list(comp.x), "mu": list(comp.mu)}
-        return {"type": "analytic_pressure", "R0": init.R0, "dx": init.dx, "composition": comp_d}
-    if isinstance(init, CustomCoshInit):
-        return {"type": "custom_cosh", "R": init.R, "dx": init.dx, "halfwidth": init.halfwidth}
-    if isinstance(init, CheckpointInit):
-        return {"type": "checkpoint", "path": init.path}
-    raise TypeError(f"unknown initial spec {type(init).__name__}")
-
-
 def config_to_dict(cfg: ScenarioConfig) -> dict:
     p = cfg.params
     model = {
@@ -517,13 +444,13 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
         "D": p.D,
         "a": p.a,
         "c_B": p.c_B,
-        "growth": _growth_to_dict(p.growth),
+        "growth": _variant_to_dict(p.growth),
         "consumption": {"type": "linear"},
-        "transitions": _transitions_to_dict(p.transitions),
+        "transitions": _variant_to_dict(p.transitions),
         "nutrient_mode": p.nutrient_mode,
     }
     if p.lambda_schedule is not None:
-        model["lambda_schedule"] = _flux_to_dict(p.lambda_schedule)
+        model["lambda_schedule"] = _variant_to_dict(p.lambda_schedule)
     s = cfg.solver
     return {
         "name": cfg.name,
@@ -535,7 +462,7 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
             "boundary_mode": s.boundary_mode,
             "sample_interval": s.sample_interval,
         },
-        "initial": _initial_to_dict(cfg.initial),
+        "initial": _variant_to_dict(cfg.initial),
         "t_end": cfg.t_end,
         "outputs": list(cfg.outputs),
     }

@@ -15,42 +15,7 @@ Velocities live on interior faces; the two wall faces always carry zero
 flux, so the scheme conserves mass up to the reaction terms and the
 clamping of negative densities (which is tracked and reported).
 
-Every tridiagonal system (the velocity prediction and both nutrient
-updates) goes through `TridiagonalSystem.solve`, which calls LAPACK `gtsv`
-directly: the routine `scipy.linalg.solve_banded` picks for (1, 1) bands,
-without the wrapper's per-call overhead, so the results are the same bit
-for bit. `dgtsv` comes from scipy's compiled LAPACK wrapper
-`scipy/linalg/_flapack`, loaded on its own (`_load_dgtsv`): it is the same
-function object `scipy.linalg.lapack.dgtsv` exposes, but the package init
-of `scipy.linalg` (its array-API layer pulls in `numpy.f2py`,
-`numpy.testing` and `numpy.ma`), which cost more than half of the start-up
-of every command, never runs.
-
-A step computes each shared quantity once and passes it on explicitly.
-The total density n = n1 + n2 of the old state feeds the enlargement check
-(and is rebuilt only when the grid grows), the velocity prediction and the
-backward-Euler nutrient step; the growth rate G(c, n) feeds the prediction
-and the correction. n_new = n1 + n2 of the corrected state feeds the
-pressure law and the quasi-static nutrient solve, which finds the occupied
-components with one scan (`diagnostics.support_components`). Each sample
-of the time series builds n, the support mask and the normal fraction on
-it once for the series row and the bound checks, through the one copy of
-each norm and bound check in `diagnostics`. The hot path calls ndarray
-methods rather than the `np.sum`/`np.max`/... wrappers; the arithmetic is
-the same elementwise, so the results are the same bit for bit.
-
-At the paper's 150-2,400 cells a step is about 130 small numpy calls, so
-each call saved counts. The step updates the temporaries it owns in place
-(`a *= b` for `a = a * b`, swapping only the operands of commutative
-operations), so every floating-point operation keeps its operands and
-order and the results stay bit-identical. The limiter's upwind and
-downwind differences are two slices of one difference array; the reaction
-right-hand side and the 2x2 solve run once on the (2, N) stack of n1 and
-n2, with one negativity test for both; the Neumann nutrient matrix's
-off-diagonals are built once per grid; one test over all four new fields
-guards against non-finite values and names the bad field only when it
-fails. The enlargement check inspects only the two edge windows of
-`enlargement_margin + 1` cells, not the whole support.
+README "Performance" explains how a step keeps its per-call cost down.
 """
 
 from __future__ import annotations
@@ -81,7 +46,6 @@ from .kinetics import (
     NEUMANN,
     QUASISTATIC,
     ConstantTransitions,
-    LinearConsumption,
     ModelParameters,
     equilibrium_roots,
     eval_flux,
@@ -368,8 +332,6 @@ def solve_nutrient_quasistatic(
     total density `n` = n1 + n2 of `state` exceeds `threshold`), with c
     equal to the ambient level at the first unoccupied cell on either side,
     and ambient everywhere off the occupied region."""
-    if not isinstance(params.consumption, LinearConsumption):
-        raise ValueError("quasi-static nutrient solve requires linear consumption")
     grid = state.grid
     dx = grid.dx
     c_B = params.c_B
@@ -422,8 +384,6 @@ def step_nutrient_neumann(
     n1 + n2 of `state`. Negative values are clamped to zero; returns
     (c, number of clamped cells).
     """
-    if not isinstance(params.consumption, LinearConsumption):
-        raise ValueError("nutrient step requires linear consumption")
     grid = state.grid
     dx = grid.dx
     m = grid.n_cells
@@ -590,8 +550,6 @@ def check_compatible(params: ModelParameters, cfg: SolverConfig) -> None:
         raise ValueError("dynamic nutrient mode requires the fixed-box boundary mode")
     if params.nutrient_mode == QUASISTATIC and cfg.boundary_mode != PADDED:
         raise ValueError("quasi-static nutrient mode requires the padded boundary mode")
-    if not isinstance(params.consumption, LinearConsumption):
-        raise ValueError("the grid solver supports linear nutrient consumption only")
 
 
 def run(

@@ -5,7 +5,7 @@ import pytest
 
 from autophagy_tumor.cli import main, set_config_value
 from autophagy_tumor.scenarios import PRESETS, config_to_dict
-from autophagy_tumor.solver import write_checkpoint
+from autophagy_tumor.solver import RunLog, write_checkpoint
 
 from conftest import make_state
 
@@ -155,6 +155,18 @@ def test_run_rejects_bad_profile_time_at_load(tmp_path, capsys, entry):
     rc = main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)])
     assert rc == 2
     assert entry in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("t_end", [float("inf"), float("nan"), -1.0, 0.0, None])
+def test_run_rejects_bad_t_end_at_load(tmp_path, capsys, t_end):
+    # checked before the profile times, which are bounded by t_end
+    data = tiny_config_dict(t_end=t_end)
+    data["outputs"] = ["timeseries", "profiles@1"]
+    out_dir = tmp_path / "never"
+    rc = main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)])
+    assert rc == 2
+    assert "t_end must be finite and positive" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -334,6 +346,25 @@ def test_sweep_runs_each_value(tmp_path, capsys):
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["failed"] is False
         assert manifest["config"]["t_end"] == float(tok)
+
+
+def test_sweep_reports_violations_like_run(tmp_path, monkeypatch, capsys):
+    import autophagy_tumor.cli as cli
+
+    class Broken:
+        log = RunLog(violations=["clamped negative mass 1e-3 exceeds the bound"])
+
+    monkeypatch.setattr(cli, "run_scenario", lambda cfg, out_dir: Broken())
+    rc = main(["sweep", "--preset", "fig-s4f2-D0.3", "--vary", "t_end=0.004,0.008",
+               "--out", str(tmp_path), "--jobs", "1"])
+    captured = capsys.readouterr()
+    # a violation is reported on stderr and, as in `run`, does not fail the member
+    assert rc == 0
+    assert captured.out.count("done ") == 2
+    for tok in ("0.004", "0.008"):
+        run_dir = tmp_path / f"fig-s4f2-D0.3-t_end={tok}"
+        assert (f"VIOLATION {run_dir}: clamped negative mass 1e-3 exceeds the bound"
+                in captured.err)
 
 
 def test_sweep_usage_errors(tmp_path, capsys):

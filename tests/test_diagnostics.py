@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from autophagy_tumor.diagnostics import (
     SERIES_CHANNELS,
     TimeSeries,
-    density_fraction_field,
     l2n_condition_and_rate,
     l2n_deviation,
-    norm_report,
     nutrient_bound_check,
     sup_deviation,
     support_components,
@@ -99,16 +97,6 @@ def test_support_components_match_support_info(occupied, want):
     assert all(type(i) is int for run in comps for i in run)
 
 
-def test_density_fraction_field():
-    n1 = np.array([0.3, 0.0, 0.5, 0.0])
-    n2 = np.array([0.1, 0.0, 0.0, 0.0])
-    mu = density_fraction_field(make_state(n1, n2), THRESH)
-    assert mu[0] == pytest.approx(0.75)
-    assert np.isnan(mu[1])
-    assert mu[2] == pytest.approx(1.0)
-    assert np.isnan(mu[3])
-
-
 def test_sup_deviation_values():
     eq = equilibrium_roots(0.3, 1.0, 1.0)
     mu = np.full(11, 1.0)
@@ -117,8 +105,6 @@ def test_sup_deviation_values():
     mu = np.full(11, eq.mu_star)
     mu[4] = 0.2
     assert sup_deviation(mu, eq.mu_star) == pytest.approx(eq.mu_star - 0.2, rel=1e-12)
-    with pytest.raises(ValueError):
-        sup_deviation(np.full(4, np.nan), eq.mu_star)
 
 
 def test_l2n_deviation_constant_offset():
@@ -131,8 +117,6 @@ def test_l2n_deviation_constant_offset():
         assert l2n_deviation(mu, 0.5, dx, n) == pytest.approx(expect, rel=1e-12)
     with pytest.raises(ValueError):
         l2n_deviation(mu, 0.5, dx, 0)
-    with pytest.raises(ValueError):
-        l2n_deviation(np.full(3, np.nan), 0.5, dx, 1)
 
 
 def test_l2n_deviation_norm_interpolation(rng):
@@ -252,32 +236,6 @@ def test_total_population_invariant_under_domain_growth(rng):
     assert after[1] == pytest.approx(before[1], rel=1e-12)
 
 
-def test_norm_report_consistency():
-    eq = equilibrium_roots(0.3, 1.0, 1.0)
-    p = params_with(ConstantTransitions(K1=1.0, K2=1.0), D=0.3)
-    state, _ = indicator_state(R=1.0, dx=0.05, frac=0.7)
-    rep = norm_report(
-        state,
-        THRESH,
-        eq.mu_star,
-        eq,
-        p,
-        c0=0.5,
-        t=1.5,
-        initial_sup_dev=0.4,
-    )
-    mu = density_fraction_field(state, THRESH)
-    assert rep.sup_dev == pytest.approx(sup_deviation(mu, eq.mu_star), rel=1e-14)
-    assert set(rep.l2n_devs) == {1, 2, 4}
-    assert rep.l2n_devs[1] == pytest.approx(
-        l2n_deviation(mu, eq.mu_star, state.grid.dx, 1), rel=1e-14
-    )
-    assert rep.theoretical_sup_bound == pytest.approx(
-        float(uniform_bound_at(1.5, 0.4, eq)), rel=1e-14
-    )
-    assert set(rep.theoretical_l2n_rates) == {1, 2, 4}
-
-
 def test_time_series_columns_and_csv(tmp_path, rng):
     data = rng.random((6, len(SERIES_CHANNELS)))
     data[:, 0] = np.linspace(0.0, 1.0, 6)
@@ -334,16 +292,12 @@ def test_write_table_blocks_match_per_value_loop(rng):
 
 
 def test_norms_accept_the_on_support_fraction(rng):
-    # the series passes the fraction on the support; a field with NaN off
-    # the support gives the same norms
+    # the series passes the fraction on the support cells
     mu = rng.random(17)
-    field = np.full(25, np.nan)
-    field[4:21] = mu
-    field[0] = np.inf  # non-finite entries are not on the support
-    field[-1] = -np.inf
-    assert sup_deviation(mu, 0.4) == sup_deviation(field, 0.4)
+    assert sup_deviation(mu, 0.4) == float(np.abs(mu - 0.4).max())
     for n in (1, 2, 4):
-        assert l2n_deviation(mu, 0.4, 0.1, n) == l2n_deviation(field, 0.4, 0.1, n)
+        want = float((0.1 * ((mu - 0.4) ** (2 * n)).sum()) ** (1.0 / (2 * n)))
+        assert l2n_deviation(mu, 0.4, 0.1, n) == want
     with pytest.raises(ValueError, match="empty support"):
         sup_deviation(np.empty(0), 0.4)
     with pytest.raises(ValueError, match="empty support"):

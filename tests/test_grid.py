@@ -16,7 +16,6 @@ from autophagy_tumor.grid import (
 def test_grid_validation_and_coordinates():
     g = Grid1D(x_min=0.0, dx=0.5, n_cells=4)
     np.testing.assert_allclose(g.cell_x, [0.0, 0.5, 1.0, 1.5])
-    np.testing.assert_allclose(g.face_x, [0.25, 0.75, 1.25])
     with pytest.raises(ValueError):
         Grid1D(x_min=0.0, dx=0.0, n_cells=4)
     with pytest.raises(ValueError):
@@ -126,7 +125,7 @@ def test_edge_values_linear_and_constant():
     np.testing.assert_allclose(left, 1.3)
     np.testing.assert_allclose(right, 1.3)
     left, right = _edge_arrays(2.0 - 0.4 * g.cell_x, g.dx)
-    exact = 2.0 - 0.4 * g.face_x
+    exact = 2.0 - 0.4 * (g.cell_x[:-1] + 0.5 * g.dx)
     # away from the two boundary cells the reconstruction is exact and the
     # two one-sided states agree
     np.testing.assert_allclose(left[1:], exact[1:], atol=1e-14)

@@ -7,6 +7,9 @@ import pytest
 from autophagy_tumor.diagnostics import SERIES_CHANNELS
 from autophagy_tumor.grid import pressure_from_density
 from autophagy_tumor.kinetics import (
+    NEUMANN,
+    AffineDeath,
+    ConstantFlux,
     ConstantTransitions,
     HullTransitions,
     Logistic,
@@ -35,6 +38,7 @@ from autophagy_tumor.scenarios import (
     write_profile_csv,
 )
 from autophagy_tumor.solver import (
+    NEUMANN_BOX,
     SolverConfig,
     SolverError,
     read_checkpoint,
@@ -277,6 +281,129 @@ def test_config_round_trip_for_every_preset():
     for name, preset in PRESETS.items():
         back = config_from_dict(config_to_dict(preset))
         assert back == preset, name
+
+
+def _codec_cases():
+    """One config per variant of every tagged section, with its exact JSON."""
+    qs = ModelParameters(
+        gamma=5.0, D=0.3, a=0.5, c_B=1.0,
+        growth=Proportional(g=1.5), transitions=ConstantTransitions(K1=1.0, K2=0.5),
+    )
+    box = ModelParameters(
+        gamma=40.0, D=0.1, a=0.5, c_B=1.0,
+        growth=AffineDeath(delta=0.5),
+        transitions=HullTransitions(k1max=2.0, k2max=1.0, omega=0.5),
+        nutrient_mode=NEUMANN, lambda_schedule=ConstantFlux(value=0.2),
+    )
+    crowded = dataclasses.replace(
+        box,
+        growth=Logistic(g=2.0, M=1.2, delta=0.5),
+        transitions=RationalPairTransitions(),
+        lambda_schedule=PeriodicFlux(high=0.5, period=20.0),
+    )
+    padded = SolverConfig(dt=0.002, sample_interval=0.05)
+    fixed = SolverConfig(dt=0.002, boundary_mode=NEUMANN_BOX, sample_interval=0.2)
+    qs_json = (
+        '"model": {"gamma": 5.0, "D": 0.3, "a": 0.5, "c_B": 1.0, '
+        '"growth": {"type": "proportional", "g": 1.5}, "consumption": {"type": "linear"}, '
+        '"transitions": {"type": "constant", "K1": 1.0, "K2": 0.5}, '
+        '"nutrient_mode": "quasistatic_dirichlet"}, '
+        '"solver": {"dt": 0.002, "support_threshold": 1e-08, "enlargement_margin": 25, '
+        '"boundary_mode": "padded_dirichlet", "sample_interval": 0.05}, '
+    )
+    fixed_json = (
+        '"solver": {"dt": 0.002, "support_threshold": 1e-08, "enlargement_margin": 25, '
+        '"boundary_mode": "neumann_box", "sample_interval": 0.2}, '
+    )
+    return [
+        (
+            ScenarioConfig("constant", qs, padded, AnalyticPressureInit(
+                R0=1.0, dx=0.04, composition=ConstantComposition(0.25)), 2.0,
+                ("timeseries", "profiles@1")),
+            '{"name": "constant", ' + qs_json
+            + '"initial": {"type": "analytic_pressure", "R0": 1.0, "dx": 0.04, '
+            '"composition": {"type": "constant", "value": 0.25}}, '
+            '"t_end": 2.0, "outputs": ["timeseries", "profiles@1"]}',
+        ),
+        (
+            ScenarioConfig("profile", qs, padded, AnalyticPressureInit(
+                R0=1.0, dx=0.04, composition=ProfileComposition("hetero-cos")), 2.0),
+            '{"name": "profile", ' + qs_json
+            + '"initial": {"type": "analytic_pressure", "R0": 1.0, "dx": 0.04, '
+            '"composition": {"type": "profile", "name": "hetero-cos"}}, '
+            '"t_end": 2.0, "outputs": ["timeseries", "checkpoint"]}',
+        ),
+        (
+            ScenarioConfig("table", qs, padded, AnalyticPressureInit(
+                R0=1.0, dx=0.04, composition=TableComposition(
+                    x=(-1.0, 0.0, 1.0), mu=(0.25, 1.0, 0.75))), 2.0),
+            '{"name": "table", ' + qs_json
+            + '"initial": {"type": "analytic_pressure", "R0": 1.0, "dx": 0.04, '
+            '"composition": {"type": "table", "x": [-1.0, 0.0, 1.0], "mu": [0.25, 1.0, 0.75]}}, '
+            '"t_end": 2.0, "outputs": ["timeseries", "checkpoint"]}',
+        ),
+        (
+            ScenarioConfig("box", box, fixed, CustomCoshInit(R=4.0, dx=0.04, halfwidth=5.0), 20.0),
+            '{"name": "box", "model": {"gamma": 40.0, "D": 0.1, "a": 0.5, "c_B": 1.0, '
+            '"growth": {"type": "affine_death", "delta": 0.5}, "consumption": {"type": "linear"}, '
+            '"transitions": {"type": "hull", "k1max": 2.0, "k2max": 1.0, "omega": 0.5}, '
+            '"nutrient_mode": "dynamic_neumann", '
+            '"lambda_schedule": {"type": "constant", "value": 0.2}}, ' + fixed_json
+            + '"initial": {"type": "custom_cosh", "R": 4.0, "dx": 0.04, "halfwidth": 5.0}, '
+            '"t_end": 20.0, "outputs": ["timeseries", "checkpoint"]}',
+        ),
+        (
+            ScenarioConfig("restart", crowded, fixed,
+                           CheckpointInit("runs/box/checkpoint_final.txt"), 40.0),
+            '{"name": "restart", "model": {"gamma": 40.0, "D": 0.1, "a": 0.5, "c_B": 1.0, '
+            '"growth": {"type": "logistic", "g": 2.0, "M": 1.2, "delta": 0.5}, '
+            '"consumption": {"type": "linear"}, "transitions": {"type": "rational_pair"}, '
+            '"nutrient_mode": "dynamic_neumann", '
+            '"lambda_schedule": {"type": "periodic", "high": 0.5, "period": 20.0}}, '
+            + fixed_json
+            + '"initial": {"type": "checkpoint", "path": "runs/box/checkpoint_final.txt"}, '
+            '"t_end": 40.0, "outputs": ["timeseries", "checkpoint"]}',
+        ),
+    ]
+
+
+def test_config_codec_text_and_round_trip_for_every_variant():
+    for cfg, text in _codec_cases():
+        assert json.dumps(config_to_dict(cfg)) == text, cfg.name
+        assert config_from_dict(json.loads(text)) == cfg, cfg.name
+
+
+# (family, case holding the section, keys down to it, one required key)
+_CODEC_FAMILIES = [
+    ("growth", "constant", ("model", "growth"), "g"),
+    ("transitions", "constant", ("model", "transitions"), "K2"),
+    ("flux schedule", "restart", ("model", "lambda_schedule"), "period"),
+    ("composition", "table", ("initial", "composition"), "mu"),
+    ("initial", "box", ("initial",), "halfwidth"),
+    ("consumption", "constant", ("model", "consumption"), None),
+]
+
+
+@pytest.mark.parametrize("family, case, keys, required", _CODEC_FAMILIES)
+def test_config_codec_errors_name_the_family_and_path(family, case, keys, required):
+    text = dict((cfg.name, text) for cfg, text in _codec_cases())[case]
+    path = ".".join(("config",) + keys)
+
+    def rejects(edit, message):
+        data = json.loads(text)
+        section = data
+        for key in keys:
+            section = section[key]
+        edit(section)
+        with pytest.raises(ValueError) as info:
+            config_from_dict(data)
+        assert str(info.value) == message
+
+    rejects(lambda s: s.update(type="bogus"), f"unknown {family} type 'bogus' at {path}")
+    rejects(lambda s: s.pop("type"), f"missing required key {path}.type")
+    rejects(lambda s: s.update(extra=1.0), f"unknown keys at {path}: ['extra']")
+    if required is not None:
+        rejects(lambda s: s.pop(required), f"missing required key {path}.{required}")
 
 
 def test_load_config_reads_json(tmp_path):
