@@ -3,7 +3,6 @@
 pressure and front position approach the moving-slab closed form."""
 
 import argparse
-import csv
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +12,7 @@ from autophagy_tumor.analytic import (
     analytic_pressure,
     integrate_radius,
 )
+from autophagy_tumor.diagnostics import write_table
 from autophagy_tumor.grid import pressure_from_density
 from autophagy_tumor.kinetics import equilibrium_roots
 from autophagy_tumor.scenarios import PRESETS, build_initial_state
@@ -70,24 +70,18 @@ def main(argv=None) -> int:
     for gamma in gammas:
         r = compare_one(gamma, args.t_end)
         rows.append(r)
-        with open(out / f"pressure_gamma{gamma}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "p_sim", "p_ref"])
-            for xi, ps, pr in zip(r["x"], r["p_sim"], r["p_ref"]):
-                writer.writerow(["%.17g" % xi, "%.17g" % ps, "%.17g" % pr])
+        with open(out / f"pressure_gamma{gamma}.csv", "w") as fh:
+            fh.write("x,p_sim,p_ref\n")
+            write_table(fh, np.column_stack((r["x"], r["p_sim"], r["p_ref"])), ",")
         print(
             "gamma=%-3d  radius %.4f (ref %.4f)  max|p - p_ref| = %.5f"
             % (gamma, r["radius_sim"], r["radius_ref"], r["p_err_max"])
         )
 
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["gamma", "radius_sim", "radius_ref", "p_err_max"])
-        for r in rows:
-            writer.writerow(
-                [r["gamma"], "%.17g" % r["radius_sim"], "%.17g" % r["radius_ref"],
-                 "%.17g" % r["p_err_max"]]
-            )
+    columns = ("gamma", "radius_sim", "radius_ref", "p_err_max")
+    with open(out / "summary.csv", "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        write_table(fh, np.array([[r[c] for c in columns] for r in rows], dtype=float), ",")
 
     errs = [r["p_err_max"] for r in rows]
     if errs == sorted(errs, reverse=True):

@@ -26,6 +26,7 @@ from .diagnostics import SERIES_CHANNELS
 from .scenarios import (
     PRESETS,
     PROFILE_COLUMNS,
+    ScenarioConfig,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -33,7 +34,7 @@ from .scenarios import (
 )
 from .solver import SolverError, read_checkpoint
 
-__all__ = ["main", "build_parser", "fan_out"]
+__all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,11 +228,11 @@ def fan_out(func, items: list, jobs: int) -> list:
         return list(pool.map(func, items))
 
 
-def _sweep_worker(item: tuple[dict, str]) -> tuple[str, str | None, list[str]]:
+def _sweep_worker(item: tuple[ScenarioConfig, str]) -> tuple[str, str | None, list[str]]:
     """(out_dir, error or None, the run's violations)"""
-    data, out_dir = item
+    cfg, out_dir = item
     try:
-        return out_dir, None, run_scenario(config_from_dict(data), out_dir).log.violations
+        return out_dir, None, run_scenario(cfg, out_dir).log.violations
     except (SolverError, ValueError) as err:
         return out_dir, str(err), []
 
@@ -256,8 +257,8 @@ def _cmd_sweep(args) -> int:
             data = copy.deepcopy(base)
             set_config_value(data, key, _parse_value(tok))
             data["name"] = f"{args.preset}-{key}={tok}"
-            config_from_dict(data)  # validate before launching
-            members.append((data, str(Path(args.out) / f"{args.preset}-{key}={tok}")))
+            # validated here, before any member starts
+            members.append((config_from_dict(data), str(Path(args.out) / data["name"])))
     except ValueError as err:
         print(f"bad sweep: {err}", file=sys.stderr)
         return 2

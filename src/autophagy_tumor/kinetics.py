@@ -170,10 +170,10 @@ NEUMANN = "dynamic_neumann"
 class ModelParameters:
     """All model constants and rate-law choices for one setup.
 
-    nutrient_mode selects between the instantaneous-diffusion closure
-    (Dirichlet value c_B outside the occupied region) and the
-    time-dependent flux-driven nutrient equation on a fixed box (requires a
-    lambda_schedule for the wall flux).
+    nutrient_mode selects the instantaneous-diffusion closure (Dirichlet
+    value c_B outside the occupied region, on a domain that grows with it)
+    or the flux-driven nutrient equation on a fixed box (which needs a
+    lambda_schedule for the wall flux), and so the boundary treatment.
     """
 
     gamma: float
@@ -186,8 +186,8 @@ class ModelParameters:
     lambda_schedule: FluxSchedule | None = None
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
+        if not self.gamma >= 2.0:
+            raise ValueError(f"velocity prediction requires gamma >= 2, got {self.gamma:g}")
         if self.D < 0.0:
             raise ValueError(f"death-rate offset D must be >= 0, got {self.D}")
         if self.a < 0.0:

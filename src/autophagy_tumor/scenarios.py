@@ -13,7 +13,7 @@ import copy
 import json
 import math
 import time
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Union
 
@@ -37,12 +37,9 @@ from .kinetics import (
     equilibrium_roots,
 )
 from .solver import (
-    NEUMANN_BOX,
-    PADDED,
     FieldState,
     RunResult,
     SolverConfig,
-    check_compatible,
     read_checkpoint,
     run,
     solve_nutrient_quasistatic,
@@ -143,6 +140,10 @@ class CustomCoshInit:
             raise ValueError(f"need 0 < R < halfwidth, got R={self.R}, halfwidth={self.halfwidth}")
         if not self.dx > 0.0:
             raise ValueError(f"dx must be positive, got {self.dx}")
+        if abs(round(self.halfwidth / self.dx) * self.dx - self.halfwidth) > 1e-9:
+            raise ValueError(
+                f"halfwidth {self.halfwidth} is not a whole number of cells of size {self.dx}"
+            )
 
 
 @dataclass(frozen=True)
@@ -155,6 +156,22 @@ class CheckpointInit:
 InitialSpec = Union[AnalyticPressureInit, CustomCoshInit, CheckpointInit]
 
 
+def _check_initial_fits(initial: InitialSpec, params: ModelParameters) -> None:
+    """Raise ValueError if the recipe cannot build this model's initial state."""
+    if not isinstance(initial, AnalyticPressureInit):
+        return
+    if not isinstance(params.growth, Proportional):
+        raise ValueError(
+            "the closed-form pressure initialization needs nutrient-proportional growth"
+        )
+    comp, transitions = initial.composition, params.transitions
+    if not (isinstance(comp, ConstantComposition) or isinstance(transitions, ConstantTransitions)):
+        raise ValueError(
+            "a composition profile on top of the closed-form pressure needs "
+            "constant switch rates (the profile is split around their equilibrium)"
+        )
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     name: str
@@ -165,13 +182,10 @@ class ScenarioConfig:
     outputs: tuple[str, ...] = ("timeseries", "checkpoint")
 
     def __post_init__(self):
-        check_compatible(self.params, self.solver)
-        t_end = self.t_end
-        if not (isinstance(t_end, (int, float)) and math.isfinite(t_end) and t_end > 0.0):
-            raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
+        _check_initial_fits(self.initial, self.params)
+        if not _finite_positive(self.t_end):
+            raise ValueError(f"t_end must be finite and positive, got {self.t_end!r}")
         for entry in self.outputs:
-            if entry in ("timeseries", "checkpoint"):
-                continue
             if entry.startswith("profiles@"):
                 ts = float(entry.split("@", 1)[1])
                 if not (math.isfinite(ts) and 0.0 <= ts <= self.t_end):
@@ -179,13 +193,11 @@ class ScenarioConfig:
                         f"output {entry!r}: the profile time must be finite "
                         f"and lie in [0, t_end = {self.t_end:g}]"
                     )
-                continue
-            raise ValueError(f"unknown output entry {entry!r}")
+            elif entry not in ("timeseries", "checkpoint"):
+                raise ValueError(f"unknown output entry {entry!r}")
 
     def snapshot_times(self) -> tuple[float, ...]:
-        return tuple(
-            float(e.split("@", 1)[1]) for e in self.outputs if e.startswith("profiles@")
-        )
+        return tuple(float(e.split("@", 1)[1]) for e in self.outputs if e.startswith("profiles@"))
 
 
 # ---------------------------------------------------------------------------
@@ -195,18 +207,14 @@ class ScenarioConfig:
 def build_grid(initial: InitialSpec, solver_cfg: SolverConfig) -> Grid1D:
     """Symmetric grid with a cell center at x = 0.
 
-    Padded mode surrounds the initial slab with 2*margin vacuum cells per
-    side; box mode requires the halfwidth to be a whole number of cells.
+    The closed-form slab is surrounded by 2*margin vacuum cells per side;
+    the cosh box spans its halfwidth, a whole number of cells.
     """
     if isinstance(initial, AnalyticPressureInit):
         n_side = math.ceil(initial.R0 / initial.dx - 1e-12) + 2 * solver_cfg.enlargement_margin
         return Grid1D(x_min=-n_side * initial.dx, dx=initial.dx, n_cells=2 * n_side + 1)
     if isinstance(initial, CustomCoshInit):
         n_side = round(initial.halfwidth / initial.dx)
-        if abs(n_side * initial.dx - initial.halfwidth) > 1e-9:
-            raise ValueError(
-                f"halfwidth {initial.halfwidth} is not a whole number of cells of size {initial.dx}"
-            )
         return Grid1D(x_min=-n_side * initial.dx, dx=initial.dx, n_cells=2 * n_side + 1)
     raise TypeError(f"no grid recipe for {type(initial).__name__}")
 
@@ -232,23 +240,15 @@ def build_initial_state(
             )
         return state
 
+    _check_initial_fits(initial, params)
     grid = build_grid(initial, solver_cfg)
     x = grid.cell_x
 
     if isinstance(initial, AnalyticPressureInit):
-        if not isinstance(params.growth, Proportional):
-            raise ValueError(
-                "the closed-form pressure initialization needs nutrient-proportional growth"
-            )
         comp = initial.composition
         if isinstance(comp, ConstantComposition):
             mu_pressure = comp.value
         else:
-            if not isinstance(params.transitions, ConstantTransitions):
-                raise ValueError(
-                    "a composition profile on top of the closed-form pressure needs "
-                    "constant switch rates (the profile is split around their equilibrium)"
-                )
             tr = params.transitions
             mu_pressure = equilibrium_roots(params.D, tr.K1, tr.K2).mu_star
         setup = AnalyticSetup(
@@ -272,7 +272,7 @@ def build_initial_state(
             u=np.zeros(grid.n_cells - 1),
             t=0.0,
         )
-    elif isinstance(initial, CustomCoshInit):
+    else:  # CustomCoshInit, the one other recipe build_grid knows
         p = np.maximum(0.0, 1.0 - np.cosh(x) / np.cosh(initial.R))
         n = density_from_pressure(p, params.gamma)
         state = FieldState(
@@ -283,8 +283,6 @@ def build_initial_state(
             u=np.zeros(grid.n_cells - 1),
             t=0.0,
         )
-    else:
-        raise TypeError(f"unknown initial recipe {type(initial).__name__}")
 
     n = state.n1 + state.n2
     p_disc = pressure_from_density(n, params.gamma)
@@ -298,16 +296,40 @@ def build_initial_state(
 # strict JSON configs
 
 
-def _pop(d: dict, key: str, path: str, default=..., cast=None):
-    if key in d:
-        value = d.pop(key)
-    elif default is not ...:
-        value = default
-    else:
-        raise ValueError(f"missing required key {path}.{key}")
-    if cast is not None and value is not None:
-        value = cast(value)
-    return value
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite_positive(value) -> bool:
+    return _is_number(value) and math.isfinite(value) and value > 0.0
+
+
+# the JSON type of a config value: (its name, a test, the conversion to the
+# value the config holds); a field's annotation names its type
+_NUMBER = ("a number", _is_number, float)
+_INTEGER = ("an integer", lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()), int)
+_STRING = ("a string", lambda v: isinstance(v, str), str)
+_OBJECT = ("an object", lambda v: isinstance(v, dict), dict)
+_NUMBERS = ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)),
+            lambda v: tuple(map(float, v)))
+_STRINGS = ("a list of strings", lambda v: isinstance(v, list)
+            and all(isinstance(s, str) for s in v), tuple)
+_FIELD_KINDS = {"float": _NUMBER, "int": _INTEGER, "str": _STRING, "tuple[float, ...]": _NUMBERS}
+
+
+def _pop(d: dict, key: str, path: str, kind: tuple, default=MISSING):
+    """Pop d[key] type-checked and converted; the default if absent, or null with default None."""
+    if key not in d:
+        if default is MISSING:
+            raise ValueError(f"missing required key {path}.{key}")
+        return default
+    value = d.pop(key)
+    name, test, convert = kind
+    if value is None and default is None:
+        return None
+    if not test(value):
+        raise ValueError(f"{path}.{key} must be {name}, got {value!r}")
+    return convert(value)
 
 
 def _check_empty(d: dict, path: str) -> None:
@@ -339,19 +361,22 @@ _VARIANTS = {
 _TAGS = {cls: tag for variants in _VARIANTS.values() for tag, cls in variants.items()}
 
 
-def _variant_from_dict(family: str, d: dict, path: str):
-    kind = _pop(d, "type", path)
-    cls = _VARIANTS[family].get(kind) if isinstance(kind, str) else None
+def _variant_from_dict(family: str, parent: dict, key: str, path: str, default=MISSING):
+    """Pop section parent[key] and build the recipe its "type" tag names."""
+    d = _pop(parent, key, path, _OBJECT, default)
+    if d is None:
+        return None
+    path = f"{path}.{key}"
+    tag = _pop(d, "type", path, _STRING)
+    cls = _VARIANTS[family].get(tag)
     if cls is None:
-        raise ValueError(f"unknown {family} type {kind!r} at {path}")
+        raise ValueError(f"unknown {family} type {tag!r} at {path}")
     values = {}
     for f in fields(cls):
-        value = _pop(d, f.name, path, cast=float if f.type == "float" else None)
         if f.type == "CompositionInit":
-            value = _variant_from_dict("composition", value, f"{path}.{f.name}")
-        elif f.type == "tuple[float, ...]":
-            value = tuple(float(v) for v in value)
-        values[f.name] = value
+            values[f.name] = _variant_from_dict("composition", d, f.name, path)
+        else:
+            values[f.name] = _pop(d, f.name, path, _FIELD_KINDS[f.type])
     out = cls(**values)
     _check_empty(d, path)
     return out
@@ -371,59 +396,60 @@ def _variant_to_dict(spec) -> dict:
 
 def _model_from_dict(d: dict, path: str) -> ModelParameters:
     # the model has one consumption law, psi(c) = c; configs may still name it
-    consumption_d = _pop(d, "consumption", path, default={"type": "linear"})
-    kind = _pop(consumption_d, "type", f"{path}.consumption")
-    if kind != "linear":
-        raise ValueError(f"unknown consumption type {kind!r} at {path}.consumption")
+    consumption_d = _pop(d, "consumption", path, _OBJECT, default={"type": "linear"})
+    tag = _pop(consumption_d, "type", f"{path}.consumption", _STRING)
+    if tag != "linear":
+        raise ValueError(f"unknown consumption type {tag!r} at {path}.consumption")
     _check_empty(consumption_d, f"{path}.consumption")
 
-    lam = _pop(d, "lambda_schedule", path, default=None)
     out = ModelParameters(
-        gamma=_pop(d, "gamma", path, cast=float),
-        D=_pop(d, "D", path, cast=float),
-        a=_pop(d, "a", path, cast=float),
-        c_B=_pop(d, "c_B", path, cast=float),
-        growth=_variant_from_dict("growth", _pop(d, "growth", path), f"{path}.growth"),
-        transitions=_variant_from_dict(
-            "transitions", _pop(d, "transitions", path), f"{path}.transitions"
-        ),
-        nutrient_mode=_pop(d, "nutrient_mode", path, default=QUASISTATIC),
-        lambda_schedule=(
-            None if lam is None
-            else _variant_from_dict("flux schedule", lam, f"{path}.lambda_schedule")
-        ),
+        **{key: _pop(d, key, path, _NUMBER) for key in ("gamma", "D", "a", "c_B")},
+        growth=_variant_from_dict("growth", d, "growth", path),
+        transitions=_variant_from_dict("transitions", d, "transitions", path),
+        nutrient_mode=_pop(d, "nutrient_mode", path, _STRING, default=QUASISTATIC),
+        lambda_schedule=_variant_from_dict("flux schedule", d, "lambda_schedule", path, None),
     )
     _check_empty(d, path)
     return out
 
 
-def _solver_from_dict(d: dict, path: str) -> SolverConfig:
-    out = SolverConfig(
-        dt=_pop(d, "dt", path, cast=float),
-        support_threshold=_pop(d, "support_threshold", path, default=1e-8, cast=float),
-        enlargement_margin=_pop(d, "enlargement_margin", path, default=25, cast=int),
-        boundary_mode=_pop(d, "boundary_mode", path, default=PADDED),
-        sample_interval=_pop(d, "sample_interval", path, default=0.1, cast=float),
-    )
+# nutrient mode -> (the boundary_mode it implies, names for the mismatch error)
+_BOUNDARY_MODES = {QUASISTATIC: ("padded_dirichlet", "quasi-static", "padded"),
+                   NEUMANN: ("neumann_box", "dynamic", "fixed-box")}
+
+
+def _solver_from_dict(d: dict, path: str, nutrient_mode: str) -> SolverConfig:
+    implied, mode_name, boundary_name = _BOUNDARY_MODES[nutrient_mode]
+    boundary_mode = _pop(d, "boundary_mode", path, _STRING, default=implied)
+    # SolverConfig declares each key's type and default
+    out = SolverConfig(**{f.name: _pop(d, f.name, path, _FIELD_KINDS[f.type], f.default)
+                          for f in fields(SolverConfig)})
     _check_empty(d, path)
+    if boundary_mode not in ("padded_dirichlet", "neumann_box"):
+        raise ValueError(f"unknown boundary_mode {boundary_mode!r}")
+    if boundary_mode != implied:
+        raise ValueError(f"{mode_name} nutrient mode requires the {boundary_name} boundary mode")
     return out
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
     d = copy.deepcopy(data)
     if "preset" in d:
-        name = _pop(d, "preset", "config")
+        name = _pop(d, "preset", "config", _STRING)
         _check_empty(d, "config (a preset reference allows no other keys)")
         if name not in PRESETS:
             raise ValueError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
         return PRESETS[name]
+    params = _model_from_dict(_pop(d, "model", "config", _OBJECT), "config.model")
     cfg = ScenarioConfig(
-        name=_pop(d, "name", "config"),
-        params=_model_from_dict(_pop(d, "model", "config"), "config.model"),
-        solver=_solver_from_dict(_pop(d, "solver", "config"), "config.solver"),
-        initial=_variant_from_dict("initial", _pop(d, "initial", "config"), "config.initial"),
-        t_end=_pop(d, "t_end", "config", cast=float),
-        outputs=tuple(_pop(d, "outputs", "config", default=["timeseries", "checkpoint"])),
+        name=_pop(d, "name", "config", _STRING),
+        params=params,
+        solver=_solver_from_dict(
+            _pop(d, "solver", "config", _OBJECT), "config.solver", params.nutrient_mode
+        ),
+        initial=_variant_from_dict("initial", d, "initial", "config"),
+        t_end=_pop(d, "t_end", "config", ("finite and positive", _finite_positive, float)),
+        outputs=_pop(d, "outputs", "config", _STRINGS, default=("timeseries", "checkpoint")),
     )
     _check_empty(d, "config")
     return cfg
@@ -459,7 +485,7 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
             "dt": s.dt,
             "support_threshold": s.support_threshold,
             "enlargement_margin": s.enlargement_margin,
-            "boundary_mode": s.boundary_mode,
+            "boundary_mode": _BOUNDARY_MODES[p.nutrient_mode][0],
             "sample_interval": s.sample_interval,
         },
         "initial": _variant_to_dict(cfg.initial),
@@ -470,10 +496,6 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 
 # ---------------------------------------------------------------------------
 # preset catalogue
-
-
-def _equilibrium_fraction(D: float, K1: float = 1.0, K2: float = 1.0) -> float:
-    return equilibrium_roots(D, K1, K2).mu_star
 
 
 def _stiff_limit_preset(name, gamma, t_end, outputs, D=0.3, a=0.5, mu0=None, R0=1.0,
@@ -488,11 +510,11 @@ def _stiff_limit_preset(name, gamma, t_end, outputs, D=0.3, a=0.5, mu0=None, R0=
         nutrient_mode=QUASISTATIC,
     )
     if mu0 is None:
-        mu0 = ConstantComposition(_equilibrium_fraction(D, K1, K2))
+        mu0 = ConstantComposition(equilibrium_roots(D, K1, K2).mu_star)
     return ScenarioConfig(
         name=name,
         params=params,
-        solver=SolverConfig(dt=0.002, sample_interval=sample, boundary_mode=PADDED),
+        solver=SolverConfig(dt=0.002, sample_interval=sample),
         initial=AnalyticPressureInit(R0=R0, dx=0.04, composition=mu0),
         t_end=t_end,
         outputs=outputs,
@@ -513,7 +535,7 @@ def _neumann_preset(name, t_end, k1max, lambda_schedule, growth=None, sample=0.2
     return ScenarioConfig(
         name=name,
         params=params,
-        solver=SolverConfig(dt=0.002, sample_interval=sample, boundary_mode=NEUMANN_BOX),
+        solver=SolverConfig(dt=0.002, sample_interval=sample),
         initial=CustomCoshInit(R=4.0, dx=0.04, halfwidth=5.0),
         t_end=t_end,
         outputs=("timeseries", "checkpoint"),

@@ -3,7 +3,7 @@
 Each time step, in order:
 
 1. enlarge the domain if the occupied region has crawled too close to an
-   edge (padded mode only),
+   edge (quasi-static nutrient mode only; the dynamic mode has a fixed box),
 2. predict face velocities implicitly from the linearized pressure update,
 3. transport both species with a slope-limited upwind flux and apply the
    reaction terms semi-implicitly (2x2 solve per cell),
@@ -43,7 +43,6 @@ from .diagnostics import (
 )
 from .grid import Grid1D, _edge_arrays, numerical_flux, pressure_from_density
 from .kinetics import (
-    NEUMANN,
     QUASISTATIC,
     ConstantTransitions,
     ModelParameters,
@@ -67,14 +66,10 @@ __all__ = [
     "step_nutrient_neumann",
     "enlarge_domain_if_needed",
     "step",
-    "check_compatible",
     "run",
     "write_checkpoint",
     "read_checkpoint",
 ]
-
-PADDED = "padded_dirichlet"
-NEUMANN_BOX = "neumann_box"
 
 
 @dataclass(frozen=True)
@@ -82,7 +77,6 @@ class SolverConfig:
     dt: float
     support_threshold: float = 1e-8
     enlargement_margin: int = 25
-    boundary_mode: str = PADDED
     sample_interval: float = 0.1
 
     def __post_init__(self):
@@ -92,8 +86,6 @@ class SolverConfig:
             raise ValueError("support_threshold must be positive")
         if self.enlargement_margin < 3:
             raise ValueError("enlargement_margin must be at least 3 cells")
-        if self.boundary_mode not in (PADDED, NEUMANN_BOX):
-            raise ValueError(f"unknown boundary_mode {self.boundary_mode!r}")
         if self.sample_interval <= 0.0:
             raise ValueError("sample_interval must be positive")
 
@@ -221,14 +213,12 @@ def predict_velocity(
 
     Solves, on interior faces, the linear system obtained from a backward
     Euler discretization of the pressure-gradient evolution with lagged
-    density weights. Needs gamma >= 2 so the weights n^(gamma-2) stay
-    bounded at vacuum. The first and last interior faces are held at zero.
+    density weights n^(gamma-2), bounded at vacuum as ModelParameters holds
+    gamma >= 2. The first and last interior faces are held at zero.
     `n` is the total density n1 + n2 of `state` and `growth` the rate
     G(c, n) on it.
     """
     gamma = params.gamma
-    if gamma < 2.0:
-        raise ValueError(f"velocity prediction requires gamma >= 2, got {gamma}")
     dx = state.grid.dx
     w = n ** (gamma - 2.0)
     # ws = w * (n1*G + n2*(G - D))
@@ -462,7 +452,7 @@ def step(
     dt = cfg.dt
     n = state.n1 + state.n2
     enlarged = False
-    if cfg.boundary_mode == PADDED:
+    if params.nutrient_mode == QUASISTATIC:
         state, enlarged = enlarge_domain_if_needed(state, params, cfg, n)
         if enlarged:
             n = state.n1 + state.n2
@@ -541,17 +531,6 @@ def _series_row(
     return [t, radius, mass_total, mass_auto, sup_dev, l2, l4, l8, c_max, clamped_cum]
 
 
-def check_compatible(params: ModelParameters, cfg: SolverConfig) -> None:
-    """Raise ValueError if the scheme cannot run this model with these
-    solver settings, before any step is taken."""
-    if params.gamma < 2.0:
-        raise ValueError(f"velocity prediction requires gamma >= 2, got {params.gamma:g}")
-    if params.nutrient_mode == NEUMANN and cfg.boundary_mode != NEUMANN_BOX:
-        raise ValueError("dynamic nutrient mode requires the fixed-box boundary mode")
-    if params.nutrient_mode == QUASISTATIC and cfg.boundary_mode != PADDED:
-        raise ValueError("quasi-static nutrient mode requires the padded boundary mode")
-
-
 def run(
     initial: FieldState,
     params: ModelParameters,
@@ -565,8 +544,6 @@ def run(
     and end), captures field snapshots at the requested times (rounded to
     the nearest step), and records warnings (CFL excursions, nutrient
     clamping) and violations (bound breaches, excessive clamped mass)."""
-    check_compatible(params, cfg)
-
     log = RunLog()
     t0 = initial.t
     dt = cfg.dt
@@ -647,8 +624,7 @@ def run(
         state.t = t0 + (j + 1) * dt
         log.steps += 1
         log.clamped_neg_mass += diag.clamped_mass
-        if diag.nutrient_cells_clamped:
-            nutrient_clamp_events += diag.nutrient_cells_clamped
+        nutrient_clamp_events += diag.nutrient_cells_clamped
         if diag.cfl > max_cfl:
             max_cfl = diag.cfl
             if diag.cfl > 0.5 and first_cfl_t is None:

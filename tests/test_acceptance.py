@@ -284,7 +284,6 @@ def test_acceptance_7_invariants_on_all_runs():
         params = base.params
         cfg = SolverConfig(
             dt=dt,
-            boundary_mode=base.solver.boundary_mode,
             sample_interval=base.solver.sample_interval,
         )
         init = CustomCoshInit(R=4.0, dx=dx, halfwidth=5.0)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from autophagy_tumor.cli import main, set_config_value
-from autophagy_tumor.scenarios import PRESETS, config_to_dict
-from autophagy_tumor.solver import RunLog, write_checkpoint
+from autophagy_tumor.scenarios import PRESETS, ScenarioConfig, config_from_dict, config_to_dict
+from autophagy_tumor.solver import RunLog, RunResult, write_checkpoint
 
 from conftest import make_state
 
@@ -200,14 +200,83 @@ def test_restart_warns_about_profile_before_its_start(tmp_path, capsys):
     ],
 )
 def test_run_rejects_unrunnable_model_at_load(tmp_path, capsys, section, entries, message):
-    # caught when the config is loaded: exit 2 and no output directory
+    # caught when the config is loaded: exit 2 and no output directory; a
+    # boundary mode named in the config must be the one the nutrient mode implies
     data = tiny_config_dict()
+    data["solver"]["boundary_mode"] = "padded_dirichlet"
     data[section].update(entries)
     out_dir = tmp_path / "x"
     rc = main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)])
     assert rc == 2
     err = capsys.readouterr().err
     assert "bad config" in err and message in err
+    assert not out_dir.exists()
+
+
+def put(data, key, value):
+    """Set a dotted config path, creating the last key."""
+    *parents, last = key.split(".")
+    for part in parents:
+        data = data[part]
+    data[last] = value
+
+
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [
+        ("model.growth.g", None, "a number"),
+        ("model.growth.g", [1], "a number"),
+        ("model.growth.g", {}, "a number"),
+        ("model.growth.g", True, "a number"),
+        ("model.gamma", None, "a number"),
+        ("model.gamma", "5", "a number"),
+        ("solver.dt", None, "a number"),
+        ("solver.enlargement_margin", None, "an integer"),
+        ("solver.enlargement_margin", 30.7, "an integer"),
+        ("solver.enlargement_margin", float("inf"), "an integer"),
+        ("initial.composition", None, "an object"),
+        ("initial.composition.x", None, "a list of numbers"),
+        ("initial.composition.x", [-1, "1"], "a list of numbers"),
+        ("outputs", "timeseries", "a list of strings"),
+        ("outputs", ["timeseries", 1], "a list of strings"),
+        ("name", None, "a string"),
+        ("model.growth", [], "an object"),
+    ],
+)
+def test_run_rejects_mistyped_value_at_load(tmp_path, capsys, key, value, kind):
+    # every value is checked against its JSON type when the config is
+    # loaded: exit 2, an error naming the path, and no output directory
+    data = tiny_config_dict()
+    data["initial"]["composition"] = {"type": "table", "x": [-1.0, 1.0], "mu": [0.5, 0.5]}
+    put(data, key, value)
+    out_dir = tmp_path / "never"
+    rc = main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)])
+    assert rc == 2
+    assert f"config.{key} must be {kind}, got {value!r}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({"model.growth": {"type": "affine_death", "delta": 0.5}},
+         "needs nutrient-proportional growth"),
+        ({"model.transitions": {"type": "hull", "k1max": 2.0, "k2max": 1.0, "omega": 0.5},
+          "initial.composition": {"type": "profile", "name": "hetero-cos"}},
+         "needs constant switch rates"),
+        ({"initial": {"type": "custom_cosh", "R": 4.0, "dx": 0.04, "halfwidth": 5.01}},
+         "halfwidth 5.01 is not a whole number of cells of size 0.04"),
+    ],
+)
+def test_run_rejects_initial_recipe_the_model_cannot_use(tmp_path, capsys, edits, message):
+    # found when the config is loaded, not after the run directory exists
+    data = tiny_config_dict()
+    for key, value in edits.items():
+        put(data, key, value)
+    out_dir = tmp_path / "never"
+    rc = main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -365,6 +434,32 @@ def test_sweep_reports_violations_like_run(tmp_path, monkeypatch, capsys):
         run_dir = tmp_path / f"fig-s4f2-D0.3-t_end={tok}"
         assert (f"VIOLATION {run_dir}: clamped negative mass 1e-3 exceeds the bound"
                 in captured.err)
+
+
+def test_sweep_hands_workers_the_configs_it_validated(tmp_path, monkeypatch, capsys):
+    import autophagy_tumor.cli as cli
+
+    parsed, handed = [], []
+
+    def counting_parse(data):
+        parsed.append(data["name"])
+        return config_from_dict(data)
+
+    def fake_run(cfg, out_dir):
+        handed.append(cfg)
+        return RunResult(series=None, final_state=None, snapshots={}, log=RunLog())
+
+    monkeypatch.setattr(cli, "config_from_dict", counting_parse)
+    monkeypatch.setattr(cli, "run_scenario", fake_run)
+    rc = main(["sweep", "--preset", "fig-s4f2-D0.3", "--vary", "t_end=0.004,0.008",
+               "--out", str(tmp_path), "--jobs", "1"])
+    assert rc == 0
+    # each member is parsed once, and its worker runs that very config
+    assert parsed == ["fig-s4f2-D0.3-t_end=0.004", "fig-s4f2-D0.3-t_end=0.008"]
+    assert [(cfg.name, cfg.t_end) for cfg in handed] == [
+        ("fig-s4f2-D0.3-t_end=0.004", 0.004), ("fig-s4f2-D0.3-t_end=0.008", 0.008)
+    ]
+    assert all(isinstance(cfg, ScenarioConfig) for cfg in handed)
 
 
 def test_sweep_usage_errors(tmp_path, capsys):

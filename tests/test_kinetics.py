@@ -102,6 +102,9 @@ def test_model_parameters_validation():
     )
     with pytest.raises(ValueError):
         ModelParameters(gamma=1.0, D=0.3, a=0.5, c_B=1.0, growth=Proportional(1.0))
+    # the velocity prediction's weights n^(gamma-2) need gamma >= 2
+    with pytest.raises(ValueError, match="gamma >= 2"):
+        ModelParameters(gamma=1.5, D=0.3, a=0.5, c_B=1.0, growth=Proportional(1.0))
     with pytest.raises(ValueError):
         ModelParameters(gamma=2.0, D=-0.1, a=0.5, c_B=1.0, growth=Proportional(1.0))
     with pytest.raises(ValueError):

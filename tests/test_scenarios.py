@@ -38,7 +38,6 @@ from autophagy_tumor.scenarios import (
     write_profile_csv,
 )
 from autophagy_tumor.solver import (
-    NEUMANN_BOX,
     SolverConfig,
     SolverError,
     read_checkpoint,
@@ -212,6 +211,26 @@ def test_initial_state_from_checkpoint(tmp_path):
         build_initial_state(CheckpointInit(str(path)), stiff_params(gamma=40.0), cfg)
 
 
+def test_initial_recipe_must_fit_the_model():
+    # the same rules for a ScenarioConfig and for a direct build_initial_state
+    cfg = SolverConfig(dt=0.002)
+    slab = AnalyticPressureInit(R0=1.0, dx=0.04, composition=ProfileComposition("hetero-cos"))
+    for params, message in [
+        (dataclasses.replace(stiff_params(), growth=AffineDeath(delta=0.5)),
+         "needs nutrient-proportional growth"),
+        (dataclasses.replace(stiff_params(), transitions=HullTransitions(2.0, 1.0, 0.5)),
+         "needs constant switch rates"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            build_initial_state(slab, params, cfg)
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig("misfit", params, cfg, slab, t_end=1.0)
+    # a constant composition needs no equilibrium, so any switch rates do
+    constant = dataclasses.replace(slab, composition=ConstantComposition(0.5))
+    hull = dataclasses.replace(stiff_params(), transitions=HullTransitions(2.0, 1.0, 0.5))
+    assert build_initial_state(constant, hull, cfg).total_density.max() > 0.0
+
+
 # ---------------------------------------------------------------------------
 # strict JSON configs
 
@@ -268,6 +287,45 @@ def test_config_rejects_unknown_keys_with_location():
         config_from_dict(d)
 
 
+def test_boundary_mode_follows_the_nutrient_mode():
+    # written as the mode implies, optional when read, and checked if named
+    for name, implied, other, mismatch in [
+        ("fig-s4f2-D0.3", "padded_dirichlet", "neumann_box",
+         "quasi-static nutrient mode requires the padded boundary mode"),
+        ("neumann-autohelp-k2", "neumann_box", "padded_dirichlet",
+         "dynamic nutrient mode requires the fixed-box boundary mode"),
+    ]:
+        data = config_to_dict(PRESETS[name])
+        assert data["solver"].pop("boundary_mode") == implied
+        assert config_from_dict(data) == PRESETS[name]
+        for value, message in [
+            (other, mismatch),
+            ("reflecting", "unknown boundary_mode 'reflecting'"),
+            (7, "config.solver.boundary_mode must be a string, got 7"),
+        ]:
+            data["solver"]["boundary_mode"] = value
+            with pytest.raises(ValueError) as info:
+                config_from_dict(data)
+            assert str(info.value) == message
+
+
+def test_config_values_keep_their_accepted_forms():
+    # integers where numbers are expected, a whole-number float margin and
+    # a null lambda_schedule load as before
+    d = minimal_config_dict()
+    d["model"].update(gamma=5, lambda_schedule=None)
+    d["solver"]["enlargement_margin"] = 30.0
+    d["initial"]["composition"] = {"type": "table", "x": [-1, 1], "mu": [0, 1]}
+    cfg = config_from_dict(d)
+    assert type(cfg.params.gamma) is float and cfg.params.gamma == 5.0
+    assert cfg.params.lambda_schedule is None
+    assert type(cfg.solver.enlargement_margin) is int and cfg.solver.enlargement_margin == 30
+    assert cfg.initial.composition == TableComposition(x=(-1.0, 1.0), mu=(0.0, 1.0))
+    assert cfg.outputs == ("timeseries", "checkpoint")
+    with pytest.raises(ValueError, match=r"config\.t_end must be finite and positive, got True"):
+        config_from_dict(dict(minimal_config_dict(), t_end=True))
+
+
 def test_config_preset_reference():
     cfg = config_from_dict({"preset": "fig-necrotic"})
     assert cfg == PRESETS["fig-necrotic"]
@@ -302,7 +360,7 @@ def _codec_cases():
         lambda_schedule=PeriodicFlux(high=0.5, period=20.0),
     )
     padded = SolverConfig(dt=0.002, sample_interval=0.05)
-    fixed = SolverConfig(dt=0.002, boundary_mode=NEUMANN_BOX, sample_interval=0.2)
+    fixed = SolverConfig(dt=0.002, sample_interval=0.2)
     qs_json = (
         '"model": {"gamma": 5.0, "D": 0.3, "a": 0.5, "c_B": 1.0, '
         '"growth": {"type": "proportional", "g": 1.5}, "consumption": {"type": "linear"}, '

@@ -23,8 +23,6 @@ from autophagy_tumor.kinetics import (
     eval_transitions,
 )
 from autophagy_tumor.solver import (
-    NEUMANN_BOX,
-    PADDED,
     FieldState,
     SolverConfig,
     SolverError,
@@ -87,8 +85,6 @@ def test_solver_config_validation():
         SolverConfig(dt=0.01, support_threshold=0.0)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.01, enlargement_margin=2)
-    with pytest.raises(ValueError):
-        SolverConfig(dt=0.01, boundary_mode="reflecting")
     with pytest.raises(ValueError):
         SolverConfig(dt=0.01, sample_interval=0.0)
 
@@ -204,12 +200,6 @@ def test_quasistatic_single_cell_component_matches_dense():
 
 # ---------------------------------------------------------------------------
 # velocity prediction
-
-
-def test_predict_velocity_rejects_small_gamma():
-    state = make_state(np.ones(9), np.zeros(9))
-    with pytest.raises(ValueError):
-        predict(state, basic_params(gamma=1.5), dt=0.01)
 
 
 def test_predict_velocity_rest_state_stays_at_rest():
@@ -723,17 +713,9 @@ def test_step_names_the_first_non_finite_field(monkeypatch, bad, named):
     params = neumann_params(g=1.0, D=0.3, K1=1.0, K2=1.0)
     with np.errstate(invalid="ignore"):
         with pytest.raises(SolverError, match=f"non-finite values in {named} at t=0.005$") as err:
-            step(state, params, SolverConfig(dt=0.005, boundary_mode=NEUMANN_BOX))
+            step(state, params, SolverConfig(dt=0.005))
     assert err.value.state is state
     assert err.value.t == 0.005
-
-
-def test_run_mode_pairing_is_validated():
-    state = bump_state()
-    with pytest.raises(ValueError):
-        run(state, neumann_params(), SolverConfig(dt=0.01, boundary_mode=PADDED), t_end=0.1)
-    with pytest.raises(ValueError):
-        run(state, basic_params(), SolverConfig(dt=0.01, boundary_mode=NEUMANN_BOX), t_end=0.1)
 
 
 def test_run_zero_steps_returns_empty_series():
@@ -914,7 +896,7 @@ def reference_step(state, params, cfg):
     the CFL number, the clamped nutrient cells and the enlarged flag."""
     dt = cfg.dt
     enlarged = False
-    if cfg.boundary_mode == PADDED:
+    if params.nutrient_mode == QUASISTATIC:
         state, enlarged = reference_enlarge(state, params, cfg)
     u_star = reference_predict(state, params, dt)
     cfl = float(np.max(np.abs(u_star)) * dt / state.grid.dx) if len(u_star) else 0.0
@@ -976,7 +958,7 @@ REFERENCE_CASES = {
             nutrient_mode=NEUMANN,
             lambda_schedule=PeriodicFlux(high=0.3, period=0.1),
         ),
-        SolverConfig(dt=0.002, boundary_mode=NEUMANN_BOX),
+        SolverConfig(dt=0.002),
     ),
     # an outward wall flux larger than the supply: the nutrient step clamps
     # negative cells on most steps
@@ -992,7 +974,7 @@ REFERENCE_CASES = {
             nutrient_mode=NEUMANN,
             lambda_schedule=ConstantFlux(2.0),
         ),
-        SolverConfig(dt=0.002, boundary_mode=NEUMANN_BOX),
+        SolverConfig(dt=0.002),
     ),
     # too large a step: the CFL number climbs past one and the transport
     # drives cells negative on most steps
