@@ -202,6 +202,14 @@ def test_quasistatic_single_cell_component_matches_dense():
 # velocity prediction
 
 
+def test_predict_velocity_rejects_small_gamma():
+    # the prediction needs gamma >= 2; ModelParameters refuses anything less,
+    # so such a gamma never reaches predict_velocity
+    state = make_state(np.ones(9), np.zeros(9))
+    with pytest.raises(ValueError, match="requires gamma >= 2"):
+        predict(state, basic_params(gamma=1.5), dt=0.01)
+
+
 def test_predict_velocity_rest_state_stays_at_rest():
     # uniform density, uniform source, zero velocity: nothing moves
     state = make_state(0.4 * np.ones(15), 0.3 * np.ones(15))
