@@ -37,7 +37,7 @@ def compare_one(gamma: int, t_end: float):
     R_ref = integrate_radius(setup, t_end=t_end).radii[-1]
 
     x = snap.grid.cell_x
-    p = pressure_from_density(snap.total_density, float(gamma))
+    p = pressure_from_density(snap.n, float(gamma))
     inside = np.abs(x) <= R_ref
     exact = analytic_pressure(x[inside], R_ref, setup)
     p_err = float(np.max(np.abs(p[inside] - exact)))

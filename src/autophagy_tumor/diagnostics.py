@@ -60,7 +60,7 @@ def support_radius(grid, mask: np.ndarray) -> float:
 
 
 def support_info(state, threshold: float) -> SupportInfo:
-    n = state.n1 + state.n2
+    n = state.n
     mask = n > threshold
     if not mask.any():
         return SupportInfo(components=(), radius=0.0, total_mass=0.0)
@@ -143,7 +143,7 @@ def nutrient_bound_check(
 def total_population(state) -> tuple[float, float]:
     """(total mass, autophagic mass) over the whole grid."""
     dx = state.grid.dx
-    return float(dx * (state.n1 + state.n2).sum()), float(dx * state.n2.sum())
+    return float(dx * state.n.sum()), float(dx * state.n2.sum())
 
 
 # ---------------------------------------------------------------------------

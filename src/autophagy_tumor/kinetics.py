@@ -181,7 +181,7 @@ class ModelParameters:
     a: float
     c_B: float
     growth: GrowthSpec
-    transitions: TransitionSpec = ConstantTransitions(1.0, 1.0)
+    transitions: TransitionSpec
     nutrient_mode: str = QUASISTATIC
     lambda_schedule: FluxSchedule | None = None
 

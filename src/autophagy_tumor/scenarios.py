@@ -233,7 +233,10 @@ def build_initial_state(
     initial: InitialSpec, params: ModelParameters, solver_cfg: SolverConfig
 ) -> FieldState:
     if isinstance(initial, CheckpointInit):
-        state, gamma = read_checkpoint(initial.path)
+        try:
+            state, gamma = read_checkpoint(initial.path)
+        except OSError as err:
+            raise ValueError(f"cannot read checkpoint {initial.path}: {err.strerror or err}") from err
         if abs(gamma - params.gamma) > 1e-12:
             raise ValueError(
                 f"checkpoint was written with gamma={gamma:g}, model has gamma={params.gamma:g}"
@@ -284,11 +287,10 @@ def build_initial_state(
             t=0.0,
         )
 
-    n = state.n1 + state.n2
-    p_disc = pressure_from_density(n, params.gamma)
+    p_disc = pressure_from_density(state.n, params.gamma)
     state.u = -np.diff(p_disc) / grid.dx
     if params.nutrient_mode == QUASISTATIC:
-        state.c = solve_nutrient_quasistatic(state, params, solver_cfg.support_threshold, n)
+        state.c = solve_nutrient_quasistatic(state, params, solver_cfg.support_threshold)
     return state
 
 
@@ -314,7 +316,12 @@ _NUMBERS = ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_n
             lambda v: tuple(map(float, v)))
 _STRINGS = ("a list of strings", lambda v: isinstance(v, list)
             and all(isinstance(s, str) for s in v), tuple)
-_FIELD_KINDS = {"float": _NUMBER, "int": _INTEGER, "str": _STRING, "tuple[float, ...]": _NUMBERS}
+_FIELD_KINDS = {"float": _NUMBER, "int": _INTEGER, "str": _STRING, "tuple[float, ...]": _NUMBERS,
+                "tuple[str, ...]": _STRINGS}
+# where the JSON differs from the fields: the key of ScenarioConfig.params,
+# and the kind of t_end
+_JSON_KEYS = {"params": "model"}
+_T_END = ("finite and positive", _finite_positive, float)
 
 
 def _pop(d: dict, key: str, path: str, kind: tuple, default=MISSING):
@@ -337,99 +344,70 @@ def _check_empty(d: dict, path: str) -> None:
         raise ValueError(f"unknown keys at {path}: {sorted(d)}")
 
 
-# JSON "type" tag -> recipe class, for each tagged-union config section; a
-# section's other keys are the fields of its recipe class
+# tagged-union annotation -> (family name for errors, JSON "type" tag ->
+# recipe class); a section's other keys are the fields of its recipe class
 _VARIANTS = {
-    "growth": {"proportional": Proportional, "affine_death": AffineDeath, "logistic": Logistic},
-    "transitions": {
-        "constant": ConstantTransitions,
-        "hull": HullTransitions,
-        "rational_pair": RationalPairTransitions,
-    },
-    "flux schedule": {"constant": ConstantFlux, "periodic": PeriodicFlux},
-    "composition": {
-        "constant": ConstantComposition,
-        "profile": ProfileComposition,
-        "table": TableComposition,
-    },
-    "initial": {
-        "analytic_pressure": AnalyticPressureInit,
-        "custom_cosh": CustomCoshInit,
-        "checkpoint": CheckpointInit,
-    },
+    "GrowthSpec": ("growth", {
+        "proportional": Proportional, "affine_death": AffineDeath, "logistic": Logistic}),
+    "TransitionSpec": ("transitions", {
+        "constant": ConstantTransitions, "hull": HullTransitions,
+        "rational_pair": RationalPairTransitions}),
+    "FluxSchedule | None": ("flux schedule", {"constant": ConstantFlux, "periodic": PeriodicFlux}),
+    "CompositionInit": ("composition", {
+        "constant": ConstantComposition, "profile": ProfileComposition,
+        "table": TableComposition}),
+    "InitialSpec": ("initial", {
+        "analytic_pressure": AnalyticPressureInit, "custom_cosh": CustomCoshInit,
+        "checkpoint": CheckpointInit}),
 }
-_TAGS = {cls: tag for variants in _VARIANTS.values() for tag, cls in variants.items()}
+_TAGS = {cls: tag for _, variants in _VARIANTS.values() for tag, cls in variants.items()}
+_SECTIONS = {"ModelParameters": ModelParameters, "SolverConfig": SolverConfig}
 
 
-def _variant_from_dict(family: str, parent: dict, key: str, path: str, default=MISSING):
-    """Pop section parent[key] and build the recipe its "type" tag names."""
-    d = _pop(parent, key, path, _OBJECT, default)
-    if d is None:
-        return None
-    path = f"{path}.{key}"
-    tag = _pop(d, "type", path, _STRING)
-    cls = _VARIANTS[family].get(tag)
-    if cls is None:
-        raise ValueError(f"unknown {family} type {tag!r} at {path}")
+def _from_dict(cls, d: dict, path: str):
+    """Build config dataclass `cls` from the JSON object d, popping its
+    fields in order; unknown keys left over are an error."""
     values = {}
     for f in fields(cls):
-        if f.type == "CompositionInit":
-            values[f.name] = _variant_from_dict("composition", d, f.name, path)
+        key = _JSON_KEYS.get(f.name, f.name)
+        sub = f"{path}.{key}"
+        if f.type in _VARIANTS:
+            section = _pop(d, key, path, _OBJECT, f.default)
+            if section is not None:
+                family, variants = _VARIANTS[f.type]
+                tag = _pop(section, "type", sub, _STRING)
+                if tag not in variants:
+                    raise ValueError(f"unknown {family} type {tag!r} at {sub}")
+                section = _from_dict(variants[tag], section, sub)
+            values[f.name] = section
+        elif f.type in _SECTIONS:
+            values[f.name] = _from_dict(_SECTIONS[f.type], _pop(d, key, path, _OBJECT), sub)
         else:
-            values[f.name] = _pop(d, f.name, path, _FIELD_KINDS[f.type])
+            kind = _T_END if f.name == "t_end" else _FIELD_KINDS[f.type]
+            values[f.name] = _pop(d, key, path, kind, f.default)
     out = cls(**values)
     _check_empty(d, path)
     return out
 
 
-def _variant_to_dict(spec) -> dict:
-    out = {"type": _TAGS[type(spec)]}
-    for f in fields(spec):
-        value = getattr(spec, f.name)
+def _to_dict(obj) -> dict:
+    """The JSON object of a config dataclass: a recipe's tag first, then its
+    fields in order, leaving out None."""
+    out = {"type": _TAGS[type(obj)]} if type(obj) in _TAGS else {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
         if is_dataclass(value):
-            value = _variant_to_dict(value)
+            value = _to_dict(value)
         elif isinstance(value, tuple):
             value = list(value)
-        out[f.name] = value
-    return out
-
-
-def _model_from_dict(d: dict, path: str) -> ModelParameters:
-    # the model has one consumption law, psi(c) = c; configs may still name it
-    consumption_d = _pop(d, "consumption", path, _OBJECT, default={"type": "linear"})
-    tag = _pop(consumption_d, "type", f"{path}.consumption", _STRING)
-    if tag != "linear":
-        raise ValueError(f"unknown consumption type {tag!r} at {path}.consumption")
-    _check_empty(consumption_d, f"{path}.consumption")
-
-    out = ModelParameters(
-        **{key: _pop(d, key, path, _NUMBER) for key in ("gamma", "D", "a", "c_B")},
-        growth=_variant_from_dict("growth", d, "growth", path),
-        transitions=_variant_from_dict("transitions", d, "transitions", path),
-        nutrient_mode=_pop(d, "nutrient_mode", path, _STRING, default=QUASISTATIC),
-        lambda_schedule=_variant_from_dict("flux schedule", d, "lambda_schedule", path, None),
-    )
-    _check_empty(d, path)
+        if value is not None:
+            out[_JSON_KEYS.get(f.name, f.name)] = value
     return out
 
 
 # nutrient mode -> (the boundary_mode it implies, names for the mismatch error)
 _BOUNDARY_MODES = {QUASISTATIC: ("padded_dirichlet", "quasi-static", "padded"),
                    NEUMANN: ("neumann_box", "dynamic", "fixed-box")}
-
-
-def _solver_from_dict(d: dict, path: str, nutrient_mode: str) -> SolverConfig:
-    implied, mode_name, boundary_name = _BOUNDARY_MODES[nutrient_mode]
-    boundary_mode = _pop(d, "boundary_mode", path, _STRING, default=implied)
-    # SolverConfig declares each key's type and default
-    out = SolverConfig(**{f.name: _pop(d, f.name, path, _FIELD_KINDS[f.type], f.default)
-                          for f in fields(SolverConfig)})
-    _check_empty(d, path)
-    if boundary_mode not in ("padded_dirichlet", "neumann_box"):
-        raise ValueError(f"unknown boundary_mode {boundary_mode!r}")
-    if boundary_mode != implied:
-        raise ValueError(f"{mode_name} nutrient mode requires the {boundary_name} boundary mode")
-    return out
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
@@ -440,18 +418,24 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         if name not in PRESETS:
             raise ValueError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
         return PRESETS[name]
-    params = _model_from_dict(_pop(d, "model", "config", _OBJECT), "config.model")
-    cfg = ScenarioConfig(
-        name=_pop(d, "name", "config", _STRING),
-        params=params,
-        solver=_solver_from_dict(
-            _pop(d, "solver", "config", _OBJECT), "config.solver", params.nutrient_mode
-        ),
-        initial=_variant_from_dict("initial", d, "initial", "config"),
-        t_end=_pop(d, "t_end", "config", ("finite and positive", _finite_positive, float)),
-        outputs=_pop(d, "outputs", "config", _STRINGS, default=("timeseries", "checkpoint")),
-    )
-    _check_empty(d, "config")
+    # two keys that no field holds: configs may name the model's one
+    # consumption law, psi(c) = c, and the boundary its nutrient mode implies
+    # (the two sections are type-checked here, and again with the fields)
+    model = d["model"] = _pop(d, "model", "config", _OBJECT)
+    solver = d["solver"] = _pop(d, "solver", "config", _OBJECT)
+    consumption = _pop(model, "consumption", "config.model", _OBJECT, default={"type": "linear"})
+    tag = _pop(consumption, "type", "config.model.consumption", _STRING)
+    if tag != "linear":
+        raise ValueError(f"unknown consumption type {tag!r} at config.model.consumption")
+    _check_empty(consumption, "config.model.consumption")
+    boundary_mode = (_pop(solver, "boundary_mode", "config.solver", _STRING)
+                     if "boundary_mode" in solver else None)
+    cfg = _from_dict(ScenarioConfig, d, "config")
+    implied, mode_name, boundary_name = _BOUNDARY_MODES[cfg.params.nutrient_mode]
+    if boundary_mode not in (None, "padded_dirichlet", "neumann_box"):
+        raise ValueError(f"unknown boundary_mode {boundary_mode!r}")
+    if boundary_mode not in (None, implied):
+        raise ValueError(f"{mode_name} nutrient mode requires the {boundary_name} boundary mode")
     return cfg
 
 
@@ -463,35 +447,18 @@ def load_config(path) -> ScenarioConfig:
     return config_from_dict(data)
 
 
+def _insert_after(d: dict, after: str, key: str, value) -> dict:
+    items = list(d.items())
+    at = list(d).index(after) + 1
+    return dict(items[:at] + [(key, value)] + items[at:])
+
+
 def config_to_dict(cfg: ScenarioConfig) -> dict:
-    p = cfg.params
-    model = {
-        "gamma": p.gamma,
-        "D": p.D,
-        "a": p.a,
-        "c_B": p.c_B,
-        "growth": _variant_to_dict(p.growth),
-        "consumption": {"type": "linear"},
-        "transitions": _variant_to_dict(p.transitions),
-        "nutrient_mode": p.nutrient_mode,
-    }
-    if p.lambda_schedule is not None:
-        model["lambda_schedule"] = _variant_to_dict(p.lambda_schedule)
-    s = cfg.solver
-    return {
-        "name": cfg.name,
-        "model": model,
-        "solver": {
-            "dt": s.dt,
-            "support_threshold": s.support_threshold,
-            "enlargement_margin": s.enlargement_margin,
-            "boundary_mode": _BOUNDARY_MODES[p.nutrient_mode][0],
-            "sample_interval": s.sample_interval,
-        },
-        "initial": _variant_to_dict(cfg.initial),
-        "t_end": cfg.t_end,
-        "outputs": list(cfg.outputs),
-    }
+    out = _to_dict(cfg)
+    out["model"] = _insert_after(out["model"], "growth", "consumption", {"type": "linear"})
+    out["solver"] = _insert_after(out["solver"], "enlargement_margin", "boundary_mode",
+                                  _BOUNDARY_MODES[cfg.params.nutrient_mode][0])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -660,10 +627,9 @@ PROFILE_COLUMNS = ("x", "n1", "n2", "n", "c", "p", "u")
 def write_profile_csv(path, state: FieldState, gamma: float) -> None:
     """One row per cell: x, n1, n2, n, c, p, u (face velocity padded with a
     trailing zero)."""
-    n = state.total_density
-    p = pressure_from_density(n, gamma)
+    p = pressure_from_density(state.n, gamma)
     u_padded = np.concatenate((state.u, [0.0]))
-    table = np.column_stack((state.grid.cell_x, state.n1, state.n2, n, state.c, p, u_padded))
+    table = np.column_stack((state.grid.cell_x, state.n1, state.n2, state.n, state.c, p, u_padded))
     with open(path, "w") as fh:
         fh.write(",".join(PROFILE_COLUMNS) + "\n")
         write_table(fh, table, ",")
@@ -672,10 +638,12 @@ def write_profile_csv(path, state: FieldState, gamma: float) -> None:
 def run_scenario(cfg: ScenarioConfig, out_dir) -> RunResult:
     """Run a scenario and write its outputs and manifest under out_dir.
 
-    Whatever fails once the directory exists (the initial state, the solver,
-    writing an output), the manifest is still written (failed: true, with
-    the error) before the exception propagates.
+    The initial state is built before the directory is created, so an
+    unreadable or mismatched checkpoint leaves no directory. Whatever fails
+    once it exists (the solver, writing an output), the manifest is still
+    written (failed: true, with the error) before the exception propagates.
     """
+    initial = build_initial_state(cfg.initial, cfg.params, cfg.solver)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -687,8 +655,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunResult:
     }
     started = time.perf_counter()
     try:
-        initial = build_initial_state(cfg.initial, cfg.params, cfg.solver)
-        started = time.perf_counter()
         result = run(initial, cfg.params, cfg.solver, cfg.t_end, cfg.snapshot_times())
         manifest["wall_time_s"] = time.perf_counter() - started
         manifest["steps"] = result.log.steps

@@ -93,7 +93,10 @@ class SolverConfig:
 @dataclass
 class FieldState:
     """Cell-centered fields n1, n2, c plus face velocities u (interior faces,
-    length n_cells - 1) at time t."""
+    length n_cells - 1) at time t, and the total density n = n1 + n2.
+
+    n is formed once, at construction; n1 and n2 are not rebound or written
+    after it."""
 
     grid: Grid1D
     n1: np.ndarray
@@ -116,6 +119,7 @@ class FieldState:
         ):
             if arr.shape != (want,):
                 raise ValueError(f"{name} must have shape ({want},), got {arr.shape}")
+        self.n = self.n1 + self.n2
 
     def copy(self) -> "FieldState":
         return FieldState(
@@ -126,10 +130,6 @@ class FieldState:
             u=self.u.copy(),
             t=self.t,
         )
-
-    @property
-    def total_density(self) -> np.ndarray:
-        return self.n1 + self.n2
 
 
 def _load_dgtsv():
@@ -207,7 +207,7 @@ class TridiagonalSystem:
 
 
 def predict_velocity(
-    state: FieldState, params: ModelParameters, dt: float, n: np.ndarray, growth: np.ndarray
+    state: FieldState, params: ModelParameters, dt: float, growth: np.ndarray
 ) -> np.ndarray:
     """Implicit prediction of the face velocities for the transport step.
 
@@ -215,11 +215,11 @@ def predict_velocity(
     Euler discretization of the pressure-gradient evolution with lagged
     density weights n^(gamma-2), bounded at vacuum as ModelParameters holds
     gamma >= 2. The first and last interior faces are held at zero.
-    `n` is the total density n1 + n2 of `state` and `growth` the rate
-    G(c, n) on it.
+    `growth` is the rate G(c, n) on `state`.
     """
     gamma = params.gamma
     dx = state.grid.dx
+    n = state.n
     w = n ** (gamma - 2.0)
     # ws = w * (n1*G + n2*(G - D))
     ws = state.n1 * growth
@@ -316,13 +316,14 @@ def correct_densities(
 
 
 def solve_nutrient_quasistatic(
-    state: FieldState, params: ModelParameters, threshold: float, n: np.ndarray
+    state: FieldState, params: ModelParameters, threshold: float
 ) -> np.ndarray:
     """Solve -c'' + c*n = a*n2 on each occupied component (cells where the
-    total density `n` = n1 + n2 of `state` exceeds `threshold`), with c
-    equal to the ambient level at the first unoccupied cell on either side,
-    and ambient everywhere off the occupied region."""
+    total density exceeds `threshold`), with c equal to the ambient level
+    at the first unoccupied cell on either side, and ambient everywhere off
+    the occupied region."""
     grid = state.grid
+    n = state.n
     dx = grid.dx
     c_B = params.c_B
     c = np.full(grid.n_cells, c_B)
@@ -360,7 +361,7 @@ def _neumann_off_diagonals(m: int, dx: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def step_nutrient_neumann(
-    state: FieldState, params: ModelParameters, dt: float, t_new: float, n: np.ndarray
+    state: FieldState, params: ModelParameters, dt: float, t_new: float
 ) -> tuple[np.ndarray, int]:
     """One backward Euler step of c_t - c'' + c*n = a*n2 on the whole box,
     with the wall flux lambda(t) prescribed through the boundary rows
@@ -370,16 +371,15 @@ def step_nutrient_neumann(
     rows, so each step satisfies
     dx*sum(c_new - c_old)/dt = -2*lambda - dx*sum(c_new*n - a*n2) over the
     interior cells exactly (positive lambda lowers both wall cells below
-    their neighbours and carries nutrient out). `n` is the total density
-    n1 + n2 of `state`. Negative values are clamped to zero; returns
-    (c, number of clamped cells).
+    their neighbours and carries nutrient out). Negative values are clamped
+    to zero; returns (c, number of clamped cells).
     """
     grid = state.grid
     dx = grid.dx
     m = grid.n_cells
     lam = eval_flux(params.lambda_schedule, t_new)
 
-    diag = 1.0 / dt + 2.0 / dx**2 + n
+    diag = 1.0 / dt + 2.0 / dx**2 + state.n
     lower, upper = _neumann_off_diagonals(m, dx)
     rhs = state.c / dt
     rhs += state.n2 * params.a
@@ -398,10 +398,10 @@ def step_nutrient_neumann(
 
 
 def enlarge_domain_if_needed(
-    state: FieldState, params: ModelParameters, cfg: SolverConfig, n: np.ndarray
+    state: FieldState, params: ModelParameters, cfg: SolverConfig
 ) -> tuple[FieldState, bool]:
     """Extend the grid with vacuum cells when the occupied region (where the
-    total density `n` of `state` exceeds the support threshold) gets within
+    total density exceeds the support threshold) gets within
     `enlargement_margin` cells of an edge, restoring a gap of twice the
     margin on that side. Existing cell values are preserved bit for bit.
 
@@ -412,6 +412,7 @@ def enlarge_domain_if_needed(
     n_cells = state.grid.n_cells
     margin = cfg.enlargement_margin
     threshold = cfg.support_threshold
+    n = state.n
     left = n[: margin + 1] > threshold
     right = n[max(n_cells - 1 - margin, 0) :][::-1] > threshold
     pad_left = 2 * margin - int(left.argmax()) if left.any() else 0
@@ -450,36 +451,32 @@ def step(
     """Advance one time step and return the new state with per-step
     diagnostics."""
     dt = cfg.dt
-    n = state.n1 + state.n2
     enlarged = False
     if params.nutrient_mode == QUASISTATIC:
-        state, enlarged = enlarge_domain_if_needed(state, params, cfg, n)
-        if enlarged:
-            n = state.n1 + state.n2
-    growth = eval_growth(params.growth, state.c, n)
+        state, enlarged = enlarge_domain_if_needed(state, params, cfg)
+    growth = eval_growth(params.growth, state.c, state.n)
 
     grid = state.grid
     dx = grid.dx
-    u_star = predict_velocity(state, params, dt, n, growth)
+    u_star = predict_velocity(state, params, dt, growth)
     cfl = float(np.abs(u_star).max() * dt / dx) if len(u_star) else 0.0
     n1, n2, clamped = correct_densities(state, u_star, params, dt, growth)
 
-    n_new = n1 + n2
-    # u = -(p[1:] - p[:-1]) / dx
-    p = pressure_from_density(n_new, params.gamma)
+    t_new = state.t + dt
+    if params.nutrient_mode == QUASISTATIC:
+        c, nutrient_clamped = state.c, 0
+    else:
+        c, nutrient_clamped = step_nutrient_neumann(state, params, dt, t_new)
+    # the old u stands in until the new pressure gives u = -(p[1:] - p[:-1]) / dx
+    new = FieldState(grid=grid, n1=n1, n2=n2, c=c, u=state.u, t=t_new)
+    p = pressure_from_density(new.n, params.gamma)
     u = p[1:] - p[:-1]
     np.negative(u, out=u)
     u /= dx
-
-    t_new = state.t + dt
+    new.u = u
     if params.nutrient_mode == QUASISTATIC:
         # the solve reads the new densities from the state it is given
-        new = FieldState(grid=grid, n1=n1, n2=n2, c=state.c, u=u, t=t_new)
-        new.c = solve_nutrient_quasistatic(new, params, cfg.support_threshold, n_new)
-        nutrient_clamped = 0
-    else:
-        c, nutrient_clamped = step_nutrient_neumann(state, params, dt, t_new, n)
-        new = FieldState(grid=grid, n1=n1, n2=n2, c=c, u=u, t=t_new)
+        new.c = solve_nutrient_quasistatic(new, params, cfg.support_threshold)
 
     if not np.isfinite(np.concatenate((new.n1, new.n2, new.c, new.u))).all():
         name = next(
@@ -543,10 +540,13 @@ def run(
     Samples the diagnostic series every `sample_interval` (and at the start
     and end), captures field snapshots at the requested times (rounded to
     the nearest step), and records warnings (CFL excursions, nutrient
-    clamping) and violations (bound breaches, excessive clamped mass)."""
+    clamping) and violations (bound breaches, excessive clamped mass).
+    Raises ValueError if t_end precedes the initial time."""
     log = RunLog()
     t0 = initial.t
     dt = cfg.dt
+    if t_end < t0 - 1e-9 * max(1.0, abs(t_end)):
+        raise ValueError(f"t_end {t_end:g} precedes the initial time {t0:g} of the state")
     n_steps = max(0, int(round((t_end - t0) / dt)))
     if abs(t0 + n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         log.warnings.append(
@@ -579,7 +579,7 @@ def run(
     # nutrient maximum on the support
     c0 = params.c_B
     if params.nutrient_mode == QUASISTATIC:
-        mask0 = (state.n1 + state.n2) > cfg.support_threshold
+        mask0 = state.n > cfg.support_threshold
         if mask0.any():
             c0 = float(state.c[mask0].max())
 
@@ -604,11 +604,10 @@ def run(
                 )
 
     def sample(t: float) -> None:
-        # one density, support mask and fraction per sample, shared by the
-        # series row and the bound checks
-        n = state.n1 + state.n2
-        mask = n > cfg.support_threshold
-        mu = state.n1[mask] / n[mask] if mask.any() else None
+        # one support mask and fraction per sample, shared by the series row
+        # and the bound checks
+        mask = state.n > cfg.support_threshold
+        mu = state.n1[mask] / state.n[mask] if mask.any() else None
         rows.append(_series_row(state, mask, mu, t, mu_star, log.clamped_neg_mass))
         check_bounds(mask, mu, t)
 
@@ -681,7 +680,11 @@ def write_checkpoint(path, state: FieldState, gamma: float) -> None:
 
 
 def read_checkpoint(path) -> tuple[FieldState, float]:
-    """Read a checkpoint written by write_checkpoint. Returns (state, gamma)."""
+    """Read a checkpoint written by write_checkpoint. Returns (state, gamma).
+
+    Raises ValueError, naming the key or the column and row, for a missing
+    or non-finite header value, a row count or shape that does not match,
+    a value that is not finite, and a negative n1, n2 or c."""
     header: dict[str, str] = {}
     data_rows: list[list[float]] = []
     with open(path) as fh:
@@ -705,13 +708,19 @@ def read_checkpoint(path) -> tuple[FieldState, float]:
     arr = np.array(data_rows, dtype=float)
     if arr.shape != (n_cells, 4):
         raise ValueError(f"checkpoint rows must have 4 columns, got shape {arr.shape}")
+    for key in ("x_min", "dx", "t", "gamma"):
+        if not math.isfinite(float(header[key])):
+            raise ValueError(f"checkpoint header {key} = {header[key]} is not finite")
+    for col, name in enumerate(("n1", "n2", "c", "u")):
+        # u's last row is the pad; the densities and the nutrient are >= 0
+        values = arr[: n_cells - 1 if name == "u" else n_cells, col]
+        bad = ~np.isfinite(values) | ((values < 0.0) & (name != "u"))
+        if bad.any():
+            row = int(bad.argmax())
+            need = "finite" if name == "u" else "finite and >= 0"
+            raise ValueError(f"checkpoint column {name} must be {need}; "
+                             f"data row {row + 1} holds {values[row]:g}")
     grid = Grid1D(x_min=float(header["x_min"]), dx=float(header["dx"]), n_cells=n_cells)
-    state = FieldState(
-        grid=grid,
-        n1=arr[:, 0],
-        n2=arr[:, 1],
-        c=arr[:, 2],
-        u=arr[:n_cells - 1, 3],
-        t=float(header["t"]),
-    )
+    state = FieldState(grid=grid, n1=arr[:, 0], n2=arr[:, 1], c=arr[:, 2],
+                       u=arr[:n_cells - 1, 3], t=float(header["t"]))
     return state, float(header["gamma"])

@@ -75,7 +75,7 @@ def test_acceptance_1_stiff_limit_approaches_free_boundary():
         res = preset_run(f"fig-s4limit-gamma{gamma}")
         snap = res.snapshots[1.0]
         x = snap.grid.cell_x
-        p = pressure_from_density(snap.total_density, float(gamma))
+        p = pressure_from_density(snap.n, float(gamma))
         inside = np.abs(x) <= R1
         exact = np.zeros(x.shape)
         from autophagy_tumor.analytic import analytic_pressure
@@ -87,7 +87,7 @@ def test_acceptance_1_stiff_limit_approaches_free_boundary():
     res80 = preset_run("fig-s4limit-gamma80")
     snap = res80.snapshots[1.0]
     thresh = PRESETS["fig-s4limit-gamma80"].solver.support_threshold
-    n = snap.total_density
+    n = snap.n
     radius = res80.series.column("radius")[-1]
     inner = (np.abs(snap.grid.cell_x) <= 0.8 * radius) & (n > thresh)
     assert inner.any()
@@ -211,12 +211,13 @@ def test_acceptance_5_closed_form_oracles():
         x = (np.arange(m) - (m - 1) / 2) * dx
         n = np.where(np.abs(x) <= 1.0 - dx / 2, 1.0, 0.0)
         state = make_state(0.5 * n, 0.5 * n, dx=dx)
-        from autophagy_tumor.kinetics import ModelParameters, Proportional
+        from autophagy_tumor.kinetics import ConstantTransitions, ModelParameters, Proportional
 
         params = ModelParameters(
-            gamma=2.0, D=0.3, a=0.5, c_B=1.0, growth=Proportional(1.0)
+            gamma=2.0, D=0.3, a=0.5, c_B=1.0, growth=Proportional(1.0),
+            transitions=ConstantTransitions(1.0, 1.0),
         )
-        c = solve_nutrient_quasistatic(state, params, 1e-8, state.total_density)
+        c = solve_nutrient_quasistatic(state, params, 1e-8)
         exact = 0.25 + 0.75 * np.cosh(x) / np.cosh(1.0)
         inside = np.abs(x) <= 1.0 + dx / 2
         return float(np.max(np.abs(c[inside] - exact[inside])))
@@ -293,8 +294,8 @@ def test_acceptance_7_invariants_on_all_runs():
             old = state
             state, diag = step(state, params, cfg)
             assert diag.clamped_mass == 0.0
-            G = eval_growth(params.growth, old.c, old.total_density)
-            lhs = dx * np.sum(state.total_density - old.total_density) / dt
+            G = eval_growth(params.growth, old.c, old.n)
+            lhs = dx * np.sum(state.n - old.n) / dt
             rhs = dx * np.sum(G * state.n1 + (G - params.D) * state.n2)
             worst = max(worst, abs(lhs - rhs))
         return worst
@@ -316,7 +317,7 @@ def test_acceptance_8_starved_interior_stalls():
     res = preset_run("fig-necrotic")
     state = res.final_state
     thresh = PRESETS["fig-necrotic"].solver.support_threshold
-    n = state.total_density
+    n = state.n
     p = pressure_from_density(n, PRESETS["fig-necrotic"].params.gamma)
     x = state.grid.cell_x
     radius = res.series.column("radius")[-1]

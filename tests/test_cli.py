@@ -298,8 +298,8 @@ def test_run_reports_solver_failure(tmp_path, capsys):
 
 
 def test_run_rejects_checkpoint_with_other_gamma(tmp_path, capsys):
-    # the config loads, but its initial state cannot be built: exit 2, and
-    # the run directory still gets a failed manifest
+    # the config loads, but its initial state cannot be built: exit 2, found
+    # before the run directory is created
     n1 = np.zeros(61)
     n1[25:36] = 0.5
     chk = tmp_path / "gamma4.txt"
@@ -309,10 +309,55 @@ def test_run_rejects_checkpoint_with_other_gamma(tmp_path, capsys):
     out_dir = tmp_path / "mismatch"
     rc = main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)])
     assert rc == 2
-    assert "bad config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad config" in err
+    assert "gamma=4" in err and "gamma=5" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "n1_entry, message",
+    [
+        (None, "No such file or directory"),  # no checkpoint file at all
+        (-0.5, "checkpoint column n1 must be finite and >= 0; data row 31 holds -0.5"),
+    ],
+)
+def test_run_rejects_unreadable_checkpoint_before_creating_the_directory(
+    tmp_path, capsys, n1_entry, message
+):
+    chk = tmp_path / "chk.txt"
+    if n1_entry is not None:
+        n1 = np.zeros(61)
+        n1[25:36] = 0.5
+        n1[30] = n1_entry
+        write_checkpoint(chk, make_state(n1, np.zeros(61), dx=0.1), gamma=5.0)
+    data = tiny_config_dict()
+    data["initial"] = {"type": "checkpoint", "path": str(chk)}
+    out_dir = tmp_path / "never"
+    rc = main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad config" in err and message in err
+    if n1_entry is None:
+        assert f"cannot read checkpoint {chk}" in err
+    assert not out_dir.exists()
+
+
+def test_run_rejects_t_end_before_the_checkpoint_time(tmp_path, capsys):
+    first = tmp_path / "first"
+    assert main(["run", "--config", write_config(tmp_path, tiny_config_dict(t_end=0.02)),
+                 "--out", str(first)]) == 0
+    data = tiny_config_dict(t_end=0.01)
+    data["initial"] = {"type": "checkpoint", "path": str(first / "checkpoint_final.txt")}
+    out_dir = tmp_path / "restart"
+    capsys.readouterr()
+    rc = main(["run", "--config", write_config(tmp_path, data, "restart.json"),
+               "--out", str(out_dir)])
+    assert rc == 2
+    assert "t_end 0.01 precedes the initial time 0.02" in capsys.readouterr().err
     manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert manifest["failed"] is True
-    assert "gamma=4" in manifest["error"] and "gamma=5" in manifest["error"]
+    assert manifest["failed"] is True and "precedes" in manifest["error"]
+    assert "timeseries" not in manifest["outputs"]
 
 
 # ---------------------------------------------------------------------------

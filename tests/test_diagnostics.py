@@ -224,7 +224,7 @@ def test_total_population_invariant_under_domain_growth(rng):
     before = total_population(state)
     cfg = SolverConfig(dt=1e-3, enlargement_margin=5)
     params = params_with(ConstantTransitions(K1=1.0, K2=1.0))
-    grown, changed = enlarge_domain_if_needed(state, params, cfg, state.total_density)
+    grown, changed = enlarge_domain_if_needed(state, params, cfg)
     assert changed
     assert grown.grid.n_cells > state.grid.n_cells
     # old cells are preserved bitwise inside the padded arrays

@@ -95,28 +95,36 @@ def test_flux_schedules():
 
 
 def test_model_parameters_validation():
-    ModelParameters(gamma=2.0, D=0.3, a=0.5, c_B=1.0, growth=Proportional(1.0))
+    rates = ConstantTransitions(1.0, 1.0)  # required: configs must name the switch rates
+    ModelParameters(gamma=2.0, D=0.3, a=0.5, c_B=1.0, growth=Proportional(1.0), transitions=rates)
     ModelParameters(
-        gamma=2.0, D=0.3, a=0.5, c_B=1.0, growth=Proportional(1.0),
+        gamma=2.0, D=0.3, a=0.5, c_B=1.0, growth=Proportional(1.0), transitions=rates,
         nutrient_mode=NEUMANN, lambda_schedule=ConstantFlux(0.2),
     )
+    with pytest.raises(TypeError, match="transitions"):
+        ModelParameters(gamma=2.0, D=0.3, a=0.5, c_B=1.0, growth=Proportional(1.0))
     with pytest.raises(ValueError):
-        ModelParameters(gamma=1.0, D=0.3, a=0.5, c_B=1.0, growth=Proportional(1.0))
+        ModelParameters(gamma=1.0, D=0.3, a=0.5, c_B=1.0, growth=Proportional(1.0),
+                        transitions=rates)
     # the velocity prediction's weights n^(gamma-2) need gamma >= 2
     with pytest.raises(ValueError, match="gamma >= 2"):
-        ModelParameters(gamma=1.5, D=0.3, a=0.5, c_B=1.0, growth=Proportional(1.0))
+        ModelParameters(gamma=1.5, D=0.3, a=0.5, c_B=1.0, growth=Proportional(1.0),
+                        transitions=rates)
     with pytest.raises(ValueError):
-        ModelParameters(gamma=2.0, D=-0.1, a=0.5, c_B=1.0, growth=Proportional(1.0))
+        ModelParameters(gamma=2.0, D=-0.1, a=0.5, c_B=1.0, growth=Proportional(1.0),
+                        transitions=rates)
     with pytest.raises(ValueError):
-        ModelParameters(gamma=2.0, D=0.3, a=-0.5, c_B=1.0, growth=Proportional(1.0))
+        ModelParameters(gamma=2.0, D=0.3, a=-0.5, c_B=1.0, growth=Proportional(1.0),
+                        transitions=rates)
     with pytest.raises(ValueError):
-        ModelParameters(gamma=2.0, D=0.3, a=0.5, c_B=0.0, growth=Proportional(1.0))
+        ModelParameters(gamma=2.0, D=0.3, a=0.5, c_B=0.0, growth=Proportional(1.0),
+                        transitions=rates)
     with pytest.raises(ValueError):
         ModelParameters(gamma=2.0, D=0.3, a=0.5, c_B=1.0, growth=Proportional(1.0),
-                        nutrient_mode="bogus")
+                        transitions=rates, nutrient_mode="bogus")
     with pytest.raises(ValueError):
         ModelParameters(gamma=2.0, D=0.3, a=0.5, c_B=1.0, growth=Proportional(1.0),
-                        nutrient_mode=NEUMANN)  # no schedule
+                        transitions=rates, nutrient_mode=NEUMANN)  # no schedule
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from autophagy_tumor.solver import (
     SolverConfig,
     SolverError,
     read_checkpoint,
+    run,
     write_checkpoint,
 )
 
@@ -139,7 +140,7 @@ def test_initial_state_constant_split_is_exact():
     init = AnalyticPressureInit(R0=1.0, dx=0.04, composition=ConstantComposition(mu_star))
     cfg = SolverConfig(dt=0.002)
     state = build_initial_state(init, params, cfg)
-    n = state.total_density
+    n = state.n
     np.testing.assert_array_equal(state.n1, mu_star * n)
     mask = n > 0
     np.testing.assert_allclose(state.n1[mask] / n[mask], mu_star, rtol=1e-14)
@@ -150,7 +151,7 @@ def test_initial_state_stiff_slab_stays_below_one():
     # the unit packing level
     cfg = PRESETS["fig-s4limit-gamma80"]
     state = build_initial_state(cfg.initial, cfg.params, cfg.solver)
-    peak = float(np.max(state.total_density))
+    peak = float(np.max(state.n))
     assert peak <= 1.0 + 1e-6
     assert peak == pytest.approx(0.9853976971882005, rel=1e-12)
 
@@ -158,7 +159,7 @@ def test_initial_state_stiff_slab_stays_below_one():
 def test_initial_state_velocity_matches_pressure_gradient():
     cfg = PRESETS["fig-s4limit-gamma5"]
     state = build_initial_state(cfg.initial, cfg.params, cfg.solver)
-    p = pressure_from_density(state.total_density, cfg.params.gamma)
+    p = pressure_from_density(state.n, cfg.params.gamma)
     np.testing.assert_array_equal(state.u, -np.diff(p) / state.grid.dx)
     # instantaneous nutrient closure: ambient outside, depressed inside
     assert np.max(state.c) == pytest.approx(1.0)
@@ -176,7 +177,7 @@ def test_initial_state_hetero_profile_spans_both_species():
     # cos profile: all normal at the center, all autophagic at |x| = R0/2
     assert state.n2[center] == 0.0
     # near |x| = R0/2 the cosine profile is almost fully autophagic
-    n = state.total_density
+    n = state.n
     mask = n > 1e-8
     mu = state.n1[mask] / n[mask]
     assert np.min(mu) < 0.01
@@ -190,13 +191,13 @@ def test_initial_state_cosh_box():
     cfg = PRESETS["neumann-autohelp-k2"]
     state = build_initial_state(cfg.initial, cfg.params, cfg.solver)
     center = (state.grid.n_cells - 1) // 2
-    p = pressure_from_density(state.total_density, cfg.params.gamma)
+    p = pressure_from_density(state.n, cfg.params.gamma)
     assert p[center] == pytest.approx(0.9633810065263134, rel=1e-12)
     np.testing.assert_array_equal(state.n2, np.zeros(state.grid.n_cells))
     np.testing.assert_array_equal(state.c, np.ones(state.grid.n_cells))
     # support fills |x| < 4 inside the [-5, 5] box
-    assert state.total_density[0] == 0.0
-    assert state.total_density[center] > 0.9
+    assert state.n[0] == 0.0
+    assert state.n[center] > 0.9
 
 
 def test_initial_state_from_checkpoint(tmp_path):
@@ -228,7 +229,7 @@ def test_initial_recipe_must_fit_the_model():
     # a constant composition needs no equilibrium, so any switch rates do
     constant = dataclasses.replace(slab, composition=ConstantComposition(0.5))
     hull = dataclasses.replace(stiff_params(), transitions=HullTransitions(2.0, 1.0, 0.5))
-    assert build_initial_state(constant, hull, cfg).total_density.max() > 0.0
+    assert build_initial_state(constant, hull, cfg).n.max() > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +573,46 @@ def test_run_scenario_failure_leaves_manifest(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["failed"] is True
     assert manifest["error"]
+
+
+_RESTART_CASES = {
+    # a slab that grows past its padding: the domain is enlarged in both halves
+    "quasistatic": (
+        stiff_params(gamma=5.0),
+        SolverConfig(dt=0.002, enlargement_margin=3, sample_interval=0.02),
+        AnalyticPressureInit(R0=0.5, dx=0.04, composition=ProfileComposition("hetero-cos")),
+    ),
+    "neumann": (
+        ModelParameters(
+            gamma=40.0, D=0.1, a=0.5, c_B=1.0, growth=AffineDeath(delta=0.5),
+            transitions=HullTransitions(k1max=2.0, k2max=1.0, omega=0.5),
+            nutrient_mode=NEUMANN, lambda_schedule=ConstantFlux(value=0.2),
+        ),
+        SolverConfig(dt=0.002, sample_interval=0.02),
+        CustomCoshInit(R=1.0, dx=0.1, halfwidth=2.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RESTART_CASES))
+def test_restart_from_checkpoint_is_bit_identical(tmp_path, case):
+    # 0 -> 2T in one run equals 0 -> T, a checkpoint written and read back,
+    # then T -> 2T; only t may differ, by the rounding of t0 + j*dt
+    params, solver_cfg, recipe = _RESTART_CASES[case]
+    T = 0.3
+    initial = build_initial_state(recipe, params, solver_cfg)
+    whole = run(initial, params, solver_cfg, 2 * T).final_state
+    half = run(initial, params, solver_cfg, T).final_state
+    path = tmp_path / "chk.txt"
+    write_checkpoint(path, half, params.gamma)
+    restart, _ = read_checkpoint(path)
+    second = run(restart, params, solver_cfg, 2 * T).final_state
+    if case == "quasistatic":
+        assert initial.grid.n_cells < half.grid.n_cells < whole.grid.n_cells
+    assert second.grid == whole.grid
+    for name in ("n1", "n2", "c", "u"):
+        assert np.array_equal(getattr(second, name), getattr(whole, name)), name
+    assert abs(second.t - whole.t) <= 1e-12
 
 
 def test_write_profile_csv_round_trip(tmp_path, rng):

@@ -43,15 +43,14 @@ from conftest import make_state
 
 
 def predict(state, params, dt):
-    """predict_velocity with the total density and growth rate that `step`
-    computes once and passes on."""
-    n = state.total_density
-    return predict_velocity(state, params, dt, n, eval_growth(params.growth, state.c, n))
+    """predict_velocity with the growth rate that `step` computes once and
+    passes on."""
+    return predict_velocity(state, params, dt, eval_growth(params.growth, state.c, state.n))
 
 
 def correct(state, u_star, params, dt):
     """correct_densities with the growth rate that `step` passes on."""
-    growth = eval_growth(params.growth, state.c, state.total_density)
+    growth = eval_growth(params.growth, state.c, state.n)
     return correct_densities(state, u_star, params, dt, growth)
 
 
@@ -103,7 +102,7 @@ def test_field_state_copy_is_deep():
     dup = state.copy()
     dup.n1[0] = 7.0
     assert state.n1[0] == 1.0
-    np.testing.assert_array_equal(state.total_density, np.ones(5))
+    np.testing.assert_array_equal(state.n, np.ones(5))
 
 
 def test_tridiagonal_matches_dense_solve(rng):
@@ -191,7 +190,7 @@ def test_quasistatic_single_cell_component_matches_dense():
     n2[4] = 0.2
     state = make_state(n1, n2, dx=dx)
     params = basic_params(a=0.5, c_B=1.5)
-    c = solve_nutrient_quasistatic(state, params, 1e-8, state.total_density)
+    c = solve_nutrient_quasistatic(state, params, 1e-8)
     dense = np.array([[2.0 / dx**2 + 0.9]])
     rhs = np.array([0.5 * 0.2 + 2.0 * 1.5 / dx**2])
     np.testing.assert_allclose(c[4:5], np.linalg.solve(dense, rhs), rtol=1e-14)
@@ -342,7 +341,7 @@ def correct_densities_per_species(state, u_star, params, dt):
     """Reference: the transport half of correct_densities run once per
     species on 1-D arrays, followed by the same reaction solve."""
     dx = state.grid.dx
-    growth = eval_growth(params.growth, state.c, state.total_density)
+    growth = eval_growth(params.growth, state.c, state.n)
     K1, K2 = eval_transitions(params.transitions, state.c)
     div = []
     for ns in (state.n1, state.n2):
@@ -398,7 +397,7 @@ def quasistatic_case(mu, a, R, dx, pad=6):
 
 def test_quasistatic_vacuum_gives_ambient():
     state = make_state(np.zeros(9), np.zeros(9))
-    c = solve_nutrient_quasistatic(state, basic_params(c_B=1.25), 1e-8, state.total_density)
+    c = solve_nutrient_quasistatic(state, basic_params(c_B=1.25), 1e-8)
     np.testing.assert_array_equal(c, np.full(9, 1.25))
 
 
@@ -410,14 +409,14 @@ def test_quasistatic_matches_closed_form_and_converges():
     errors = []
     for dx in (R / 20, R / 40, R / 80):
         state, x = quasistatic_case(mu, a, R, dx)
-        c = solve_nutrient_quasistatic(state, params, 1e-8, state.total_density)
+        c = solve_nutrient_quasistatic(state, params, 1e-8)
         exact = 0.25 + 0.75 * np.cosh(x) / np.cosh(1.0)
         inside = np.abs(x) <= R + dx / 2
         errors.append(np.max(np.abs(c[inside] - exact[inside])))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all(orders > 1.9)
     state, x = quasistatic_case(mu, a, R, R / 80)
-    c = solve_nutrient_quasistatic(state, params, 1e-8, state.total_density)
+    c = solve_nutrient_quasistatic(state, params, 1e-8)
     center = c[np.argmin(np.abs(x))]
     assert center == pytest.approx(0.7360407052479141, abs=2e-4)
 
@@ -425,7 +424,7 @@ def test_quasistatic_matches_closed_form_and_converges():
 def test_quasistatic_pure_normal_center_value():
     # mu = 1 slab: c(0) -> 1/cosh(1)
     state, x = quasistatic_case(1.0, 0.5, 1.0, 1.0 / 80)
-    c = solve_nutrient_quasistatic(state, basic_params(a=0.5, c_B=1.0), 1e-8, state.total_density)
+    c = solve_nutrient_quasistatic(state, basic_params(a=0.5, c_B=1.0), 1e-8)
     center = c[np.argmin(np.abs(x))]
     assert center == pytest.approx(0.6480542736638855, abs=2e-4)
 
@@ -436,7 +435,7 @@ def test_quasistatic_components_solved_independently():
     n[8:12] = 1.0
     n[28:33] = 1.0
     state = make_state(n, np.zeros(41), dx=dx)
-    c = solve_nutrient_quasistatic(state, basic_params(a=0.0, c_B=2.0), 1e-8, state.total_density)
+    c = solve_nutrient_quasistatic(state, basic_params(a=0.0, c_B=2.0), 1e-8)
     # gap and exterior hold the ambient level exactly
     np.testing.assert_array_equal(c[:8], 2.0)
     np.testing.assert_array_equal(c[12:28], 2.0)
@@ -452,7 +451,7 @@ def test_quasistatic_edge_contact_raises():
     n[0:3] = 1.0
     state = make_state(n, np.zeros(9))
     with pytest.raises(SolverError):
-        solve_nutrient_quasistatic(state, basic_params(), 1e-8, state.total_density)
+        solve_nutrient_quasistatic(state, basic_params(), 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +466,7 @@ def test_neumann_uniform_fixed_point():
     params = neumann_params(a=0.5)
     c0 = params.a * n2[0] / (n1[0] + n2[0])
     state = make_state(n1, n2, c=np.full(m, c0))
-    c, clamped = step_nutrient_neumann(state, params, dt=0.01, t_new=0.01, n=state.total_density)
+    c, clamped = step_nutrient_neumann(state, params, dt=0.01, t_new=0.01)
     assert clamped == 0
     np.testing.assert_allclose(c, c0, rtol=1e-12)
 
@@ -477,7 +476,7 @@ def test_neumann_wall_rows_hold_exactly():
     lam = 0.3
     state = make_state(np.full(m, 0.4), np.full(m, 0.2), c=np.ones(m), dx=0.1)
     params = neumann_params(a=0.5, lambda_schedule=ConstantFlux(lam))
-    c, clamped = step_nutrient_neumann(state, params, dt=0.01, t_new=0.01, n=state.total_density)
+    c, clamped = step_nutrient_neumann(state, params, dt=0.01, t_new=0.01)
     assert clamped == 0
     assert c[1] - c[0] == pytest.approx(lam * 0.1, rel=1e-12)
     assert c[-2] - c[-1] == pytest.approx(lam * 0.1, rel=1e-12)
@@ -496,7 +495,7 @@ def test_neumann_interior_balance_identity():
     c_old = 1.0 + 0.1 * np.cos(x)
     state = make_state(n1, n2, c=c_old, dx=dx)
     params = neumann_params(a=0.5, lambda_schedule=ConstantFlux(lam))
-    c, clamped = step_nutrient_neumann(state, params, dt=dt, t_new=dt, n=state.total_density)
+    c, clamped = step_nutrient_neumann(state, params, dt=dt, t_new=dt)
     assert clamped == 0
     n = n1 + n2
     interior = slice(1, m - 1)
@@ -512,11 +511,11 @@ def test_neumann_positive_flux_drains_the_box():
     m = 25
     state = make_state(np.zeros(m), np.zeros(m), c=np.ones(m), dx=0.1)
     params = neumann_params(a=0.0, lambda_schedule=ConstantFlux(0.4))
-    c, _ = step_nutrient_neumann(state, params, dt=0.05, t_new=0.05, n=state.total_density)
+    c, _ = step_nutrient_neumann(state, params, dt=0.05, t_new=0.05)
     assert np.sum(c[1:-1]) < np.sum(np.ones(m)[1:-1])
     # and an inward (negative) flux replenishes it
     params_in = neumann_params(a=0.0, lambda_schedule=ConstantFlux(-0.4))
-    c_in, _ = step_nutrient_neumann(state, params_in, dt=0.05, t_new=0.05, n=state.total_density)
+    c_in, _ = step_nutrient_neumann(state, params_in, dt=0.05, t_new=0.05)
     assert np.sum(c_in[1:-1]) > np.sum(c[1:-1])
 
 
@@ -524,7 +523,7 @@ def test_neumann_clamps_negative_cells():
     m = 25
     state = make_state(np.zeros(m), np.zeros(m), c=np.zeros(m), dx=0.1)
     params = neumann_params(a=0.0, lambda_schedule=ConstantFlux(2.0))
-    c, clamped = step_nutrient_neumann(state, params, dt=0.05, t_new=0.05, n=state.total_density)
+    c, clamped = step_nutrient_neumann(state, params, dt=0.05, t_new=0.05)
     assert clamped > 0
     assert np.all(c >= 0.0)
 
@@ -538,7 +537,7 @@ def test_enlarge_noop_when_gap_is_wide():
     n[14:17] = 1.0
     state = make_state(n, np.zeros(31))
     cfg = SolverConfig(dt=0.01, enlargement_margin=5)
-    out, changed = enlarge_domain_if_needed(state, basic_params(), cfg, state.total_density)
+    out, changed = enlarge_domain_if_needed(state, basic_params(), cfg)
     assert not changed
     assert out is state
 
@@ -552,10 +551,10 @@ def test_enlarge_pads_to_double_margin():
     state = make_state(n, 0.5 * n, c=c, u=u, dx=dx)
     cfg = SolverConfig(dt=0.01, enlargement_margin=5)
     params = basic_params(c_B=2.0)
-    out, changed = enlarge_domain_if_needed(state, params, cfg, state.total_density)
+    out, changed = enlarge_domain_if_needed(state, params, cfg)
     assert changed
     pad_left = 2 * 5 - 3
-    idx = np.flatnonzero(out.total_density > cfg.support_threshold)
+    idx = np.flatnonzero(out.n > cfg.support_threshold)
     assert idx[0] == 10 and out.grid.n_cells - 1 - idx[-1] == 10
     # geometry shifts, physical coordinates are preserved
     assert out.grid.x_min == pytest.approx(state.grid.x_min - pad_left * dx)
@@ -599,7 +598,7 @@ def test_enlarge_edge_windows_match_support_scan(margin, cells):
     state = make_state(0.5 * n, 0.5 * n, dx=0.1)
     cfg = SolverConfig(dt=0.01, support_threshold=_THRESHOLD, enlargement_margin=margin)
     pad_left, pad_right = enlargement_pads_by_scan(n, _THRESHOLD, margin)
-    out, changed = enlarge_domain_if_needed(state, basic_params(), cfg, n)
+    out, changed = enlarge_domain_if_needed(state, basic_params(), cfg)
     assert changed == (pad_left > 0 or pad_right > 0)
     assert out.grid.n_cells == n.size + pad_left + pad_right
     assert out.grid.x_min == state.grid.x_min - pad_left * 0.1
@@ -609,7 +608,7 @@ def test_enlarge_edge_windows_match_support_scan(margin, cells):
 def test_enlarge_ignores_empty_state():
     state = make_state(np.zeros(9), np.zeros(9))
     cfg = SolverConfig(dt=0.01, enlargement_margin=4)
-    out, changed = enlarge_domain_if_needed(state, basic_params(), cfg, state.total_density)
+    out, changed = enlarge_domain_if_needed(state, basic_params(), cfg)
     assert not changed and out is state
 
 
@@ -652,7 +651,7 @@ def test_step_updates_velocity_from_new_pressure():
     params = basic_params(g=1.0, D=0.3, K1=1.0, K2=1.0)
     cfg = SolverConfig(dt=0.005)
     new, _ = step(state, params, cfg)
-    p = pressure_from_density(new.total_density, params.gamma)
+    p = pressure_from_density(new.n, params.gamma)
     np.testing.assert_allclose(new.u, -np.diff(p) / new.grid.dx, atol=1e-15)
 
 
@@ -664,7 +663,7 @@ def test_step_discrete_mass_balance():
 
     state = bump_state()
     state.c = solve_nutrient_quasistatic(
-        state, basic_params(a=0.5, D=0.3), 1e-8, state.total_density
+        state, basic_params(a=0.5, D=0.3), 1e-8
     )
     params = basic_params(g=1.0, D=0.3, K1=1.0, K2=1.0, a=0.5)
     cfg = SolverConfig(dt=0.002, enlargement_margin=5)
@@ -672,9 +671,9 @@ def test_step_discrete_mass_balance():
     assert new.grid.n_cells == state.grid.n_cells
     assert diag.clamped_mass == 0.0
     dx = state.grid.dx
-    mass_old = dx * np.sum(state.total_density)
-    mass_new = dx * np.sum(new.total_density)
-    G = eval_growth(params.growth, state.c, state.total_density)
+    mass_old = dx * np.sum(state.n)
+    mass_new = dx * np.sum(new.n)
+    G = eval_growth(params.growth, state.c, state.n)
     source = dx * np.sum(G * new.n1 + (G - params.D) * new.n2)
     assert (mass_new - mass_old) / cfg.dt == pytest.approx(source, abs=1e-10)
 
@@ -732,6 +731,14 @@ def test_run_zero_steps_returns_empty_series():
     assert res.series.data.shape[0] == 0
     assert res.log.steps == 0
     np.testing.assert_array_equal(res.final_state.n1, state.n1)
+
+
+def test_run_rejects_t_end_before_the_initial_time():
+    # it used to run 0 steps and warn that t_end was not a whole number of steps
+    state = bump_state()
+    state.t = 1.0
+    with pytest.raises(ValueError, match="t_end 0.01 precedes the initial time 1"):
+        run(state, basic_params(), SolverConfig(dt=0.01), t_end=0.01)
 
 
 def test_run_is_deterministic():
@@ -816,7 +823,7 @@ def reference_components(n, threshold):
 
 def reference_enlarge(state, params, cfg):
     """Returns (state, enlarged)."""
-    idx = np.flatnonzero(state.total_density > cfg.support_threshold)
+    idx = np.flatnonzero(state.n > cfg.support_threshold)
     if idx.size == 0:
         return state, False
     n_cells = state.grid.n_cells
@@ -849,7 +856,7 @@ def reference_enlarge(state, params, cfg):
 def reference_predict(state, params, dt):
     gamma = params.gamma
     dx = state.grid.dx
-    n = state.total_density
+    n = state.n
     w = n ** (gamma - 2.0)
     growth = eval_growth(params.growth, state.c, n)
     source = state.n1 * growth + state.n2 * (growth - params.D)
@@ -869,7 +876,7 @@ def reference_predict(state, params, dt):
 def reference_quasistatic(state, params, threshold):
     dx = state.grid.dx
     c = np.full(state.grid.n_cells, params.c_B)
-    n = state.total_density
+    n = state.n
     for s, e in reference_components(n, threshold):
         assert 0 < s and e < state.grid.n_cells - 1
         off = np.full(e - s, -1.0 / dx**2)
@@ -886,7 +893,7 @@ def reference_neumann(state, params, dt, t_new):
     dx = state.grid.dx
     m = state.grid.n_cells
     lam = eval_flux(params.lambda_schedule, t_new)
-    diag = 1.0 / dt + 2.0 / dx**2 + state.total_density
+    diag = 1.0 / dt + 2.0 / dx**2 + state.n
     lower = np.full(m - 1, -1.0 / dx**2)
     upper = np.full(m - 1, -1.0 / dx**2)
     rhs = state.c / dt + params.a * state.n2
@@ -910,7 +917,7 @@ def reference_step(state, params, cfg):
     cfl = float(np.max(np.abs(u_star)) * dt / state.grid.dx) if len(u_star) else 0.0
     n1, n2, clamped = correct_densities_per_species(state, u_star, params, dt)
     new = FieldState(grid=state.grid, n1=n1, n2=n2, c=state.c, u=state.u, t=state.t + dt)
-    p = pressure_from_density(new.total_density, params.gamma)
+    p = pressure_from_density(new.n, params.gamma)
     new.u = -np.diff(p) / state.grid.dx
     nutrient_clamped = 0
     if params.nutrient_mode == QUASISTATIC:
@@ -1059,3 +1066,44 @@ def test_checkpoint_rejects_malformed_files(tmp_path):
     p.write_text("x_min = 0\ndx = 0.1\nn_cells = 2\nt = 0\ngamma = 2\n1 2 3\n1 2 3\n")
     with pytest.raises(ValueError):
         read_checkpoint(p)  # wrong column count
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("dx", "inf", "checkpoint header dx = inf is not finite"),
+        ("x_min", "nan", "checkpoint header x_min = nan is not finite"),
+        ("t", "-inf", "checkpoint header t = -inf is not finite"),
+        ("gamma", "inf", "checkpoint header gamma = inf is not finite"),
+        ("n1", "nan", "checkpoint column n1 must be finite and >= 0; data row 3 holds nan"),
+        ("n1", "-0.5", "checkpoint column n1 must be finite and >= 0; data row 3 holds -0.5"),
+        ("n2", "inf", "checkpoint column n2 must be finite and >= 0; data row 3 holds inf"),
+        ("c", "-3", "checkpoint column c must be finite and >= 0; data row 3 holds -3"),
+        ("u", "-inf", "checkpoint column u must be finite; data row 3 holds -inf"),
+    ],
+)
+def test_checkpoint_rejects_values_no_state_holds(tmp_path, key, value, message):
+    # a header key is replaced, or the column's entry in the third data row
+    p = tmp_path / "chk.txt"
+    write_checkpoint(p, make_state(np.full(5, 0.5), np.full(5, 0.25), dx=0.1), gamma=4.0)
+    lines = p.read_text().splitlines()
+    for i, line in enumerate(lines):
+        if line.partition(" = ")[0] == key:
+            lines[i] = f"{key} = {value}"
+    if key in ("n1", "n2", "c", "u"):
+        row = lines[-5 + 2].split()
+        row[("n1", "n2", "c", "u").index(key)] = value
+        lines[-5 + 2] = " ".join(row)
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_checkpoint(p)
+    assert str(info.value) == message
+
+
+def test_checkpoint_accepts_negative_zero_and_ignores_the_u_pad(tmp_path):
+    p = tmp_path / "chk.txt"
+    p.write_text("x_min = 0\ndx = 0.1\nn_cells = 3\nt = 0\ngamma = 2\n"
+                 "-0 0 1 0\n0.5 -0 -0 0\n0 0 1 nan\n")
+    state, _ = read_checkpoint(p)
+    np.testing.assert_array_equal(state.n1, [0.0, 0.5, 0.0])
+    np.testing.assert_array_equal(state.u, [0.0, 0.0])
