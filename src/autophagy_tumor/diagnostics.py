@@ -20,10 +20,8 @@ from .kinetics import (
 )
 
 __all__ = [
-    "SupportInfo",
     "TimeSeries",
     "SERIES_CHANNELS",
-    "support_info",
     "support_components",
     "support_radius",
     "sup_deviation",
@@ -34,16 +32,6 @@ __all__ = [
     "total_population",
     "write_table",
 ]
-
-
-@dataclass(frozen=True)
-class SupportInfo:
-    """Occupied-region summary: inclusive index ranges of the connected
-    components, the largest |x| over occupied cells, and the mass they hold."""
-
-    components: tuple[tuple[int, int], ...]
-    radius: float
-    total_mass: float
 
 
 def support_components(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -57,18 +45,6 @@ def support_components(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
 def support_radius(grid, mask: np.ndarray) -> float:
     """Largest |x| over the cells of a non-empty support mask."""
     return float(np.abs(grid.cell_x[mask]).max())
-
-
-def support_info(state, threshold: float) -> SupportInfo:
-    n = state.n
-    mask = n > threshold
-    if not mask.any():
-        return SupportInfo(components=(), radius=0.0, total_mass=0.0)
-    return SupportInfo(
-        components=support_components(mask),
-        radius=support_radius(state.grid, mask),
-        total_mass=float(state.grid.dx * n[mask].sum()),
-    )
 
 
 def _support_norm(norm, mu: np.ndarray, mu_star: float) -> float:

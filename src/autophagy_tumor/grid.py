@@ -17,7 +17,6 @@ __all__ = [
     "Grid1D",
     "pressure_from_density",
     "density_from_pressure",
-    "limited_slope",
     "numerical_flux",
 ]
 
@@ -83,35 +82,22 @@ def _limit(d_minus, d_plus, d_center, out):
     return out
 
 
-def limited_slope(n_prev, n_mid, n_next, dx: float):
-    """Monotone slope from the three one-cell stencils.
-
-    Takes the smallest of {upwind, centered, downwind} differences when all
-    three agree in sign (positive or negative), else 0. Elementwise.
-    """
-    d_minus = (n_mid - n_prev) / dx
-    d_plus = (n_next - n_mid) / dx
-    d_center = (n_next - n_prev) / (2.0 * dx)
-    out = np.zeros(np.broadcast(d_minus, d_plus, d_center).shape)
-    return _limit(d_minus, d_plus, d_center, out)
-
-
 def _edge_arrays(values: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray]:
     """Second-order left/right states at every interior face.
 
     Works along the last axis, so a (k, N) stack of fields is reconstructed
     in one call, row by row. Boundary cells get slope 0 (one-sided
-    reconstruction degenerates to the cell value there). The upwind and
-    downwind differences of `limited_slope` are the two overlapping slices
-    of one difference array, the same values elementwise.
+    reconstruction degenerates to the cell value there). Each interior
+    cell's slope is `_limit` of its upwind, downwind and centered
+    differences; the first two are overlapping slices of one difference
+    array.
     """
     s = np.zeros(values.shape)
-    if values.shape[-1] >= 3:
-        d = values[..., 1:] - values[..., :-1]
-        d /= dx
-        d_center = values[..., 2:] - values[..., :-2]
-        d_center /= 2.0 * dx
-        _limit(d[..., :-1], d[..., 1:], d_center, s[..., 1:-1])
+    d = values[..., 1:] - values[..., :-1]
+    d /= dx
+    d_center = values[..., 2:] - values[..., :-2]
+    d_center /= 2.0 * dx
+    _limit(d[..., :-1], d[..., 1:], d_center, s[..., 1:-1])
     s *= 0.5 * dx
     left = values[..., :-1] + s[..., :-1]
     right = values[..., 1:] - s[..., 1:]

@@ -40,6 +40,7 @@ from .solver import (
     FieldState,
     RunResult,
     SolverConfig,
+    _check_t_end,
     read_checkpoint,
     run,
     solve_nutrient_quasistatic,
@@ -638,12 +639,15 @@ def write_profile_csv(path, state: FieldState, gamma: float) -> None:
 def run_scenario(cfg: ScenarioConfig, out_dir) -> RunResult:
     """Run a scenario and write its outputs and manifest under out_dir.
 
-    The initial state is built before the directory is created, so an
-    unreadable or mismatched checkpoint leaves no directory. Whatever fails
-    once it exists (the solver, writing an output), the manifest is still
-    written (failed: true, with the error) before the exception propagates.
+    The initial state is built and `t_end` checked against its time before
+    the directory is created, so an unreadable or mismatched checkpoint, or
+    a `t_end` before the checkpoint's time, leaves no directory. Whatever
+    fails once it exists (the solver, writing an output), the manifest is
+    still written (failed: true, with the error) before the exception
+    propagates.
     """
     initial = build_initial_state(cfg.initial, cfg.params, cfg.solver)
+    _check_t_end(initial.t, cfg.t_end)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -675,14 +679,12 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunResult:
         if "checkpoint" in cfg.outputs:
             write_checkpoint(out / "checkpoint_final.txt", result.final_state, cfg.params.gamma)
             manifest["outputs"]["checkpoint"] = "checkpoint_final.txt"
-    except Exception as err:
+    except BaseException as err:
         manifest["failed"] = True
         manifest["error"] = str(err)
         manifest["wall_time_s"] = time.perf_counter() - started
+        raise
+    finally:
         with open(out / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2)
-        raise
-
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
     return result

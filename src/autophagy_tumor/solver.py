@@ -247,9 +247,8 @@ def predict_velocity(
     diag[-1] = 1.0
     rhs[0] = 0.0
     rhs[-1] = 0.0
-    if len(upper):
-        upper[0] = 0.0
-        lower[-1] = 0.0
+    upper[0] = 0.0
+    lower[-1] = 0.0
     return TridiagonalSystem(lower, diag, upper, rhs).solve()
 
 
@@ -459,7 +458,7 @@ def step(
     grid = state.grid
     dx = grid.dx
     u_star = predict_velocity(state, params, dt, growth)
-    cfl = float(np.abs(u_star).max() * dt / dx) if len(u_star) else 0.0
+    cfl = float(np.abs(u_star).max() * dt / dx)
     n1, n2, clamped = correct_densities(state, u_star, params, dt, growth)
 
     t_new = state.t + dt
@@ -528,6 +527,12 @@ def _series_row(
     return [t, radius, mass_total, mass_auto, sup_dev, l2, l4, l8, c_max, clamped_cum]
 
 
+def _check_t_end(t0: float, t_end: float) -> None:
+    """Raise ValueError if t_end precedes the initial time t0."""
+    if t_end < t0 - 1e-9 * max(1.0, abs(t_end)):
+        raise ValueError(f"t_end {t_end:g} precedes the initial time {t0:g} of the state")
+
+
 def run(
     initial: FieldState,
     params: ModelParameters,
@@ -545,8 +550,7 @@ def run(
     log = RunLog()
     t0 = initial.t
     dt = cfg.dt
-    if t_end < t0 - 1e-9 * max(1.0, abs(t_end)):
-        raise ValueError(f"t_end {t_end:g} precedes the initial time {t0:g} of the state")
+    _check_t_end(t0, t_end)
     n_steps = max(0, int(round((t_end - t0) / dt)))
     if abs(t0 + n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         log.warnings.append(

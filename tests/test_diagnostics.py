@@ -13,7 +13,7 @@ from autophagy_tumor.diagnostics import (
     nutrient_bound_check,
     sup_deviation,
     support_components,
-    support_info,
+    support_radius,
     total_population,
     uniform_bound_at,
     write_table,
@@ -42,24 +42,24 @@ def indicator_state(R=1.0, dx=0.05, pad=30, level=1.0, frac=0.6):
 
 
 def test_support_info_empty():
-    info = support_info(make_state(np.zeros(9), np.zeros(9)), THRESH)
-    assert info.components == ()
-    assert info.radius == 0.0
-    assert info.total_mass == 0.0
+    state = make_state(np.zeros(9), np.zeros(9))
+    assert support_components(state.n > THRESH) == ()
+    assert total_population(state)[0] == 0.0
 
 
 def test_support_info_indicator_geometry():
     dx = 0.05
     state, x = indicator_state(R=1.0, dx=dx)
-    info = support_info(state, THRESH)
-    assert len(info.components) == 1
-    lo, hi = info.components[0]
+    mask = state.n > THRESH
+    components = support_components(mask)
+    assert len(components) == 1
+    lo, hi = components[0]
     assert x[lo] == pytest.approx(-1.0, abs=1e-12)
     assert x[hi] == pytest.approx(1.0, abs=1e-12)
     # measured radius within one cell of the true half-width
-    assert abs(info.radius - 1.0) <= dx + 1e-12
+    assert abs(support_radius(state.grid, mask) - 1.0) <= dx + 1e-12
     # indicator of [-1, 1] holds mass 2, quadrature error at the two edges
-    assert abs(info.total_mass - 2.0) <= 2 * dx + 1e-12
+    assert abs(total_population(state)[0] - 2.0) <= 2 * dx + 1e-12
 
 
 def test_support_info_two_bumps():
@@ -68,11 +68,11 @@ def test_support_info_two_bumps():
     n[5:10] = 1.0
     n[25:32] = 0.5
     state = make_state(n, np.zeros_like(n), dx=dx)
-    info = support_info(state, THRESH)
-    assert info.components == ((5, 9), (25, 31))
+    mask = state.n > THRESH
+    assert support_components(mask) == ((5, 9), (25, 31))
     x = state.grid.cell_x
-    assert info.radius == pytest.approx(max(abs(x[5]), abs(x[31])))
-    assert info.total_mass == pytest.approx(dx * (5 * 1.0 + 7 * 0.5))
+    assert support_radius(state.grid, mask) == pytest.approx(max(abs(x[5]), abs(x[31])))
+    assert total_population(state)[0] == pytest.approx(dx * (5 * 1.0 + 7 * 0.5))
 
 
 @pytest.mark.parametrize(
@@ -93,7 +93,7 @@ def test_support_components_match_support_info(occupied, want):
     n[occupied] = 0.5
     comps = support_components(n > THRESH)
     assert comps == want
-    assert comps == support_info(make_state(n, np.zeros(9)), THRESH).components
+    assert comps == support_components(make_state(n, np.zeros(9)).n > THRESH)
     assert all(type(i) is int for run in comps for i in run)
 
 

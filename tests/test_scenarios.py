@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from autophagy_tumor import scenarios
 from autophagy_tumor.diagnostics import SERIES_CHANNELS
 from autophagy_tumor.grid import pressure_from_density
 from autophagy_tumor.kinetics import (
@@ -573,6 +574,19 @@ def test_run_scenario_failure_leaves_manifest(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["failed"] is True
     assert manifest["error"]
+
+
+def test_run_scenario_interrupt_leaves_failed_manifest(tmp_path, monkeypatch):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(scenarios, "run", interrupted)
+    out = tmp_path / "stopped"
+    with pytest.raises(KeyboardInterrupt):
+        run_scenario(tiny_scenario(), out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failed"] is True
+    assert "steps" not in manifest
 
 
 _RESTART_CASES = {

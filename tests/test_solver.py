@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 from autophagy_tumor.grid import Grid1D, _edge_arrays, numerical_flux, pressure_from_density
-from autophagy_tumor.diagnostics import support_info
+from autophagy_tumor.diagnostics import support_components
 from autophagy_tumor.kinetics import (
     AffineDeath,
     ConstantFlux,
@@ -1024,7 +1024,7 @@ def test_step_matches_reference_bit_for_bit(case):
         assert state.grid.n_cells > n_cells0
         assert enlargements > 0
     elif case == "two-components":
-        assert len(support_info(state, cfg.support_threshold).components) == 2
+        assert len(support_components(state.n > cfg.support_threshold)) == 2
     elif case == "neumann-hull":
         # cells on both sides of the switch threshold
         assert state.c.min() < params.transitions.omega < state.c.max()
