@@ -257,8 +257,11 @@ def _cmd_sweep(args) -> int:
             data = copy.deepcopy(base)
             set_config_value(data, key, _parse_value(tok))
             data["name"] = f"{args.preset}-{key}={tok}"
+            out_dir = str(Path(args.out) / data["name"])
+            if any(out_dir == taken for _, taken in members):
+                raise ValueError(f"two members would share the output directory {out_dir}")
             # validated here, before any member starts
-            members.append((config_from_dict(data), str(Path(args.out) / data["name"])))
+            members.append((config_from_dict(data), out_dir))
     except ValueError as err:
         print(f"bad sweep: {err}", file=sys.stderr)
         return 2

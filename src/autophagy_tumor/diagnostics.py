@@ -23,12 +23,9 @@ __all__ = [
     "TimeSeries",
     "SERIES_CHANNELS",
     "support_components",
-    "support_radius",
-    "sup_deviation",
-    "l2n_deviation",
+    "deviation_norms",
     "uniform_bound_at",
     "l2n_condition_and_rate",
-    "nutrient_bound_check",
     "total_population",
     "write_table",
 ]
@@ -42,32 +39,22 @@ def support_components(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
-def support_radius(grid, mask: np.ndarray) -> float:
-    """Largest |x| over the cells of a non-empty support mask."""
-    return float(np.abs(grid.cell_x[mask]).max())
+def deviation_norms(dev: np.ndarray, dx: float) -> tuple[float, float, float, float]:
+    """(sup, L2, L4, L8) of the fraction deviation dev = mu - mu* on the
+    support cells: max |dev| and (dx * sum dev^(2n))^(1/(2n)) for n = 1, 2, 4.
 
-
-def _support_norm(norm, mu: np.ndarray, mu_star: float) -> float:
-    """norm(mu - mu*), `mu` the fraction on the support cells. Raises
+    The even powers are taken by squaring (dev^2, its square, and that
+    square's square), so dev and -dev give bitwise equal norms. Raises
     ValueError when the support is empty."""
-    if not mu.size:
+    if not dev.size:
         raise ValueError("empty support: fraction deviation undefined")
-    return norm(mu - mu_star)
-
-
-def sup_deviation(mu: np.ndarray, mu_star: float) -> float:
-    """max |mu - mu*| over the support; errors on empty support. `mu` is the
-    fraction on the support."""
-    return _support_norm(lambda dev: float(np.abs(dev).max()), mu, mu_star)
-
-
-def l2n_deviation(mu: np.ndarray, mu_star: float, dx: float, n: int) -> float:
-    """(dx * sum over support of (mu - mu*)^(2n))^(1/(2n)); `mu` as for
-    `sup_deviation`."""
-    if n < 1:
-        raise ValueError(f"norm index n must be a positive integer, got {n}")
-    return _support_norm(
-        lambda dev: float((dx * (dev ** (2 * n)).sum()) ** (1.0 / (2 * n))), mu, mu_star
+    d2 = dev * dev
+    d4 = d2 * d2
+    return (
+        float(np.abs(dev).max()),
+        float((dx * d2.sum()) ** 0.5),
+        float((dx * d4.sum()) ** 0.25),
+        float((dx * (d4 * d4).sum()) ** 0.125),
     )
 
 
@@ -100,20 +87,6 @@ def l2n_condition_and_rate(
     condition = (G_top - params.D) < 2 * n * K2
     C = (-eq.nu_star) / (1.0 - eq.nu_star) * K1 + (2 * n * K2 - G_top + params.D) / (2 * n)
     return bool(condition), float(C)
-
-
-def nutrient_bound_check(
-    c: np.ndarray, c_B: float, c0: float, support_mask: np.ndarray, tol: float = 1e-6
-) -> tuple[bool, float]:
-    """Check c <= max(c_B, c0) + tol on the support.
-
-    Returns (ok, worst overshoot clipped at 0).
-    """
-    if not support_mask.any():
-        return True, 0.0
-    bound = max(c_B, c0)
-    worst = float(c[support_mask].max() - bound)
-    return worst <= tol, max(worst, 0.0)
 
 
 def total_population(state) -> tuple[float, float]:

@@ -173,6 +173,10 @@ def _check_initial_fits(initial: InitialSpec, params: ModelParameters) -> None:
         )
 
 
+# the file a profiles@T output writes
+_PROFILE_FILE = "profile_t{:g}.csv"
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     name: str
@@ -186,6 +190,7 @@ class ScenarioConfig:
         _check_initial_fits(self.initial, self.params)
         if not _finite_positive(self.t_end):
             raise ValueError(f"t_end must be finite and positive, got {self.t_end!r}")
+        profile_files = set()
         for entry in self.outputs:
             if entry.startswith("profiles@"):
                 ts = float(entry.split("@", 1)[1])
@@ -194,6 +199,10 @@ class ScenarioConfig:
                         f"output {entry!r}: the profile time must be finite "
                         f"and lie in [0, t_end = {self.t_end:g}]"
                     )
+                fname = _PROFILE_FILE.format(ts)
+                if fname in profile_files:
+                    raise ValueError(f"output {entry!r}: an earlier profiles@ entry writes {fname}")
+                profile_files.add(fname)
             elif entry not in ("timeseries", "checkpoint"):
                 raise ValueError(f"unknown output entry {entry!r}")
 
@@ -671,7 +680,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunResult:
             manifest["outputs"]["timeseries"] = "timeseries.csv"
         profile_files = {}
         for ts, snap in sorted(result.snapshots.items()):
-            fname = f"profile_t{ts:g}.csv"
+            fname = _PROFILE_FILE.format(ts)
             write_profile_csv(out / fname, snap, cfg.params.gamma)
             profile_files[f"{ts:g}"] = fname
         if profile_files:
@@ -681,7 +690,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunResult:
             manifest["outputs"]["checkpoint"] = "checkpoint_final.txt"
     except BaseException as err:
         manifest["failed"] = True
-        manifest["error"] = str(err)
+        # an exception without a message (an interrupt) is named by its class
+        manifest["error"] = str(err) or type(err).__name__
         manifest["wall_time_s"] = time.perf_counter() - started
         raise
     finally:

@@ -33,11 +33,8 @@ import numpy as np
 from .diagnostics import (
     SERIES_CHANNELS,
     TimeSeries,
-    l2n_deviation,
-    nutrient_bound_check,
-    sup_deviation,
+    deviation_norms,
     support_components,
-    support_radius,
     total_population,
     write_table,
 )
@@ -503,28 +500,43 @@ class RunResult:
     log: RunLog
 
 
-def _series_row(
+def _sample(
     state: FieldState,
-    mask: np.ndarray,
-    mu: np.ndarray | None,
     t: float,
+    threshold: float,
     mu_star: float | None,
-    clamped_cum: float,
+    c_ceiling: float | None,
+    log: RunLog,
 ) -> list[float]:
-    """One time-series row; `mask` is the support and `mu` the normal-cell
-    fraction on it (None when the support is empty)."""
+    """One time-series row (the SERIES_CHANNELS) at time t; bound breaches
+    are appended to log.violations.
+
+    One pass: the support, the fraction mu = n1/n and c on it are gathered
+    once. The deviation norms need mu_star, the nutrient check (c <=
+    c_ceiling + 1e-6 on the support) c_ceiling; each is skipped when None.
+    An empty support gives radius 0, NaN norms and c_max, and no checks."""
     mass_total, mass_auto = total_population(state)
-    radius = 0.0
-    sup_dev = l2 = l4 = l8 = math.nan
-    c_max = math.nan
-    if mu is not None:
-        radius = support_radius(state.grid, mask)
-        c_max = float(state.c[mask].max())
-        if mu_star is not None:
-            sup_dev = sup_deviation(mu, mu_star)
-            dx = state.grid.dx
-            l2, l4, l8 = (l2n_deviation(mu, mu_star, dx, n) for n in (1, 2, 4))
-    return [t, radius, mass_total, mass_auto, sup_dev, l2, l4, l8, c_max, clamped_cum]
+    support = np.flatnonzero(state.n > threshold)
+    if not support.size:
+        return [t, 0.0, mass_total, mass_auto, *(math.nan,) * 5, log.clamped_neg_mass]
+    # cell_x increases, so the largest |x| lies at the first or last support cell
+    radius = float(np.abs(state.grid.cell_x[support[[0, -1]]]).max())
+    mu = state.n1[support] / state.n[support]
+    c_max = float(state.c[support].max())
+    norms = (math.nan,) * 4
+    if mu_star is not None:
+        norms = deviation_norms(mu - mu_star, state.grid.dx)
+    lo, hi = mu.min(), mu.max()
+    if lo < -1e-8 or hi > 1.0 + 1e-8:
+        log.violations.append(
+            f"composition fraction left [0, 1] at t={t:.6g} (range [{lo:.3e}, {hi:.3e}])"
+        )
+    if c_ceiling is not None and not c_max - c_ceiling <= 1e-6:  # a NaN is a breach
+        log.violations.append(
+            f"nutrient exceeded its maximum-principle bound by {c_max - c_ceiling:.3e} "
+            f"at t={t:.6g}"
+        )
+    return [t, radius, mass_total, mass_auto, *norms, c_max, log.clamped_neg_mass]
 
 
 def _check_t_end(t0: float, t_end: float) -> None:
@@ -579,41 +591,22 @@ def run(
     for ts in snapshot_steps.get(0, []):
         snapshots[ts] = state.copy()
 
-    # the maximum-principle ceiling is max(c_B, c0), c0 the initial
-    # nutrient maximum on the support
-    c0 = params.c_B
+    # in quasi-static mode the nutrient keeps below the maximum-principle
+    # ceiling max(c_B, c0), c0 the initial nutrient maximum on the support
+    c_ceiling = None
     if params.nutrient_mode == QUASISTATIC:
+        c_ceiling = params.c_B
         mask0 = state.n > cfg.support_threshold
         if mask0.any():
-            c0 = float(state.c[mask0].max())
+            c_ceiling = max(c_ceiling, float(state.c[mask0].max()))
 
     rows: list[list[float]] = []
     max_cfl = 0.0
     first_cfl_t = None
     nutrient_clamp_events = 0
 
-    def check_bounds(mask: np.ndarray, mu: np.ndarray | None, t: float) -> None:
-        if mu is None:
-            return
-        if mu.min() < -1e-8 or mu.max() > 1.0 + 1e-8:
-            log.violations.append(
-                f"composition fraction left [0, 1] at t={t:.6g} "
-                f"(range [{mu.min():.3e}, {mu.max():.3e}])"
-            )
-        if params.nutrient_mode == QUASISTATIC:
-            ok, worst = nutrient_bound_check(state.c, params.c_B, c0, mask)
-            if not ok:
-                log.violations.append(
-                    f"nutrient exceeded its maximum-principle bound by {worst:.3e} at t={t:.6g}"
-                )
-
     def sample(t: float) -> None:
-        # one support mask and fraction per sample, shared by the series row
-        # and the bound checks
-        mask = state.n > cfg.support_threshold
-        mu = state.n1[mask] / state.n[mask] if mask.any() else None
-        rows.append(_series_row(state, mask, mu, t, mu_star, log.clamped_neg_mass))
-        check_bounds(mask, mu, t)
+        rows.append(_sample(state, t, cfg.support_threshold, mu_star, c_ceiling, log))
 
     if n_steps > 0:
         sample(t0)

@@ -158,6 +158,23 @@ def test_run_rejects_bad_profile_time_at_load(tmp_path, capsys, entry):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "entries", [["profiles@0.5000001", "profiles@0.5000002"], ["profiles@0.5", "profiles@0.5"]]
+)
+def test_run_rejects_profiles_that_share_a_file_at_load(tmp_path, capsys, entries):
+    # both entries would write profile_t0.5.csv: exit 2 before the output
+    # directory is created
+    data = tiny_config_dict(t_end=1.0)
+    data["outputs"] = ["timeseries", *entries]
+    out_dir = tmp_path / "never"
+    rc = main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)])
+    assert rc == 2
+    assert f"{entries[1]!r}: an earlier profiles@ entry writes profile_t0.5.csv" in (
+        capsys.readouterr().err
+    )
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("t_end", [float("inf"), float("nan"), -1.0, 0.0, None])
 def test_run_rejects_bad_t_end_at_load(tmp_path, capsys, t_end):
     # checked before the profile times, which are bounded by t_end
@@ -536,6 +553,14 @@ def test_sweep_usage_errors(tmp_path, capsys):
              "--out", str(tmp_path), "--jobs", jobs]
         ) == 2
         assert "--jobs must be at least 1" in capsys.readouterr().err
+    # the same value twice would run two members into one directory
+    assert main(
+        ["sweep", "--preset", "fig-s4f2-D0.3", "--vary", "t_end=0.004,0.004",
+         "--out", str(tmp_path), "--jobs", "2"]
+    ) == 2
+    captured = capsys.readouterr()
+    assert "bad sweep: two members would share the output directory" in captured.err
+    assert "done" not in captured.out
     assert not list(tmp_path.iterdir())
 
 

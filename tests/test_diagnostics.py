@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -8,12 +9,9 @@ from hypothesis import strategies as st
 from autophagy_tumor.diagnostics import (
     SERIES_CHANNELS,
     TimeSeries,
+    deviation_norms,
     l2n_condition_and_rate,
-    l2n_deviation,
-    nutrient_bound_check,
-    sup_deviation,
     support_components,
-    support_radius,
     total_population,
     uniform_bound_at,
     write_table,
@@ -26,7 +24,7 @@ from autophagy_tumor.kinetics import (
     Proportional,
     equilibrium_roots,
 )
-from autophagy_tumor.solver import SolverConfig, enlarge_domain_if_needed
+from autophagy_tumor.solver import RunLog, SolverConfig, _sample, enlarge_domain_if_needed
 
 from conftest import make_state
 
@@ -39,6 +37,14 @@ def indicator_state(R=1.0, dx=0.05, pad=30, level=1.0, frac=0.6):
     x = (np.arange(m) - (m - 1) / 2) * dx
     n = np.where(np.abs(x) <= R + 1e-12, level, 0.0)
     return make_state(frac * n, (1 - frac) * n, dx=dx), x
+
+
+def sample_row(state, mu_star=None, c_ceiling=None):
+    """The series row `run` samples from `state`, as {channel: value}, and
+    the violations the sample records."""
+    log = RunLog()
+    row = _sample(state, state.t, THRESH, mu_star, c_ceiling, log)
+    return dict(zip(SERIES_CHANNELS, row)), log.violations
 
 
 def test_support_info_empty():
@@ -57,7 +63,7 @@ def test_support_info_indicator_geometry():
     assert x[lo] == pytest.approx(-1.0, abs=1e-12)
     assert x[hi] == pytest.approx(1.0, abs=1e-12)
     # measured radius within one cell of the true half-width
-    assert abs(support_radius(state.grid, mask) - 1.0) <= dx + 1e-12
+    assert abs(sample_row(state)[0]["radius"] - 1.0) <= dx + 1e-12
     # indicator of [-1, 1] holds mass 2, quadrature error at the two edges
     assert abs(total_population(state)[0] - 2.0) <= 2 * dx + 1e-12
 
@@ -71,7 +77,7 @@ def test_support_info_two_bumps():
     mask = state.n > THRESH
     assert support_components(mask) == ((5, 9), (25, 31))
     x = state.grid.cell_x
-    assert support_radius(state.grid, mask) == pytest.approx(max(abs(x[5]), abs(x[31])))
+    assert sample_row(state)[0]["radius"] == pytest.approx(max(abs(x[5]), abs(x[31])))
     assert total_population(state)[0] == pytest.approx(dx * (5 * 1.0 + 7 * 0.5))
 
 
@@ -101,10 +107,10 @@ def test_sup_deviation_values():
     eq = equilibrium_roots(0.3, 1.0, 1.0)
     mu = np.full(11, 1.0)
     # all-normal tissue sits 1 - mu* above the equilibrium fraction
-    assert sup_deviation(mu, eq.mu_star) == pytest.approx(0.4627086, abs=1e-6)
+    assert deviation_norms(mu - eq.mu_star, 0.1)[0] == pytest.approx(0.4627086, abs=1e-6)
     mu = np.full(11, eq.mu_star)
     mu[4] = 0.2
-    assert sup_deviation(mu, eq.mu_star) == pytest.approx(eq.mu_star - 0.2, rel=1e-12)
+    assert deviation_norms(mu - eq.mu_star, 0.1)[0] == pytest.approx(eq.mu_star - 0.2, rel=1e-12)
 
 
 def test_l2n_deviation_constant_offset():
@@ -112,11 +118,9 @@ def test_l2n_deviation_constant_offset():
     dx = 0.02
     m = 50  # support length L = 1.0
     mu = np.full(m, 0.8)
-    for n in (1, 2, 4):
+    for n, norm in zip((1, 2, 4), deviation_norms(mu - 0.5, dx)[1:]):
         expect = 0.3 * (dx * m) ** (1.0 / (2 * n))
-        assert l2n_deviation(mu, 0.5, dx, n) == pytest.approx(expect, rel=1e-12)
-    with pytest.raises(ValueError):
-        l2n_deviation(mu, 0.5, dx, 0)
+        assert norm == pytest.approx(expect, rel=1e-12)
 
 
 def test_l2n_deviation_norm_interpolation(rng):
@@ -126,10 +130,10 @@ def test_l2n_deviation_norm_interpolation(rng):
     dx = 0.05
     mu = 0.5 + 0.4 * (rng.random(60) - 0.5)
     L = dx * mu.size
-    means = [l2n_deviation(mu, 0.5, dx, n) / L ** (1.0 / (2 * n)) for n in (1, 2, 4)]
+    sup, *l2n = deviation_norms(mu - 0.5, dx)
+    means = [norm / L ** (1.0 / (2 * n)) for n, norm in zip((1, 2, 4), l2n)]
     assert means[0] <= means[1] + 1e-12
     assert means[1] <= means[2] + 1e-12
-    sup = sup_deviation(mu, 0.5)
     for n, v in zip((1, 2, 4), means):
         assert v <= sup + 1e-12
 
@@ -195,18 +199,25 @@ def test_l2n_condition_rejects_unsupported_models():
 
 
 def test_nutrient_bound_check():
+    # the sample checks c <= max(c_B, c0) + 1e-6 on the support cells only
     c = np.array([0.2, 0.9, 1.1, 0.4])
-    mask = np.array([True, True, False, True])
-    ok, worst = nutrient_bound_check(c, 1.0, 0.5, mask)
-    assert ok and worst == 0.0
-    ok, worst = nutrient_bound_check(c, 1.0, 0.5, np.array([False, False, True, False]))
-    assert not ok
-    assert worst == pytest.approx(0.1, rel=1e-12)
+
+    def violations(occupied, c_ceiling):
+        n = 0.5 * np.array(occupied, dtype=float)
+        return sample_row(make_state(n, n, c=c), c_ceiling=c_ceiling)[1]
+
+    assert violations([1, 1, 0, 1], max(1.0, 0.5)) == []
+    assert violations([0, 0, 1, 0], max(1.0, 0.5)) == [
+        "nutrient exceeded its maximum-principle bound by 1.000e-01 at t=0"
+    ]
     # higher initial level raises the admissible ceiling
-    ok, _ = nutrient_bound_check(c, 1.0, 1.2, np.ones(4, dtype=bool))
-    assert ok
-    ok, worst = nutrient_bound_check(c, 1.0, 0.5, np.zeros(4, dtype=bool))
-    assert ok and worst == 0.0
+    assert violations([1, 1, 1, 1], max(1.0, 1.2)) == []
+    # the tolerance is 1e-6
+    assert violations([0, 0, 1, 0], 1.1 - 5e-7) == []
+    assert len(violations([0, 0, 1, 0], 1.1 - 5e-6)) == 1
+    # nothing to check on an empty support, or without a ceiling
+    assert violations([0, 0, 0, 0], 1.0) == []
+    assert violations([1, 1, 1, 1], None) == []
 
 
 def test_total_population():
@@ -292,13 +303,32 @@ def test_write_table_blocks_match_per_value_loop(rng):
 
 
 def test_norms_accept_the_on_support_fraction(rng):
-    # the series passes the fraction on the support cells
+    # the series passes the deviation of the fraction on the support cells
     mu = rng.random(17)
-    assert sup_deviation(mu, 0.4) == float(np.abs(mu - 0.4).max())
-    for n in (1, 2, 4):
-        want = float((0.1 * ((mu - 0.4) ** (2 * n)).sum()) ** (1.0 / (2 * n)))
-        assert l2n_deviation(mu, 0.4, 0.1, n) == want
+    dev = mu - 0.4
+    sup, *l2n = deviation_norms(dev, 0.1)
+    assert sup == float(np.abs(mu - 0.4).max())
+    # the even powers by repeated squaring
+    d2 = dev * dev
+    d4 = d2 * d2
+    for power, k, norm in zip((d2, d4, d4 * d4), (2, 4, 8), l2n):
+        assert norm == float((0.1 * power.sum()) ** (1.0 / k))
+        # within 2 ulp of the `**` formula, and equal to it for L2
+        want = float((0.1 * (dev**k).sum()) ** (1.0 / k))
+        assert abs(norm - want) <= (0.0 if k == 2 else 2 * math.ulp(want))
     with pytest.raises(ValueError, match="empty support"):
-        sup_deviation(np.empty(0), 0.4)
-    with pytest.raises(ValueError, match="empty support"):
-        l2n_deviation(np.empty(0), 0.4, 0.1, 1)
+        deviation_norms(np.empty(0), 0.1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.lists(st.integers(0, 2**51 - 1), min_size=1, max_size=64),
+    dx=st.sampled_from([0.01, 0.04, 0.1]),
+)
+def test_norms_of_mirrored_deviations_are_bitwise_equal(k, dx):
+    # d < 1/4 is a multiple of 2^-53, so mu = 1/2 +- d and mu - 1/2 are exact
+    d = np.array(k, dtype=float) * 2.0**-53
+    above, below = 0.5 + d - 0.5, 0.5 - d - 0.5
+    assert np.array_equal(above, -below)
+    norms = np.array([deviation_norms(above, dx), deviation_norms(below, dx)])
+    assert np.array_equal(norms[0].view(np.int64), norms[1].view(np.int64))

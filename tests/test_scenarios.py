@@ -587,6 +587,8 @@ def test_run_scenario_interrupt_leaves_failed_manifest(tmp_path, monkeypatch):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["failed"] is True
     assert "steps" not in manifest
+    # the interrupt has no message, so the manifest names its class
+    assert manifest["error"] == "KeyboardInterrupt"
 
 
 _RESTART_CASES = {

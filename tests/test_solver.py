@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 from autophagy_tumor.grid import Grid1D, _edge_arrays, numerical_flux, pressure_from_density
-from autophagy_tumor.diagnostics import support_components
+from autophagy_tumor.diagnostics import SERIES_CHANNELS, support_components
 from autophagy_tumor.kinetics import (
     AffineDeath,
     ConstantFlux,
@@ -24,10 +24,12 @@ from autophagy_tumor.kinetics import (
 )
 from autophagy_tumor.solver import (
     FieldState,
+    RunLog,
     SolverConfig,
     SolverError,
     StepDiagnostics,
     TridiagonalSystem,
+    _sample,
     correct_densities,
     enlarge_domain_if_needed,
     predict_velocity,
@@ -1032,6 +1034,105 @@ def test_step_matches_reference_bit_for_bit(case):
         assert nutrient_clamps > 0
     else:
         assert clamped > 0.0
+
+
+def reference_sample(state, t, params, threshold, mu_star, c0, clamped_cum):
+    """The series row and bound violations as `run` formed them before one
+    sample became one pass: a boolean support mask, c gathered once for
+    c_max and again for the ceiling check, the radius over every support
+    cell, one `mu - mu*` per norm and the even powers through `**`."""
+    dx = state.grid.dx
+    mass_total, mass_auto = float(dx * state.n.sum()), float(dx * state.n2.sum())
+    mask = state.n > threshold
+    mu = state.n1[mask] / state.n[mask] if mask.any() else None
+    radius = 0.0
+    sup_dev = l2 = l4 = l8 = c_max = math.nan
+    violations = []
+    if mu is not None:
+        radius = float(np.abs(state.grid.cell_x[mask]).max())
+        c_max = float(state.c[mask].max())
+        if mu_star is not None:
+            sup_dev = float(np.abs(mu - mu_star).max())
+            l2, l4, l8 = (
+                float((dx * ((mu - mu_star) ** (2 * n)).sum()) ** (1.0 / (2 * n)))
+                for n in (1, 2, 4)
+            )
+        if mu.min() < -1e-8 or mu.max() > 1.0 + 1e-8:
+            violations.append(
+                f"composition fraction left [0, 1] at t={t:.6g} "
+                f"(range [{mu.min():.3e}, {mu.max():.3e}])"
+            )
+        if params.nutrient_mode == QUASISTATIC:
+            worst = float(state.c[mask].max() - max(params.c_B, c0))
+            if not worst <= 1e-6:
+                violations.append(
+                    f"nutrient exceeded its maximum-principle bound by {max(worst, 0.0):.3e} "
+                    f"at t={t:.6g}"
+                )
+    row = [t, radius, mass_total, mass_auto, sup_dev, l2, l4, l8, c_max, clamped_cum]
+    return row, violations
+
+
+def assert_sample_matches_reference(state, params, mu_star, c0, clamped_cum=0.0):
+    """Every channel bit for bit and the same violations, except l4_dev and
+    l8_dev (within 2 ulp: squaring rounds differently from `pow`). Returns
+    the violations."""
+    threshold = SolverConfig(dt=1.0).support_threshold
+    c_ceiling = max(params.c_B, c0) if params.nutrient_mode == QUASISTATIC else None
+    log = RunLog(clamped_neg_mass=clamped_cum)
+    row = _sample(state, state.t, threshold, mu_star, c_ceiling, log)
+    want, want_violations = reference_sample(
+        state, state.t, params, threshold, mu_star, c0, clamped_cum
+    )
+    assert log.violations == want_violations
+    for name, got, ref in zip(SERIES_CHANNELS, row, want, strict=True):
+        if name in ("l4_dev", "l8_dev") and not math.isnan(ref):
+            assert abs(got - ref) <= 2 * math.ulp(ref), name
+        else:
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes(), name
+    return log.violations
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_sample_matches_reference_on_stepped_states(case):
+    make, params, cfg = REFERENCE_CASES[case]
+    state = make()
+    mask0 = state.n > cfg.support_threshold
+    c0 = float(state.c[mask0].max()) if mask0.any() else params.c_B
+    # the equilibrium fraction where the rates define one, else a fixed value,
+    # so every case exercises the norms
+    mu_star = 0.4
+    if isinstance(params.transitions, ConstantTransitions) and params.D > 0:
+        mu_star = equilibrium_roots(params.D, params.transitions.K1, params.transitions.K2).mu_star
+    clamped = 0.0
+    for _ in range(30):
+        assert_sample_matches_reference(state, params, mu_star, c0, clamped)
+        state, diag = step(state, params, cfg)
+        clamped += diag.clamped_mass
+    assert_sample_matches_reference(state, params, None, c0, clamped)
+
+
+def test_sample_matches_reference_on_built_states():
+    params = basic_params(g=1.0, D=0.3, K1=1.0, K2=1.0)
+    # an empty support: radius 0, NaN norms and c_max, no checks
+    empty = make_state(np.zeros(9), np.zeros(9))
+    assert assert_sample_matches_reference(empty, params, 0.4, c0=1.0) == []
+    # the fraction below 0 and above 1
+    n1 = np.array([0.0, 0.3, -0.1, 0.3, 0.0])
+    n2 = np.array([0.0, 0.2, 0.5, -0.05, 0.0])
+    violations = assert_sample_matches_reference(make_state(n1, n2), params, 0.4, c0=1.0)
+    assert len(violations) == 1 and violations[0].startswith("composition fraction left [0, 1]")
+    # the tolerance is 1e-8: mu = -5e-9 passes, mu = -5e-8 does not
+    for eps, flagged in ((5e-9, False), (5e-8, True)):
+        n1 = np.array([0.0, -eps, 0.5, 0.0])
+        n2 = np.array([0.0, 1.0 + eps, 0.5, 0.0])
+        violations = assert_sample_matches_reference(make_state(n1, n2), params, 0.4, c0=1.0)
+        assert bool(violations) == flagged
+    # the nutrient above its ceiling max(c_B, c0) on the support
+    c = np.array([1.0, 1.5, 1.2, 1.5, 1.0])
+    bump = make_state([0.0, 0.3, 0.4, 0.3, 0.0], [0.0, 0.2, 0.1, 0.2, 0.0], c=c)
+    violations = assert_sample_matches_reference(bump, params, 0.4, c0=1.2)
+    assert violations == ["nutrient exceeded its maximum-principle bound by 3.000e-01 at t=0"]
 
 
 # ---------------------------------------------------------------------------
