@@ -27,6 +27,7 @@ from .scenarios import (
     PRESETS,
     PROFILE_COLUMNS,
     ScenarioConfig,
+    check_out_dir,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -102,6 +103,11 @@ def _cmd_run(args) -> int:
             cfg = load_config(args.config)
     except (OSError, ValueError, json.JSONDecodeError) as err:
         print(f"bad config: {err}", file=sys.stderr)
+        return 2
+    try:
+        check_out_dir(args.out)
+    except ValueError as err:
+        print(f"bad --out: {err}", file=sys.stderr)
         return 2
     try:
         result = run_scenario(cfg, args.out)
@@ -260,6 +266,7 @@ def _cmd_sweep(args) -> int:
             out_dir = str(Path(args.out) / data["name"])
             if any(out_dir == taken for _, taken in members):
                 raise ValueError(f"two members would share the output directory {out_dir}")
+            check_out_dir(out_dir)
             # validated here, before any member starts
             members.append((config_from_dict(data), out_dir))
     except ValueError as err:
@@ -288,22 +295,47 @@ def _cmd_sweep(args) -> int:
 # --- check ------------------------------------------------------------------
 
 
-def _check_csv(path: Path, expected_header: tuple[str, ...], problems: list[str]) -> None:
+def _read_csv(path: Path, expected_header: tuple[str, ...], problems: list[str]):
+    """The rows of a CSV with the expected header, as lists of floats, or
+    None after appending what is wrong to problems."""
     try:
         with open(path) as fh:
             header = fh.readline().strip()
             if header != ",".join(expected_header):
                 problems.append(f"{path.name}: unexpected header {header!r}")
-                return
+                return None
+            rows = []
             for lineno, line in enumerate(fh, start=2):
                 fields = line.strip().split(",")
                 if len(fields) != len(expected_header):
                     problems.append(f"{path.name}:{lineno}: wrong column count")
-                    return
-                for tok in fields:
-                    float(tok)
+                    return None
+                rows.append([float(tok) for tok in fields])
+            return rows
     except (OSError, ValueError) as err:
         problems.append(f"{path.name}: {err}")
+        return None
+
+
+def _check_series_against_manifest(rows: list[list[float]], manifest: dict,
+                                   problems: list[str]) -> None:
+    """The step count spans the series' first to last time in steps of the
+    config's dt, and the manifest's clamped mass is the series' last."""
+    steps, clamped = 0, 0.0
+    if rows:
+        try:
+            dt = float(manifest["config"]["solver"]["dt"])
+        except (KeyError, TypeError, ValueError):
+            problems.append("manifest has no config.solver.dt")
+            return
+        t, neg = SERIES_CHANNELS.index("t"), SERIES_CHANNELS.index("neg_mass_clamped")
+        steps = round((rows[-1][t] - rows[0][t]) / dt)
+        clamped = rows[-1][neg]
+    if manifest.get("steps") != steps:
+        problems.append(f"manifest steps {manifest.get('steps')} but the series spans {steps}")
+    if manifest.get("clamped_neg_mass") != clamped:
+        problems.append(f"manifest clamped_neg_mass {manifest.get('clamped_neg_mass')!r} "
+                        f"but the series ends at {clamped!r}")
 
 
 def _cmd_check(args) -> int:
@@ -324,14 +356,21 @@ def _cmd_check(args) -> int:
 
     outputs = manifest.get("outputs", {})
     if "timeseries" in outputs:
-        _check_csv(run_dir / outputs["timeseries"], SERIES_CHANNELS, problems)
+        rows = _read_csv(run_dir / outputs["timeseries"], SERIES_CHANNELS, problems)
+        if rows is not None and not manifest.get("failed"):
+            _check_series_against_manifest(rows, manifest, problems)
     for fname in outputs.get("profiles", {}).values():
-        _check_csv(run_dir / fname, PROFILE_COLUMNS, problems)
+        _read_csv(run_dir / fname, PROFILE_COLUMNS, problems)
     if "checkpoint" in outputs:
         try:
             read_checkpoint(run_dir / outputs["checkpoint"])
         except (OSError, ValueError) as err:
             problems.append(f"{outputs['checkpoint']}: {err}")
+    listed = {"manifest.json", outputs.get("timeseries"), outputs.get("checkpoint"),
+              *outputs.get("profiles", {}).values()}
+    for path in sorted(run_dir.iterdir()):
+        if path.name not in listed:
+            problems.append(f"{path.name}: not listed in the manifest")
 
     if problems:
         for line in problems:

@@ -46,7 +46,7 @@ def pressure_from_density(n, gamma: float):
     if not gamma > 1.0:
         raise ValueError(f"gamma must exceed 1, got {gamma}")
     n = np.asarray(n, dtype=float) if np.ndim(n) else float(n)
-    if (np.asarray(n) < 0.0).any():
+    if np.count_nonzero(np.asarray(n) < 0.0):
         raise ValueError("negative density passed to the pressure law")
     p = n ** (gamma - 1.0)
     p *= gamma / (gamma - 1.0)
@@ -82,25 +82,28 @@ def _limit(d_minus, d_plus, d_center, out):
     return out
 
 
-def _edge_arrays(values: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray]:
-    """Second-order left/right states at every interior face.
+def _edge_faces(values: np.ndarray, dx: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Second-order left/right states at the faces of `values`, a flat array
+    of fields of n cells each laid end to end (n1 then n2 in the solver).
 
-    Works along the last axis, so a (k, N) stack of fields is reconstructed
-    in one call, row by row. Boundary cells get slope 0 (one-sided
-    reconstruction degenerates to the cell value there). Each interior
-    cell's slope is `_limit` of its upwind, downwind and centered
-    differences; the first two are overlapping slices of one difference
-    array.
+    Face i lies between cells i and i + 1. Each field's two end cells get
+    slope 0 (one-sided reconstruction degenerates to the cell value there);
+    the faces between two fields join unrelated cells, and their states are
+    junk for the caller to discard. Each other cell's slope is `_limit` of
+    its upwind, downwind and centered differences; the first two are
+    overlapping slices of one difference array.
     """
     s = np.zeros(values.shape)
-    d = values[..., 1:] - values[..., :-1]
+    d = values[1:] - values[:-1]
     d /= dx
-    d_center = values[..., 2:] - values[..., :-2]
+    d_center = values[2:] - values[:-2]
     d_center /= 2.0 * dx
-    _limit(d[..., :-1], d[..., 1:], d_center, s[..., 1:-1])
+    _limit(d[:-1], d[1:], d_center, s[1:-1])
+    s[n - 1 :: n] = 0.0
+    s[n::n] = 0.0
     s *= 0.5 * dx
-    left = values[..., :-1] + s[..., :-1]
-    right = values[..., 1:] - s[..., 1:]
+    left = values[:-1] + s[:-1]
+    right = values[1:] - s[1:]
     return left, right
 
 

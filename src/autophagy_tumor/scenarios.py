@@ -61,6 +61,7 @@ __all__ = [
     "config_from_dict",
     "config_to_dict",
     "load_config",
+    "check_out_dir",
     "run_scenario",
     "write_profile_csv",
     "PROFILE_COLUMNS",
@@ -475,8 +476,8 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 # preset catalogue
 
 
-def _stiff_limit_preset(name, gamma, t_end, outputs, D=0.3, a=0.5, mu0=None, R0=1.0,
-                        sample=0.1, K1=1.0, K2=1.0, transitions=None):
+def _stiff_limit_preset(name, gamma, t_end, outputs=("timeseries", "checkpoint"), D=0.3, a=0.5,
+                        mu0=None, R0=1.0, sample=0.1, K1=1.0, K2=1.0, transitions=None):
     params = ModelParameters(
         gamma=gamma,
         D=D,
@@ -519,113 +520,35 @@ def _neumann_preset(name, t_end, k1max, lambda_schedule, growth=None, sample=0.2
     )
 
 
-PRESETS: dict[str, ScenarioConfig] = {}
-
-for _gamma in (5.0, 20.0, 80.0):
-    PRESETS[f"fig-s4limit-gamma{_gamma:g}"] = _stiff_limit_preset(
-        f"fig-s4limit-gamma{_gamma:g}",
-        gamma=_gamma,
-        t_end=1.0,
-        outputs=("timeseries", "profiles@1", "checkpoint"),
-    )
-
-for _D in (0.3, 0.5):
-    PRESETS[f"fig-s4f2-D{_D:g}"] = _stiff_limit_preset(
-        f"fig-s4f2-D{_D:g}",
-        gamma=80.0,
-        D=_D,
-        t_end=20.0,
-        sample=0.25,
-        outputs=("timeseries", "checkpoint"),
-    )
-
-PRESETS["fig-s3unicon"] = _stiff_limit_preset(
-    "fig-s3unicon",
-    gamma=80.0,
-    a=0.4,
-    t_end=3.0,
-    sample=0.05,
-    mu0=ProfileComposition("hetero-cos"),
-    outputs=("timeseries", "profiles@3", "checkpoint"),
-)
-PRESETS["fig-s3unicon-gamma2"] = _stiff_limit_preset(
-    "fig-s3unicon-gamma2",
-    gamma=2.0,
-    a=0.4,
-    t_end=3.0,
-    sample=0.05,
-    mu0=ProfileComposition("hetero-cos"),
-    outputs=("timeseries", "profiles@3", "checkpoint"),
-)
-
-PRESETS["fig-s3l2n-a"] = _stiff_limit_preset(
-    "fig-s3l2n-a",
-    gamma=80.0,
-    D=0.1,
-    K1=0.1,
-    K2=1.0,
-    mu0=ConstantComposition(1.0),
-    R0=1.0,
-    t_end=10.0,
-    sample=0.25,
-    outputs=("timeseries", "checkpoint"),
-)
-PRESETS["fig-s3l2n-b"] = _stiff_limit_preset(
-    "fig-s3l2n-b",
-    gamma=80.0,
-    D=0.1,
-    K1=0.1,
-    K2=0.01,
-    mu0=ConstantComposition(0.9),
-    R0=2.0,
-    t_end=10.0,
-    sample=0.25,
-    outputs=("timeseries", "checkpoint"),
-)
-
-PRESETS["fig-s4fin"] = _stiff_limit_preset(
-    "fig-s4fin",
-    gamma=80.0,
-    t_end=10.0,
-    sample=0.25,
-    mu0=ConstantComposition(0.5),
-    transitions=RationalPairTransitions(),
-    outputs=("timeseries", "profiles@10", "checkpoint"),
-)
-
-PRESETS["fig-necrotic"] = _stiff_limit_preset(
-    "fig-necrotic",
-    gamma=80.0,
-    D=0.7,
-    R0=2.0,
-    t_end=15.0,
-    sample=0.25,
-    outputs=("timeseries", "profiles@15", "checkpoint"),
-)
-
-for _k in (0.0, 2.0, 8.0):
-    PRESETS[f"neumann-autohelp-k{_k:g}"] = _neumann_preset(
-        f"neumann-autohelp-k{_k:g}",
-        t_end=20.0,
-        k1max=_k,
-        lambda_schedule=ConstantFlux(value=0.2),
-    )
-
-for _T in (20.0, 40.0):
-    PRESETS[f"neumann-periodic-T{_T:g}"] = _neumann_preset(
-        f"neumann-periodic-T{_T:g}",
-        t_end=2.0 * _T,
-        k1max=2.0,
-        lambda_schedule=PeriodicFlux(high=0.5, period=_T),
-    )
-
-PRESETS["neumann-logistic"] = _neumann_preset(
-    "neumann-logistic",
-    t_end=40.0,
-    k1max=2.0,
-    lambda_schedule=PeriodicFlux(high=0.5, period=20.0),
-    growth=Logistic(g=2.0, M=1.2, delta=0.5),
-)
+# keyed by each config's name, in this order
+PRESETS: dict[str, ScenarioConfig] = {cfg.name: cfg for cfg in (
+    *(_stiff_limit_preset(f"fig-s4limit-gamma{gamma:g}", gamma=gamma, t_end=1.0,
+                          outputs=("timeseries", "profiles@1", "checkpoint"))
+      for gamma in (5.0, 20.0, 80.0)),
+    *(_stiff_limit_preset(f"fig-s4f2-D{D:g}", gamma=80.0, D=D, t_end=20.0, sample=0.25)
+      for D in (0.3, 0.5)),
+    *(_stiff_limit_preset(name, gamma=gamma, a=0.4, t_end=3.0, sample=0.05,
+                          mu0=ProfileComposition("hetero-cos"),
+                          outputs=("timeseries", "profiles@3", "checkpoint"))
+      for name, gamma in (("fig-s3unicon", 80.0), ("fig-s3unicon-gamma2", 2.0))),
+    *(_stiff_limit_preset(name, gamma=80.0, D=0.1, K1=0.1, K2=K2, mu0=ConstantComposition(mu0),
+                          R0=R0, t_end=10.0, sample=0.25)
+      for name, K2, mu0, R0 in (("fig-s3l2n-a", 1.0, 1.0, 1.0), ("fig-s3l2n-b", 0.01, 0.9, 2.0))),
+    _stiff_limit_preset("fig-s4fin", gamma=80.0, t_end=10.0, sample=0.25,
+                        mu0=ConstantComposition(0.5), transitions=RationalPairTransitions(),
+                        outputs=("timeseries", "profiles@10", "checkpoint")),
+    _stiff_limit_preset("fig-necrotic", gamma=80.0, D=0.7, R0=2.0, t_end=15.0, sample=0.25,
+                        outputs=("timeseries", "profiles@15", "checkpoint")),
+    *(_neumann_preset(f"neumann-autohelp-k{k:g}", t_end=20.0, k1max=k,
+                      lambda_schedule=ConstantFlux(value=0.2))
+      for k in (0.0, 2.0, 8.0)),
+    *(_neumann_preset(f"neumann-periodic-T{T:g}", t_end=2.0 * T, k1max=2.0,
+                      lambda_schedule=PeriodicFlux(high=0.5, period=T))
+      for T in (20.0, 40.0)),
+    _neumann_preset("neumann-logistic", t_end=40.0, k1max=2.0,
+                    lambda_schedule=PeriodicFlux(high=0.5, period=20.0),
+                    growth=Logistic(g=2.0, M=1.2, delta=0.5)),
+)}
 
 
 # ---------------------------------------------------------------------------
@@ -645,16 +568,30 @@ def write_profile_csv(path, state: FieldState, gamma: float) -> None:
         write_table(fh, table, ",")
 
 
+def check_out_dir(out_dir) -> None:
+    """Raise ValueError unless out_dir is a new path under a directory, or
+    an empty directory: no file of an earlier run may stay beside a new
+    run's outputs."""
+    out = Path(out_dir)
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise ValueError(f"output path {existing} is not a directory")
+    if existing == out and any(out.iterdir()):
+        raise ValueError(f"output directory {out} is not empty; give a new or empty one")
+
+
 def run_scenario(cfg: ScenarioConfig, out_dir) -> RunResult:
     """Run a scenario and write its outputs and manifest under out_dir.
 
-    The initial state is built and `t_end` checked against its time before
-    the directory is created, so an unreadable or mismatched checkpoint, or
-    a `t_end` before the checkpoint's time, leaves no directory. Whatever
+    out_dir must pass `check_out_dir`. The initial state is built and
+    `t_end` checked against its time before the directory is created, so an
+    unreadable or mismatched checkpoint, or a `t_end` before the
+    checkpoint's time, leaves no directory. Whatever
     fails once it exists (the solver, writing an output), the manifest is
     still written (failed: true, with the error) before the exception
     propagates.
     """
+    check_out_dir(out_dir)
     initial = build_initial_state(cfg.initial, cfg.params, cfg.solver)
     _check_t_end(initial.t, cfg.t_end)
     out = Path(out_dir)

@@ -27,6 +27,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .diagnostics import (
     total_population,
     write_table,
 )
-from .grid import Grid1D, _edge_arrays, numerical_flux, pressure_from_density
+from .grid import Grid1D, _edge_faces, numerical_flux, pressure_from_density
 from .kinetics import (
     QUASISTATIC,
     ConstantTransitions,
@@ -53,7 +54,7 @@ __all__ = [
     "SolverConfig",
     "FieldState",
     "SolverError",
-    "TridiagonalSystem",
+    "solve_tridiagonal",
     "StepDiagnostics",
     "RunLog",
     "RunResult",
@@ -87,45 +88,46 @@ class SolverConfig:
             raise ValueError("sample_interval must be positive")
 
 
-@dataclass
 class FieldState:
     """Cell-centered fields n1, n2, c plus face velocities u (interior faces,
     length n_cells - 1) at time t, and the total density n = n1 + n2.
 
-    n is formed once, at construction; n1 and n2 are not rebound or written
-    after it."""
+    Both densities live in one float64 array, `densities`: n1 is its first
+    half and n2 its second, and the attributes n1 and n2 are views of the
+    halves. The constructor converts and checks its arrays and forms n once;
+    densities, n1, n2 and n are read-only attributes, and their arrays are
+    not written after it."""
 
-    grid: Grid1D
-    n1: np.ndarray
-    n2: np.ndarray
-    c: np.ndarray
-    u: np.ndarray
-    t: float
+    densities = property(attrgetter("_densities"))
+    n1 = property(attrgetter("_n1"))
+    n2 = property(attrgetter("_n2"))
+    n = property(attrgetter("_n"))
 
-    def __post_init__(self):
-        n = self.grid.n_cells
-        self.n1 = np.asarray(self.n1, dtype=float)
-        self.n2 = np.asarray(self.n2, dtype=float)
-        self.c = np.asarray(self.c, dtype=float)
-        self.u = np.asarray(self.u, dtype=float)
-        for name, arr, want in (
-            ("n1", self.n1, n),
-            ("n2", self.n2, n),
-            ("c", self.c, n),
-            ("u", self.u, n - 1),
-        ):
+    def __init__(self, grid: Grid1D, n1, n2, c, u, t: float):
+        m = grid.n_cells
+        n1, n2, c, u = (np.asarray(arr, dtype=float) for arr in (n1, n2, c, u))
+        for name, arr, want in (("n1", n1, m), ("n2", n2, m), ("c", c, m), ("u", u, m - 1)):
             if arr.shape != (want,):
                 raise ValueError(f"{name} must have shape ({want},), got {arr.shape}")
-        self.n = self.n1 + self.n2
+        self._hold(grid, np.concatenate((n1, n2)), n1 + n2, c, u, t)
+
+    def _hold(self, grid, densities, n, c, u, t) -> None:
+        self.grid, self._densities, self._n, self.c, self.u, self.t = grid, densities, n, c, u, t
+        self._n1, self._n2 = densities[: grid.n_cells], densities[grid.n_cells :]
+
+    @classmethod
+    def _of(cls, grid: Grid1D, densities: np.ndarray, n: np.ndarray, c: np.ndarray,
+            u: np.ndarray, t: float) -> "FieldState":
+        """The state over arrays the solver has just formed: `densities` (n1
+        then n2) and the total density n, taken as they are, with no
+        conversion, copy or shape check."""
+        state = cls.__new__(cls)
+        state._hold(grid, densities, n, c, u, t)
+        return state
 
     def copy(self) -> "FieldState":
-        return FieldState(
-            grid=self.grid,
-            n1=self.n1.copy(),
-            n2=self.n2.copy(),
-            c=self.c.copy(),
-            u=self.u.copy(),
-            t=self.t,
+        return FieldState._of(
+            self.grid, self.densities.copy(), self.n.copy(), self.c.copy(), self.u.copy(), self.t
         )
 
 
@@ -158,6 +160,7 @@ def _load_dgtsv():
 
 
 dgtsv = _load_dgtsv()
+_ZERO = np.zeros(1)
 
 
 class SolverError(RuntimeError):
@@ -172,35 +175,35 @@ class SolverError(RuntimeError):
         self.t = t
 
 
-@dataclass
-class TridiagonalSystem:
-    """Rows: lower[k-1]*x[k-1] + diag[k]*x[k] + upper[k]*x[k+1] = rhs[k]."""
+def _all_finite(x: np.ndarray) -> bool:
+    # np.count_nonzero skips the set-up that a ufunc reduction like .all() costs
+    return np.count_nonzero(np.isfinite(x)) == x.size
 
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
-    rhs: np.ndarray
 
-    def solve(self) -> np.ndarray:
-        """Solve by Gaussian elimination with partial pivoting (LAPACK gtsv).
+def solve_tridiagonal(
+    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """Solve lower[k-1]*x[k-1] + diag[k]*x[k] + upper[k]*x[k+1] = rhs[k] by
+    Gaussian elimination with partial pivoting (LAPACK gtsv); the inputs are
+    not written.
 
-        Non-finite entries, a singular matrix and a non-finite solution all
-        raise SolverError.
-        """
-        if not np.isfinite(np.concatenate((self.lower, self.diag, self.upper, self.rhs))).all():
-            raise SolverError("tridiagonal system has non-finite entries")
-        if len(self.diag) < 2:
-            # gtsv rejects a 1x1 system; solve_banded divides, and so do we
-            x = self.rhs / self.diag
-        else:
-            x, info = dgtsv(self.lower, self.diag, self.upper, self.rhs)[3:]
-            if info > 0:
-                raise SolverError(f"tridiagonal solve failed: singular matrix (zero pivot {info})")
-            if info < 0:
-                raise SolverError(f"tridiagonal solve failed: bad argument {-info} to gtsv")
-        if not np.isfinite(x).all():
-            raise SolverError("tridiagonal solve produced non-finite values")
-        return x
+    Non-finite entries, then a singular matrix or a bad argument, then a
+    non-finite solution raise SolverError.
+    """
+    if not _all_finite(np.concatenate((lower, diag, upper, rhs))):
+        raise SolverError("tridiagonal system has non-finite entries")
+    if len(diag) < 2:
+        # gtsv rejects a 1x1 system; solve_banded divides, and so do we
+        x = rhs / diag
+    else:
+        x, info = dgtsv(lower, diag, upper, rhs)[3:]
+        if info > 0:
+            raise SolverError(f"tridiagonal solve failed: singular matrix (zero pivot {info})")
+        if info < 0:
+            raise SolverError(f"tridiagonal solve failed: bad argument {-info} to gtsv")
+    if not _all_finite(x):
+        raise SolverError("tridiagonal solve produced non-finite values")
+    return x
 
 
 def predict_velocity(
@@ -246,30 +249,33 @@ def predict_velocity(
     rhs[-1] = 0.0
     upper[0] = 0.0
     lower[-1] = 0.0
-    return TridiagonalSystem(lower, diag, upper, rhs).solve()
+    return solve_tridiagonal(lower, diag, upper, rhs)
 
 
 def correct_densities(
     state: FieldState, u_star: np.ndarray, params: ModelParameters, dt: float, growth: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, float]:
     """Transport both species with the predicted velocity and apply the
     exchange/growth terms semi-implicitly; `growth` is the rate G(c, n) on
     `state`.
 
-    Returns (n1, n2, clamped_mass) where clamped_mass is the total mass
-    removed by zeroing negative densities.
+    Returns (densities, clamped_mass): the new n1 then n2 in one array, as
+    in `FieldState.densities`, and the total mass removed by zeroing
+    negative densities.
     """
-    grid = state.grid
-    dx = grid.dx
+    m = state.grid.n_cells
+    dx = state.grid.dx
     K1, K2 = eval_transitions(params.transitions, state.c)
 
-    # both species in one pass: row 0 is n1, row 1 is n2; the wall faces
-    # carry zero flux
-    stacked = np.concatenate((state.n1, state.n2)).reshape(2, grid.n_cells)
-    left, right = _edge_arrays(stacked, dx)
-    flux = np.zeros((2, grid.n_cells + 1))
-    flux[:, 1:-1] = numerical_flux(left, right, u_star)
-    div = flux[:, 1:] - flux[:, :-1]
+    # both species in one pass over the flat n1-then-n2 array: u* on each
+    # species' faces, and zero flux through the walls and through the junk
+    # face between the two species
+    values = state.densities
+    left, right = _edge_faces(values, dx, m)
+    flux = np.zeros(2 * m + 1)
+    flux[1:-1] = numerical_flux(left, right, np.concatenate((u_star, _ZERO, u_star)))
+    flux[m] = 0.0
+    div = flux[1:] - flux[:-1]
     div /= dx
 
     # a11 = 1/dt - G + K1, a22 = 1/dt - (G - D) + K2
@@ -287,28 +293,29 @@ def correct_densities(
             state=state,
             t=state.t,
         )
-    r = stacked / dt
+    r = values / dt
     r -= div
-    r1 = r[0]
-    r2 = r[1]
+    r1 = r[:m]
+    r2 = r[m:]
     # new = [a22*r1 + K2*r2, K1*r1 + a11*r2] / det
     new = np.empty_like(r)
-    np.multiply(a22, r1, out=new[0])
-    np.multiply(K1, r1, out=new[1])
+    np.multiply(a22, r1, out=new[:m])
+    np.multiply(K1, r1, out=new[m:])
     cross = np.empty_like(r)
-    np.multiply(K2, r2, out=cross[0])
-    np.multiply(a11, r2, out=cross[1])
+    np.multiply(K2, r2, out=cross[:m])
+    np.multiply(a11, r2, out=cross[m:])
     new += cross
-    new /= det
+    rows = new.reshape(2, m)
+    rows /= det
 
     clamped = 0.0
     neg = new < 0.0
-    if neg.any():
-        for row, row_neg in zip(new, neg):
-            if row_neg.any():
+    if np.count_nonzero(neg):
+        for row, row_neg in zip(rows, neg.reshape(2, m)):
+            if np.count_nonzero(row_neg):
                 clamped -= dx * float(row[row_neg].sum())
                 row[row_neg] = 0.0
-    return new[0], new[1], clamped
+    return new, clamped
 
 
 def solve_nutrient_quasistatic(
@@ -337,7 +344,7 @@ def solve_nutrient_quasistatic(
         rhs = params.a * state.n2[s : e + 1]
         rhs[0] += c_B / dx**2
         rhs[-1] += c_B / dx**2
-        c[s : e + 1] = TridiagonalSystem(off, diag, off, rhs).solve()
+        c[s : e + 1] = solve_tridiagonal(off, diag, off, rhs)
     return c
 
 
@@ -385,7 +392,7 @@ def step_nutrient_neumann(
     diag[-1] = -1.0
     rhs[-1] = lam * dx
 
-    c = TridiagonalSystem(lower, diag, upper, rhs).solve()
+    c = solve_tridiagonal(lower, diag, upper, rhs)
     neg = c < 0.0
     clamped = int(np.count_nonzero(neg))
     if clamped:
@@ -422,13 +429,13 @@ def enlarge_domain_if_needed(
     )
     zeros_l = np.zeros(pad_left)
     zeros_r = np.zeros(pad_right)
-    new = FieldState(
-        grid=grid,
-        n1=np.concatenate((zeros_l, state.n1, zeros_r)),
-        n2=np.concatenate((zeros_l, state.n2, zeros_r)),
-        c=np.concatenate((np.full(pad_left, params.c_B), state.c, np.full(pad_right, params.c_B))),
-        u=np.concatenate((zeros_l, state.u, zeros_r)),
-        t=state.t,
+    new = FieldState._of(
+        grid,
+        np.concatenate((zeros_l, state.n1, zeros_r, zeros_l, state.n2, zeros_r)),
+        np.concatenate((zeros_l, state.n, zeros_r)),
+        np.concatenate((np.full(pad_left, params.c_B), state.c, np.full(pad_right, params.c_B))),
+        np.concatenate((zeros_l, state.u, zeros_r)),
+        state.t,
     )
     return new, True
 
@@ -456,25 +463,24 @@ def step(
     dx = grid.dx
     u_star = predict_velocity(state, params, dt, growth)
     cfl = float(np.abs(u_star).max() * dt / dx)
-    n1, n2, clamped = correct_densities(state, u_star, params, dt, growth)
+    densities, clamped = correct_densities(state, u_star, params, dt, growth)
+    n = densities[: grid.n_cells] + densities[grid.n_cells :]
 
     t_new = state.t + dt
     if params.nutrient_mode == QUASISTATIC:
         c, nutrient_clamped = state.c, 0
     else:
         c, nutrient_clamped = step_nutrient_neumann(state, params, dt, t_new)
-    # the old u stands in until the new pressure gives u = -(p[1:] - p[:-1]) / dx
-    new = FieldState(grid=grid, n1=n1, n2=n2, c=c, u=state.u, t=t_new)
-    p = pressure_from_density(new.n, params.gamma)
+    p = pressure_from_density(n, params.gamma)
     u = p[1:] - p[:-1]
     np.negative(u, out=u)
     u /= dx
-    new.u = u
+    new = FieldState._of(grid, densities, n, c, u, t_new)
     if params.nutrient_mode == QUASISTATIC:
         # the solve reads the new densities from the state it is given
         new.c = solve_nutrient_quasistatic(new, params, cfg.support_threshold)
 
-    if not np.isfinite(np.concatenate((new.n1, new.n2, new.c, new.u))).all():
+    if not _all_finite(np.concatenate((densities, new.c, u))):
         name = next(
             name for name in ("n1", "n2", "c", "u") if not np.isfinite(getattr(new, name)).all()
         )

@@ -230,6 +230,41 @@ def test_run_rejects_unrunnable_model_at_load(tmp_path, capsys, section, entries
     assert not out_dir.exists()
 
 
+def test_run_refuses_an_out_that_holds_an_earlier_run(tmp_path, capsys):
+    # the files of the first run would stay beside the second's, unlisted
+    data = tiny_config_dict()
+    data["outputs"] = ["timeseries", "profiles@0.004", "checkpoint"]
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)]) == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    data["outputs"] = ["timeseries"]
+    capsys.readouterr()
+    rc = main(["run", "--config", write_config(tmp_path, data, "second.json"),
+               "--out", str(out_dir)])
+    assert rc == 2
+    assert f"bad --out: output directory {out_dir} is not empty" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+def test_run_refuses_an_out_that_is_not_a_directory(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, tiny_config_dict())
+    taken = tmp_path / "taken"
+    taken.write_text("not a run\n")
+    for out_dir in (taken, taken / "below"):
+        rc = main(["run", "--config", cfg_path, "--out", str(out_dir)])
+        assert rc == 2
+        assert f"bad --out: output path {taken} is not a directory" in capsys.readouterr().err
+    assert taken.read_text() == "not a run\n"
+
+
+def test_run_accepts_an_empty_out_directory(tmp_path, capsys):
+    out_dir = tmp_path / "empty"
+    out_dir.mkdir()
+    assert main(["run", "--config", write_config(tmp_path, tiny_config_dict()),
+                 "--out", str(out_dir)]) == 0
+    assert main(["check", str(out_dir)]) == 0
+
+
 def put(data, key, value):
     """Set a dotted config path, creating the last key."""
     *parents, last = key.split(".")
@@ -415,6 +450,53 @@ def test_check_flags_truncated_checkpoint(tmp_path, capsys):
     assert "check failed" in capsys.readouterr().err
 
 
+def test_check_flags_a_file_the_manifest_does_not_list(tmp_path, capsys):
+    out_dir = finished_run(tmp_path, capsys)
+    (out_dir / "profile_t0.004.csv").write_text("x,n1,n2,n,c,p,u\n")
+    rc = main(["check", str(out_dir)])
+    assert rc == 1
+    assert "profile_t0.004.csv: not listed in the manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("steps", 4, "manifest steps 4 but the series spans 5"),
+        ("clamped_neg_mass", 1e-9, "manifest clamped_neg_mass 1e-09 but the series ends at 0.0"),
+    ],
+)
+def test_check_cross_checks_the_manifest_against_the_series(tmp_path, capsys, key, value,
+                                                            message):
+    out_dir = finished_run(tmp_path, capsys)
+    assert main(["check", str(out_dir)]) == 0
+    capsys.readouterr()
+    manifest_path = out_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest[key] = value
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["check", str(out_dir)]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_check_accepts_a_run_of_zero_steps(tmp_path, capsys):
+    # a restart whose t_end is the checkpoint's time: a header-only series
+    first = finished_run(tmp_path, capsys)
+    data = tiny_config_dict(t_end=0.01)
+    data["initial"] = {"type": "checkpoint", "path": str(first / "checkpoint_final.txt")}
+    out_dir = tmp_path / "restart"
+    assert main(["run", "--config", write_config(tmp_path, data, "restart.json"),
+                 "--out", str(out_dir)]) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["steps"] == 0
+    assert (out_dir / "timeseries.csv").read_text().count("\n") == 1
+    assert main(["check", str(out_dir)]) == 0
+    # and a step count the empty series cannot hold
+    manifest["steps"] = 1
+    (out_dir / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["check", str(out_dir)]) == 1
+    assert "manifest steps 1 but the series spans 0" in capsys.readouterr().err
+
+
 def test_check_requires_manifest(tmp_path, capsys):
     rc = main(["check", str(tmp_path)])
     assert rc == 1
@@ -562,6 +644,25 @@ def test_sweep_usage_errors(tmp_path, capsys):
     assert "bad sweep: two members would share the output directory" in captured.err
     assert "done" not in captured.out
     assert not list(tmp_path.iterdir())
+    # a member directory that holds files, and an --out that is a file
+    member = tmp_path / "fig-s4f2-D0.3-t_end=0.008"
+    member.mkdir()
+    (member / "manifest.json").write_text("{}")
+    assert main(
+        ["sweep", "--preset", "fig-s4f2-D0.3", "--vary", "t_end=0.004,0.008",
+         "--out", str(tmp_path), "--jobs", "1"]
+    ) == 2
+    captured = capsys.readouterr()
+    assert f"bad sweep: output directory {member} is not empty" in captured.err
+    assert "done" not in captured.out
+    assert [p.name for p in tmp_path.iterdir()] == [member.name]
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(
+        ["sweep", "--preset", "fig-s4f2-D0.3", "--vary", "t_end=0.004",
+         "--out", str(taken), "--jobs", "1"]
+    ) == 2
+    assert f"bad sweep: output path {taken} is not a directory" in capsys.readouterr().err
 
 
 def test_sweep_starts_at_most_one_worker_per_member(tmp_path, monkeypatch, capsys):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from autophagy_tumor.grid import (
     Grid1D,
-    _edge_arrays,
+    _edge_faces,
     _limit,
     density_from_pressure,
     numerical_flux,
@@ -53,6 +53,15 @@ def test_pressure_law_rejects_bad_inputs():
         density_from_pressure(-0.1, 2.0)
     with pytest.raises(ValueError):
         pressure_from_density(np.array([0.5, -1e-9]), 2.0)
+
+
+def _edge_arrays(values, dx):
+    # the flat kernel on the rows of a (..., N) array laid end to end, less
+    # the junk faces between rows: (left, right) of shape (..., N - 1)
+    n = values.shape[-1]
+    faces = np.arange(values.size - 1) % n != n - 1
+    shape = values.shape[:-1] + (n - 1,)
+    return tuple(side[faces].reshape(shape) for side in _edge_faces(values.reshape(-1), dx, n))
 
 
 def _limited_slope(n_prev, n_mid, n_next, dx):
@@ -159,12 +168,15 @@ def test_edge_values_spike_reverts_to_first_order():
     ids=["N3", "constant", "random", "random-signed-3rows"],
 )
 def test_edge_arrays_stacked_rows_match_one_dimensional_calls(rows):
-    left, right = _edge_arrays(rows, 0.1)
-    assert left.shape == right.shape == (rows.shape[0], rows.shape[1] - 1)
+    # the rows laid end to end as one flat array, as correct_densities
+    # passes n1 and n2: each segment's faces equal the one-field call's
+    n = rows.shape[1]
+    left, right = _edge_faces(rows.reshape(-1), 0.1, n)
+    assert left.shape == right.shape == (rows.size - 1,)
     for k, row in enumerate(rows):
-        row_left, row_right = _edge_arrays(row, 0.1)
-        assert np.array_equal(left[k], row_left)
-        assert np.array_equal(right[k], row_right)
+        row_left, row_right = _edge_faces(row, 0.1, n)
+        _assert_same_bits(left[k * n : k * n + n - 1], row_left)
+        _assert_same_bits(right[k * n : k * n + n - 1], row_right)
 
 
 def _edge_arrays_three_stencils(values, dx):

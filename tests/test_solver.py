@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import solve_banded
 
-from autophagy_tumor.grid import Grid1D, _edge_arrays, numerical_flux, pressure_from_density
+from autophagy_tumor.grid import Grid1D, _edge_faces, numerical_flux, pressure_from_density
 from autophagy_tumor.diagnostics import SERIES_CHANNELS, support_components
 from autophagy_tumor.kinetics import (
     AffineDeath,
@@ -28,7 +28,6 @@ from autophagy_tumor.solver import (
     SolverConfig,
     SolverError,
     StepDiagnostics,
-    TridiagonalSystem,
     _sample,
     correct_densities,
     enlarge_domain_if_needed,
@@ -36,6 +35,7 @@ from autophagy_tumor.solver import (
     read_checkpoint,
     run,
     solve_nutrient_quasistatic,
+    solve_tridiagonal,
     step,
     step_nutrient_neumann,
     write_checkpoint,
@@ -51,9 +51,12 @@ def predict(state, params, dt):
 
 
 def correct(state, u_star, params, dt):
-    """correct_densities with the growth rate that `step` passes on."""
+    """correct_densities with the growth rate that `step` passes on, as
+    (n1, n2, clamped mass)."""
     growth = eval_growth(params.growth, state.c, state.n)
-    return correct_densities(state, u_star, params, dt, growth)
+    densities, clamped = correct_densities(state, u_star, params, dt, growth)
+    m = state.grid.n_cells
+    return densities[:m], densities[m:], clamped
 
 
 def basic_params(gamma=2.0, g=1.0, D=0.0, K1=0.0, K2=0.0, a=0.5, c_B=1.0, **kw):
@@ -99,6 +102,17 @@ def test_field_state_shape_checks():
         FieldState(grid=g, n1=np.zeros(5), n2=np.zeros(5), c=np.ones(5), u=np.zeros(5), t=0.0)
 
 
+def test_field_state_densities_are_one_read_only_buffer():
+    state = make_state(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0]))
+    np.testing.assert_array_equal(state.densities, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    assert np.shares_memory(state.n1, state.densities)
+    assert np.shares_memory(state.n2, state.densities)
+    # rebinding a half would leave `densities` and n describing other cells
+    for name in ("densities", "n1", "n2", "n"):
+        with pytest.raises(AttributeError):
+            setattr(state, name, np.zeros(3))
+
+
 def test_field_state_copy_is_deep():
     state = make_state(np.ones(5), np.zeros(5))
     dup = state.copy()
@@ -113,7 +127,7 @@ def test_tridiagonal_matches_dense_solve(rng):
     upper = rng.random(m - 1) - 0.5
     diag = 3.0 + rng.random(m)
     rhs = rng.random(m)
-    x = TridiagonalSystem(lower, diag, upper, rhs).solve()
+    x = solve_tridiagonal(lower, diag, upper, rhs)
     dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
     np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-12)
 
@@ -129,7 +143,7 @@ def test_tridiagonal_matches_solve_banded_bit_for_bit(rng):
         ab[0, 1:] = upper
         ab[1, :] = diag
         ab[2, :-1] = lower
-        x = TridiagonalSystem(lower, diag, upper, rhs).solve()
+        x = solve_tridiagonal(lower, diag, upper, rhs)
         np.testing.assert_array_equal(x, solve_banded((1, 1), ab, rhs))
 
 
@@ -144,26 +158,23 @@ def test_tridiagonal_rejects_non_finite_entries(which, bad):
     }
     arrays[which][1] = bad
     with pytest.raises(SolverError):
-        TridiagonalSystem(**arrays).solve()
+        solve_tridiagonal(**arrays)
 
 
 def test_tridiagonal_singular_matrix_raises():
     # rows (1, 1) and (1, 1): elimination leaves a zero pivot
-    system = TridiagonalSystem(np.ones(1), np.ones(2), np.ones(1), np.array([1.0, 2.0]))
     with pytest.raises(SolverError, match="singular"):
-        system.solve()
-    zero = TridiagonalSystem(np.zeros(2), np.zeros(3), np.zeros(2), np.ones(3))
+        solve_tridiagonal(np.ones(1), np.ones(2), np.ones(1), np.array([1.0, 2.0]))
     with pytest.raises(SolverError, match="singular"):
-        zero.solve()
+        solve_tridiagonal(np.zeros(2), np.zeros(3), np.zeros(2), np.ones(3))
 
 
 def test_tridiagonal_non_finite_solution_raises():
     # finite entries whose solution overflows: x[0] = 1e300 / 1e-300
-    system = TridiagonalSystem(
-        np.zeros(1), np.array([1e-300, 1.0]), np.zeros(1), np.array([1e300, 1.0])
-    )
     with np.errstate(over="ignore"), pytest.raises(SolverError, match="non-finite values"):
-        system.solve()
+        solve_tridiagonal(
+            np.zeros(1), np.array([1e-300, 1.0]), np.zeros(1), np.array([1e300, 1.0])
+        )
 
 
 def test_tridiagonal_reports_bad_gtsv_argument(monkeypatch):
@@ -173,13 +184,12 @@ def test_tridiagonal_reports_bad_gtsv_argument(monkeypatch):
         return dl, d, du, b, -3
 
     monkeypatch.setattr(solver, "dgtsv", rejecting_gtsv)
-    system = TridiagonalSystem(np.zeros(2), np.ones(3), np.zeros(2), np.ones(3))
     with pytest.raises(SolverError, match="bad argument 3 to gtsv"):
-        system.solve()
+        solve_tridiagonal(np.zeros(2), np.ones(3), np.zeros(2), np.ones(3))
 
 
 def test_tridiagonal_one_by_one_divides():
-    x = TridiagonalSystem(np.empty(0), np.array([4.0]), np.empty(0), np.array([3.0])).solve()
+    x = solve_tridiagonal(np.empty(0), np.array([4.0]), np.empty(0), np.array([3.0]))
     np.testing.assert_array_equal(x, np.array([0.75]))
 
 
@@ -347,7 +357,7 @@ def correct_densities_per_species(state, u_star, params, dt):
     K1, K2 = eval_transitions(params.transitions, state.c)
     div = []
     for ns in (state.n1, state.n2):
-        left, right = _edge_arrays(ns, dx)
+        left, right = _edge_faces(ns, dx, ns.size)
         flux = numerical_flux(left, right, u_star)
         div.append(np.diff(np.concatenate(([0.0], flux, [0.0]))) / dx)
     a11 = 1.0 / dt - growth + K1
@@ -680,6 +690,115 @@ def test_step_discrete_mass_balance():
     assert (mass_new - mass_old) / cfg.dt == pytest.approx(source, abs=1e-10)
 
 
+# ---------------------------------------------------------------------------
+# properties of `step` on random small states
+
+
+@st.composite
+def small_cases(draw):
+    """(state, params, cfg, reacting): at most 40 cells with vacuum patches, either
+    nutrient mode, a time step from gentle to one that drives cells negative;
+    reacting=False sets the growth and death rates to 0."""
+    m = draw(st.integers(5, 40))
+
+    def cells(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=m, max_size=m)))
+
+    n1, n2 = cells(0.0, 1.0), cells(0.0, 1.0)
+    n1[n1 < 0.3] = 0.0
+    n2[n2 < 0.3] = 0.0
+    dx = draw(st.sampled_from([0.05, 0.1, 0.2]))
+    gamma = draw(st.sampled_from([2.0, 3.0]))
+    p = pressure_from_density(n1 + n2, gamma)
+    state = make_state(n1, n2, c=cells(0.1, 1.5), u=-np.diff(p) / dx, dx=dx)
+    reacting = draw(st.booleans())
+    rate = st.floats(0.0, 2.0)
+    mode = draw(st.sampled_from([NEUMANN, QUASISTATIC]))
+    params = basic_params(
+        gamma=gamma,
+        g=draw(rate) if reacting else 0.0,
+        D=draw(st.floats(0.0, 0.5)) if reacting else 0.0,
+        K1=draw(rate),
+        K2=draw(rate),
+        nutrient_mode=mode,
+        lambda_schedule=ConstantFlux(draw(st.floats(-0.5, 0.5))) if mode == NEUMANN else None,
+    )
+    cfg = SolverConfig(dt=draw(st.sampled_from([0.002, 0.02])), enlargement_margin=5)
+    return state, params, cfg, reacting
+
+
+def mirrored(state):
+    # on the same grid, centered on x = 0 as make_state builds it
+    return make_state(state.n1[::-1], state.n2[::-1], c=state.c[::-1], u=-state.u[::-1],
+                      dx=state.grid.dx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=small_cases())
+def test_step_keeps_densities_non_negative_and_balances_mass(case):
+    state, params, cfg, reacting = case
+    new, diag = step(state, params, cfg)
+    assert np.all(new.densities >= 0.0)
+    assert diag.clamped_mass >= 0.0
+    # without growth and death, transport and exchange conserve mass, so it
+    # changes by what the clamp added; with them and no clamping, by dt times
+    # the source on the (possibly enlarged) state the step transports
+    old = state
+    if params.nutrient_mode == QUASISTATIC:
+        old = enlarge_domain_if_needed(state, params, cfg)[0]
+    dx = state.grid.dx
+    change = dx * np.sum(new.n) - dx * np.sum(old.n)
+    if not reacting:
+        assert change == pytest.approx(diag.clamped_mass, abs=1e-11)
+    elif diag.clamped_mass == 0.0:
+        G = eval_growth(params.growth, old.c, old.n)
+        source = dx * np.sum(G * new.n1 + (G - params.D) * new.n2)
+        assert change / cfg.dt == pytest.approx(source, abs=1e-8 * (1.0 + abs(source)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=small_cases())
+def test_step_of_a_mirrored_state_is_the_mirrored_step(case):
+    state, params, cfg, _ = case
+    new, diag = step(state, params, cfg)
+    flip, flip_diag = step(mirrored(state), params, cfg)
+    assert flip.grid.n_cells == new.grid.n_cells
+    for name, sign in (("n1", 1.0), ("n2", 1.0), ("c", 1.0), ("u", -1.0)):
+        want = getattr(new, name)
+        scale = 1.0 + np.abs(want).max()
+        np.testing.assert_allclose(sign * getattr(flip, name)[::-1], want,
+                                   rtol=1e-9, atol=1e-12 * scale, err_msg=name)
+    assert flip_diag.clamped_mass == pytest.approx(diag.clamped_mass, rel=1e-9, abs=1e-12)
+    assert flip_diag.cfl == pytest.approx(diag.cfl, rel=1e-9)
+
+
+def frozen_copy(state):
+    """Every array the state holds, copied; the state's own arrays are made
+    read-only, so that a write into them raises."""
+    arrays = {name: getattr(state, name) for name in ("densities", "n1", "n2", "n", "c", "u")}
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    return {name: arr.copy() for name, arr in arrays.items()}
+
+
+@pytest.mark.parametrize("case", ["padded-enlarges", "neumann-nutrient-clamps", "clamps"])
+def test_step_and_enlargement_never_write_into_their_input(case):
+    # n1 and n2 are views of one buffer: a write through any of them, or
+    # an output that shares memory with the input, would alter the input
+    make, params, cfg = REFERENCE_CASES[case]
+    state = make()
+    for _ in range(3):
+        before = frozen_copy(state)
+        grown, _ = enlarge_domain_if_needed(state, params, cfg)
+        new, _ = step(state, params, cfg)
+        for name, arr in before.items():
+            assert np.array_equal(getattr(state, name), arr), name
+            for out in (grown, new):
+                if out is not state:
+                    assert not np.shares_memory(getattr(out, name), getattr(state, name)), name
+        state = new
+
+
 @pytest.mark.parametrize(
     "bad, named",
     [
@@ -697,28 +816,30 @@ def test_step_names_the_first_non_finite_field(monkeypatch, bad, named):
     # error names the first bad field in the order n1, n2, c, u
     import autophagy_tumor.solver as solver
 
-    def poisoned(func, *rows):
+    def poisoned(func, *cells):
+        # inf at each index of the array func returns first (or alone)
         def wrapper(*args, **kwargs):
             out = func(*args, **kwargs)
-            for row in rows:
-                (out if row is None else out[row])[3] = np.inf
+            for cell in cells:
+                (out[0] if isinstance(out, tuple) else out)[cell] = np.inf
             return out
 
         return wrapper
 
-    rows = [("n1", "n2").index(f) for f in bad if f in ("n1", "n2")]
-    if rows:
-        monkeypatch.setattr(solver, "correct_densities", poisoned(solver.correct_densities, *rows))
+    # the fixed box: no enlargement, and the nutrient step reads the old state
+    state = bump_state()
+    # n1 then n2 in the one array correct_densities returns
+    cells = [3 + state.grid.n_cells * ("n1", "n2").index(f) for f in bad if f in ("n1", "n2")]
+    if cells:
+        monkeypatch.setattr(solver, "correct_densities", poisoned(solver.correct_densities, *cells))
     if "c" in bad:
         monkeypatch.setattr(
-            solver, "step_nutrient_neumann", poisoned(solver.step_nutrient_neumann, 0)
+            solver, "step_nutrient_neumann", poisoned(solver.step_nutrient_neumann, 3)
         )
     if "u" in bad:
         monkeypatch.setattr(
-            solver, "pressure_from_density", poisoned(solver.pressure_from_density, None)
+            solver, "pressure_from_density", poisoned(solver.pressure_from_density, 3)
         )
-    # the fixed box: no enlargement, and the nutrient step reads the old state
-    state = bump_state()
     params = neumann_params(g=1.0, D=0.3, K1=1.0, K2=1.0)
     with np.errstate(invalid="ignore"):
         with pytest.raises(SolverError, match=f"non-finite values in {named} at t=0.005$") as err:
@@ -872,7 +993,7 @@ def reference_predict(state, params, dt):
     diag[0] = diag[-1] = 1.0
     rhs[0] = rhs[-1] = 0.0
     upper[0] = lower[-1] = 0.0
-    return TridiagonalSystem(lower, diag, upper, rhs).solve()
+    return solve_tridiagonal(lower, diag, upper, rhs)
 
 
 def reference_quasistatic(state, params, threshold):
@@ -886,7 +1007,7 @@ def reference_quasistatic(state, params, threshold):
         rhs[0] += params.c_B / dx**2
         rhs[-1] += params.c_B / dx**2
         diag = 2.0 / dx**2 + n[s : e + 1]
-        c[s : e + 1] = TridiagonalSystem(off, diag, off.copy(), rhs).solve()
+        c[s : e + 1] = solve_tridiagonal(off, diag, off.copy(), rhs)
     return c
 
 
@@ -902,7 +1023,7 @@ def reference_neumann(state, params, dt, t_new):
     diag[0] = diag[-1] = -1.0
     upper[0] = lower[-1] = 1.0
     rhs[0] = rhs[-1] = lam * dx
-    c = TridiagonalSystem(lower, diag, upper, rhs).solve()
+    c = solve_tridiagonal(lower, diag, upper, rhs)
     clamped = int(np.count_nonzero(c < 0.0))
     c[c < 0.0] = 0.0
     return c, clamped
