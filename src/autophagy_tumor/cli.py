@@ -320,17 +320,21 @@ def _read_csv(path: Path, expected_header: tuple[str, ...], problems: list[str])
 def _check_series_against_manifest(rows: list[list[float]], manifest: dict,
                                    problems: list[str]) -> None:
     """The step count spans the series' first to last time in steps of the
-    config's dt, and the manifest's clamped mass is the series' last."""
+    config's dt, the last time is t_end to the nearest step, and the
+    manifest's clamped mass is the series' last."""
     steps, clamped = 0, 0.0
     if rows:
         try:
             dt = float(manifest["config"]["solver"]["dt"])
+            t_end = float(manifest["config"]["t_end"])
         except (KeyError, TypeError, ValueError):
-            problems.append("manifest has no config.solver.dt")
+            problems.append("manifest has no config.solver.dt or config.t_end")
             return
         t, neg = SERIES_CHANNELS.index("t"), SERIES_CHANNELS.index("neg_mass_clamped")
         steps = round((rows[-1][t] - rows[0][t]) / dt)
         clamped = rows[-1][neg]
+        if round((t_end - rows[-1][t]) / dt) != 0:
+            problems.append(f"the series ends at t={rows[-1][t]:g}, not at t_end {t_end:g}")
     if manifest.get("steps") != steps:
         problems.append(f"manifest steps {manifest.get('steps')} but the series spans {steps}")
     if manifest.get("clamped_neg_mass") != clamped:

@@ -117,6 +117,10 @@ class PeriodicFlux:
     high: float
     period: float
 
+    def __post_init__(self):
+        if not self.period > 0.0:
+            raise ValueError(f"flux period must be positive, got {self.period}")
+
 
 FluxSchedule = Union[ConstantFlux, PeriodicFlux]
 

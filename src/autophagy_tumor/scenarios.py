@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 import time
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
@@ -57,7 +58,6 @@ __all__ = [
     "ScenarioConfig",
     "PRESETS",
     "build_initial_state",
-    "build_grid",
     "config_from_dict",
     "config_to_dict",
     "load_config",
@@ -215,21 +215,6 @@ class ScenarioConfig:
 # grids and initial states
 
 
-def build_grid(initial: InitialSpec, solver_cfg: SolverConfig) -> Grid1D:
-    """Symmetric grid with a cell center at x = 0.
-
-    The closed-form slab is surrounded by 2*margin vacuum cells per side;
-    the cosh box spans its halfwidth, a whole number of cells.
-    """
-    if isinstance(initial, AnalyticPressureInit):
-        n_side = math.ceil(initial.R0 / initial.dx - 1e-12) + 2 * solver_cfg.enlargement_margin
-        return Grid1D(x_min=-n_side * initial.dx, dx=initial.dx, n_cells=2 * n_side + 1)
-    if isinstance(initial, CustomCoshInit):
-        n_side = round(initial.halfwidth / initial.dx)
-        return Grid1D(x_min=-n_side * initial.dx, dx=initial.dx, n_cells=2 * n_side + 1)
-    raise TypeError(f"no grid recipe for {type(initial).__name__}")
-
-
 def _composition_values(comp: CompositionInit, x: np.ndarray, R0: float) -> np.ndarray:
     if isinstance(comp, ConstantComposition):
         return np.full(x.shape, comp.value)
@@ -243,6 +228,10 @@ def _composition_values(comp: CompositionInit, x: np.ndarray, R0: float) -> np.n
 def build_initial_state(
     initial: InitialSpec, params: ModelParameters, solver_cfg: SolverConfig
 ) -> FieldState:
+    """The recipe's state at t = 0, or the one its checkpoint holds.
+
+    The grid is symmetric with a cell center at x = 0: the closed-form slab
+    gets 2*margin vacuum cells per side, the cosh box spans its halfwidth."""
     if isinstance(initial, CheckpointInit):
         try:
             state, gamma = read_checkpoint(initial.path)
@@ -255,10 +244,10 @@ def build_initial_state(
         return state
 
     _check_initial_fits(initial, params)
-    grid = build_grid(initial, solver_cfg)
-    x = grid.cell_x
-
     if isinstance(initial, AnalyticPressureInit):
+        n_side = math.ceil(initial.R0 / initial.dx - 1e-12) + 2 * solver_cfg.enlargement_margin
+        grid = Grid1D(x_min=-n_side * initial.dx, dx=initial.dx, n_cells=2 * n_side + 1)
+        x = grid.cell_x
         comp = initial.composition
         if isinstance(comp, ConstantComposition):
             mu_pressure = comp.value
@@ -278,31 +267,19 @@ def build_initial_state(
         p[inside] = np.maximum(analytic_pressure(x[inside], initial.R0, setup), 0.0)
         n = density_from_pressure(p, params.gamma)
         mu0 = _composition_values(comp, x, initial.R0)
-        state = FieldState(
-            grid=grid,
-            n1=mu0 * n,
-            n2=(1.0 - mu0) * n,
-            c=np.full(grid.n_cells, params.c_B),
-            u=np.zeros(grid.n_cells - 1),
-            t=0.0,
-        )
-    else:  # CustomCoshInit, the one other recipe build_grid knows
-        p = np.maximum(0.0, 1.0 - np.cosh(x) / np.cosh(initial.R))
-        n = density_from_pressure(p, params.gamma)
-        state = FieldState(
-            grid=grid,
-            n1=n,
-            n2=np.zeros(grid.n_cells),
-            c=np.ones(grid.n_cells),
-            u=np.zeros(grid.n_cells - 1),
-            t=0.0,
-        )
+        n1, n2, c = mu0 * n, (1.0 - mu0) * n, np.full(grid.n_cells, params.c_B)
+    else:  # CustomCoshInit
+        n_side = round(initial.halfwidth / initial.dx)
+        grid = Grid1D(x_min=-n_side * initial.dx, dx=initial.dx, n_cells=2 * n_side + 1)
+        p = np.maximum(0.0, 1.0 - np.cosh(grid.cell_x) / np.cosh(initial.R))
+        n1 = density_from_pressure(p, params.gamma)
+        n2, c = np.zeros(grid.n_cells), np.ones(grid.n_cells)
 
-    p_disc = pressure_from_density(state.n, params.gamma)
-    state.u = -np.diff(p_disc) / grid.dx
+    n = n1 + n2
+    u = -np.diff(pressure_from_density(n, params.gamma)) / grid.dx
     if params.nutrient_mode == QUASISTATIC:
-        state.c = solve_nutrient_quasistatic(state, params, solver_cfg.support_threshold)
-    return state
+        c = solve_nutrient_quasistatic(grid, n, n2, params, solver_cfg.support_threshold)
+    return FieldState(grid=grid, n1=n1, n2=n2, c=c, u=u, t=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +287,13 @@ def build_initial_state(
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number: not a bool, NaN, an infinity or an int beyond float range."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _finite_positive(value) -> bool:
-    return _is_number(value) and math.isfinite(value) and value > 0.0
+    return _is_number(value) and value > 0.0
 
 
 # the JSON type of a config value: (its name, a test, the conversion to the

@@ -94,9 +94,10 @@ class FieldState:
 
     Both densities live in one float64 array, `densities`: n1 is its first
     half and n2 its second, and the attributes n1 and n2 are views of the
-    halves. The constructor converts and checks its arrays and forms n once;
-    densities, n1, n2 and n are read-only attributes, and their arrays are
-    not written after it."""
+    halves. A state is assembled once from its final arrays: the constructor
+    converts and checks them and forms n once, and nothing is written after
+    it (but `run` restamps t on the fresh state `step` returns), so states
+    are shared, never copied. densities, n1, n2 and n are read-only."""
 
     densities = property(attrgetter("_densities"))
     n1 = property(attrgetter("_n1"))
@@ -124,11 +125,6 @@ class FieldState:
         state = cls.__new__(cls)
         state._hold(grid, densities, n, c, u, t)
         return state
-
-    def copy(self) -> "FieldState":
-        return FieldState._of(
-            self.grid, self.densities.copy(), self.n.copy(), self.c.copy(), self.u.copy(), self.t
-        )
 
 
 def _load_dgtsv():
@@ -166,13 +162,13 @@ _ZERO = np.zeros(1)
 class SolverError(RuntimeError):
     """Raised when a step produces non-finite or structurally invalid fields.
 
-    Carries the last usable state and the time at which the failure occurred.
+    `step` attaches the last usable state, the one it was advancing (after
+    any enlargement), and the time t the failed step was advancing to;
+    raised outside a step, state is None and t is NaN.
     """
 
-    def __init__(self, message: str, state: FieldState | None = None, t: float = math.nan):
-        super().__init__(message)
-        self.state = state
-        self.t = t
+    state: FieldState | None = None
+    t: float = math.nan
 
 
 def _all_finite(x: np.ndarray) -> bool:
@@ -288,11 +284,7 @@ def correct_densities(
     det -= K1 * K2
     scale = 1.0 / dt**2
     if np.abs(det).min() < 1e-14 * scale:
-        raise SolverError(
-            "reaction solve is singular (dt too large for the reaction rates)",
-            state=state,
-            t=state.t,
-        )
+        raise SolverError("reaction solve is singular (dt too large for the reaction rates)")
     r = values / dt
     r -= div
     r1 = r[:m]
@@ -319,14 +311,12 @@ def correct_densities(
 
 
 def solve_nutrient_quasistatic(
-    state: FieldState, params: ModelParameters, threshold: float
+    grid: Grid1D, n: np.ndarray, n2: np.ndarray, params: ModelParameters, threshold: float
 ) -> np.ndarray:
-    """Solve -c'' + c*n = a*n2 on each occupied component (cells where the
-    total density exceeds `threshold`), with c equal to the ambient level
-    at the first unoccupied cell on either side, and ambient everywhere off
-    the occupied region."""
-    grid = state.grid
-    n = state.n
+    """Solve -c'' + c*n = a*n2 on `grid` for each occupied component (cells
+    where the total density n exceeds `threshold`), with c equal to the
+    ambient level at the first unoccupied cell on either side, and ambient
+    everywhere off the occupied region."""
     dx = grid.dx
     c_B = params.c_B
     c = np.full(grid.n_cells, c_B)
@@ -334,14 +324,12 @@ def solve_nutrient_quasistatic(
         if s == 0 or e == grid.n_cells - 1:
             raise SolverError(
                 "occupied region reached the domain edge; "
-                "increase the enlargement margin or the initial padding",
-                state=state,
-                t=state.t,
+                "increase the enlargement margin or the initial padding"
             )
         size = e - s + 1
         diag = 2.0 / dx**2 + n[s : e + 1]
         off = np.full(size - 1, -1.0 / dx**2)
-        rhs = params.a * state.n2[s : e + 1]
+        rhs = params.a * n2[s : e + 1]
         rhs[0] += c_B / dx**2
         rhs[-1] += c_B / dx**2
         c[s : e + 1] = solve_tridiagonal(off, diag, off, rhs)
@@ -451,40 +439,39 @@ class StepDiagnostics:
 def step(
     state: FieldState, params: ModelParameters, cfg: SolverConfig
 ) -> tuple[FieldState, StepDiagnostics]:
-    """Advance one time step and return the new state with per-step
-    diagnostics."""
+    """Advance one time step and return the new state, built once and
+    sharing no array with `state`, with per-step diagnostics."""
     dt = cfg.dt
+    t_new = state.t + dt
     enlarged = False
     if params.nutrient_mode == QUASISTATIC:
         state, enlarged = enlarge_domain_if_needed(state, params, cfg)
-    growth = eval_growth(params.growth, state.c, state.n)
+    try:
+        growth = eval_growth(params.growth, state.c, state.n)
+        grid = state.grid
+        dx = grid.dx
+        u_star = predict_velocity(state, params, dt, growth)
+        cfl = float(np.abs(u_star).max() * dt / dx)
+        densities, clamped = correct_densities(state, u_star, params, dt, growth)
+        n2 = densities[grid.n_cells :]
+        n = densities[: grid.n_cells] + n2
 
-    grid = state.grid
-    dx = grid.dx
-    u_star = predict_velocity(state, params, dt, growth)
-    cfl = float(np.abs(u_star).max() * dt / dx)
-    densities, clamped = correct_densities(state, u_star, params, dt, growth)
-    n = densities[: grid.n_cells] + densities[grid.n_cells :]
-
-    t_new = state.t + dt
-    if params.nutrient_mode == QUASISTATIC:
-        c, nutrient_clamped = state.c, 0
-    else:
-        c, nutrient_clamped = step_nutrient_neumann(state, params, dt, t_new)
-    p = pressure_from_density(n, params.gamma)
-    u = p[1:] - p[:-1]
-    np.negative(u, out=u)
-    u /= dx
-    new = FieldState._of(grid, densities, n, c, u, t_new)
-    if params.nutrient_mode == QUASISTATIC:
-        # the solve reads the new densities from the state it is given
-        new.c = solve_nutrient_quasistatic(new, params, cfg.support_threshold)
-
-    if not _all_finite(np.concatenate((densities, new.c, u))):
-        name = next(
-            name for name in ("n1", "n2", "c", "u") if not np.isfinite(getattr(new, name)).all()
-        )
-        raise SolverError(f"non-finite values in {name} at t={new.t:.6g}", state=state, t=new.t)
+        if params.nutrient_mode == QUASISTATIC:
+            c = solve_nutrient_quasistatic(grid, n, n2, params, cfg.support_threshold)
+            nutrient_clamped = 0
+        else:
+            c, nutrient_clamped = step_nutrient_neumann(state, params, dt, t_new)
+        p = pressure_from_density(n, params.gamma)
+        u = p[1:] - p[:-1]
+        np.negative(u, out=u)
+        u /= dx
+        new = FieldState._of(grid, densities, n, c, u, t_new)
+        if not _all_finite(np.concatenate((densities, c, u))):
+            name = next(k for k in ("n1", "n2", "c", "u") if not _all_finite(getattr(new, k)))
+            raise SolverError(f"non-finite values in {name} at t={t_new:.6g}")
+    except SolverError as err:
+        err.state, err.t = state, t_new
+        raise
     return new, StepDiagnostics(
         cfl=cfl, clamped_mass=clamped, nutrient_cells_clamped=nutrient_clamped, enlarged=enlarged
     )
@@ -592,10 +579,10 @@ def run(
                 f"[{t0:g}, {t0 + n_steps * dt:g}]"
             )
 
-    state = initial.copy()
-    snapshots: dict[float, FieldState] = {}
-    for ts in snapshot_steps.get(0, []):
-        snapshots[ts] = state.copy()
+    # states are shared, not copied: step never writes into its input, and
+    # only the t of the fresh state step returns is restamped below
+    state = initial
+    snapshots = {ts: state for ts in snapshot_steps.get(0, [])}
 
     # in quasi-static mode the nutrient keeps below the maximum-principle
     # ceiling max(c_B, c0), c0 the initial nutrient maximum on the support
@@ -632,7 +619,7 @@ def run(
             if diag.cfl > 0.5 and first_cfl_t is None:
                 first_cfl_t = state.t
         for ts in snapshot_steps.get(j + 1, []):
-            snapshots[ts] = state.copy()
+            snapshots[ts] = state
         if (j + 1) % steps_per_sample == 0:
             sample(state.t)
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -293,6 +294,13 @@ def put(data, key, value):
         ("outputs", ["timeseries", 1], "a list of strings"),
         ("name", None, "a string"),
         ("model.growth", [], "an object"),
+        # non-finite numbers, and an int a float cannot hold
+        pytest.param("solver.enlargement_margin", 10**400, "an integer",
+                     id="solver.enlargement_margin-10**400-an integer"),
+        ("solver.dt", math.nan, "a number"),
+        ("model.D", math.nan, "a number"),
+        ("model.gamma", -math.inf, "a number"),
+        ("initial.composition.mu", [0.5, math.nan], "a list of numbers"),
     ],
 )
 def test_run_rejects_mistyped_value_at_load(tmp_path, capsys, key, value, kind):
@@ -305,6 +313,22 @@ def test_run_rejects_mistyped_value_at_load(tmp_path, capsys, key, value, kind):
     rc = main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)])
     assert rc == 2
     assert f"config.{key} must be {kind}, got {value!r}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("period", [0, -20.0])
+def test_run_rejects_a_non_positive_flux_period_at_load(tmp_path, capsys, period):
+    # it used to fail at the first step with a ZeroDivisionError traceback
+    data = tiny_config_dict()
+    data["model"].update(growth={"type": "affine_death", "delta": 0.5},
+                         transitions={"type": "hull", "k1max": 2.0, "k2max": 1.0, "omega": 0.5},
+                         nutrient_mode="dynamic_neumann",
+                         lambda_schedule={"type": "periodic", "high": 0.5, "period": period})
+    data["initial"] = {"type": "custom_cosh", "R": 4.0, "dx": 0.04, "halfwidth": 5.0}
+    out_dir = tmp_path / "never"
+    rc = main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)])
+    assert rc == 2
+    assert f"flux period must be positive, got {period}" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -476,6 +500,19 @@ def test_check_cross_checks_the_manifest_against_the_series(tmp_path, capsys, ke
     manifest_path.write_text(json.dumps(manifest))
     assert main(["check", str(out_dir)]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_check_tests_the_last_sample_time_against_t_end(tmp_path, capsys):
+    # the tiny run ends at t_end = 0.01 after five steps of 0.002
+    out_dir = finished_run(tmp_path, capsys)
+    manifest_path = out_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for t_end, rc in ((0.0109, 0), (0.012, 1), (0.008, 1)):
+        manifest["config"]["t_end"] = t_end
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["check", str(out_dir)]) == rc, t_end
+        err = capsys.readouterr().err
+        assert (f"the series ends at t=0.01, not at t_end {t_end:g}" in err) == bool(rc)
 
 
 def test_check_accepts_a_run_of_zero_steps(tmp_path, capsys):

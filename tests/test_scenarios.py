@@ -30,7 +30,6 @@ from autophagy_tumor.scenarios import (
     ProfileComposition,
     ScenarioConfig,
     TableComposition,
-    build_grid,
     build_initial_state,
     config_from_dict,
     config_to_dict,
@@ -106,7 +105,7 @@ def test_scenario_config_output_entries():
 def test_build_grid_analytic_slab():
     cfg = SolverConfig(dt=0.002, enlargement_margin=25)
     init = AnalyticPressureInit(R0=1.0, dx=0.04, composition=ConstantComposition(1.0))
-    g = build_grid(init, cfg)
+    g = build_initial_state(init, stiff_params(), cfg).grid
     # 25 cells cover the unit radius, plus 50 vacuum cells per side
     assert g.n_cells == 2 * 75 + 1
     assert g.x_min == pytest.approx(-3.0)
@@ -117,11 +116,11 @@ def test_build_grid_analytic_slab():
 
 def test_build_grid_fixed_box():
     cfg = SolverConfig(dt=0.002)
-    g = build_grid(CustomCoshInit(R=4.0, dx=0.04, halfwidth=5.0), cfg)
+    g = build_initial_state(CustomCoshInit(R=4.0, dx=0.04, halfwidth=5.0), stiff_params(), cfg).grid
     assert g.n_cells == 251
     assert g.x_min == pytest.approx(-5.0)
     with pytest.raises(ValueError):
-        build_grid(CustomCoshInit(R=0.2, dx=0.3, halfwidth=1.0), cfg)
+        build_initial_state(CustomCoshInit(R=0.2, dx=0.3, halfwidth=1.0), stiff_params(), cfg)
 
 
 def stiff_params(gamma=80.0, D=0.3, K1=1.0, K2=1.0, a=0.5):

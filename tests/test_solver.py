@@ -113,14 +113,6 @@ def test_field_state_densities_are_one_read_only_buffer():
             setattr(state, name, np.zeros(3))
 
 
-def test_field_state_copy_is_deep():
-    state = make_state(np.ones(5), np.zeros(5))
-    dup = state.copy()
-    dup.n1[0] = 7.0
-    assert state.n1[0] == 1.0
-    np.testing.assert_array_equal(state.n, np.ones(5))
-
-
 def test_tridiagonal_matches_dense_solve(rng):
     m = 12
     lower = rng.random(m - 1) - 0.5
@@ -202,7 +194,7 @@ def test_quasistatic_single_cell_component_matches_dense():
     n2[4] = 0.2
     state = make_state(n1, n2, dx=dx)
     params = basic_params(a=0.5, c_B=1.5)
-    c = solve_nutrient_quasistatic(state, params, 1e-8)
+    c = solve_nutrient_quasistatic(state.grid, state.n, state.n2, params, 1e-8)
     dense = np.array([[2.0 / dx**2 + 0.9]])
     rhs = np.array([0.5 * 0.2 + 2.0 * 1.5 / dx**2])
     np.testing.assert_allclose(c[4:5], np.linalg.solve(dense, rhs), rtol=1e-14)
@@ -409,7 +401,7 @@ def quasistatic_case(mu, a, R, dx, pad=6):
 
 def test_quasistatic_vacuum_gives_ambient():
     state = make_state(np.zeros(9), np.zeros(9))
-    c = solve_nutrient_quasistatic(state, basic_params(c_B=1.25), 1e-8)
+    c = solve_nutrient_quasistatic(state.grid, state.n, state.n2, basic_params(c_B=1.25), 1e-8)
     np.testing.assert_array_equal(c, np.full(9, 1.25))
 
 
@@ -421,14 +413,14 @@ def test_quasistatic_matches_closed_form_and_converges():
     errors = []
     for dx in (R / 20, R / 40, R / 80):
         state, x = quasistatic_case(mu, a, R, dx)
-        c = solve_nutrient_quasistatic(state, params, 1e-8)
+        c = solve_nutrient_quasistatic(state.grid, state.n, state.n2, params, 1e-8)
         exact = 0.25 + 0.75 * np.cosh(x) / np.cosh(1.0)
         inside = np.abs(x) <= R + dx / 2
         errors.append(np.max(np.abs(c[inside] - exact[inside])))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all(orders > 1.9)
     state, x = quasistatic_case(mu, a, R, R / 80)
-    c = solve_nutrient_quasistatic(state, params, 1e-8)
+    c = solve_nutrient_quasistatic(state.grid, state.n, state.n2, params, 1e-8)
     center = c[np.argmin(np.abs(x))]
     assert center == pytest.approx(0.7360407052479141, abs=2e-4)
 
@@ -436,7 +428,9 @@ def test_quasistatic_matches_closed_form_and_converges():
 def test_quasistatic_pure_normal_center_value():
     # mu = 1 slab: c(0) -> 1/cosh(1)
     state, x = quasistatic_case(1.0, 0.5, 1.0, 1.0 / 80)
-    c = solve_nutrient_quasistatic(state, basic_params(a=0.5, c_B=1.0), 1e-8)
+    c = solve_nutrient_quasistatic(
+        state.grid, state.n, state.n2, basic_params(a=0.5, c_B=1.0), 1e-8
+    )
     center = c[np.argmin(np.abs(x))]
     assert center == pytest.approx(0.6480542736638855, abs=2e-4)
 
@@ -447,7 +441,9 @@ def test_quasistatic_components_solved_independently():
     n[8:12] = 1.0
     n[28:33] = 1.0
     state = make_state(n, np.zeros(41), dx=dx)
-    c = solve_nutrient_quasistatic(state, basic_params(a=0.0, c_B=2.0), 1e-8)
+    c = solve_nutrient_quasistatic(
+        state.grid, state.n, state.n2, basic_params(a=0.0, c_B=2.0), 1e-8
+    )
     # gap and exterior hold the ambient level exactly
     np.testing.assert_array_equal(c[:8], 2.0)
     np.testing.assert_array_equal(c[12:28], 2.0)
@@ -463,7 +459,7 @@ def test_quasistatic_edge_contact_raises():
     n[0:3] = 1.0
     state = make_state(n, np.zeros(9))
     with pytest.raises(SolverError):
-        solve_nutrient_quasistatic(state, basic_params(), 1e-8)
+        solve_nutrient_quasistatic(state.grid, state.n, state.n2, basic_params(), 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +671,7 @@ def test_step_discrete_mass_balance():
 
     state = bump_state()
     state.c = solve_nutrient_quasistatic(
-        state, basic_params(a=0.5, D=0.3), 1e-8
+        state.grid, state.n, state.n2, basic_params(a=0.5, D=0.3), 1e-8
     )
     params = basic_params(g=1.0, D=0.3, K1=1.0, K2=1.0, a=0.5)
     cfg = SolverConfig(dt=0.002, enlargement_margin=5)
@@ -848,6 +844,58 @@ def test_step_names_the_first_non_finite_field(monkeypatch, bad, named):
     assert err.value.t == 0.005
 
 
+def singular_reaction_case():
+    # G = c = 10 = 1/dt makes the reaction matrix singular; the support sits
+    # within the margin of both edges, so the grid grows first
+    state = edge_bump_state()
+    state = make_state(state.n1, state.n2, c=np.full(31, 10.0), dx=0.1, t=0.5)
+    return state, basic_params(g=1.0), SolverConfig(dt=0.1, enlargement_margin=4)
+
+
+def non_finite_result_case():
+    # densities near the float limit: the transport overflows them
+    n1 = np.zeros(21)
+    n1[8:13] = 1e307
+    return make_state(n1, np.zeros(21), t=0.25), neumann_params(g=1.0), SolverConfig(dt=0.01)
+
+
+def tridiagonal_failure_case():
+    # a NaN face velocity enters the velocity prediction's system
+    state = edge_bump_state()
+    u = state.u.copy()
+    u[10] = np.nan
+    state = make_state(state.n1, state.n2, u=u, dx=0.1, t=0.125)
+    _, params, cfg = REFERENCE_CASES["padded-enlarges"]
+    return state, params, cfg
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        (singular_reaction_case, "reaction solve is singular"),
+        (non_finite_result_case, "non-finite values in n1 at t=0.26$"),
+        (tridiagonal_failure_case, "tridiagonal system has non-finite entries"),
+    ],
+)
+def test_step_failure_carries_the_state_it_advanced_and_the_time_it_failed_at(case, message):
+    state, params, cfg = case()
+    # the state the step was advancing: in quasi-static mode the grid grows
+    # first, and the enlarged state is the one carried
+    want = state
+    if params.nutrient_mode == QUASISTATIC:
+        want = enlarge_domain_if_needed(state, params, cfg)[0]
+        assert want.grid.n_cells > state.grid.n_cells
+    with np.errstate(all="ignore"), pytest.raises(SolverError, match=message) as err:
+        step(state, params, cfg)
+    assert err.value.t == state.t + cfg.dt
+    if want is state:
+        assert err.value.state is state
+    assert err.value.state.grid == want.grid
+    assert err.value.state.t == state.t
+    for name in ("n1", "n2", "c", "u"):
+        assert np.array_equal(getattr(err.value.state, name), getattr(want, name), equal_nan=True)
+
+
 def test_run_zero_steps_returns_empty_series():
     state = bump_state()
     res = run(state, basic_params(), SolverConfig(dt=0.01), t_end=0.0)
@@ -868,8 +916,8 @@ def test_run_is_deterministic():
     state = bump_state()
     params = basic_params(g=1.0, D=0.3, K1=1.0, K2=1.0, a=0.5)
     cfg = SolverConfig(dt=0.005, sample_interval=0.05)
-    r1 = run(state.copy(), params, cfg, t_end=0.2)
-    r2 = run(state.copy(), params, cfg, t_end=0.2)
+    r1 = run(state, params, cfg, t_end=0.2)
+    r2 = run(state, params, cfg, t_end=0.2)
     np.testing.assert_array_equal(r1.final_state.n1, r2.final_state.n1)
     np.testing.assert_array_equal(r1.final_state.n2, r2.final_state.n2)
     np.testing.assert_array_equal(r1.final_state.c, r2.final_state.c)
@@ -900,6 +948,25 @@ def test_run_snapshots_at_requested_times():
     assert set(res.snapshots) == {0.0, 0.05}
     np.testing.assert_array_equal(res.snapshots[0.0].n1, state.n1)
     assert res.snapshots[0.05].t == pytest.approx(0.05)
+
+
+@pytest.mark.parametrize("case", ["padded-enlarges", "neumann-hull"])
+def test_run_shares_read_only_states(case):
+    # run keeps the states step returns instead of copying them, and no
+    # step writes into its input: with every array of the initial state
+    # read-only nothing raises, and each snapshot is what a run stopped at
+    # its time ends with
+    make, params, cfg = REFERENCE_CASES[case]
+    state = make()
+    frozen_copy(state)
+    times = (0.0, 5 * cfg.dt, 10 * cfg.dt)
+    res = run(state, params, cfg, t_end=times[-1], snapshot_times=times)
+    assert res.snapshots[0.0] is state
+    for ts in times:
+        snap, want = res.snapshots[ts], run(state, params, cfg, t_end=ts).final_state
+        assert (snap.t, snap.grid) == (want.t, want.grid), ts
+        for name in ("n1", "n2", "c", "u"):
+            assert np.array_equal(getattr(snap, name), getattr(want, name)), (ts, name)
 
 
 def test_run_grows_domain_before_the_front_arrives():
