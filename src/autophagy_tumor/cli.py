@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -27,6 +28,8 @@ from .scenarios import (
     PRESETS,
     PROFILE_COLUMNS,
     ScenarioConfig,
+    _finite_positive,
+    _is_number,
     check_out_dir,
     config_from_dict,
     config_to_dict,
@@ -325,15 +328,22 @@ def _check_series_against_manifest(rows: list[list[float]], manifest: dict,
     steps, clamped = 0, 0.0
     if rows:
         try:
-            dt = float(manifest["config"]["solver"]["dt"])
-            t_end = float(manifest["config"]["t_end"])
-        except (KeyError, TypeError, ValueError):
+            dt, t_end = manifest["config"]["solver"]["dt"], manifest["config"]["t_end"]
+        except (KeyError, TypeError):
             problems.append("manifest has no config.solver.dt or config.t_end")
             return
+        if not (_finite_positive(dt) and _is_number(t_end)):
+            problems.append(f"manifest dt {dt!r} is not a number > 0 or t_end {t_end!r} not a number")
+            return
         t, neg = SERIES_CHANNELS.index("t"), SERIES_CHANNELS.index("neg_mass_clamped")
-        steps = round((rows[-1][t] - rows[0][t]) / dt)
+        span, to_end = (rows[-1][t] - rows[0][t]) / dt, (t_end - rows[-1][t]) / dt
+        if not (math.isfinite(span) and math.isfinite(to_end)):
+            problems.append(f"the series times {rows[0][t]!r} to {rows[-1][t]!r} "
+                            f"span no finite number of steps")
+            return
+        steps = round(span)
         clamped = rows[-1][neg]
-        if round((t_end - rows[-1][t]) / dt) != 0:
+        if round(to_end) != 0:
             problems.append(f"the series ends at t={rows[-1][t]:g}, not at t_end {t_end:g}")
     if manifest.get("steps") != steps:
         problems.append(f"manifest steps {manifest.get('steps')} but the series spans {steps}")

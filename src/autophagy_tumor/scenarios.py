@@ -21,7 +21,7 @@ from typing import Union
 import numpy as np
 
 from .analytic import AnalyticSetup, analytic_pressure
-from .diagnostics import write_table
+from .diagnostics import support_components, write_table
 from .grid import Grid1D, density_from_pressure, pressure_from_density
 from .kinetics import (
     NEUMANN,
@@ -278,7 +278,8 @@ def build_initial_state(
     n = n1 + n2
     u = -np.diff(pressure_from_density(n, params.gamma)) / grid.dx
     if params.nutrient_mode == QUASISTATIC:
-        c = solve_nutrient_quasistatic(grid, n, n2, params, solver_cfg.support_threshold)
+        c = solve_nutrient_quasistatic(
+            grid, n, n2, params, support_components(n > solver_cfg.support_threshold))
     return FieldState(grid=grid, n1=n1, n2=n2, c=c, u=u, t=0.0)
 
 

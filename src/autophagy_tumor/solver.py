@@ -15,12 +15,13 @@ Velocities live on interior faces; the two wall faces always carry zero
 flux, so the scheme conserves mass up to the reaction terms and the
 clamping of negative densities (which is tracked and reported).
 
-README "Performance" explains how a step keeps its per-call cost down.
+A step's scalar coefficients are float64 0-d arrays formed once per
+(params, dt, grid), and each state carries its occupied components, found
+once; README "Performance" explains how a step keeps its per-call cost down.
 """
 
 from __future__ import annotations
 
-import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -97,7 +98,12 @@ class FieldState:
     halves. A state is assembled once from its final arrays: the constructor
     converts and checks them and forms n once, and nothing is written after
     it (but `run` restamps t on the fresh state `step` returns), so states
-    are shared, never copied. densities, n1, n2 and n are read-only."""
+    are shared, never copied. densities, n1, n2 and n are read-only.
+
+    The state also carries its support: `support(threshold)` is
+    `support_components(n > threshold)`, found at most once per state and
+    threshold. A step hands the new state the components its quasi-static
+    nutrient solve found, and an enlarged state gets its source's, shifted."""
 
     densities = property(attrgetter("_densities"))
     n1 = property(attrgetter("_n1"))
@@ -112,19 +118,27 @@ class FieldState:
                 raise ValueError(f"{name} must have shape ({want},), got {arr.shape}")
         self._hold(grid, np.concatenate((n1, n2)), n1 + n2, c, u, t)
 
-    def _hold(self, grid, densities, n, c, u, t) -> None:
+    def _hold(self, grid, densities, n, c, u, t, support=(None, ())) -> None:
         self.grid, self._densities, self._n, self.c, self.u, self.t = grid, densities, n, c, u, t
         self._n1, self._n2 = densities[: grid.n_cells], densities[grid.n_cells :]
+        self._support = support
 
     @classmethod
     def _of(cls, grid: Grid1D, densities: np.ndarray, n: np.ndarray, c: np.ndarray,
-            u: np.ndarray, t: float) -> "FieldState":
+            u: np.ndarray, t: float, support=(None, ())) -> "FieldState":
         """The state over arrays the solver has just formed: `densities` (n1
         then n2) and the total density n, taken as they are, with no
-        conversion, copy or shape check."""
+        conversion, copy or shape check; `support` is (threshold, the
+        components of n > threshold) when they are known."""
         state = cls.__new__(cls)
-        state._hold(grid, densities, n, c, u, t)
+        state._hold(grid, densities, n, c, u, t, support)
         return state
+
+    def support(self, threshold: float) -> tuple[tuple[int, int], ...]:
+        """The inclusive (start, end) runs of cells where n > threshold."""
+        if self._support[0] != threshold:
+            self._support = (threshold, support_components(self._n > threshold))
+        return self._support[1]
 
 
 def _load_dgtsv():
@@ -157,6 +171,44 @@ def _load_dgtsv():
 
 dgtsv = _load_dgtsv()
 _ZERO = np.zeros(1)
+
+
+class _Coefficients:
+    """A step's scalar coefficients on `grid` with (params, dt) as float64
+    0-d arrays, with the bits of their Python float formulas: numpy converts
+    a Python float operand on every call, not a 0-d array. `off` is -1/dx^2
+    on every face; `wall_lower`/`wall_upper` add the Neumann wall rows' 1.
+    Without dt (the quasi-static solve), the dt-terms are missing."""
+
+    def __init__(self, params: ModelParameters, grid: Grid1D, dt: float | None):
+        self.params, self.grid, self.dt_value, dx = params, grid, dt, grid.dx
+        self.dx, self.D, self.a = np.array(dx), np.array(params.D), np.array(params.a)
+        self.zero, self.half, self.one = np.array(0.0), np.array(0.5), np.array(1.0)
+        self.two_dx2 = np.array(2.0 / dx**2)
+        off = np.full((3, grid.n_cells - 1), -1.0 / dx**2)
+        off[1, -1] = off[2, 0] = 1.0
+        off.flags.writeable = False  # gtsv never writes its inputs
+        self.off, self.wall_lower, self.wall_upper = off
+        if dt is not None:
+            A = params.gamma * dt / dx**2
+            self.dt, self.inv_dt, self.A, self.neg_A = (np.array(v) for v in (dt, 1.0 / dt, A, -A))
+            self.B = np.array(params.gamma * dt / dx)
+            self.inv_dt_two_dx2 = np.array(1.0 / dt + 2.0 / dx**2)
+            self.singular = 1e-14 * (1.0 / dt**2)
+
+
+_memo: _Coefficients | None = None
+
+
+def _coefficients(params: ModelParameters, grid: Grid1D, dt: float | None = None) -> _Coefficients:
+    """The last (params, grid, dt)'s coefficients, matched by identity (hashing
+    ModelParameters costs ten identity checks); dt None matches any dt."""
+    global _memo
+    k = _memo
+    if k is None or k.params is not params or k.grid is not grid or (
+            dt is not None and k.dt_value != dt):
+        k = _memo = _Coefficients(params, grid, dt)
+    return k
 
 
 class SolverError(RuntimeError):
@@ -211,40 +263,33 @@ def predict_velocity(
     Euler discretization of the pressure-gradient evolution with lagged
     density weights n^(gamma-2), bounded at vacuum as ModelParameters holds
     gamma >= 2. The first and last interior faces are held at zero.
-    `growth` is the rate G(c, n) on `state`.
-    """
-    gamma = params.gamma
-    dx = state.grid.dx
+    `growth` is the rate G(c, n) on `state`."""
+    k = _coefficients(params, state.grid, dt)
     n = state.n
-    w = n ** (gamma - 2.0)
+    w = n ** (params.gamma - 2.0)
     # ws = w * (n1*G + n2*(G - D))
     ws = state.n1 * growth
-    source2 = growth - params.D
+    source2 = growth - k.D
     source2 *= state.n2
     ws += source2
     ws *= w
 
-    A = gamma * dt / dx**2
-    B = gamma * dt / dx
+    # A = gamma*dt/dx^2, B = gamma*dt/dx
     m = n[:-1] + n[1:]
-    m *= 0.5
-    diag = m * A
+    m *= k.half
+    diag = m * k.A
     diag *= w[:-1] + w[1:]
-    diag += 1.0
-    lower = w[1:-1] * -A
+    diag += k.one
+    lower = w[1:-1] * k.neg_A
     upper = lower * m[1:]
     lower *= m[:-1]
     rhs = ws[1:] - ws[:-1]
-    rhs *= B
+    rhs *= k.B
     np.subtract(state.u, rhs, out=rhs)
 
     # hold the outermost interior faces at rest
-    diag[0] = 1.0
-    diag[-1] = 1.0
-    rhs[0] = 0.0
-    rhs[-1] = 0.0
-    upper[0] = 0.0
-    lower[-1] = 0.0
+    diag[0] = diag[-1] = 1.0
+    rhs[0] = rhs[-1] = upper[0] = lower[-1] = 0.0
     return solve_tridiagonal(lower, diag, upper, rhs)
 
 
@@ -257,38 +302,34 @@ def correct_densities(
 
     Returns (densities, clamped_mass): the new n1 then n2 in one array, as
     in `FieldState.densities`, and the total mass removed by zeroing
-    negative densities.
-    """
+    negative densities."""
     m = state.grid.n_cells
-    dx = state.grid.dx
+    k = _coefficients(params, state.grid, dt)
     K1, K2 = eval_transitions(params.transitions, state.c)
 
     # both species in one pass over the flat n1-then-n2 array: u* on each
     # species' faces, and zero flux through the walls and through the junk
     # face between the two species
     values = state.densities
-    left, right = _edge_faces(values, dx, m)
+    left, right = _edge_faces(values, state.grid.dx, m)
     flux = np.zeros(2 * m + 1)
     flux[1:-1] = numerical_flux(left, right, np.concatenate((u_star, _ZERO, u_star)))
     flux[m] = 0.0
     div = flux[1:] - flux[:-1]
-    div /= dx
+    div /= k.dx
 
     # a11 = 1/dt - G + K1, a22 = 1/dt - (G - D) + K2
-    inv_dt = 1.0 / dt
-    a11 = inv_dt - growth
+    a11 = k.inv_dt - growth
     a11 += K1
-    a22 = inv_dt - (growth - params.D)
+    a22 = k.inv_dt - (growth - k.D)
     a22 += K2
     det = a11 * a22
     det -= K1 * K2
-    scale = 1.0 / dt**2
-    if np.abs(det).min() < 1e-14 * scale:
+    if np.abs(det).min() < k.singular:
         raise SolverError("reaction solve is singular (dt too large for the reaction rates)")
-    r = values / dt
+    r = values / k.dt
     r -= div
-    r1 = r[:m]
-    r2 = r[m:]
+    r1, r2 = r[:m], r[m:]
     # new = [a22*r1 + K2*r2, K1*r1 + a11*r2] / det
     new = np.empty_like(r)
     np.multiply(a22, r1, out=new[:m])
@@ -301,54 +342,39 @@ def correct_densities(
     rows /= det
 
     clamped = 0.0
-    neg = new < 0.0
+    neg = new < k.zero
     if np.count_nonzero(neg):
         for row, row_neg in zip(rows, neg.reshape(2, m)):
             if np.count_nonzero(row_neg):
-                clamped -= dx * float(row[row_neg].sum())
+                clamped -= state.grid.dx * float(row[row_neg].sum())
                 row[row_neg] = 0.0
     return new, clamped
 
 
 def solve_nutrient_quasistatic(
-    grid: Grid1D, n: np.ndarray, n2: np.ndarray, params: ModelParameters, threshold: float
+    grid: Grid1D, n: np.ndarray, n2: np.ndarray, params: ModelParameters,
+    components: tuple[tuple[int, int], ...],
 ) -> np.ndarray:
-    """Solve -c'' + c*n = a*n2 on `grid` for each occupied component (cells
-    where the total density n exceeds `threshold`), with c equal to the
-    ambient level at the first unoccupied cell on either side, and ambient
-    everywhere off the occupied region."""
-    dx = grid.dx
+    """Solve -c'' + c*n = a*n2 on `grid` for each occupied component, an
+    inclusive (start, end) run of `components` (`support_components` of
+    n > threshold, found by the caller, who can hand them on to the state),
+    with c equal to the ambient level at the first unoccupied cell on
+    either side, and ambient everywhere off the occupied region."""
+    k = _coefficients(params, grid)
     c_B = params.c_B
     c = np.full(grid.n_cells, c_B)
-    for s, e in support_components(n > threshold):
+    for s, e in components:
         if s == 0 or e == grid.n_cells - 1:
             raise SolverError(
                 "occupied region reached the domain edge; "
                 "increase the enlargement margin or the initial padding"
             )
-        size = e - s + 1
-        diag = 2.0 / dx**2 + n[s : e + 1]
-        off = np.full(size - 1, -1.0 / dx**2)
-        rhs = params.a * n2[s : e + 1]
-        rhs[0] += c_B / dx**2
-        rhs[-1] += c_B / dx**2
-        c[s : e + 1] = solve_tridiagonal(off, diag, off, rhs)
+        diag = k.two_dx2 + n[s : e + 1]
+        rhs = k.a * n2[s : e + 1]
+        rhs[0] += c_B / grid.dx**2
+        rhs[-1] += c_B / grid.dx**2
+        c[s : e + 1] = solve_tridiagonal(k.off[: e - s], diag, k.off[: e - s], rhs)
     return c
-
-
-@functools.lru_cache(maxsize=8)
-def _neumann_off_diagonals(m: int, dx: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (lower, upper) diagonals of the backward-Euler nutrient
-    matrix on an m-cell box: -1/dx^2 with the wall rows' 1 (lower[-1],
-    upper[0]). They depend only on the grid, so each box builds them once;
-    gtsv copies its inputs and never writes them."""
-    lower = np.full(m - 1, -1.0 / dx**2)
-    upper = np.full(m - 1, -1.0 / dx**2)
-    upper[0] = 1.0
-    lower[-1] = 1.0
-    lower.flags.writeable = False
-    upper.flags.writeable = False
-    return lower, upper
 
 
 def step_nutrient_neumann(
@@ -363,25 +389,15 @@ def step_nutrient_neumann(
     dx*sum(c_new - c_old)/dt = -2*lambda - dx*sum(c_new*n - a*n2) over the
     interior cells exactly (positive lambda lowers both wall cells below
     their neighbours and carries nutrient out). Negative values are clamped
-    to zero; returns (c, number of clamped cells).
-    """
-    grid = state.grid
-    dx = grid.dx
-    m = grid.n_cells
-    lam = eval_flux(params.lambda_schedule, t_new)
-
-    diag = 1.0 / dt + 2.0 / dx**2 + state.n
-    lower, upper = _neumann_off_diagonals(m, dx)
-    rhs = state.c / dt
-    rhs += state.n2 * params.a
-
-    diag[0] = -1.0
-    rhs[0] = lam * dx
-    diag[-1] = -1.0
-    rhs[-1] = lam * dx
-
-    c = solve_tridiagonal(lower, diag, upper, rhs)
-    neg = c < 0.0
+    to zero; returns (c, number of clamped cells)."""
+    k = _coefficients(params, state.grid, dt)
+    diag = k.inv_dt_two_dx2 + state.n
+    rhs = state.c / k.dt
+    rhs += state.n2 * k.a
+    diag[0] = diag[-1] = -1.0
+    rhs[0] = rhs[-1] = eval_flux(params.lambda_schedule, t_new) * state.grid.dx
+    c = solve_tridiagonal(k.wall_lower, diag, k.wall_upper, rhs)
+    neg = c < k.zero
     clamped = int(np.count_nonzero(neg))
     if clamped:
         c[neg] = 0.0
@@ -396,27 +412,22 @@ def enlarge_domain_if_needed(
     `enlargement_margin` cells of an edge, restoring a gap of twice the
     margin on that side. Existing cell values are preserved bit for bit.
 
-    Only the two edge windows of margin + 1 cells are inspected: the gap on
-    a side is at most the margin exactly when an occupied cell lies in that
-    side's window, and then it is the position of the window's first
-    occupied cell counted from the edge."""
-    n_cells = state.grid.n_cells
-    margin = cfg.enlargement_margin
+    The gaps are those before the first and after the last occupied cell
+    of the state's support, which a state built by `step` already carries;
+    the enlarged state carries the same components, shifted by the pad."""
     threshold = cfg.support_threshold
-    n = state.n
-    left = n[: margin + 1] > threshold
-    right = n[max(n_cells - 1 - margin, 0) :][::-1] > threshold
-    pad_left = 2 * margin - int(left.argmax()) if left.any() else 0
-    pad_right = 2 * margin - int(right.argmax()) if right.any() else 0
+    components = state.support(threshold)
+    if not components:
+        return state, False
+    n_cells, margin = state.grid.n_cells, cfg.enlargement_margin
+    left_gap, right_gap = components[0][0], n_cells - 1 - components[-1][1]
+    pad_left = 2 * margin - left_gap if left_gap <= margin else 0
+    pad_right = 2 * margin - right_gap if right_gap <= margin else 0
     if pad_left == 0 and pad_right == 0:
         return state, False
-    grid = Grid1D(
-        x_min=state.grid.x_min - pad_left * state.grid.dx,
-        dx=state.grid.dx,
-        n_cells=n_cells + pad_left + pad_right,
-    )
-    zeros_l = np.zeros(pad_left)
-    zeros_r = np.zeros(pad_right)
+    dx = state.grid.dx
+    grid = Grid1D(state.grid.x_min - pad_left * dx, dx, n_cells + pad_left + pad_right)
+    zeros_l, zeros_r = np.zeros(pad_left), np.zeros(pad_right)
     new = FieldState._of(
         grid,
         np.concatenate((zeros_l, state.n1, zeros_r, zeros_l, state.n2, zeros_r)),
@@ -424,6 +435,7 @@ def enlarge_domain_if_needed(
         np.concatenate((np.full(pad_left, params.c_B), state.c, np.full(pad_right, params.c_B))),
         np.concatenate((zeros_l, state.u, zeros_r)),
         state.t,
+        (threshold, tuple((s + pad_left, e + pad_left) for s, e in components)),
     )
     return new, True
 
@@ -449,32 +461,31 @@ def step(
     try:
         growth = eval_growth(params.growth, state.c, state.n)
         grid = state.grid
-        dx = grid.dx
         u_star = predict_velocity(state, params, dt, growth)
-        cfl = float(np.abs(u_star).max() * dt / dx)
+        cfl = float(np.abs(u_star).max() * dt / grid.dx)
         densities, clamped = correct_densities(state, u_star, params, dt, growth)
         n2 = densities[grid.n_cells :]
         n = densities[: grid.n_cells] + n2
 
+        support = (None, ())
         if params.nutrient_mode == QUASISTATIC:
-            c = solve_nutrient_quasistatic(grid, n, n2, params, cfg.support_threshold)
+            support = (cfg.support_threshold, support_components(n > cfg.support_threshold))
+            c = solve_nutrient_quasistatic(grid, n, n2, params, support[1])
             nutrient_clamped = 0
         else:
             c, nutrient_clamped = step_nutrient_neumann(state, params, dt, t_new)
         p = pressure_from_density(n, params.gamma)
         u = p[1:] - p[:-1]
         np.negative(u, out=u)
-        u /= dx
-        new = FieldState._of(grid, densities, n, c, u, t_new)
+        u /= _coefficients(params, grid, dt).dx
+        new = FieldState._of(grid, densities, n, c, u, t_new, support)
         if not _all_finite(np.concatenate((densities, c, u))):
             name = next(k for k in ("n1", "n2", "c", "u") if not _all_finite(getattr(new, k)))
             raise SolverError(f"non-finite values in {name} at t={t_new:.6g}")
     except SolverError as err:
         err.state, err.t = state, t_new
         raise
-    return new, StepDiagnostics(
-        cfl=cfl, clamped_mass=clamped, nutrient_cells_clamped=nutrient_clamped, enlarged=enlarged
-    )
+    return new, StepDiagnostics(cfl, clamped, nutrient_clamped, enlarged)
 
 
 @dataclass
@@ -493,42 +504,37 @@ class RunResult:
     log: RunLog
 
 
-def _sample(
-    state: FieldState,
-    t: float,
-    threshold: float,
-    mu_star: float | None,
-    c_ceiling: float | None,
-    log: RunLog,
-) -> list[float]:
+def _sample(state: FieldState, t: float, threshold: float, mu_star: float | None,
+            c_ceiling: float | None, log: RunLog) -> list[float]:
     """One time-series row (the SERIES_CHANNELS) at time t; bound breaches
     are appended to log.violations.
 
-    One pass: the support, the fraction mu = n1/n and c on it are gathered
-    once. The deviation norms need mu_star, the nutrient check (c <=
-    c_ceiling + 1e-6 on the support) c_ceiling; each is skipped when None.
-    An empty support gives radius 0, NaN norms and c_max, and no checks."""
+    One pass over the state's support: the fraction mu = n1/n and c on it
+    are read once, as slices of a single run or gathered over several. The
+    deviation norms need mu_star, the nutrient check (c <= c_ceiling + 1e-6
+    on the support) c_ceiling; each is skipped when None. An empty support
+    gives radius 0, NaN norms and c_max, and no checks."""
     mass_total, mass_auto = total_population(state)
-    support = np.flatnonzero(state.n > threshold)
-    if not support.size:
+    components = state.support(threshold)
+    if not components:
         return [t, 0.0, mass_total, mass_auto, *(math.nan,) * 5, log.clamped_neg_mass]
-    # cell_x increases, so the largest |x| lies at the first or last support cell
-    radius = float(np.abs(state.grid.cell_x[support[[0, -1]]]).max())
-    mu = state.n1[support] / state.n[support]
-    c_max = float(state.c[support].max())
+    # cell x_min + dx*i increases, so the largest |x| lies at the first or last support cell
+    x_min, dx = state.grid.x_min, state.grid.dx
+    radius = max(abs(x_min + dx * components[0][0]), abs(x_min + dx * components[-1][1]))
+    cells = (slice(components[0][0], components[0][1] + 1) if len(components) == 1
+             else np.concatenate([np.arange(s, e + 1) for s, e in components]))
+    mu = state.n1[cells] / state.n[cells]
+    c_max = float(state.c[cells].max())
     norms = (math.nan,) * 4
     if mu_star is not None:
         norms = deviation_norms(mu - mu_star, state.grid.dx)
     lo, hi = mu.min(), mu.max()
     if lo < -1e-8 or hi > 1.0 + 1e-8:
-        log.violations.append(
-            f"composition fraction left [0, 1] at t={t:.6g} (range [{lo:.3e}, {hi:.3e}])"
-        )
+        log.violations.append(f"composition fraction left [0, 1] at t={t:.6g} "
+                              f"(range [{lo:.3e}, {hi:.3e}])")
     if c_ceiling is not None and not c_max - c_ceiling <= 1e-6:  # a NaN is a breach
-        log.violations.append(
-            f"nutrient exceeded its maximum-principle bound by {c_max - c_ceiling:.3e} "
-            f"at t={t:.6g}"
-        )
+        log.violations.append(f"nutrient exceeded its maximum-principle bound by "
+                              f"{c_max - c_ceiling:.3e} at t={t:.6g}")
     return [t, radius, mass_total, mass_auto, *norms, c_max, log.clamped_neg_mass]
 
 
@@ -538,13 +544,8 @@ def _check_t_end(t0: float, t_end: float) -> None:
         raise ValueError(f"t_end {t_end:g} precedes the initial time {t0:g} of the state")
 
 
-def run(
-    initial: FieldState,
-    params: ModelParameters,
-    cfg: SolverConfig,
-    t_end: float,
-    snapshot_times: tuple[float, ...] = (),
-) -> RunResult:
+def run(initial: FieldState, params: ModelParameters, cfg: SolverConfig, t_end: float,
+        snapshot_times: tuple[float, ...] = ()) -> RunResult:
     """March the scheme from the initial state to t_end.
 
     Samples the diagnostic series every `sample_interval` (and at the start
@@ -574,10 +575,8 @@ def run(
         if 0 <= j <= n_steps:
             snapshot_steps.setdefault(j, []).append(float(ts))
         else:
-            log.warnings.append(
-                f"no snapshot at t={ts:g}: outside this run's span "
-                f"[{t0:g}, {t0 + n_steps * dt:g}]"
-            )
+            log.warnings.append(f"no snapshot at t={ts:g}: outside this run's span "
+                                f"[{t0:g}, {t0 + n_steps * dt:g}]")
 
     # states are shared, not copied: step never writes into its input, and
     # only the t of the fresh state step returns is restamped below
@@ -588,10 +587,8 @@ def run(
     # ceiling max(c_B, c0), c0 the initial nutrient maximum on the support
     c_ceiling = None
     if params.nutrient_mode == QUASISTATIC:
-        c_ceiling = params.c_B
-        mask0 = state.n > cfg.support_threshold
-        if mask0.any():
-            c_ceiling = max(c_ceiling, float(state.c[mask0].max()))
+        c_ceiling = max([params.c_B, *(float(state.c[s : e + 1].max())
+                                       for s, e in state.support(cfg.support_threshold))])
 
     rows: list[list[float]] = []
     max_cfl = 0.0
@@ -627,19 +624,14 @@ def run(
         sample(state.t)
 
     if max_cfl > 0.5:
-        log.warnings.append(
-            f"transport CFL number exceeded 0.5 (max {max_cfl:.3f}, first at t={first_cfl_t:.6g})"
-        )
+        log.warnings.append(f"transport CFL number exceeded 0.5 (max {max_cfl:.3f}, "
+                            f"first at t={first_cfl_t:.6g})")
     if nutrient_clamp_events:
-        log.warnings.append(
-            f"nutrient clamped to zero in {nutrient_clamp_events} cell-updates"
-        )
+        log.warnings.append(f"nutrient clamped to zero in {nutrient_clamp_events} cell-updates")
     total_mass = total_population(state)[0]
     if total_mass > 0 and log.clamped_neg_mass > 1e-6 * total_mass:
-        log.violations.append(
-            f"clamped negative mass {log.clamped_neg_mass:.3e} exceeds "
-            f"1e-6 of the final total mass {total_mass:.6g}"
-        )
+        log.violations.append(f"clamped negative mass {log.clamped_neg_mass:.3e} exceeds "
+                              f"1e-6 of the final total mass {total_mass:.6g}")
 
     series = TimeSeries(channels=SERIES_CHANNELS, data=np.array(rows, dtype=float))
     return RunResult(series=series, final_state=state, snapshots=snapshots, log=log)
@@ -661,11 +653,8 @@ def write_checkpoint(path, state: FieldState, gamma: float) -> None:
     with open(path, "w") as fh:
         fh.write("# two-population growth state\n")
         fh.write("# columns: n1 n2 c u (u on interior faces, one trailing pad zero)\n")
-        fh.write("x_min = %.17g\n" % g.x_min)
-        fh.write("dx = %.17g\n" % g.dx)
-        fh.write("n_cells = %d\n" % g.n_cells)
-        fh.write("t = %.17g\n" % state.t)
-        fh.write("gamma = %.17g\n" % gamma)
+        fh.write("x_min = %.17g\ndx = %.17g\nn_cells = %d\nt = %.17g\ngamma = %.17g\n"
+                 % (g.x_min, g.dx, g.n_cells, state.t, gamma))
         write_table(fh, np.column_stack((state.n1, state.n2, state.c, u_padded)), " ")
 
 
@@ -692,9 +681,8 @@ def read_checkpoint(path) -> tuple[FieldState, float]:
             raise ValueError(f"checkpoint is missing header key {key!r}")
     n_cells = int(header["n_cells"])
     if len(data_rows) != n_cells:
-        raise ValueError(
-            f"checkpoint has {len(data_rows)} data rows but header says {n_cells} cells"
-        )
+        raise ValueError(f"checkpoint has {len(data_rows)} data rows "
+                         f"but header says {n_cells} cells")
     arr = np.array(data_rows, dtype=float)
     if arr.shape != (n_cells, 4):
         raise ValueError(f"checkpoint rows must have 4 columns, got shape {arr.shape}")

@@ -217,7 +217,7 @@ def test_acceptance_5_closed_form_oracles():
             gamma=2.0, D=0.3, a=0.5, c_B=1.0, growth=Proportional(1.0),
             transitions=ConstantTransitions(1.0, 1.0),
         )
-        c = solve_nutrient_quasistatic(state.grid, state.n, state.n2, params, 1e-8)
+        c = solve_nutrient_quasistatic(state.grid, state.n, state.n2, params, state.support(1e-8))
         exact = 0.25 + 0.75 * np.cosh(x) / np.cosh(1.0)
         inside = np.abs(x) <= 1.0 + dx / 2
         return float(np.max(np.abs(c[inside] - exact[inside])))

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -515,6 +519,45 @@ def test_check_tests_the_last_sample_time_against_t_end(tmp_path, capsys):
         assert (f"the series ends at t=0.01, not at t_end {t_end:g}" in err) == bool(rc)
 
 
+@pytest.mark.parametrize(
+    "dt, message",
+    [
+        (0, "manifest dt 0 is not a number > 0"),
+        (-0.002, "manifest dt -0.002 is not a number > 0"),
+        (float("nan"), "manifest dt nan is not a number > 0"),
+        ("0.002", "manifest dt '0.002' is not a number > 0"),
+        (True, "manifest dt True is not a number > 0"),
+        # positive, but the series spans more steps than a float holds
+        (5e-324, "span no finite number of steps"),
+    ],
+)
+def test_check_fails_in_one_line_on_a_manifest_dt_it_cannot_step_by(tmp_path, capsys, dt,
+                                                                    message):
+    out_dir = finished_run(tmp_path, capsys)
+    manifest_path = out_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"]["solver"]["dt"] = dt
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["check", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("check failed: ") == 1 and err.count("\n") == 1, err
+    assert message in err
+
+
+@pytest.mark.parametrize("row, value", [(1, "nan"), (-1, "inf"), (-1, "-inf")])
+def test_check_fails_in_one_line_on_series_times_that_are_not_finite(tmp_path, capsys, row,
+                                                                     value):
+    out_dir = finished_run(tmp_path, capsys)
+    series = out_dir / "timeseries.csv"
+    lines = series.read_text().splitlines()
+    lines[row] = ",".join([value] + lines[row].split(",")[1:])
+    series.write_text("\n".join(lines) + "\n")
+    assert main(["check", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("check failed: ") == 1 and err.count("\n") == 1, err
+    assert "span no finite number of steps" in err
+
+
 def test_check_accepts_a_run_of_zero_steps(tmp_path, capsys):
     # a restart whose t_end is the checkpoint's time: a header-only series
     first = finished_run(tmp_path, capsys)
@@ -727,3 +770,38 @@ def test_sweep_starts_at_most_one_worker_per_member(tmp_path, monkeypatch, capsy
     assert main(argv) == 0
     assert started == [2]
     assert len(list(tmp_path.iterdir())) == 2
+
+
+def run_dir_bytes(run_dir):
+    """Each file of a run directory as bytes, the manifest without its
+    wall_time_s line."""
+    files = {}
+    for path in sorted(run_dir.iterdir()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            data = b"\n".join(line for line in data.split(b"\n") if b'"wall_time_s"' not in line)
+        files[path.name] = data
+    return files
+
+
+def test_sweep_members_do_not_carry_state_from_one_to_the_next(tmp_path, capsys):
+    # this process runs both members in turn (--jobs 1), so anything the
+    # solver keeps from a run (the coefficients of the last setup) meets the
+    # next member; each member must write what a one-member sweep of its
+    # value writes in a fresh interpreter
+    argv = ["sweep", "--preset", "fig-s4limit-gamma80", "--jobs", "1"]
+    assert main([*argv, "--vary", "D=0.3,0.5", "--out", str(tmp_path / "both")]) == 0
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for tok in ("0.3", "0.5"):
+        alone = tmp_path / f"alone-{tok}"
+        subprocess.run([sys.executable, "-m", "autophagy_tumor.cli", *argv, "--vary", f"D={tok}",
+                        "--out", str(alone)], env=env, check=True, capture_output=True, timeout=120)
+        member = f"fig-s4limit-gamma80-D={tok}"
+        files = run_dir_bytes(tmp_path / "both" / member)
+        assert sorted(files) == ["checkpoint_final.txt", "manifest.json", "profile_t1.csv",
+                                 "timeseries.csv"]
+        assert files == run_dir_bytes(alone / member), tok
+    # the two values differ, so equal directories would show nothing
+    assert (run_dir_bytes(tmp_path / "both" / "fig-s4limit-gamma80-D=0.3")["timeseries.csv"]
+            != run_dir_bytes(tmp_path / "both" / "fig-s4limit-gamma80-D=0.5")["timeseries.csv"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 from autophagy_tumor.grid import Grid1D, _edge_faces, numerical_flux, pressure_from_density
-from autophagy_tumor.diagnostics import SERIES_CHANNELS, support_components
+import autophagy_tumor.solver as solver_module
+from autophagy_tumor.diagnostics import SERIES_CHANNELS, deviation_norms, support_components
 from autophagy_tumor.kinetics import (
     AffineDeath,
     ConstantFlux,
@@ -28,6 +30,7 @@ from autophagy_tumor.solver import (
     SolverConfig,
     SolverError,
     StepDiagnostics,
+    _coefficients,
     _sample,
     correct_densities,
     enlarge_domain_if_needed,
@@ -194,7 +197,7 @@ def test_quasistatic_single_cell_component_matches_dense():
     n2[4] = 0.2
     state = make_state(n1, n2, dx=dx)
     params = basic_params(a=0.5, c_B=1.5)
-    c = solve_nutrient_quasistatic(state.grid, state.n, state.n2, params, 1e-8)
+    c = solve_nutrient_quasistatic(state.grid, state.n, state.n2, params, state.support(1e-8))
     dense = np.array([[2.0 / dx**2 + 0.9]])
     rhs = np.array([0.5 * 0.2 + 2.0 * 1.5 / dx**2])
     np.testing.assert_allclose(c[4:5], np.linalg.solve(dense, rhs), rtol=1e-14)
@@ -401,7 +404,9 @@ def quasistatic_case(mu, a, R, dx, pad=6):
 
 def test_quasistatic_vacuum_gives_ambient():
     state = make_state(np.zeros(9), np.zeros(9))
-    c = solve_nutrient_quasistatic(state.grid, state.n, state.n2, basic_params(c_B=1.25), 1e-8)
+    c = solve_nutrient_quasistatic(
+        state.grid, state.n, state.n2, basic_params(c_B=1.25), state.support(1e-8)
+    )
     np.testing.assert_array_equal(c, np.full(9, 1.25))
 
 
@@ -413,14 +418,14 @@ def test_quasistatic_matches_closed_form_and_converges():
     errors = []
     for dx in (R / 20, R / 40, R / 80):
         state, x = quasistatic_case(mu, a, R, dx)
-        c = solve_nutrient_quasistatic(state.grid, state.n, state.n2, params, 1e-8)
+        c = solve_nutrient_quasistatic(state.grid, state.n, state.n2, params, state.support(1e-8))
         exact = 0.25 + 0.75 * np.cosh(x) / np.cosh(1.0)
         inside = np.abs(x) <= R + dx / 2
         errors.append(np.max(np.abs(c[inside] - exact[inside])))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all(orders > 1.9)
     state, x = quasistatic_case(mu, a, R, R / 80)
-    c = solve_nutrient_quasistatic(state.grid, state.n, state.n2, params, 1e-8)
+    c = solve_nutrient_quasistatic(state.grid, state.n, state.n2, params, state.support(1e-8))
     center = c[np.argmin(np.abs(x))]
     assert center == pytest.approx(0.7360407052479141, abs=2e-4)
 
@@ -429,7 +434,7 @@ def test_quasistatic_pure_normal_center_value():
     # mu = 1 slab: c(0) -> 1/cosh(1)
     state, x = quasistatic_case(1.0, 0.5, 1.0, 1.0 / 80)
     c = solve_nutrient_quasistatic(
-        state.grid, state.n, state.n2, basic_params(a=0.5, c_B=1.0), 1e-8
+        state.grid, state.n, state.n2, basic_params(a=0.5, c_B=1.0), state.support(1e-8)
     )
     center = c[np.argmin(np.abs(x))]
     assert center == pytest.approx(0.6480542736638855, abs=2e-4)
@@ -442,7 +447,7 @@ def test_quasistatic_components_solved_independently():
     n[28:33] = 1.0
     state = make_state(n, np.zeros(41), dx=dx)
     c = solve_nutrient_quasistatic(
-        state.grid, state.n, state.n2, basic_params(a=0.0, c_B=2.0), 1e-8
+        state.grid, state.n, state.n2, basic_params(a=0.0, c_B=2.0), state.support(1e-8)
     )
     # gap and exterior hold the ambient level exactly
     np.testing.assert_array_equal(c[:8], 2.0)
@@ -459,7 +464,9 @@ def test_quasistatic_edge_contact_raises():
     n[0:3] = 1.0
     state = make_state(n, np.zeros(9))
     with pytest.raises(SolverError):
-        solve_nutrient_quasistatic(state.grid, state.n, state.n2, basic_params(), 1e-8)
+        solve_nutrient_quasistatic(
+            state.grid, state.n, state.n2, basic_params(), state.support(1e-8)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +678,7 @@ def test_step_discrete_mass_balance():
 
     state = bump_state()
     state.c = solve_nutrient_quasistatic(
-        state.grid, state.n, state.n2, basic_params(a=0.5, D=0.3), 1e-8
+        state.grid, state.n, state.n2, basic_params(a=0.5, D=0.3), state.support(1e-8)
     )
     params = basic_params(g=1.0, D=0.3, K1=1.0, K2=1.0, a=0.5)
     cfg = SolverConfig(dt=0.002, enlargement_margin=5)
@@ -1321,6 +1328,164 @@ def test_sample_matches_reference_on_built_states():
     bump = make_state([0.0, 0.3, 0.4, 0.3, 0.0], [0.0, 0.2, 0.1, 0.2, 0.0], c=c)
     violations = assert_sample_matches_reference(bump, params, 0.4, c0=1.2)
     assert violations == ["nutrient exceeded its maximum-principle bound by 3.000e-01 at t=0"]
+
+
+# ---------------------------------------------------------------------------
+# the coefficients bound per setup and the support carried by each state
+
+
+def test_coefficients_are_0d_float64_with_the_bits_of_their_formulas():
+    params = basic_params(gamma=3.0, D=0.3, a=0.45)
+    grid, dt = Grid1D(x_min=-1.0, dx=0.1, n_cells=21), 0.005
+    gamma, dx = params.gamma, grid.dx
+    k = _coefficients(params, grid, dt)
+    formulas = {
+        "dx": dx, "D": params.D, "a": params.a, "zero": 0.0, "half": 0.5, "one": 1.0,
+        "two_dx2": 2.0 / dx**2, "dt": dt, "inv_dt": 1.0 / dt, "A": gamma * dt / dx**2,
+        "neg_A": -(gamma * dt / dx**2), "B": gamma * dt / dx,
+        "inv_dt_two_dx2": 1.0 / dt + 2.0 / dx**2,
+    }
+    for name, value in formulas.items():
+        got = getattr(k, name)
+        assert type(got) is np.ndarray and got.shape == () and got.dtype == np.float64, name
+        assert got.tobytes() == np.float64(value).tobytes(), name
+    assert k.singular == 1e-14 * (1.0 / dt**2)
+    # the off-diagonals: -1/dx^2, and the Neumann wall rows' 1; read-only
+    off = np.full(20, -1.0 / dx**2)
+    assert np.array_equal(k.off, off)
+    assert np.array_equal(k.wall_lower, np.concatenate((off[:-1], [1.0])))
+    assert np.array_equal(k.wall_upper, np.concatenate(([1.0], off[1:])))
+    assert not any(a.flags.writeable for a in (k.off, k.wall_lower, k.wall_upper))
+    # kept for the last setup, matched by identity; no dt matches any dt
+    assert _coefficients(params, grid, dt) is k and _coefficients(params, grid) is k
+    for other in (
+        (dataclasses.replace(params), grid, dt),
+        (params, Grid1D(x_min=-1.0, dx=0.1, n_cells=21), dt),
+        (params, grid, 0.0025),
+    ):
+        assert _coefficients(*other) is not k
+        k = _coefficients(params, grid, dt)
+
+
+def test_step_matches_reference_when_setups_alternate():
+    # every step meets the coefficients of another setup. The first four
+    # start from one state, so they share its grid object, and each differs
+    # from the one before in one way only: another gamma, then equal
+    # parameters in a distinct object, then another dt. Then another grid
+    # under the same parameters and config, a grid that grows, a Neumann box
+    base = basic_params(g=1.0, D=0.3, K1=1.0, K2=1.0, a=0.5)
+    cfg = SolverConfig(dt=0.005, enlargement_margin=5)
+    shared, equal = bump_state(), dataclasses.replace(base)
+    setups = [
+        (shared, base, cfg),
+        (shared, dataclasses.replace(base, gamma=3.0), cfg),
+        (shared, equal, cfg),
+        (shared, equal, SolverConfig(dt=0.0025, enlargement_margin=5)),
+        (bump_state(m=81, dx=0.05), base, cfg),
+        (edge_bump_state(), base, SolverConfig(dt=0.005, enlargement_margin=4)),
+        (REFERENCE_CASES["neumann-hull"][0](), *REFERENCE_CASES["neumann-hull"][1:]),
+    ]
+    states = [state for state, _, _ in setups]
+    refs = list(states)
+    for j in range(20):
+        for i, (_, params, cfg_i) in enumerate(setups):
+            states[i], diag = step(states[i], params, cfg_i)
+            refs[i], ref_diag = reference_step(refs[i], params, cfg_i)
+            assert diag == ref_diag, (i, j)
+            for name in ("n1", "n2", "c", "u"):
+                assert np.array_equal(getattr(states[i], name), getattr(refs[i], name)), (i, name)
+            assert states[i].grid == refs[i].grid
+    assert all(state.grid is shared.grid for state in states[:4])
+    assert states[5].grid.n_cells > edge_bump_state().grid.n_cells
+    # equal parameters step equally, whichever object holds them
+    for name in ("n1", "n2", "c", "u"):
+        assert np.array_equal(getattr(states[0], name), getattr(states[2], name))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cells=st.lists(st.sampled_from([0.0, _THRESHOLD, 2 * _THRESHOLD, 0.5]),
+                   min_size=3, max_size=40),
+    other=st.sampled_from([0.0, 1e-9, 0.25]),
+)
+@example(cells=[0.0] * 12, other=0.25)  # an empty support
+@example(cells=[0.0, 0.5, 0.5, 0.0, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0], other=0.0)  # several runs
+@example(cells=[0.0] * 4 + [0.5] + [0.0] * 4, other=1e-9)  # enlarges on both sides
+def test_state_carries_its_support(cells, other):
+    n = np.array(cells)
+    state = make_state(0.5 * n, 0.5 * n)
+    cfg = SolverConfig(dt=0.01, support_threshold=_THRESHOLD, enlargement_margin=3)
+    scans = []
+
+    def counted(mask):
+        scans.append(mask.size)
+        return support_components(mask)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "support_components", counted)
+        assert state.support(_THRESHOLD) == support_components(n > _THRESHOLD)
+        assert state.support(_THRESHOLD) == support_components(n > _THRESHOLD)
+        assert len(scans) == 1  # found once per state and threshold
+        # another threshold finds the support again
+        assert state.support(other) == support_components(n > other)
+        assert len(scans) == 2
+        # an enlarged state carries the components of its source, shifted
+        out, changed = enlarge_domain_if_needed(state, basic_params(), cfg)
+        assert out.support(_THRESHOLD) == support_components(out.n > _THRESHOLD)
+        assert len(scans) == 3
+    if changed:
+        assert out.grid.n_cells > n.size
+    else:
+        assert out is state
+
+
+def test_step_hands_its_quasistatic_support_to_the_new_state(monkeypatch):
+    make, params, cfg = REFERENCE_CASES["two-components"]
+    state = make()
+    scans = []
+    monkeypatch.setattr(solver_module, "support_components",
+                        lambda mask: scans.append(1) or support_components(mask))
+    for _ in range(5):
+        state, _ = step(state, params, cfg)
+    # one scan for the built state (the first enlargement check), then one
+    # per step, the nutrient solve's; enlargement and sampling reuse it
+    _sample(state, state.t, cfg.support_threshold, 0.4, None, RunLog())
+    assert len(scans) == 1 + 5
+    assert state.support(cfg.support_threshold) == support_components(
+        state.n > cfg.support_threshold)
+    assert len(state.support(cfg.support_threshold)) == 2
+
+
+def flatnonzero_sample(state, t, threshold, mu_star):
+    """The series row as `_sample` formed it before the state carried its
+    support: one flatnonzero scan, and every support cell gathered."""
+    support = np.flatnonzero(state.n > threshold)
+    dx = state.grid.dx
+    mass_total, mass_auto = float(dx * state.n.sum()), float(dx * state.n2.sum())
+    if not support.size:
+        return [t, 0.0, mass_total, mass_auto, *(math.nan,) * 5, 0.0]
+    radius = float(np.abs(state.grid.cell_x[support[[0, -1]]]).max())
+    mu = state.n1[support] / state.n[support]
+    norms = deviation_norms(mu - mu_star, dx)
+    return [t, radius, mass_total, mass_auto, *norms, float(state.c[support].max()), 0.0]
+
+
+@pytest.mark.parametrize("make", [two_bump_state, bump_state])
+def test_sample_matches_a_flatnonzero_gather(make):
+    _, params, cfg = REFERENCE_CASES["two-components"]
+    state = make()
+    for _ in range(10):
+        for fresh in (False, True):
+            # the support the step carried, and one found afresh
+            sampled = state if not fresh else make_state(
+                state.n1, state.n2, c=state.c, u=state.u, dx=state.grid.dx,
+                x_min=state.grid.x_min, t=state.t)
+            row = _sample(sampled, state.t, cfg.support_threshold, 0.4, None, RunLog())
+            want = flatnonzero_sample(state, state.t, cfg.support_threshold, 0.4)
+            assert np.array(row).tobytes() == np.array(want).tobytes()
+        state, _ = step(state, params, cfg)
+    if make is two_bump_state:
+        assert len(state.support(cfg.support_threshold)) == 2
 
 
 # ---------------------------------------------------------------------------
