@@ -20,23 +20,24 @@ from .kinetics import (
 )
 
 __all__ = [
-    "TimeSeries",
-    "SERIES_CHANNELS",
-    "support_components",
-    "deviation_norms",
-    "uniform_bound_at",
-    "l2n_condition_and_rate",
-    "total_population",
-    "write_table",
+    "TimeSeries", "SERIES_CHANNELS", "support_components", "deviation_norms", "uniform_bound_at",
+    "l2n_condition_and_rate", "total_population", "write_table",
 ]
 
 
 def support_components(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """Inclusive (start, end) index runs of a 1D support mask, left to right."""
-    padded = np.zeros(mask.size + 2, dtype=bool)
-    padded[1:-1] = mask
-    edges = np.flatnonzero(padded[1:] != padded[:-1])
-    return tuple(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
+    """Inclusive (start, end) index runs of a 1D support mask, left to right:
+    one `np.flatnonzero` finds the occupied cells, and when they form one run
+    (last - first + 1 cells) it is returned at once; otherwise that index
+    array is split where consecutive indices jump."""
+    cells = np.flatnonzero(mask)
+    if not cells.size:
+        return ()
+    first, last = int(cells[0]), int(cells[-1])
+    if last - first + 1 == cells.size:
+        return ((first, last),)
+    jumps = np.flatnonzero(cells[1:] - cells[:-1] != 1)
+    return tuple(zip([first, *cells[jumps + 1].tolist()], [*cells[jumps].tolist(), last]))
 
 
 def deviation_norms(dev: np.ndarray, dx: float) -> tuple[float, float, float, float]:

@@ -8,17 +8,14 @@ are n_cells - 1.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-__all__ = [
-    "Grid1D",
-    "pressure_from_density",
-    "density_from_pressure",
-    "numerical_flux",
-]
+__all__ = ["Grid1D", "pressure_from_density", "density_from_pressure", "numerical_flux"]
+_HALF = np.array(0.5)  # a 0-d operand, which numpy need not convert per call
 
 
 @dataclass(frozen=True)
@@ -28,8 +25,10 @@ class Grid1D:
     n_cells: int
 
     def __post_init__(self):
-        if not self.dx > 0.0:
-            raise ValueError(f"dx must be positive, got {self.dx}")
+        if not abs(self.x_min) <= sys.float_info.max:  # not NaN, inf or a huge int
+            raise ValueError(f"x_min must be finite, got {self.x_min}")
+        if not 0.0 < self.dx <= sys.float_info.max:
+            raise ValueError(f"dx must be positive and finite, got {self.dx}")
         if self.n_cells < 3:
             raise ValueError(f"need at least 3 cells, got {self.n_cells}")
 
@@ -42,23 +41,33 @@ class Grid1D:
 # pressure law p = gamma/(gamma-1) * n^(gamma-1)
 
 
-def pressure_from_density(n, gamma: float):
+def _law_input(x, gamma: float, what: str):
+    """x as a float or float array, after checking gamma > 1 and x >= 0."""
     if not gamma > 1.0:
         raise ValueError(f"gamma must exceed 1, got {gamma}")
-    n = np.asarray(n, dtype=float) if np.ndim(n) else float(n)
-    if np.count_nonzero(np.asarray(n) < 0.0):
-        raise ValueError("negative density passed to the pressure law")
-    p = n ** (gamma - 1.0)
-    p *= gamma / (gamma - 1.0)
+    x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
+    if np.count_nonzero(np.asarray(x) < 0.0):
+        raise ValueError(f"negative {what}")
+    return x
+
+
+def pressure_from_density(n, gamma: float):
+    """gamma/(gamma-1) * n^(gamma-1), checking gamma > 1 and n >= 0. `step`
+    calls the bare `_pressure`: ModelParameters holds gamma >= 2, the clamp
+    keeps n >= 0, and its end-of-step finiteness test catches a NaN."""
+    n = _law_input(n, gamma, "density passed to the pressure law")
+    return _pressure(n, gamma - 1.0, gamma / (gamma - 1.0))
+
+
+def _pressure(n, exponent, factor):
+    """n^exponent * factor, unchecked (exponent gamma - 1, factor gamma/(gamma - 1))."""
+    p = n**exponent
+    p *= factor
     return p
 
 
 def density_from_pressure(p, gamma: float):
-    if not gamma > 1.0:
-        raise ValueError(f"gamma must exceed 1, got {gamma}")
-    p = np.asarray(p, dtype=float) if np.ndim(p) else float(p)
-    if np.any(np.asarray(p) < 0.0):
-        raise ValueError("negative pressure passed to the density inversion")
+    p = _law_input(p, gamma, "pressure passed to the density inversion")
     return ((gamma - 1.0) / gamma * p) ** (1.0 / (gamma - 1.0))
 
 
@@ -82,9 +91,9 @@ def _limit(d_minus, d_plus, d_center, out):
     return out
 
 
-def _edge_faces(values: np.ndarray, dx: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _edge_faces(values: np.ndarray, n: int, dx, two_dx, half_dx) -> tuple[np.ndarray, np.ndarray]:
     """Second-order left/right states at the faces of `values`, a flat array
-    of fields of n cells each laid end to end (n1 then n2 in the solver).
+    of fields of n cells of width dx (two_dx = 2*dx, half_dx = dx/2) end to end.
 
     Face i lies between cells i and i + 1. Each field's two end cells get
     slope 0 (one-sided reconstruction degenerates to the cell value there);
@@ -97,26 +106,26 @@ def _edge_faces(values: np.ndarray, dx: float, n: int) -> tuple[np.ndarray, np.n
     d = values[1:] - values[:-1]
     d /= dx
     d_center = values[2:] - values[:-2]
-    d_center /= 2.0 * dx
+    d_center /= two_dx
     _limit(d[:-1], d[1:], d_center, s[1:-1])
-    s[n - 1 :: n] = 0.0
-    s[n::n] = 0.0
-    s *= 0.5 * dx
+    for i in range(n, values.size, n):  # the first and last cells keep the 0 of np.zeros
+        s[i - 1] = s[i] = 0.0
+    s *= half_dx
     left = values[:-1] + s[:-1]
     right = values[1:] - s[1:]
     return left, right
 
 
-def numerical_flux(left, right, u):
-    """Upwind face flux F = (1/2)[(left + right)*u - |u|*(right - left)].
+def numerical_flux(left, right, u, out=None):
+    """Upwind face flux F = (1/2)[(left + right)*u - |u|*(right - left)], into `out` if given.
 
     Reduces to left*u for u > 0, right*u for u < 0, and n*u when the two
     states agree.
     """
-    flux = left + right
+    flux = np.add(left, right, out=out)
     flux *= u
     jump = right - left
     jump *= np.abs(u)
     flux -= jump
-    flux *= 0.5
+    flux *= _HALF
     return flux

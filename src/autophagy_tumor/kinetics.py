@@ -16,36 +16,19 @@ for the space-free (n1, n2, c) system.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
 
 __all__ = [
-    "Proportional",
-    "AffineDeath",
-    "Logistic",
-    "GrowthSpec",
-    "ConstantTransitions",
-    "HullTransitions",
-    "RationalPairTransitions",
-    "TransitionSpec",
-    "ConstantFlux",
-    "PeriodicFlux",
-    "FluxSchedule",
-    "QUASISTATIC",
-    "NEUMANN",
-    "ModelParameters",
-    "ReactionEquilibrium",
-    "OdeState",
-    "eval_growth",
-    "eval_transitions",
-    "eval_flux",
-    "reaction_rate_f",
-    "equilibrium_roots",
-    "mu_ode_closed_form",
-    "wellmixed_pointwise_bound",
-    "integrate_ode_model",
+    "Proportional", "AffineDeath", "Logistic", "GrowthSpec", "ConstantTransitions",
+    "HullTransitions", "RationalPairTransitions", "TransitionSpec", "ConstantFlux", "PeriodicFlux",
+    "FluxSchedule", "QUASISTATIC", "NEUMANN", "ModelParameters", "ReactionEquilibrium", "OdeState",
+    "eval_growth", "eval_transitions", "eval_flux", "reaction_rate_f", "equilibrium_roots",
+    "mu_ode_closed_form", "wellmixed_pointwise_bound", "integrate_ode_model",
 ]
 
 
@@ -82,6 +65,15 @@ GrowthSpec = Union[Proportional, AffineDeath, Logistic]
 class ConstantTransitions:
     K1: float
     K2: float
+
+    @cached_property
+    def _rates(self) -> tuple[np.ndarray, np.ndarray]:
+        rates = np.array([self.K1, self.K2], dtype=float)
+        rates.flags.writeable = False
+        return rates[0, ...], rates[1, ...]  # read-only 0-d views
+
+    def __getstate__(self):  # the fields alone: unpickled, the spec forms read-only rates afresh
+        return {"K1": self.K1, "K2": self.K2}
 
 
 @dataclass(frozen=True)
@@ -138,9 +130,10 @@ def eval_growth(spec: GrowthSpec, c, n=0.0):
 
 def eval_transitions(spec: TransitionSpec, c):
     """Return the switch-rate pair (K1(c), K2(c)), elementwise in c; constant
-    rates come back as scalars, which broadcast against c."""
+    rates come back as read-only float64 0-d arrays, formed once per spec,
+    which broadcast against c."""
     if isinstance(spec, ConstantTransitions):
-        return spec.K1, spec.K2
+        return spec._rates
     if isinstance(spec, HullTransitions):
         c4 = np.asarray(c, dtype=float) ** 4
         w4 = spec.omega**4
@@ -190,6 +183,9 @@ class ModelParameters:
     lambda_schedule: FluxSchedule | None = None
 
     def __post_init__(self):
+        for name in ("gamma", "D", "a", "c_B"):
+            if not abs(getattr(self, name)) <= sys.float_info.max:  # not NaN, inf or a huge int
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.gamma >= 2.0:
             raise ValueError(f"velocity prediction requires gamma >= 2, got {self.gamma:g}")
         if self.D < 0.0:

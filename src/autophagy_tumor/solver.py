@@ -29,6 +29,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .diagnostics import (
     total_population,
     write_table,
 )
-from .grid import Grid1D, _edge_faces, numerical_flux, pressure_from_density
+from .grid import Grid1D, _edge_faces, _pressure, numerical_flux
 from .kinetics import (
     QUASISTATIC,
     ConstantTransitions,
@@ -52,21 +53,9 @@ from .kinetics import (
 )
 
 __all__ = [
-    "SolverConfig",
-    "FieldState",
-    "SolverError",
-    "solve_tridiagonal",
-    "StepDiagnostics",
-    "RunLog",
-    "RunResult",
-    "predict_velocity",
-    "correct_densities",
-    "solve_nutrient_quasistatic",
-    "step_nutrient_neumann",
-    "enlarge_domain_if_needed",
-    "step",
-    "run",
-    "write_checkpoint",
+    "SolverConfig", "FieldState", "SolverError", "solve_tridiagonal", "StepDiagnostics", "RunLog",
+    "RunResult", "predict_velocity", "correct_densities", "solve_nutrient_quasistatic",
+    "step_nutrient_neumann", "enlarge_domain_if_needed", "step", "run", "write_checkpoint",
     "read_checkpoint",
 ]
 
@@ -79,14 +68,12 @@ class SolverConfig:
     sample_interval: float = 0.1
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.support_threshold <= 0.0:
-            raise ValueError("support_threshold must be positive")
+        for name in ("dt", "support_threshold", "sample_interval"):
+            value = getattr(self, name)
+            if not 0.0 < value <= sys.float_info.max:  # not NaN, inf or a huge int
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.enlargement_margin < 3:
             raise ValueError("enlargement_margin must be at least 3 cells")
-        if self.sample_interval <= 0.0:
-            raise ValueError("sample_interval must be positive")
 
 
 class FieldState:
@@ -174,20 +161,24 @@ _ZERO = np.zeros(1)
 
 
 class _Coefficients:
-    """A step's scalar coefficients on `grid` with (params, dt) as float64
-    0-d arrays, with the bits of their Python float formulas: numpy converts
-    a Python float operand on every call, not a 0-d array. `off` is -1/dx^2
-    on every face; `wall_lower`/`wall_upper` add the Neumann wall rows' 1.
-    Without dt (the quasi-static solve), the dt-terms are missing."""
+    """A step's scalar coefficients on `grid` with (params, dt) as float64 0-d
+    arrays, with the bits of their Python float formulas: numpy converts a
+    Python float operand on every call, not a 0-d array. `off` is -1/dx^2 on
+    every face, `wall_lower`/`wall_upper` add the Neumann wall rows' 1, and
+    `ambient` is c_B on every cell; without dt (quasi-static) no dt-terms."""
 
     def __init__(self, params: ModelParameters, grid: Grid1D, dt: float | None):
-        self.params, self.grid, self.dt_value, dx = params, grid, dt, grid.dx
+        self.params, self.grid, self.dt_value, dx, g = params, grid, dt, grid.dx, params.gamma
         self.dx, self.D, self.a = np.array(dx), np.array(params.D), np.array(params.a)
+        self.neg_dx, self.two_dx, self.half_dx = (np.array(v) for v in (-dx, 2.0 * dx, 0.5 * dx))
         self.zero, self.half, self.one = np.array(0.0), np.array(0.5), np.array(1.0)
-        self.two_dx2 = np.array(2.0 / dx**2)
+        # the pressure law's and the prediction's n^(gamma-1)*gamma/(gamma-1) and n^(gamma-2)
+        self.g1, self.p_factor, self.g2 = (np.array(v) for v in (g - 1.0, g / (g - 1.0), g - 2.0))
+        self.two_dx2, self.c_B_dx2 = np.array(2.0 / dx**2), np.array(params.c_B / dx**2)
         off = np.full((3, grid.n_cells - 1), -1.0 / dx**2)
         off[1, -1] = off[2, 0] = 1.0
-        off.flags.writeable = False  # gtsv never writes its inputs
+        self.ambient = np.full(grid.n_cells, params.c_B)
+        off.flags.writeable = self.ambient.flags.writeable = False  # only ever read or copied
         self.off, self.wall_lower, self.wall_upper = off
         if dt is not None:
             A = params.gamma * dt / dx**2
@@ -266,7 +257,7 @@ def predict_velocity(
     `growth` is the rate G(c, n) on `state`."""
     k = _coefficients(params, state.grid, dt)
     n = state.n
-    w = n ** (params.gamma - 2.0)
+    w = n**k.g2
     # ws = w * (n1*G + n2*(G - D))
     ws = state.n1 * growth
     source2 = growth - k.D
@@ -311,9 +302,9 @@ def correct_densities(
     # species' faces, and zero flux through the walls and through the junk
     # face between the two species
     values = state.densities
-    left, right = _edge_faces(values, state.grid.dx, m)
+    left, right = _edge_faces(values, m, k.dx, k.two_dx, k.half_dx)
     flux = np.zeros(2 * m + 1)
-    flux[1:-1] = numerical_flux(left, right, np.concatenate((u_star, _ZERO, u_star)))
+    numerical_flux(left, right, np.concatenate((u_star, _ZERO, u_star)), out=flux[1:-1])
     flux[m] = 0.0
     div = flux[1:] - flux[:-1]
     div /= k.dx
@@ -342,9 +333,9 @@ def correct_densities(
     rows /= det
 
     clamped = 0.0
-    neg = new < k.zero
-    if np.count_nonzero(neg):
-        for row, row_neg in zip(rows, neg.reshape(2, m)):
+    if new.min() < k.zero:  # one reduction; the masks only when something clamps
+        for row in rows:
+            row_neg = row < k.zero
             if np.count_nonzero(row_neg):
                 clamped -= state.grid.dx * float(row[row_neg].sum())
                 row[row_neg] = 0.0
@@ -361,8 +352,7 @@ def solve_nutrient_quasistatic(
     with c equal to the ambient level at the first unoccupied cell on
     either side, and ambient everywhere off the occupied region."""
     k = _coefficients(params, grid)
-    c_B = params.c_B
-    c = np.full(grid.n_cells, c_B)
+    c = k.ambient.copy()
     for s, e in components:
         if s == 0 or e == grid.n_cells - 1:
             raise SolverError(
@@ -371,8 +361,8 @@ def solve_nutrient_quasistatic(
             )
         diag = k.two_dx2 + n[s : e + 1]
         rhs = k.a * n2[s : e + 1]
-        rhs[0] += c_B / grid.dx**2
-        rhs[-1] += c_B / grid.dx**2
+        rhs[0] += k.c_B_dx2
+        rhs[-1] += k.c_B_dx2
         c[s : e + 1] = solve_tridiagonal(k.off[: e - s], diag, k.off[: e - s], rhs)
     return c
 
@@ -440,8 +430,10 @@ def enlarge_domain_if_needed(
     return new, True
 
 
-@dataclass(frozen=True)
-class StepDiagnostics:
+class StepDiagnostics(NamedTuple):
+    """A step's CFL number max|u*| dt/dx, the density mass its clamp removed, its
+    count of nutrient cells clamped to zero, and whether it enlarged the grid."""
+
     cfl: float
     clamped_mass: float
     nutrient_cells_clamped: int
@@ -461,6 +453,7 @@ def step(
     try:
         growth = eval_growth(params.growth, state.c, state.n)
         grid = state.grid
+        k = _coefficients(params, grid, dt)
         u_star = predict_velocity(state, params, dt, growth)
         cfl = float(np.abs(u_star).max() * dt / grid.dx)
         densities, clamped = correct_densities(state, u_star, params, dt, growth)
@@ -474,13 +467,12 @@ def step(
             nutrient_clamped = 0
         else:
             c, nutrient_clamped = step_nutrient_neumann(state, params, dt, t_new)
-        p = pressure_from_density(n, params.gamma)
+        p = _pressure(n, k.g1, k.p_factor)  # unchecked: see pressure_from_density
         u = p[1:] - p[:-1]
-        np.negative(u, out=u)
-        u /= _coefficients(params, grid, dt).dx
+        u /= k.neg_dx  # -(a/b) == a/(-b) bit for bit
         new = FieldState._of(grid, densities, n, c, u, t_new, support)
         if not _all_finite(np.concatenate((densities, c, u))):
-            name = next(k for k in ("n1", "n2", "c", "u") if not _all_finite(getattr(new, k)))
+            name = next(f for f in ("n1", "n2", "c", "u") if not _all_finite(getattr(new, f)))
             raise SolverError(f"non-finite values in {name} at t={t_new:.6g}")
     except SolverError as err:
         err.state, err.t = state, t_new

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from autophagy_tumor.diagnostics import (
@@ -45,6 +45,37 @@ def sample_row(state, mu_star=None, c_ceiling=None):
     log = RunLog()
     row = _sample(state, state.t, THRESH, mu_star, c_ceiling, log)
     return dict(zip(SERIES_CHANNELS, row)), log.violations
+
+
+def _runs_by_scan(cells):
+    # reference: walk the mask once, opening a run at each occupied cell
+    # after a vacant one and closing it at the next vacant cell
+    runs, start = [], None
+    for i, occupied in enumerate(cells):
+        if occupied and start is None:
+            start = i
+        elif not occupied and start is not None:
+            runs.append((start, i - 1))
+            start = None
+    if start is not None:
+        runs.append((start, len(cells) - 1))
+    return tuple(runs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(st.booleans(), max_size=60))
+@example(cells=[])
+@example(cells=[False] * 60)
+@example(cells=[True] * 60)
+@example(cells=[True] + [False] * 59)
+@example(cells=[False] * 59 + [True])
+@example(cells=[True, False] * 30)
+@example(cells=[False, True] * 30)
+@example(cells=[True] * 3 + [False] * 5 + [True] + [False] * 2 + [True] * 7 + [False] + [True])
+def test_support_components_match_a_python_scan(cells):
+    got = support_components(np.array(cells, dtype=bool))
+    assert got == _runs_by_scan(cells)
+    assert all(type(i) is int for run in got for i in run)
 
 
 def test_support_info_empty():

@@ -61,7 +61,8 @@ def _edge_arrays(values, dx):
     n = values.shape[-1]
     faces = np.arange(values.size - 1) % n != n - 1
     shape = values.shape[:-1] + (n - 1,)
-    return tuple(side[faces].reshape(shape) for side in _edge_faces(values.reshape(-1), dx, n))
+    sides = _edge_faces(values.reshape(-1), n, dx, 2.0 * dx, 0.5 * dx)
+    return tuple(side[faces].reshape(shape) for side in sides)
 
 
 def _limited_slope(n_prev, n_mid, n_next, dx):
@@ -171,10 +172,10 @@ def test_edge_arrays_stacked_rows_match_one_dimensional_calls(rows):
     # the rows laid end to end as one flat array, as correct_densities
     # passes n1 and n2: each segment's faces equal the one-field call's
     n = rows.shape[1]
-    left, right = _edge_faces(rows.reshape(-1), 0.1, n)
+    left, right = _edge_faces(rows.reshape(-1), n, 0.1, 0.2, 0.05)
     assert left.shape == right.shape == (rows.size - 1,)
     for k, row in enumerate(rows):
-        row_left, row_right = _edge_faces(row, 0.1, n)
+        row_left, row_right = _edge_faces(row, n, 0.1, 0.2, 0.05)
         _assert_same_bits(left[k * n : k * n + n - 1], row_left)
         _assert_same_bits(right[k * n : k * n + n - 1], row_right)
 

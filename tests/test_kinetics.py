@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -54,6 +55,15 @@ def test_transition_laws():
     k1, k2 = eval_transitions(HullTransitions(3.0, 3.0, 0.5), 0.0)
     assert (k1, k2) == (3.0, 0.0)
     assert eval_transitions(ConstantTransitions(1.0, 1.0), 7.3) == (1.0, 1.0)
+    # constant rates: the same read-only float64 0-d arrays on every call
+    spec = ConstantTransitions(0.25, 3.0)
+    k1, k2 = eval_transitions(spec, np.zeros(4))
+    assert (k1.shape, k1.dtype, k2.shape, float(k1), float(k2)) == ((), np.float64, (), 0.25, 3.0)
+    assert not (k1.flags.writeable or k2.flags.writeable)
+    assert all(a is b for a, b in zip(eval_transitions(spec, 1.0), (k1, k2)))
+    # a spec sent to a worker process forms its own, read-only too
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec and not any(k.flags.writeable for k in eval_transitions(copy, 0.0))
     k1, k2 = eval_transitions(RationalPairTransitions(), 1.0)
     assert k1 == 0.0
     assert k2 == pytest.approx(1.0)

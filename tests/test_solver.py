@@ -352,7 +352,7 @@ def correct_densities_per_species(state, u_star, params, dt):
     K1, K2 = eval_transitions(params.transitions, state.c)
     div = []
     for ns in (state.n1, state.n2):
-        left, right = _edge_faces(ns, dx, ns.size)
+        left, right = _edge_faces(ns, ns.size, dx, 2.0 * dx, 0.5 * dx)
         flux = numerical_flux(left, right, u_star)
         div.append(np.diff(np.concatenate(([0.0], flux, [0.0]))) / dx)
     a11 = 1.0 / dt - growth + K1
@@ -840,15 +840,59 @@ def test_step_names_the_first_non_finite_field(monkeypatch, bad, named):
             solver, "step_nutrient_neumann", poisoned(solver.step_nutrient_neumann, 3)
         )
     if "u" in bad:
-        monkeypatch.setattr(
-            solver, "pressure_from_density", poisoned(solver.pressure_from_density, 3)
-        )
+        # the pressure kernel step calls (bare, without pressure_from_density's checks)
+        monkeypatch.setattr(solver, "_pressure", poisoned(solver._pressure, 3))
     params = neumann_params(g=1.0, D=0.3, K1=1.0, K2=1.0)
     with np.errstate(invalid="ignore"):
         with pytest.raises(SolverError, match=f"non-finite values in {named} at t=0.005$") as err:
             step(state, params, SolverConfig(dt=0.005))
     assert err.value.state is state
     assert err.value.t == 0.005
+
+
+# zeros, subnormals, ordinary values and values whose power overflows
+_PRESSURE_DENSITIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1e300, 1.7976931348623157e308]),
+    st.floats(0.0, 2.2250738585072014e-308),
+    st.floats(0.0, 10.0),
+    st.floats(0.0, 1.7976931348623157e308),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gamma=st.sampled_from([2.0, 5.0, 40.0, 80.0]),
+       n=st.lists(_PRESSURE_DENSITIES, min_size=3, max_size=40))
+def test_step_pressure_kernel_matches_pressure_from_density(gamma, n):
+    # the bare law step calls, with the run's bound operands, against the
+    # checked public law, bit for bit
+    n = np.array(n)
+    k = _coefficients(basic_params(gamma=gamma), Grid1D(x_min=0.0, dx=0.1, n_cells=n.size), 0.01)
+    with np.errstate(over="ignore"):
+        got, want = solver_module._pressure(n, k.g1, k.p_factor), pressure_from_density(n, gamma)
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+# each class built with one field replaced
+_BUILD = {
+    "SolverConfig": lambda **kw: SolverConfig(**{"dt": 0.01, **kw}),
+    "ModelParameters": basic_params,
+    "Grid1D": lambda **kw: Grid1D(**{"x_min": 0.0, "dx": 0.1, "n_cells": 5, **kw}),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "int-beyond-float"])
+@pytest.mark.parametrize("cls, name", [
+    *(("SolverConfig", name) for name in ("dt", "support_threshold", "sample_interval")),
+    *(("ModelParameters", name) for name in ("gamma", "D", "a", "c_B")),
+    *(("Grid1D", name) for name in ("x_min", "dx")),
+])
+def test_constructors_reject_non_finite_numbers(cls, name, value):
+    # every float field of SolverConfig, ModelParameters and Grid1D; the
+    # error names the field (an int beyond the float range would overflow)
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        _BUILD[cls](**{name: value})
 
 
 def singular_reaction_case():
@@ -1343,7 +1387,9 @@ def test_coefficients_are_0d_float64_with_the_bits_of_their_formulas():
         "dx": dx, "D": params.D, "a": params.a, "zero": 0.0, "half": 0.5, "one": 1.0,
         "two_dx2": 2.0 / dx**2, "dt": dt, "inv_dt": 1.0 / dt, "A": gamma * dt / dx**2,
         "neg_A": -(gamma * dt / dx**2), "B": gamma * dt / dx,
-        "inv_dt_two_dx2": 1.0 / dt + 2.0 / dx**2,
+        "inv_dt_two_dx2": 1.0 / dt + 2.0 / dx**2, "neg_dx": -dx, "two_dx": 2.0 * dx,
+        "half_dx": 0.5 * dx, "g1": gamma - 1.0, "p_factor": gamma / (gamma - 1.0),
+        "g2": gamma - 2.0, "c_B_dx2": params.c_B / dx**2,
     }
     for name, value in formulas.items():
         got = getattr(k, name)
@@ -1355,7 +1401,8 @@ def test_coefficients_are_0d_float64_with_the_bits_of_their_formulas():
     assert np.array_equal(k.off, off)
     assert np.array_equal(k.wall_lower, np.concatenate((off[:-1], [1.0])))
     assert np.array_equal(k.wall_upper, np.concatenate(([1.0], off[1:])))
-    assert not any(a.flags.writeable for a in (k.off, k.wall_lower, k.wall_upper))
+    assert np.array_equal(k.ambient, np.full(21, params.c_B))
+    assert not any(a.flags.writeable for a in (k.off, k.wall_lower, k.wall_upper, k.ambient))
     # kept for the last setup, matched by identity; no dt matches any dt
     assert _coefficients(params, grid, dt) is k and _coefficients(params, grid) is k
     for other in (
