@@ -21,6 +21,7 @@ critical radius in the latter case).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -52,6 +53,9 @@ class AnalyticSetup:
     R0: float
 
     def __post_init__(self):
+        for name in ("mu", "g", "a", "D", "c_B", "R0"):
+            if not abs(getattr(self, name)) <= sys.float_info.max:  # not NaN, inf or a huge int
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError(f"mu must lie in [0, 1], got {self.mu}")
         if not self.g > 0.0:
@@ -112,12 +116,13 @@ def integrate_radius(s: AnalyticSetup, t_end: float, dt: float = 1e-3) -> Radius
     """Fixed-step RK4 for the front-radius ODE, from R0 at t=0 to t_end.
 
     The step is adjusted to divide t_end exactly; the trajectory includes
-    both endpoints.
+    both endpoints. Raises ValueError unless t_end >= 0 and dt > 0 are
+    finite, and ArithmeticError when the radius leaves (0, inf).
     """
-    if t_end < 0.0:
-        raise ValueError(f"t_end must be >= 0, got {t_end}")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 <= t_end <= sys.float_info.max:
+        raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
+    if not 0.0 < dt <= sys.float_info.max:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     n = max(1, int(round(t_end / dt))) if t_end > 0.0 else 0
     h = t_end / n if n else 0.0
     times = np.empty(n + 1)
@@ -131,7 +136,7 @@ def integrate_radius(s: AnalyticSetup, t_end: float, dt: float = 1e-3) -> Radius
         k4 = boundary_speed(R + h * k3, s)
         R = R + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not (R > 0.0 and math.isfinite(R)):
-            raise ValueError(f"front radius left (0, inf) at t={(j + 1) * h}")
+            raise ArithmeticError(f"front radius left (0, inf) at t={(j + 1) * h}")
         times[j + 1], radii[j + 1] = (j + 1) * h, R
     speeds = np.array([boundary_speed(r, s) for r in radii])
     return RadiusTrajectory(times=times, radii=radii, speeds=speeds)

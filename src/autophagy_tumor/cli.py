@@ -73,16 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a preset over several values of one key")
     p_sweep.add_argument("--preset", required=True, help="base preset name")
-    p_sweep.add_argument(
-        "--vary",
-        required=True,
-        metavar="KEY=V1,V2,...",
-        help="config key to vary (dotted path or bare key) and its values",
-    )
+    p_sweep.add_argument("--vary", required=True, metavar="KEY=V1,V2,...",
+                         help="config entry to vary (dotted path or bare key) and its values")
     p_sweep.add_argument("--out", required=True, help="parent output directory")
-    p_sweep.add_argument(
-        "--jobs", type=int, default=1, help="parallel workers (at most one per value)"
-    )
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="parallel workers (at most one per value)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_check = sub.add_parser("check", help="validate a finished run directory")
@@ -95,13 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     try:
         if args.preset is not None:
-            if args.preset not in PRESETS:
-                print(
-                    f"unknown preset {args.preset!r}; run 'autophagy-tumor presets'",
-                    file=sys.stderr,
-                )
-                return 2
-            cfg = PRESETS[args.preset]
+            cfg = config_from_dict({"preset": args.preset})
         else:
             cfg = load_config(args.config)
     except (OSError, ValueError, json.JSONDecodeError) as err:
@@ -138,14 +127,20 @@ def _cmd_presets(args) -> int:
 
 def _cmd_analytic(args) -> int:
     try:
+        if args.points < 1:
+            raise ValueError(f"--points must be at least 1, got {args.points}")
         setup = AnalyticSetup(
             mu=args.mu, g=args.g, a=args.a, D=args.D, c_B=args.cB, R0=args.R0
         )
+        if args.quantity == "radius":
+            traj = integrate_radius(setup, args.t_end, args.dt)
     except ValueError as err:
         print(f"bad parameters: {err}", file=sys.stderr)
         return 2
+    except ArithmeticError as err:
+        print(f"integration failed: {err}", file=sys.stderr)
+        return 1
     if args.quantity == "radius":
-        traj = integrate_radius(setup, args.t_end, args.dt)
         print("t,radius,speed")
         for t, r, v in zip(traj.times, traj.radii, traj.speeds):
             print("%.12g,%.12g,%.12g" % (t, r, v))
@@ -163,48 +158,35 @@ def _cmd_analytic(args) -> int:
 
 # --- sweep ------------------------------------------------------------------
 
-_BARE_KEY_SECTIONS = (
-    ("model",),
-    ("solver",),
-    ("initial",),
-    ("model", "growth"),
-    ("model", "transitions"),
-)
+def _nested_sections(node: dict):
+    """Every dict below node, depth first."""
+    for value in node.values():
+        if isinstance(value, dict):
+            yield value
+            yield from _nested_sections(value)
 
 
 def set_config_value(data: dict, key: str, value) -> None:
-    """Assign into a config dict by dotted path or bare key.
+    """Assign into a config dict an entry it already holds.
 
-    Dotted paths start at one of: name, model (alias: params), solver,
-    initial, t_end. A bare key is looked up in the model, solver, and
-    initial sections (growth and transitions included); it must match
-    exactly one existing entry.
+    A dotted key is a path from the root (`params.` is an alias of
+    `model.`). A bare key is the top-level entry of that name if there is
+    one, and otherwise the one entry of that name anywhere in the nested
+    sections: none is "not found", more than one is "ambiguous".
     """
     if "." in key:
-        parts = key.split(".")
-        if parts[0] == "params":
-            parts[0] = "model"
-        if parts[0] not in ("name", "model", "solver", "initial", "t_end"):
-            raise ValueError(f"unknown config root {parts[0]!r} in {key!r}")
+        first, *middle, last = key.split(".")
         node = data
-        for part in parts[:-1]:
-            if not isinstance(node, dict) or part not in node:
-                raise ValueError(f"no such config entry: {key!r}")
-            node = node[part]
-        if not isinstance(node, dict) or parts[-1] not in node:
+        for part in ("model" if first == "params" else first, *middle):
+            node = node.get(part) if isinstance(node, dict) else None
+        if not isinstance(node, dict) or last not in node:
             raise ValueError(f"no such config entry: {key!r}")
-        node[parts[-1]] = value
+        node[last] = value
         return
-    if key in ("t_end", "name"):
+    if key in data:
         data[key] = value
         return
-    hits = []
-    for section in _BARE_KEY_SECTIONS:
-        node = data
-        for part in section:
-            node = node.get(part, {}) if isinstance(node, dict) else {}
-        if isinstance(node, dict) and key in node:
-            hits.append(node)
+    hits = [node for node in _nested_sections(data) if key in node]
     if not hits:
         raise ValueError(f"key {key!r} not found in the config")
     if len(hits) > 1:
@@ -247,9 +229,6 @@ def _sweep_worker(item: tuple[ScenarioConfig, str]) -> tuple[str, str | None, li
 
 
 def _cmd_sweep(args) -> int:
-    if args.preset not in PRESETS:
-        print(f"unknown preset {args.preset!r}", file=sys.stderr)
-        return 2
     if "=" not in args.vary:
         print("--vary needs the form KEY=V1,V2,...", file=sys.stderr)
         return 2
@@ -259,9 +238,9 @@ def _cmd_sweep(args) -> int:
         print("--vary lists no values", file=sys.stderr)
         return 2
 
-    base = config_to_dict(PRESETS[args.preset])
     members = []
     try:
+        base = config_to_dict(config_from_dict({"preset": args.preset}))
         for tok in tokens:
             data = copy.deepcopy(base)
             set_config_value(data, key, _parse_value(tok))

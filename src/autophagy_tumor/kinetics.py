@@ -66,6 +66,10 @@ class ConstantTransitions:
     K1: float
     K2: float
 
+    def __post_init__(self):
+        if not (self.K1 >= 0.0 and self.K2 >= 0.0):
+            raise ValueError(f"switch rates must be >= 0, got K1={self.K1}, K2={self.K2}")
+
     @cached_property
     def _rates(self) -> tuple[np.ndarray, np.ndarray]:
         rates = np.array([self.K1, self.K2], dtype=float)
@@ -87,6 +91,10 @@ class HullTransitions:
     k1max: float
     k2max: float
     omega: float
+
+    def __post_init__(self):  # omega = 0 would give K = 0/0 at c = 0
+        if not (self.k1max >= 0.0 and self.k2max >= 0.0 and self.omega > 0.0):
+            raise ValueError(f"hull switch needs k1max, k2max >= 0 and omega > 0, got {self}")
 
 
 @dataclass(frozen=True)
@@ -168,9 +176,10 @@ class ModelParameters:
     """All model constants and rate-law choices for one setup.
 
     nutrient_mode selects the instantaneous-diffusion closure (Dirichlet
-    value c_B outside the occupied region, on a domain that grows with it)
-    or the flux-driven nutrient equation on a fixed box (which needs a
-    lambda_schedule for the wall flux), and so the boundary treatment.
+    value c_B outside the occupied region, on a domain that grows with it,
+    and no lambda_schedule) or the flux-driven nutrient equation on a fixed
+    box (which needs a lambda_schedule for the wall flux), and so the
+    boundary treatment.
     """
 
     gamma: float
@@ -198,6 +207,8 @@ class ModelParameters:
             raise ValueError(f"unknown nutrient_mode {self.nutrient_mode!r}")
         if self.nutrient_mode == NEUMANN and self.lambda_schedule is None:
             raise ValueError("dynamic_neumann mode needs a lambda_schedule")
+        if self.nutrient_mode == QUASISTATIC and self.lambda_schedule is not None:
+            raise ValueError("quasi-static nutrient mode takes no lambda_schedule (no wall flux)")
 
 
 # ---------------------------------------------------------------------------

@@ -163,7 +163,8 @@ _ZERO = np.zeros(1)
 class _Coefficients:
     """A step's scalar coefficients on `grid` with (params, dt) as float64 0-d
     arrays, with the bits of their Python float formulas: numpy converts a
-    Python float operand on every call, not a 0-d array. `off` is -1/dx^2 on
+    Python float operand on every call, not a 0-d array (`c_B_dx2`, only
+    added to single elements, is a faster Python float). `off` is -1/dx^2 on
     every face, `wall_lower`/`wall_upper` add the Neumann wall rows' 1, and
     `ambient` is c_B on every cell; without dt (quasi-static) no dt-terms."""
 
@@ -174,7 +175,7 @@ class _Coefficients:
         self.zero, self.half, self.one = np.array(0.0), np.array(0.5), np.array(1.0)
         # the pressure law's and the prediction's n^(gamma-1)*gamma/(gamma-1) and n^(gamma-2)
         self.g1, self.p_factor, self.g2 = (np.array(v) for v in (g - 1.0, g / (g - 1.0), g - 2.0))
-        self.two_dx2, self.c_B_dx2 = np.array(2.0 / dx**2), np.array(params.c_B / dx**2)
+        self.two_dx2, self.c_B_dx2 = np.array(2.0 / dx**2), params.c_B / dx**2
         off = np.full((3, grid.n_cells - 1), -1.0 / dx**2)
         off[1, -1] = off[2, 0] = 1.0
         self.ambient = np.full(grid.n_cells, params.c_B)
@@ -333,7 +334,7 @@ def correct_densities(
     rows /= det
 
     clamped = 0.0
-    if new.min() < k.zero:  # one reduction; the masks only when something clamps
+    if new.min() < 0.0:  # one reduction; the masks only when something clamps
         for row in rows:
             row_neg = row < k.zero
             if np.count_nonzero(row_neg):

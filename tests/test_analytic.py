@@ -168,6 +168,32 @@ def test_integrate_radius_bookkeeping():
         integrate_radius(s, t_end=1.0, dt=0.0)
 
 
+@pytest.mark.parametrize("field", ["mu", "g", "a", "D", "c_B", "R0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_setup_refuses_non_finite_fields(field, value):
+    fields = {"mu": 0.5, "g": 1.0, "a": 0.5, "D": 0.3, "c_B": 1.0, "R0": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        AnalyticSetup(**fields)
+
+
+@pytest.mark.parametrize("t_end, dt, message", [
+    (math.inf, 1e-3, "t_end must be finite and >= 0"),
+    (math.nan, 1e-3, "t_end must be finite and >= 0"),
+    (1.0, math.nan, "dt must be finite and positive"),
+    (1.0, math.inf, "dt must be finite and positive"),
+])
+def test_integrate_radius_refuses_non_finite_times(t_end, dt, message):
+    with pytest.raises(ValueError, match=message):
+        integrate_radius(mixed_setup(), t_end, dt)
+
+
+def test_integrate_radius_raises_arithmetic_error_when_the_radius_leaves_its_range():
+    # mu = 0 and g*a > D: R grows like exp(0.9 t) and overflows before t = 2000
+    s = AnalyticSetup(mu=0.0, g=1.0, a=0.9, D=0.0, c_B=1.0, R0=1.0)
+    with pytest.raises(ArithmeticError, match=r"front radius left \(0, inf\) at t="):
+        integrate_radius(s, t_end=2000.0, dt=1.0)
+
+
 def test_exp_growth_lower_bound_values():
     s = mixed_setup(R0=1.0)
     assert exp_growth_lower_bound(0.0, s) == pytest.approx(1.0)

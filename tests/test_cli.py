@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -103,6 +104,34 @@ def test_analytic_rejects_bad_parameters(capsys):
     rc = main(["analytic", "radius", "--mu", "2"])
     assert rc == 2
     assert "bad parameters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["radius", "--dt", "nan"], "dt must be finite and positive, got nan"),
+        (["radius", "--t-end", "inf"], "t_end must be finite and >= 0, got inf"),
+        (["nutrient", "--points", "-3"], "--points must be at least 1, got -3"),
+        (["pressure", "--cB", "inf"], "c_B must be finite, got inf"),
+    ],
+)
+def test_analytic_rejects_bad_flags_in_one_line(capsys, flags, message):
+    # each used to end in a traceback (exit 1) or, for --cB inf, in rows of inf
+    assert main(["analytic", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"bad parameters: {message}\n"
+
+
+def test_analytic_fails_in_one_line_on_a_radius_that_leaves_its_range(capsys):
+    # mu = 0 and g*a > D: the front grows like exp(0.9 t) and overflows
+    argv = ["analytic", "radius", "--mu", "0", "--a", "0.9", "--D", "0",
+            "--t-end", "2000", "--dt", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("integration failed: front radius left (0, inf) at t=")
+    assert captured.err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +261,46 @@ def test_run_rejects_unrunnable_model_at_load(tmp_path, capsys, section, entries
     assert rc == 2
     err = capsys.readouterr().err
     assert "bad config" in err and message in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "preset, model, message",
+    [
+        # fig-s4limit-gamma5 with K1 = -50 used to fail at step 46 (singular matrix)
+        ("fig-s4limit-gamma5", {"transitions": {"type": "constant", "K1": -50.0, "K2": 1.0}},
+         "switch rates must be >= 0, got K1=-50.0, K2=1.0"),
+        ("fig-s4limit-gamma5", {"transitions": {"type": "constant", "K1": 1.0, "K2": -0.5}},
+         "switch rates must be >= 0, got K1=1.0, K2=-0.5"),
+        ("neumann-autohelp-k2", {"transitions": {"type": "hull", "k1max": -2.0, "k2max": 1.0,
+                                                 "omega": 0.5}},
+         "hull switch needs k1max, k2max >= 0 and omega > 0, got "
+         "HullTransitions(k1max=-2.0, k2max=1.0, omega=0.5)"),
+        ("neumann-autohelp-k2", {"transitions": {"type": "hull", "k1max": 2.0, "k2max": -1.0,
+                                                 "omega": 0.5}},
+         "hull switch needs k1max, k2max >= 0 and omega > 0, got "
+         "HullTransitions(k1max=2.0, k2max=-1.0, omega=0.5)"),
+        ("neumann-autohelp-k2", {"transitions": {"type": "hull", "k1max": 2.0, "k2max": 1.0,
+                                                 "omega": 0.0}},
+         "hull switch needs k1max, k2max >= 0 and omega > 0, got "
+         "HullTransitions(k1max=2.0, k2max=1.0, omega=0.0)"),
+        ("neumann-autohelp-k2", {"transitions": {"type": "hull", "k1max": 2.0, "k2max": 1.0,
+                                                 "omega": -0.5}},
+         "hull switch needs k1max, k2max >= 0 and omega > 0, got "
+         "HullTransitions(k1max=2.0, k2max=1.0, omega=-0.5)"),
+        # it used to be ignored
+        ("fig-s4limit-gamma5", {"lambda_schedule": {"type": "constant", "value": 0.2}},
+         "quasi-static nutrient mode takes no lambda_schedule (no wall flux)"),
+    ],
+)
+def test_run_rejects_rates_and_fluxes_the_model_cannot_use_at_load(tmp_path, capsys, preset,
+                                                                   model, message):
+    data = config_to_dict(PRESETS[preset])
+    data["model"].update(model)
+    out_dir = tmp_path / "never"
+    rc = main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"bad config: {message}\n"
     assert not out_dir.exists()
 
 
@@ -611,13 +680,33 @@ def test_set_config_value_bare_keys():
     assert data["initial"]["R0"] == 2.0
 
 
+def test_set_config_value_bare_keys_reach_every_section():
+    # the config tree alone says what a bare key names
+    data = config_to_dict(PRESETS["neumann-periodic-T20"])
+    set_config_value(data, "period", 10.0)
+    assert data["model"]["lambda_schedule"]["period"] == 10.0
+    data = config_to_dict(PRESETS["fig-s4f2-D0.3"])
+    set_config_value(data, "value", 0.25)
+    assert data["initial"]["composition"]["value"] == 0.25
+    set_config_value(data, "outputs", ["timeseries"])
+    assert data["outputs"] == ["timeseries"]
+
+
+def test_set_config_value_takes_a_top_level_key_first():
+    # fig-s3unicon's initial composition is the profile named hetero-cos
+    data = config_to_dict(PRESETS["fig-s3unicon"])
+    set_config_value(data, "name", "renamed")
+    assert data["name"] == "renamed"
+    assert data["initial"]["composition"]["name"] == "hetero-cos"
+
+
 def test_set_config_value_errors():
     data = config_to_dict(PRESETS["fig-s4limit-gamma5"])
     with pytest.raises(ValueError, match="ambiguous"):
-        set_config_value(data, "type", "constant")  # growth, transitions, initial
+        set_config_value(data, "type", "constant")  # growth, transitions, initial, ...
     with pytest.raises(ValueError, match="not found"):
         set_config_value(data, "zzz", 1)
-    with pytest.raises(ValueError, match="config root"):
+    with pytest.raises(ValueError, match="no such config entry: 'grid.dx'"):
         set_config_value(data, "grid.dx", 0.1)
     with pytest.raises(ValueError, match="no such config entry"):
         set_config_value(data, "model.growth.delta", 0.1)
@@ -637,6 +726,25 @@ def test_sweep_runs_each_value(tmp_path, capsys):
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["failed"] is False
         assert manifest["config"]["t_end"] == float(tok)
+
+
+def test_sweep_varies_a_flux_period(tmp_path, monkeypatch, capsys):
+    # the preset runs to t = 40; its first ten steps show the key is reached
+    from autophagy_tumor import scenarios
+
+    short = dataclasses.replace(PRESETS["neumann-periodic-T20"], t_end=0.02)
+    monkeypatch.setitem(scenarios.PRESETS, "neumann-periodic-T20", short)
+    rc = main(["sweep", "--preset", "neumann-periodic-T20", "--vary", "period=10,20",
+               "--out", str(tmp_path), "--jobs", "1"])
+    assert rc == 0
+    assert capsys.readouterr().out.count("done ") == 2
+    for period in (10, 20):
+        run_dir = tmp_path / f"neumann-periodic-T20-period={period}"
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["steps"] == 10
+        assert manifest["config"]["model"]["lambda_schedule"] == {
+            "type": "periodic", "high": 0.5, "period": period}
+        assert main(["check", str(run_dir)]) == 0
 
 
 def test_sweep_reports_violations_like_run(tmp_path, monkeypatch, capsys):
@@ -664,7 +772,7 @@ def test_sweep_hands_workers_the_configs_it_validated(tmp_path, monkeypatch, cap
     parsed, handed = [], []
 
     def counting_parse(data):
-        parsed.append(data["name"])
+        parsed.append(data.get("name", data.get("preset")))
         return config_from_dict(data)
 
     def fake_run(cfg, out_dir):
@@ -676,8 +784,9 @@ def test_sweep_hands_workers_the_configs_it_validated(tmp_path, monkeypatch, cap
     rc = main(["sweep", "--preset", "fig-s4f2-D0.3", "--vary", "t_end=0.004,0.008",
                "--out", str(tmp_path), "--jobs", "1"])
     assert rc == 0
-    # each member is parsed once, and its worker runs that very config
-    assert parsed == ["fig-s4f2-D0.3-t_end=0.004", "fig-s4f2-D0.3-t_end=0.008"]
+    # the preset is looked up once, each member is parsed once, and its
+    # worker runs that very config
+    assert parsed == ["fig-s4f2-D0.3", "fig-s4f2-D0.3-t_end=0.004", "fig-s4f2-D0.3-t_end=0.008"]
     assert [(cfg.name, cfg.t_end) for cfg in handed] == [
         ("fig-s4f2-D0.3-t_end=0.004", 0.004), ("fig-s4f2-D0.3-t_end=0.008", 0.008)
     ]

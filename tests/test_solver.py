@@ -1389,12 +1389,14 @@ def test_coefficients_are_0d_float64_with_the_bits_of_their_formulas():
         "neg_A": -(gamma * dt / dx**2), "B": gamma * dt / dx,
         "inv_dt_two_dx2": 1.0 / dt + 2.0 / dx**2, "neg_dx": -dx, "two_dx": 2.0 * dx,
         "half_dx": 0.5 * dx, "g1": gamma - 1.0, "p_factor": gamma / (gamma - 1.0),
-        "g2": gamma - 2.0, "c_B_dx2": params.c_B / dx**2,
+        "g2": gamma - 2.0,
     }
     for name, value in formulas.items():
         got = getattr(k, name)
         assert type(got) is np.ndarray and got.shape == () and got.dtype == np.float64, name
         assert got.tobytes() == np.float64(value).tobytes(), name
+    # added to single elements only, where a Python float is the faster operand
+    assert type(k.c_B_dx2) is float and k.c_B_dx2 == params.c_B / dx**2
     assert k.singular == 1e-14 * (1.0 / dt**2)
     # the off-diagonals: -1/dx^2, and the Neumann wall rows' 1; read-only
     off = np.full(20, -1.0 / dx**2)
