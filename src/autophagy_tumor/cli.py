@@ -8,7 +8,7 @@ Subcommands:
   check     validate a finished run directory
 
 Exit codes: 0 on success, 1 on solver failure or a failed check, 2 on usage
-errors (bad flags, malformed configs, an initial state that cannot be built).
+errors (bad flags, malformed configs, a checkpoint the run cannot start from).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .scenarios import (
     load_config,
     run_scenario,
 )
-from .solver import SolverError, read_checkpoint
+from .solver import RunLog, SolverError, read_checkpoint
 
 __all__ = ["main", "build_parser"]
 
@@ -107,8 +107,8 @@ def _cmd_run(args) -> int:
         print(f"solver failed: {err}", file=sys.stderr)
         return 1
     except ValueError as err:
-        # the config loaded, but its initial state cannot be built (for
-        # example a checkpoint written with another gamma)
+        # the config loaded, but its checkpoint cannot be read, was written
+        # with another gamma or starts after t_end
         print(f"bad config: {err}", file=sys.stderr)
         return 2
     for line in result.log.warnings:
@@ -219,13 +219,13 @@ def fan_out(func, items: list, jobs: int) -> list:
         return list(pool.map(func, items))
 
 
-def _sweep_worker(item: tuple[ScenarioConfig, str]) -> tuple[str, str | None, list[str]]:
-    """(out_dir, error or None, the run's violations)"""
+def _sweep_worker(item: tuple[ScenarioConfig, str]) -> tuple[str, str | None, RunLog | None]:
+    """(out_dir, error or None, the run's log or None)"""
     cfg, out_dir = item
     try:
-        return out_dir, None, run_scenario(cfg, out_dir).log.violations
+        return out_dir, None, run_scenario(cfg, out_dir).log
     except (SolverError, ValueError) as err:
-        return out_dir, str(err), []
+        return out_dir, str(err), None
 
 
 def _cmd_sweep(args) -> int:
@@ -240,6 +240,8 @@ def _cmd_sweep(args) -> int:
 
     members = []
     try:
+        if key == "name":
+            raise ValueError("each member is named <preset>-<key>=<value>; 'name' cannot vary")
         base = config_to_dict(config_from_dict({"preset": args.preset}))
         for tok in tokens:
             data = copy.deepcopy(base)
@@ -262,13 +264,15 @@ def _cmd_sweep(args) -> int:
         return 2
 
     failed = 0
-    for out_dir, error, violations in results:
+    for out_dir, error, log in results:
         if error is not None:
             failed += 1
             print(f"FAILED {out_dir}: {error}", file=sys.stderr)
             continue
-        # as in `run`, a violation is reported but does not fail the member
-        for line in violations:
+        # as in `run`, warnings and violations are reported but do not fail the member
+        for line in log.warnings:
+            print(f"warning {out_dir}: {line}", file=sys.stderr)
+        for line in log.violations:
             print(f"VIOLATION {out_dir}: {line}", file=sys.stderr)
         print(f"done {out_dir}")
     return 1 if failed else 0

@@ -250,19 +250,17 @@ def equilibrium_roots(D: float, K1: float, K2: float) -> ReactionEquilibrium:
     s = math.sqrt(E)
     # evaluate the non-cancelling root directly, recover the other via Vieta
     # (product of roots = -K2/D)
-    if b <= 0.0:
-        nu = (b - s) / (2.0 * D)
-        mu = -K2 / (D * nu)
-    else:
-        mu = (b + s) / (2.0 * D)
-        nu = -K2 / (D * mu)
-    return ReactionEquilibrium(
-        nu_star=nu,
-        mu_star=mu,
-        E=E,
-        decay_rate=s,
-        uniform_A=(mu - nu) / (-nu),
-    )
+    try:
+        if b <= 0.0:
+            nu = (b - s) / (2.0 * D)
+            mu = -K2 / (D * nu)
+        else:
+            mu = (b + s) / (2.0 * D)
+            nu = -K2 / (D * mu)
+        uniform_A = (mu - nu) / (-nu)
+    except ZeroDivisionError:  # a root or a product of the rates left the float range
+        raise ValueError(f"the roots for D={D}, K1={K1}, K2={K2} leave the float range") from None
+    return ReactionEquilibrium(nu_star=nu, mu_star=mu, E=E, decay_rate=s, uniform_A=uniform_A)
 
 
 def mu_ode_closed_form(z0: float, t, eq: ReactionEquilibrium, D: float):

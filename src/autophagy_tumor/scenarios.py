@@ -158,20 +158,28 @@ class CheckpointInit:
 InitialSpec = Union[AnalyticPressureInit, CustomCoshInit, CheckpointInit]
 
 
-def _check_initial_fits(initial: InitialSpec, params: ModelParameters) -> None:
-    """Raise ValueError if the recipe cannot build this model's initial state."""
-    if not isinstance(initial, AnalyticPressureInit):
-        return
+def _analytic_setup(initial: AnalyticPressureInit, params: ModelParameters) -> AnalyticSetup:
+    """The closed-form slab this model starts from, or ValueError when it
+    cannot: growth must be nutrient-proportional, and a composition profile
+    needs constant switch rates (the pressure is that of their equilibrium
+    mu*). `equilibrium_roots` and `AnalyticSetup` refuse the rest: D, K1 or
+    K2 <= 0 under a profile, g <= 0, a >= c_B."""
     if not isinstance(params.growth, Proportional):
         raise ValueError(
             "the closed-form pressure initialization needs nutrient-proportional growth"
         )
     comp, transitions = initial.composition, params.transitions
-    if not (isinstance(comp, ConstantComposition) or isinstance(transitions, ConstantTransitions)):
+    if isinstance(comp, ConstantComposition):
+        mu = comp.value
+    elif isinstance(transitions, ConstantTransitions):
+        mu = equilibrium_roots(params.D, transitions.K1, transitions.K2).mu_star
+    else:
         raise ValueError(
             "a composition profile on top of the closed-form pressure needs "
             "constant switch rates (the profile is split around their equilibrium)"
         )
+    return AnalyticSetup(mu=mu, g=params.growth.g, a=params.a, D=params.D, c_B=params.c_B,
+                         R0=initial.R0)
 
 
 # the file a profiles@T output writes
@@ -188,7 +196,8 @@ class ScenarioConfig:
     outputs: tuple[str, ...] = ("timeseries", "checkpoint")
 
     def __post_init__(self):
-        _check_initial_fits(self.initial, self.params)
+        if isinstance(self.initial, AnalyticPressureInit):
+            _analytic_setup(self.initial, self.params)
         if not _finite_positive(self.t_end):
             raise ValueError(f"t_end must be finite and positive, got {self.t_end!r}")
         profile_files = set()
@@ -243,30 +252,16 @@ def build_initial_state(
             )
         return state
 
-    _check_initial_fits(initial, params)
     if isinstance(initial, AnalyticPressureInit):
+        setup = _analytic_setup(initial, params)
         n_side = math.ceil(initial.R0 / initial.dx - 1e-12) + 2 * solver_cfg.enlargement_margin
         grid = Grid1D(x_min=-n_side * initial.dx, dx=initial.dx, n_cells=2 * n_side + 1)
         x = grid.cell_x
-        comp = initial.composition
-        if isinstance(comp, ConstantComposition):
-            mu_pressure = comp.value
-        else:
-            tr = params.transitions
-            mu_pressure = equilibrium_roots(params.D, tr.K1, tr.K2).mu_star
-        setup = AnalyticSetup(
-            mu=mu_pressure,
-            g=params.growth.g,
-            a=params.a,
-            D=params.D,
-            c_B=params.c_B,
-            R0=initial.R0,
-        )
         inside = np.abs(x) <= initial.R0
         p = np.zeros(grid.n_cells)
         p[inside] = np.maximum(analytic_pressure(x[inside], initial.R0, setup), 0.0)
         n = density_from_pressure(p, params.gamma)
-        mu0 = _composition_values(comp, x, initial.R0)
+        mu0 = _composition_values(initial.composition, x, initial.R0)
         n1, n2, c = mu0 * n, (1.0 - mu0) * n, np.full(grid.n_cells, params.c_B)
     else:  # CustomCoshInit
         n_side = round(initial.halfwidth / initial.dx)

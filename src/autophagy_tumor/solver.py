@@ -22,6 +22,7 @@ once; README "Performance" explains how a step keeps its per-call cost down.
 
 from __future__ import annotations
 
+import contextlib
 import importlib.machinery
 import importlib.util
 import math
@@ -139,20 +140,16 @@ def _load_dgtsv():
     spec = importlib.util.find_spec("scipy")
     if spec is None or not spec.submodule_search_locations:
         raise ImportError("scipy is not installed")
-    searched = []
-    for package_dir in spec.submodule_search_locations:
-        linalg_dir = os.path.join(package_dir, "linalg")
-        searched.append(linalg_dir)
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(linalg_dir, "_flapack" + suffix)
-            if os.path.isfile(path):
-                flapack_spec = importlib.util.spec_from_file_location(
-                    "scipy.linalg._flapack", path
-                )
-                flapack = importlib.util.module_from_spec(flapack_spec)
-                sys.modules[flapack_spec.name] = flapack
-                flapack_spec.loader.exec_module(flapack)
-                return flapack.dgtsv
+    searched = [os.path.join(path, "linalg") for path in spec.submodule_search_locations]
+    extensions = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    for linalg_dir in searched:
+        finder = importlib.machinery.FileFinder(linalg_dir, extensions)
+        flapack_spec = finder.find_spec("scipy.linalg._flapack")
+        if flapack_spec is not None:
+            flapack = importlib.util.module_from_spec(flapack_spec)
+            sys.modules[flapack_spec.name] = flapack
+            flapack_spec.loader.exec_module(flapack)
+            return flapack.dgtsv
     raise ImportError(f"scipy's LAPACK wrapper _flapack not found in {', '.join(searched)}")
 
 
@@ -559,8 +556,9 @@ def run(initial: FieldState, params: ModelParameters, cfg: SolverConfig, t_end: 
 
     mu_star = None
     tr = params.transitions
-    if isinstance(tr, ConstantTransitions) and params.D > 0 and tr.K1 > 0 and tr.K2 > 0:
-        mu_star = equilibrium_roots(params.D, tr.K1, tr.K2).mu_star
+    if isinstance(tr, ConstantTransitions):
+        with contextlib.suppress(ValueError):  # a rate is 0 or the roots leave the float range
+            mu_star = equilibrium_roots(params.D, tr.K1, tr.K2).mu_star
 
     snapshot_steps: dict[int, list[float]] = {}
     for ts in snapshot_times:

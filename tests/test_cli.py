@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,13 @@ import numpy as np
 import pytest
 
 from autophagy_tumor.cli import main, set_config_value
-from autophagy_tumor.scenarios import PRESETS, ScenarioConfig, config_from_dict, config_to_dict
+from autophagy_tumor.scenarios import (
+    PRESETS,
+    ProfileComposition,
+    ScenarioConfig,
+    config_from_dict,
+    config_to_dict,
+)
 from autophagy_tumor.solver import RunLog, RunResult, write_checkpoint
 
 from conftest import make_state
@@ -429,6 +436,34 @@ def test_run_rejects_initial_recipe_the_model_cannot_use(tmp_path, capsys, edits
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("a", 1.5, "need 0 <= a < c_B, got a=1.5, c_B=1.0"),
+        ("g", -1, "growth gain g must be positive, got -1.0"),
+        ("D", 0, "degenerate: need D > 0, got D=0.0"),
+        ("K1", 0, "root ordering needs K1, K2 > 0, got K1=0.0, K2=1.0"),
+    ],
+)
+def test_a_slab_the_model_cannot_start_is_refused_at_load(tmp_path, capsys, key, value, message):
+    # these used to load, and each sweep member then failed when its state was built
+    data = config_to_dict(PRESETS["fig-s3unicon"])
+    set_config_value(data, key, value)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config_from_dict(data)
+    out_dir = tmp_path / "never"
+    assert main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"bad config: {message}\n"
+    assert not out_dir.exists()
+    sweep_dir = tmp_path / "sweep"
+    assert main(["sweep", "--preset", "fig-s3unicon", "--vary", f"{key}={value}",
+                 "--out", str(sweep_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"bad sweep: {message}\n"
+    assert captured.out == ""
+    assert not sweep_dir.exists()
+
+
 def test_run_reports_solver_failure(tmp_path, capsys):
     n1 = np.zeros(61)
     n1[25:36] = 1e200
@@ -747,23 +782,45 @@ def test_sweep_varies_a_flux_period(tmp_path, monkeypatch, capsys):
         assert main(["check", str(run_dir)]) == 0
 
 
+def test_sweep_reaches_a_nested_name(tmp_path, monkeypatch, capsys):
+    import autophagy_tumor.cli as cli
+
+    handed = []
+
+    def fake_run(cfg, out_dir):
+        handed.append(cfg)
+        return RunResult(series=None, final_state=None, snapshots={}, log=RunLog())
+
+    monkeypatch.setattr(cli, "run_scenario", fake_run)
+    argv = ["sweep", "--preset", "fig-s3unicon", "--out", str(tmp_path), "--jobs", "1"]
+    assert main([*argv, "--vary", "initial.composition.name=hetero-cos"]) == 0
+    assert [cfg.name for cfg in handed] == ["fig-s3unicon-initial.composition.name=hetero-cos"]
+    assert handed[0].initial.composition == ProfileComposition("hetero-cos")
+    # the profile's own check sees the value
+    assert main([*argv, "--vary", "initial.composition.name=flat"]) == 2
+    assert capsys.readouterr().err.endswith("bad sweep: unknown composition profile 'flat'\n")
+    assert len(handed) == 1
+
+
 def test_sweep_reports_violations_like_run(tmp_path, monkeypatch, capsys):
     import autophagy_tumor.cli as cli
 
     class Broken:
-        log = RunLog(violations=["clamped negative mass 1e-3 exceeds the bound"])
+        log = RunLog(warnings=["CFL number 0.61 exceeded 0.5 at t=0.002"],
+                     violations=["clamped negative mass 1e-3 exceeds the bound"])
 
     monkeypatch.setattr(cli, "run_scenario", lambda cfg, out_dir: Broken())
     rc = main(["sweep", "--preset", "fig-s4f2-D0.3", "--vary", "t_end=0.004,0.008",
                "--out", str(tmp_path), "--jobs", "1"])
     captured = capsys.readouterr()
-    # a violation is reported on stderr and, as in `run`, does not fail the member
+    # warnings and violations are reported on stderr and, as in `run`, do
+    # not fail the member
     assert rc == 0
     assert captured.out.count("done ") == 2
-    for tok in ("0.004", "0.008"):
-        run_dir = tmp_path / f"fig-s4f2-D0.3-t_end={tok}"
-        assert (f"VIOLATION {run_dir}: clamped negative mass 1e-3 exceeds the bound"
-                in captured.err)
+    assert captured.err == "".join(
+        f"warning {run_dir}: CFL number 0.61 exceeded 0.5 at t=0.002\n"
+        f"VIOLATION {run_dir}: clamped negative mass 1e-3 exceeds the bound\n"
+        for run_dir in (tmp_path / f"fig-s4f2-D0.3-t_end={tok}" for tok in ("0.004", "0.008")))
 
 
 def test_sweep_hands_workers_the_configs_it_validated(tmp_path, monkeypatch, capsys):
@@ -824,6 +881,12 @@ def test_sweep_usage_errors(tmp_path, capsys):
              "--out", str(tmp_path), "--jobs", jobs]
         ) == 2
         assert "--jobs must be at least 1" in capsys.readouterr().err
+    # the sweep names each member itself, so a varied name could reach none of them
+    assert main(
+        ["sweep", "--preset", "fig-s4f2-D0.3", "--vary", "name=alpha,beta", "--out", str(tmp_path)]
+    ) == 2
+    assert capsys.readouterr().err == ("bad sweep: each member is named <preset>-<key>=<value>; "
+                                       "'name' cannot vary\n")
     # the same value twice would run two members into one directory
     assert main(
         ["sweep", "--preset", "fig-s4f2-D0.3", "--vary", "t_end=0.004,0.004",

@@ -205,6 +205,11 @@ def test_equilibrium_roots_rejects_degenerate_rates():
         equilibrium_roots(0.3, 0.0, 1.0)
     with pytest.raises(ValueError):
         equilibrium_roots(0.3, 1.0, 0.0)
+    # positive rates whose roots leave the float range (these used to raise
+    # ZeroDivisionError): K2/D underflows to -0.0, and D^2 overflows
+    for D, K1, K2 in ((2.0, 1e-300, 5e-324), (1e300, 0.3, 1.0)):
+        with pytest.raises(ValueError, match="leave the float range"):
+            equilibrium_roots(D, K1, K2)
 
 
 # ---------------------------------------------------------------------------

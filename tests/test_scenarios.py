@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from autophagy_tumor import scenarios
 from autophagy_tumor.diagnostics import SERIES_CHANNELS
@@ -230,6 +232,49 @@ def test_initial_recipe_must_fit_the_model():
     constant = dataclasses.replace(slab, composition=ConstantComposition(0.5))
     hull = dataclasses.replace(stiff_params(), transitions=HullTransitions(2.0, 1.0, 0.5))
     assert build_initial_state(constant, hull, cfg).n.max() > 0.0
+
+
+# rate constants at the edges of the closed-form slab's range (c_B = 1): zero,
+# negative, tiny, subnormal, c_B and above, huge
+_EDGE_RATES = st.sampled_from([0.0, -1.0, -1e-300, 1e-300, 5e-324, 0.3, 1.0, 1.5, 1e300])
+_HETERO = {"type": "profile", "name": "hetero-cos"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(D=_EDGE_RATES, a=_EDGE_RATES, g=_EDGE_RATES, K1=_EDGE_RATES, K2=_EDGE_RATES,
+       composition=st.sampled_from([{"type": "constant", "value": 0.5},
+                                    {"type": "constant", "value": 1.0}, _HETERO,
+                                    {"type": "table", "x": [-1.0, 1.0], "mu": [0.2, 0.8]}]))
+# the cases that used to load and then fail when the state was built
+@example(D=0.3, a=1.5, g=1.0, K1=1.0, K2=1.0, composition=_HETERO)
+@example(D=0.3, a=0.4, g=-1.0, K1=1.0, K2=1.0, composition=_HETERO)
+@example(D=0.0, a=0.4, g=1.0, K1=1.0, K2=1.0, composition=_HETERO)
+@example(D=0.3, a=0.4, g=1.0, K1=0.0, K2=1.0, composition=_HETERO)
+@example(D=1e300, a=0.4, g=1.0, K1=0.3, K2=1.0, composition=_HETERO)
+def test_a_slab_config_that_loads_can_build_its_state(D, a, g, K1, K2, composition):
+    data = config_to_dict(PRESETS["fig-s3unicon"])
+    data["model"].update(D=D, a=a, growth={"type": "proportional", "g": g},
+                         transitions={"type": "constant", "K1": K1, "K2": K2})
+    data["initial"]["composition"] = composition
+    try:
+        cfg = config_from_dict(data)
+    except ValueError:
+        return
+    state = build_initial_state(cfg.initial, cfg.params, cfg.solver)
+    assert np.isfinite(state.densities).all() and np.isfinite(state.c).all()
+
+
+def test_a_run_without_a_float_equilibrium_has_no_deviation_norms(tmp_path):
+    # a constant composition needs no mu*, so these rates load and build;
+    # the run used to fail on them with ZeroDivisionError
+    data = config_to_dict(PRESETS["fig-s4f2-D0.3"])
+    data["model"].update(D=2.0, transitions={"type": "constant", "K1": 1e-300, "K2": 5e-324})
+    data["t_end"] = 0.01
+    result = run_scenario(config_from_dict(data), tmp_path / "run")
+    assert result.log.steps == 5
+    for channel in ("sup_dev", "l2_dev", "l4_dev", "l8_dev"):
+        assert np.isnan(result.series.column(channel)).all()
+    assert np.isfinite(result.series.column("mass_total")).all()
 
 
 # ---------------------------------------------------------------------------
