@@ -101,22 +101,7 @@ def _cmd_run(args) -> int:
     except ValueError as err:
         print(f"bad --out: {err}", file=sys.stderr)
         return 2
-    try:
-        result = run_scenario(cfg, args.out)
-    except SolverError as err:
-        print(f"solver failed: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
-        # the config loaded, but its checkpoint cannot be read, was written
-        # with another gamma or starts after t_end
-        print(f"bad config: {err}", file=sys.stderr)
-        return 2
-    for line in result.log.warnings:
-        print(f"warning: {line}", file=sys.stderr)
-    for line in result.log.violations:
-        print(f"VIOLATION: {line}", file=sys.stderr)
-    print(f"wrote {args.out} ({result.log.steps} steps)")
-    return 0
+    return _run_members([(cfg, args.out)], 1)
 
 
 def _cmd_presets(args) -> int:
@@ -219,13 +204,32 @@ def fan_out(func, items: list, jobs: int) -> list:
         return list(pool.map(func, items))
 
 
-def _sweep_worker(item: tuple[ScenarioConfig, str]) -> tuple[str, str | None, RunLog | None]:
-    """(out_dir, error or None, the run's log or None)"""
-    cfg, out_dir = item
+def _run_member(member: tuple[ScenarioConfig, str]) -> tuple[int, RunLog | str]:
+    """(0, the run's log) of one (config, out_dir) member, or (status, error):
+    1 for a solver failure, 2 for a refused start (its checkpoint cannot be
+    read, was written with another gamma or starts after t_end)."""
     try:
-        return out_dir, None, run_scenario(cfg, out_dir).log
-    except (SolverError, ValueError) as err:
-        return out_dir, str(err), None
+        return 0, run_scenario(*member).log
+    except SolverError as err:
+        return 1, str(err)
+    except ValueError as err:
+        return 2, str(err)
+
+
+def _run_members(members: list[tuple[ScenarioConfig, str]], jobs: int) -> int:
+    """Run the members through `fan_out`, report each and return the worst status."""
+    outcomes = fan_out(_run_member, members, jobs)
+    for (_, out_dir), (status, outcome) in zip(members, outcomes):
+        if status:  # 1: the solver failed, 2: the start was refused
+            print(f"{('FAILED', 'bad config')[status - 1]} {out_dir}: {outcome}", file=sys.stderr)
+            continue
+        # warnings and violations are reported but never fail a member
+        for line in outcome.warnings:
+            print(f"warning {out_dir}: {line}", file=sys.stderr)
+        for line in outcome.violations:
+            print(f"VIOLATION {out_dir}: {line}", file=sys.stderr)
+        print(f"wrote {out_dir} ({outcome.steps} steps)")
+    return max(status for status, _ in outcomes)
 
 
 def _cmd_sweep(args) -> int:
@@ -258,24 +262,10 @@ def _cmd_sweep(args) -> int:
         return 2
 
     try:
-        results = fan_out(_sweep_worker, members, args.jobs)
-    except ValueError as err:  # bad --jobs; _sweep_worker reports its own errors
+        return _run_members(members, args.jobs)
+    except ValueError as err:  # bad --jobs; each member's errors are reported as its outcome
         print(f"bad sweep: {err}", file=sys.stderr)
         return 2
-
-    failed = 0
-    for out_dir, error, log in results:
-        if error is not None:
-            failed += 1
-            print(f"FAILED {out_dir}: {error}", file=sys.stderr)
-            continue
-        # as in `run`, warnings and violations are reported but do not fail the member
-        for line in log.warnings:
-            print(f"warning {out_dir}: {line}", file=sys.stderr)
-        for line in log.violations:
-            print(f"VIOLATION {out_dir}: {line}", file=sys.stderr)
-        print(f"done {out_dir}")
-    return 1 if failed else 0
 
 
 # --- check ------------------------------------------------------------------

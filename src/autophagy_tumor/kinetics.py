@@ -15,9 +15,10 @@ for the space-free (n1, n2, c) system.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 from typing import Callable, Union
 
@@ -228,7 +229,7 @@ def reaction_rate_f(mu, D: float, K1: float, K2: float):
 @dataclass(frozen=True)
 class ReactionEquilibrium:
     nu_star: float  # negative root of f
-    mu_star: float  # stable normal fraction, in (0, 1)
+    mu_star: float  # stable normal fraction, in (0, 1]
     E: float  # discriminant (D - K1 - K2)^2 + 4*D*K2
     decay_rate: float  # D*(mu_star - nu_star) = sqrt(E)
     uniform_A: float  # (mu_star - nu_star)/(-nu_star), prefactor of the sup bound
@@ -239,28 +240,34 @@ def equilibrium_roots(D: float, K1: float, K2: float) -> ReactionEquilibrium:
 
     Requires D, K1, K2 all strictly positive: D = 0 degenerates the parabola
     to a line, and the root ordering nu* < 0 < mu* < 1 needs f(0) = K2 > 0
-    and f(1) = -K1 < 0.
+    and f(1) = -K1 < 0. Raises ValueError naming the rates when a field is
+    not a finite float or rounding breaks nu* < 0 < mu* <= 1.
     """
     if D <= 0.0:
         raise ValueError(f"degenerate: need D > 0, got D={D}")
     if K1 <= 0.0 or K2 <= 0.0:
         raise ValueError(f"root ordering needs K1, K2 > 0, got K1={K1}, K2={K2}")
-    b = D - K1 - K2
-    E = b * b + 4.0 * D * K2  # == D^2 + (K1+K2)^2 - 2*D*K1 + 2*D*K2
+    # the rates over 2**e, the power of two at or above the largest, have the
+    # same roots, and b*b + 4*d*k2 neither overflows nor underflows
+    e = math.frexp(max(D, K1, K2))[1]
+    d, k1, k2 = (math.ldexp(rate, -e) for rate in (D, K1, K2))
+    b = d - k1 - k2
+    E = b * b + 4.0 * d * k2  # == d^2 + (k1+k2)^2 - 2*d*k1 + 2*d*k2
     s = math.sqrt(E)
     # evaluate the non-cancelling root directly, recover the other via Vieta
-    # (product of roots = -K2/D)
-    try:
+    # (product of roots = -k2/d)
+    with contextlib.suppress(ZeroDivisionError, OverflowError):
         if b <= 0.0:
-            nu = (b - s) / (2.0 * D)
-            mu = -K2 / (D * nu)
+            nu = (b - s) / (2.0 * d)
+            mu = -k2 / (d * nu)
         else:
-            mu = (b + s) / (2.0 * D)
-            nu = -K2 / (D * mu)
-        uniform_A = (mu - nu) / (-nu)
-    except ZeroDivisionError:  # a root or a product of the rates left the float range
-        raise ValueError(f"the roots for D={D}, K1={K1}, K2={K2} leave the float range") from None
-    return ReactionEquilibrium(nu_star=nu, mu_star=mu, E=E, decay_rate=s, uniform_A=uniform_A)
+            mu = (b + s) / (2.0 * d)
+            nu = -k2 / (d * mu)
+        eq = ReactionEquilibrium(nu, mu, math.ldexp(E, 2 * e), math.ldexp(s, e), (mu - nu) / (-nu))
+        if all(map(math.isfinite, astuple(eq))) and nu < 0.0 < mu <= 1.0:
+            return eq
+    raise ValueError(f"the roots for D={D}, K1={K1}, K2={K2} leave the float range "
+                     f"or the order nu* < 0 < mu* <= 1")
 
 
 def mu_ode_closed_form(z0: float, t, eq: ReactionEquilibrium, D: float):

@@ -464,6 +464,21 @@ def test_a_slab_the_model_cannot_start_is_refused_at_load(tmp_path, capsys, key,
     assert not sweep_dir.exists()
 
 
+@pytest.mark.parametrize("K2", [1e10, 1.0])
+def test_a_profile_slab_without_float_roots_is_refused_at_load(tmp_path, capsys, K2):
+    # mu* was 0 (nu* = -inf) and 1.0000000000000002: both used to load
+    data = config_to_dict(PRESETS["fig-s3unicon"])
+    data["model"].update(D=1e-300, transitions={"type": "constant", "K1": 1e-300, "K2": K2})
+    message = (f"the roots for D=1e-300, K1=1e-300, K2={K2} leave the float range "
+               f"or the order nu* < 0 < mu* <= 1")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config_from_dict(data)
+    out_dir = tmp_path / "never"
+    assert main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"bad config: {message}\n"
+    assert not out_dir.exists()
+
+
 def test_run_reports_solver_failure(tmp_path, capsys):
     n1 = np.zeros(61)
     n1[25:36] = 1e200
@@ -476,9 +491,12 @@ def test_run_reports_solver_failure(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         rc = main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)])
     assert rc == 1
-    assert "solver failed" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == f"FAILED {out_dir}: step 1: tridiagonal system has non-finite entries\n"
+    assert captured.out == ""
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["failed"] is True
+    assert manifest["error"] == "step 1: tridiagonal system has non-finite entries"
 
 
 def test_run_rejects_checkpoint_with_other_gamma(tmp_path, capsys):
@@ -493,9 +511,11 @@ def test_run_rejects_checkpoint_with_other_gamma(tmp_path, capsys):
     out_dir = tmp_path / "mismatch"
     rc = main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert "bad config" in err
-    assert "gamma=4" in err and "gamma=5" in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"bad config {out_dir}: ")
+    assert captured.err.count("\n") == 1
+    assert "gamma=4" in captured.err and "gamma=5" in captured.err
+    assert captured.out == ""
     assert not out_dir.exists()
 
 
@@ -520,10 +540,12 @@ def test_run_rejects_unreadable_checkpoint_before_creating_the_directory(
     out_dir = tmp_path / "never"
     rc = main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert "bad config" in err and message in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"bad config {out_dir}: ")
+    assert message in captured.err and captured.err.count("\n") == 1
     if n1_entry is None:
-        assert f"cannot read checkpoint {chk}" in err
+        assert f"cannot read checkpoint {chk}" in captured.err
+    assert captured.out == ""
     assert not out_dir.exists()
 
 
@@ -538,7 +560,8 @@ def test_run_rejects_t_end_before_the_checkpoint_time(tmp_path, capsys):
     rc = main(["run", "--config", write_config(tmp_path, data, "restart.json"),
                "--out", str(out_dir)])
     assert rc == 2
-    assert "t_end 0.01 precedes the initial time 0.02" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"bad config {out_dir}: t_end 0.01 precedes the initial "
+                                       f"time 0.02 of the state\n")
     assert not out_dir.exists()
 
 
@@ -755,7 +778,10 @@ def test_sweep_runs_each_value(tmp_path, capsys):
     )
     captured = capsys.readouterr()
     assert rc == 0
-    assert captured.out.count("done ") == 2
+    # dt = 0.002
+    assert captured.out == "".join(f"wrote {tmp_path}/fig-s4f2-D0.3-t_end={tok} ({steps} steps)\n"
+                                   for tok, steps in (("0.004", 2), ("0.008", 4)))
+    assert captured.err == ""
     for tok in ("0.004", "0.008"):
         run_dir = tmp_path / f"fig-s4f2-D0.3-t_end={tok}"
         manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -772,7 +798,8 @@ def test_sweep_varies_a_flux_period(tmp_path, monkeypatch, capsys):
     rc = main(["sweep", "--preset", "neumann-periodic-T20", "--vary", "period=10,20",
                "--out", str(tmp_path), "--jobs", "1"])
     assert rc == 0
-    assert capsys.readouterr().out.count("done ") == 2
+    assert capsys.readouterr().out == "".join(
+        f"wrote {tmp_path}/neumann-periodic-T20-period={period} (10 steps)\n" for period in (10, 20))
     for period in (10, 20):
         run_dir = tmp_path / f"neumann-periodic-T20-period={period}"
         manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -807,20 +834,47 @@ def test_sweep_reports_violations_like_run(tmp_path, monkeypatch, capsys):
 
     class Broken:
         log = RunLog(warnings=["CFL number 0.61 exceeded 0.5 at t=0.002"],
-                     violations=["clamped negative mass 1e-3 exceeds the bound"])
+                     violations=["clamped negative mass 1e-3 exceeds the bound"], steps=7)
+
+    def report(run_dir):
+        return (f"warning {run_dir}: CFL number 0.61 exceeded 0.5 at t=0.002\n"
+                f"VIOLATION {run_dir}: clamped negative mass 1e-3 exceeds the bound\n",
+                f"wrote {run_dir} (7 steps)\n")
 
     monkeypatch.setattr(cli, "run_scenario", lambda cfg, out_dir: Broken())
+    # warnings and violations are reported on stderr and never fail a member
+    out_dir = tmp_path / "one"
+    assert main(["run", "--preset", "fig-s4f2-D0.3", "--out", str(out_dir)]) == 0
+    captured = capsys.readouterr()
+    assert (captured.err, captured.out) == report(out_dir)
     rc = main(["sweep", "--preset", "fig-s4f2-D0.3", "--vary", "t_end=0.004,0.008",
                "--out", str(tmp_path), "--jobs", "1"])
     captured = capsys.readouterr()
-    # warnings and violations are reported on stderr and, as in `run`, do
-    # not fail the member
     assert rc == 0
-    assert captured.out.count("done ") == 2
-    assert captured.err == "".join(
-        f"warning {run_dir}: CFL number 0.61 exceeded 0.5 at t=0.002\n"
-        f"VIOLATION {run_dir}: clamped negative mass 1e-3 exceeds the bound\n"
-        for run_dir in (tmp_path / f"fig-s4f2-D0.3-t_end={tok}" for tok in ("0.004", "0.008")))
+    reports = [report(tmp_path / f"fig-s4f2-D0.3-t_end={tok}") for tok in ("0.004", "0.008")]
+    assert captured.err == "".join(err for err, _ in reports)
+    assert captured.out == "".join(out for _, out in reports)
+
+
+def test_sweep_runs_every_member_when_one_fails(tmp_path, monkeypatch, capsys):
+    # dt = 0.5 makes the velocity system singular at step 2; the other
+    # member still runs and is written, and the sweep exits 1
+    from autophagy_tumor import scenarios
+
+    short = dataclasses.replace(PRESETS["fig-s4f2-D0.3"], t_end=1.0)
+    monkeypatch.setitem(scenarios.PRESETS, "fig-s4f2-D0.3", short)
+    rc = main(["sweep", "--preset", "fig-s4f2-D0.3", "--vary", "dt=0.5,0.004",
+               "--out", str(tmp_path), "--jobs", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    failed, good = tmp_path / "fig-s4f2-D0.3-dt=0.5", tmp_path / "fig-s4f2-D0.3-dt=0.004"
+    assert captured.err == (f"FAILED {failed}: step 2: tridiagonal solve failed: "
+                            f"singular matrix (zero pivot 51)\n")
+    assert captured.out == f"wrote {good} (250 steps)\n"
+    assert json.loads((failed / "manifest.json").read_text())["failed"] is True
+    manifest = json.loads((good / "manifest.json").read_text())
+    assert (manifest["failed"], manifest["steps"]) == (False, 250)
+    assert main(["check", str(good)]) == 0
 
 
 def test_sweep_hands_workers_the_configs_it_validated(tmp_path, monkeypatch, capsys):
@@ -894,7 +948,7 @@ def test_sweep_usage_errors(tmp_path, capsys):
     ) == 2
     captured = capsys.readouterr()
     assert "bad sweep: two members would share the output directory" in captured.err
-    assert "done" not in captured.out
+    assert captured.out == ""
     assert not list(tmp_path.iterdir())
     # a member directory that holds files, and an --out that is a file
     member = tmp_path / "fig-s4f2-D0.3-t_end=0.008"
@@ -906,7 +960,7 @@ def test_sweep_usage_errors(tmp_path, capsys):
     ) == 2
     captured = capsys.readouterr()
     assert f"bad sweep: output directory {member} is not empty" in captured.err
-    assert "done" not in captured.out
+    assert captured.out == ""
     assert [p.name for p in tmp_path.iterdir()] == [member.name]
     taken = tmp_path / "taken"
     taken.write_text("")

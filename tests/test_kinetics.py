@@ -1,9 +1,11 @@
 import math
 import pickle
+import re
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -206,10 +208,48 @@ def test_equilibrium_roots_rejects_degenerate_rates():
     with pytest.raises(ValueError):
         equilibrium_roots(0.3, 1.0, 0.0)
     # positive rates whose roots leave the float range (these used to raise
-    # ZeroDivisionError): K2/D underflows to -0.0, and D^2 overflows
-    for D, K1, K2 in ((2.0, 1e-300, 5e-324), (1e300, 0.3, 1.0)):
-        with pytest.raises(ValueError, match="leave the float range"):
+    # ZeroDivisionError): K2/D underflows to -0.0, and D^2 overflows; and
+    # rates that gave wrong roots without an error: nu* = -inf, and
+    # mu* = 1.0000000000000002
+    for D, K1, K2 in ((2.0, 1e-300, 5e-324), (1e300, 0.3, 1.0), (1e-300, 1e-300, 1e10),
+                      (1e-300, 1e-300, 1.0)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"the roots for D={D}, K1={K1}, K2={K2} leave the float range")):
             equilibrium_roots(D, K1, K2)
+
+
+def test_equilibrium_roots_of_tiny_rates():
+    # b*b + 4*D*K2 underflowed to 0 and gave mu* = 2.0
+    eq = equilibrium_roots(1e-300, 1e-300, 1e-300)
+    assert eq.mu_star == pytest.approx((math.sqrt(5.0) - 1.0) / 2.0, rel=1e-15)
+    assert eq.nu_star == pytest.approx(-(math.sqrt(5.0) + 1.0) / 2.0, rel=1e-15)
+    assert eq.decay_rate == pytest.approx(math.sqrt(5.0) * 1e-300, rel=1e-15)
+
+
+# normal floats small enough that E, about the largest rate squared, stays finite
+_NORMAL_RATE = st.floats(min_value=sys.float_info.min, max_value=2.0**509)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rates=st.tuples(_NORMAL_RATE, _NORMAL_RATE, _NORMAL_RATE), k=st.integers(-2100, 2100))
+@example(rates=(1e-300, 1e-300, 1e-300), k=600)
+@example(rates=(1e-300, 1e-300, 1e10), k=-20)
+@example(rates=(1e-300, 1e-300, 1.0), k=1000)
+@example(rates=(0.3, 1.0, 1.0), k=-1021)
+def test_equilibrium_roots_do_not_change_when_the_rates_scale_by_a_power_of_two(rates, k):
+    # k clipped to the powers of two that keep all three rates in that range
+    k = min(max(k, -1021 - math.frexp(min(rates))[1]), 510 - math.frexp(max(rates))[1])
+
+    def roots(D, K1, K2):
+        try:
+            eq = equilibrium_roots(D, K1, K2)
+        except ValueError:
+            return "refused"
+        return eq.mu_star.hex(), eq.nu_star.hex(), eq.uniform_A.hex()
+
+    scaled = tuple(math.ldexp(r, k) for r in rates)
+    assert all(sys.float_info.min <= r <= 2.0**510 for r in scaled)
+    assert roots(*scaled) == roots(*rates)
 
 
 # ---------------------------------------------------------------------------

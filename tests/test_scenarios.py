@@ -266,15 +266,17 @@ def test_a_slab_config_that_loads_can_build_its_state(D, a, g, K1, K2, compositi
 
 def test_a_run_without_a_float_equilibrium_has_no_deviation_norms(tmp_path):
     # a constant composition needs no mu*, so these rates load and build;
-    # the run used to fail on them with ZeroDivisionError
-    data = config_to_dict(PRESETS["fig-s4f2-D0.3"])
-    data["model"].update(D=2.0, transitions={"type": "constant", "K1": 1e-300, "K2": 5e-324})
-    data["t_end"] = 0.01
-    result = run_scenario(config_from_dict(data), tmp_path / "run")
-    assert result.log.steps == 5
-    for channel in ("sup_dev", "l2_dev", "l4_dev", "l8_dev"):
-        assert np.isnan(result.series.column(channel)).all()
-    assert np.isfinite(result.series.column("mass_total")).all()
+    # the run used to fail on the first with ZeroDivisionError, and sampled
+    # the other two against a wrong mu* (0.0, then 1.0000000000000002)
+    for D, K1, K2 in ((2.0, 1e-300, 5e-324), (1e-300, 1e-300, 1e10), (1e-300, 1e-300, 1.0)):
+        data = config_to_dict(PRESETS["fig-s4f2-D0.3"])
+        data["model"].update(D=D, transitions={"type": "constant", "K1": K1, "K2": K2})
+        data["t_end"] = 0.01
+        result = run_scenario(config_from_dict(data), tmp_path / f"run-{K2}")
+        assert result.log.steps == 5
+        for channel in ("sup_dev", "l2_dev", "l4_dev", "l8_dev"):
+            assert np.isnan(result.series.column(channel)).all(), (K2, channel)
+        assert np.isfinite(result.series.column("mass_total")).all()
 
 
 # ---------------------------------------------------------------------------

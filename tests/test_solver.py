@@ -152,15 +152,21 @@ def test_tridiagonal_rejects_non_finite_entries(which, bad):
         "rhs": np.ones(5),
     }
     arrays[which][1] = bad
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match="tridiagonal system has non-finite entries"):
+        solve_tridiagonal(**arrays)
+    # named first also when the rest of the system is singular
+    for name in ("lower", "diag", "upper"):
+        if name != which:
+            arrays[name][:] = 0.0
+    with pytest.raises(SolverError, match="tridiagonal system has non-finite entries"):
         solve_tridiagonal(**arrays)
 
 
 def test_tridiagonal_singular_matrix_raises():
     # rows (1, 1) and (1, 1): elimination leaves a zero pivot
-    with pytest.raises(SolverError, match="singular"):
+    with pytest.raises(SolverError, match="singular matrix"):
         solve_tridiagonal(np.ones(1), np.ones(2), np.ones(1), np.array([1.0, 2.0]))
-    with pytest.raises(SolverError, match="singular"):
+    with pytest.raises(SolverError, match="singular matrix"):
         solve_tridiagonal(np.zeros(2), np.zeros(3), np.zeros(2), np.ones(3))
 
 
@@ -186,6 +192,9 @@ def test_tridiagonal_reports_bad_gtsv_argument(monkeypatch):
 def test_tridiagonal_one_by_one_divides():
     x = solve_tridiagonal(np.empty(0), np.array([4.0]), np.empty(0), np.array([3.0]))
     np.testing.assert_array_equal(x, np.array([0.75]))
+    # tested before the division, which would raise here (inf / inf)
+    with np.errstate(invalid="raise"), pytest.raises(SolverError, match="non-finite entries"):
+        solve_tridiagonal(np.empty(0), np.array([np.inf]), np.empty(0), np.array([np.inf]))
 
 
 def test_quasistatic_single_cell_component_matches_dense():
