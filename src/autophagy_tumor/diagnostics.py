@@ -40,10 +40,9 @@ def support_components(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple(zip([first, *cells[jumps + 1].tolist()], [*cells[jumps].tolist(), last]))
 
 
-def deviation_norms(dev: np.ndarray, dx: float,
-                    sup: float | None = None) -> tuple[float, float, float, float]:
-    """(sup, L2, L4, L8) of the fraction deviation dev = mu - mu* on the support
-    cells: max |dev| (or the caller's `sup`) and (dx*sum dev^(2n))^(1/(2n)), n = 1, 2, 4.
+def deviation_norms(dev: np.ndarray, dx: float) -> tuple[float, float, float, float]:
+    """(sup, L2, L4, L8) of the fraction deviation dev = mu - mu* on the
+    support cells: max |dev| and (dx * sum dev^(2n))^(1/(2n)) for n = 1, 2, 4.
 
     The even powers are taken by squaring (dev^2, its square, and that
     square's square), so dev and -dev give bitwise equal norms. Raises
@@ -53,10 +52,10 @@ def deviation_norms(dev: np.ndarray, dx: float,
     d2 = dev * dev
     d4 = d2 * d2
     return (
-        float(np.maximum.reduce(np.abs(dev))) if sup is None else sup,
-        float((dx * np.add.reduce(d2)) ** 0.5),
-        float((dx * np.add.reduce(d4)) ** 0.25),
-        float((dx * np.add.reduce(d4 * d4)) ** 0.125),
+        float(np.abs(dev).max()),
+        float((dx * d2.sum()) ** 0.5),
+        float((dx * d4.sum()) ** 0.25),
+        float((dx * (d4 * d4).sum()) ** 0.125),
     )
 
 
@@ -94,7 +93,7 @@ def l2n_condition_and_rate(
 def total_population(state) -> tuple[float, float]:
     """(total mass, autophagic mass) over the whole grid."""
     dx = state.grid.dx
-    return float(dx * np.add.reduce(state.n)), float(dx * np.add.reduce(state.n2))
+    return float(dx * state.n.sum()), float(dx * state.n2.sum())
 
 
 # ---------------------------------------------------------------------------

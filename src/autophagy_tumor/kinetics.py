@@ -18,7 +18,7 @@ from __future__ import annotations
 import contextlib
 import math
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Union
 
@@ -230,8 +230,7 @@ def reaction_rate_f(mu, D: float, K1: float, K2: float):
 class ReactionEquilibrium:
     nu_star: float  # negative root of f
     mu_star: float  # stable normal fraction, in (0, 1]
-    E: float  # discriminant (D - K1 - K2)^2 + 4*D*K2
-    decay_rate: float  # D*(mu_star - nu_star) = sqrt(E)
+    decay_rate: float  # D*(mu_star - nu_star) = sqrt((D - K1 - K2)^2 + 4*D*K2); may be inf
     uniform_A: float  # (mu_star - nu_star)/(-nu_star), prefactor of the sup bound
 
 
@@ -240,8 +239,8 @@ def equilibrium_roots(D: float, K1: float, K2: float) -> ReactionEquilibrium:
 
     Requires D, K1, K2 all strictly positive: D = 0 degenerates the parabola
     to a line, and the root ordering nu* < 0 < mu* < 1 needs f(0) = K2 > 0
-    and f(1) = -K1 < 0. Raises ValueError naming the rates when a field is
-    not a finite float or rounding breaks nu* < 0 < mu* <= 1.
+    and f(1) = -K1 < 0. Raises ValueError naming the rates when nu*, mu* or
+    uniform_A leaves the float range; the decay rate alone may overflow to inf.
     """
     if D <= 0.0:
         raise ValueError(f"degenerate: need D > 0, got D={D}")
@@ -252,22 +251,22 @@ def equilibrium_roots(D: float, K1: float, K2: float) -> ReactionEquilibrium:
     e = math.frexp(max(D, K1, K2))[1]
     d, k1, k2 = (math.ldexp(rate, -e) for rate in (D, K1, K2))
     b = d - k1 - k2
-    E = b * b + 4.0 * d * k2  # == d^2 + (k1+k2)^2 - 2*d*k1 + 2*d*k2
-    s = math.sqrt(E)
+    s = math.sqrt(b * b + 4.0 * d * k2)  # b*b + 4*d*k2 == d^2 + (k1+k2)^2 - 2*d*k1 + 2*d*k2
     # evaluate the non-cancelling root directly, recover the other via Vieta
-    # (product of roots = -k2/d)
-    with contextlib.suppress(ZeroDivisionError, OverflowError):
+    # (product of roots = -k2/d); far-apart rates underflow d or k2 to 0
+    with contextlib.suppress(ZeroDivisionError):
         if b <= 0.0:
             nu = (b - s) / (2.0 * d)
             mu = -k2 / (d * nu)
         else:
             mu = (b + s) / (2.0 * d)
             nu = -k2 / (d * mu)
-        eq = ReactionEquilibrium(nu, mu, math.ldexp(E, 2 * e), math.ldexp(s, e), (mu - nu) / (-nu))
-        if all(map(math.isfinite, astuple(eq))) and nu < 0.0 < mu <= 1.0:
-            return eq
-    raise ValueError(f"the roots for D={D}, K1={K1}, K2={K2} leave the float range "
-                     f"or the order nu* < 0 < mu* <= 1")
+        mu = min(mu, 1.0)  # mu* < 1, but a quotient can round one ulp above it
+        uniform_A = (mu - nu) / (-nu)
+        if nu < 0.0 < mu and math.isfinite(uniform_A):  # nu* = -inf gives mu* = 0
+            # s * 2**e, inf when it leaves the float range (2.0 ** 1024 raises)
+            return ReactionEquilibrium(nu, mu, s * 2.0 ** (e - 1) * 2.0, uniform_A)
+    raise ValueError(f"the roots for D={D}, K1={K1}, K2={K2} leave the float range")
 
 
 def mu_ode_closed_form(z0: float, t, eq: ReactionEquilibrium, D: float):

@@ -227,19 +227,18 @@ def solve_tridiagonal(
     Non-finite entries, then a singular matrix or a bad argument, then a
     non-finite solution raise SolverError.
     """
-    system = (lower, diag, upper, rhs)
-    if len(diag) >= 2:
-        x, info = dgtsv(*system)[3:]
-    else:  # gtsv rejects a 1x1 system; solve_banded divides, and so do we if it is finite
-        x, info = (rhs / diag if _all_finite(np.concatenate(system)) else rhs), 0
-    # one finiteness pass; a failure tests again to raise the first error in the order above
-    if info or not _all_finite(np.concatenate((*system, x))):
-        if not _all_finite(np.concatenate(system)):
-            raise SolverError("tridiagonal system has non-finite entries")
+    if not _all_finite(np.concatenate((lower, diag, upper, rhs))):
+        raise SolverError("tridiagonal system has non-finite entries")
+    if len(diag) < 2:
+        # gtsv rejects a 1x1 system; solve_banded divides, and so do we
+        x = rhs / diag
+    else:
+        x, info = dgtsv(lower, diag, upper, rhs)[3:]
         if info > 0:
             raise SolverError(f"tridiagonal solve failed: singular matrix (zero pivot {info})")
         if info < 0:
             raise SolverError(f"tridiagonal solve failed: bad argument {-info} to gtsv")
+    if not _all_finite(x):
         raise SolverError("tridiagonal solve produced non-finite values")
     return x
 
@@ -315,7 +314,7 @@ def correct_densities(
     a22 += K2
     det = a11 * a22
     det -= K1 * K2
-    if np.minimum.reduce(np.abs(det)) < k.singular:
+    if np.abs(det).min() < k.singular:
         raise SolverError("reaction solve is singular (dt too large for the reaction rates)")
     r = values / k.dt
     r -= div
@@ -332,7 +331,7 @@ def correct_densities(
     rows /= det
 
     clamped = 0.0
-    if np.minimum.reduce(new) < 0.0:  # one reduction; the masks only when something clamps
+    if new.min() < 0.0:  # one reduction; the masks only when something clamps
         for row in rows:
             row_neg = row < k.zero
             if np.count_nonzero(row_neg):
@@ -454,7 +453,7 @@ def step(
         grid = state.grid
         k = _coefficients(params, grid, dt)
         u_star = predict_velocity(state, params, dt, growth)
-        cfl = float(np.maximum.reduce(np.abs(u_star))) * dt / grid.dx
+        cfl = float(np.abs(u_star).max() * dt / grid.dx)
         densities, clamped = correct_densities(state, u_star, params, dt, growth)
         n2 = densities[grid.n_cells :]
         n = densities[: grid.n_cells] + n2
@@ -515,11 +514,11 @@ def _sample(state: FieldState, t: float, threshold: float, mu_star: float | None
     cells = (slice(components[0][0], components[0][1] + 1) if len(components) == 1
              else np.concatenate([np.arange(s, e + 1) for s, e in components]))
     mu = state.n1[cells] / state.n[cells]
-    c_max = float(np.maximum.reduce(state.c[cells]))
-    lo, hi = np.minimum.reduce(mu), np.maximum.reduce(mu)
-    # x - mu* rounds monotonically in x, so max |mu - mu*| is |lo - mu*| or |hi - mu*|
-    norms = (math.nan,) * 4 if mu_star is None else deviation_norms(
-        mu - mu_star, state.grid.dx, float(max(abs(lo - mu_star), abs(hi - mu_star))))
+    c_max = float(state.c[cells].max())
+    norms = (math.nan,) * 4
+    if mu_star is not None:
+        norms = deviation_norms(mu - mu_star, state.grid.dx)
+    lo, hi = mu.min(), mu.max()
     if lo < -1e-8 or hi > 1.0 + 1e-8:
         log.violations.append(f"composition fraction left [0, 1] at t={t:.6g} "
                               f"(range [{lo:.3e}, {hi:.3e}])")
@@ -607,7 +606,7 @@ def run(initial: FieldState, params: ModelParameters, cfg: SolverConfig, t_end: 
             max_cfl = diag.cfl
             if diag.cfl > 0.5 and first_cfl_t is None:
                 first_cfl_t = state.t
-        for ts in snapshot_steps.get(j + 1, ()):
+        for ts in snapshot_steps.get(j + 1, []):
             snapshots[ts] = state
         if (j + 1) % steps_per_sample == 0:
             sample(state.t)

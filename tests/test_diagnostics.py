@@ -351,25 +351,6 @@ def test_norms_accept_the_on_support_fraction(rng):
         deviation_norms(np.empty(0), 0.1)
 
 
-_FRACTION = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
-
-
-@settings(max_examples=200, deadline=None)
-@given(mu=st.lists(_FRACTION, min_size=1, max_size=40).flatmap(
-           lambda mu: st.permutations(mu + mu[: len(mu) // 2])),
-       mu_star=st.floats(0.0, 1.0, exclude_min=True))
-@example(mu=[0.0, 1.0, 1.0, 0.0], mu_star=1.0)
-@example(mu=[0.5], mu_star=0.5)
-def test_sample_sup_deviation_is_the_largest_one(mu, mu_star):
-    # _sample takes it from the fraction's extremes; the bits must be those
-    # of the largest |mu - mu*| over the support
-    mu = np.array(mu)
-    state = make_state(np.pad(mu, 1), np.pad(1.0 - mu, 1), dx=0.1)
-    frac = state.n1[1:-1] / state.n[1:-1]
-    row, _ = sample_row(state, mu_star=mu_star)
-    assert row["sup_dev"].hex() == float(np.abs(frac - mu_star).max()).hex()
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     k=st.lists(st.integers(0, 2**51 - 1), min_size=1, max_size=64),

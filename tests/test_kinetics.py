@@ -171,7 +171,6 @@ def test_equilibrium_roots_frozen_values():
         if nu is not None:
             assert eq.nu_star == pytest.approx(nu, abs=1e-6)
     eq = equilibrium_roots(0.3, 1.0, 1.0)
-    assert eq.E == pytest.approx(4.09, abs=1e-12)
     assert eq.decay_rate == pytest.approx(2.0223748416156684, abs=1e-12)
     assert eq.uniform_A == pytest.approx(1.0866046154222728, abs=1e-12)
 
@@ -183,7 +182,7 @@ def test_equilibrium_roots_identities():
         assert reaction_rate_f(eq.mu_star, D, K1, K2) == pytest.approx(0.0, abs=1e-12)
         assert reaction_rate_f(eq.nu_star, D, K1, K2) == pytest.approx(0.0, abs=1e-10)
         assert eq.decay_rate == pytest.approx(D * (eq.mu_star - eq.nu_star), rel=1e-13)
-        assert eq.decay_rate == pytest.approx(math.sqrt(eq.E), rel=1e-13)
+        assert eq.decay_rate == pytest.approx(math.sqrt((D - K1 - K2) ** 2 + 4 * D * K2), rel=1e-13)
         assert eq.uniform_A >= 1.0
 
 
@@ -207,27 +206,39 @@ def test_equilibrium_roots_rejects_degenerate_rates():
         equilibrium_roots(0.3, 0.0, 1.0)
     with pytest.raises(ValueError):
         equilibrium_roots(0.3, 1.0, 0.0)
-    # positive rates whose roots leave the float range (these used to raise
-    # ZeroDivisionError): K2/D underflows to -0.0, and D^2 overflows; and
-    # rates that gave wrong roots without an error: nu* = -inf, and
-    # mu* = 1.0000000000000002
-    for D, K1, K2 in ((2.0, 1e-300, 5e-324), (1e300, 0.3, 1.0), (1e-300, 1e-300, 1e10),
-                      (1e-300, 1e-300, 1.0)):
+    # positive rates whose roots leave the float range: K2/D underflows to
+    # -0.0 (this used to raise ZeroDivisionError), nu* is about -1e310 (this
+    # gave mu* = 0 and nu* = -inf), and uniform_A about 1e309 (this gave inf)
+    for D, K1, K2 in ((2.0, 1e-300, 5e-324), (1e-300, 1e-300, 1e10), (1.0, 1e-10, 1e-309)):
         with pytest.raises(ValueError, match=re.escape(
                 f"the roots for D={D}, K1={K1}, K2={K2} leave the float range")):
             equilibrium_roots(D, K1, K2)
 
 
-def test_equilibrium_roots_of_tiny_rates():
+def test_equilibrium_roots_of_far_apart_rates():
     # b*b + 4*D*K2 underflowed to 0 and gave mu* = 2.0
     eq = equilibrium_roots(1e-300, 1e-300, 1e-300)
     assert eq.mu_star == pytest.approx((math.sqrt(5.0) - 1.0) / 2.0, rel=1e-15)
     assert eq.nu_star == pytest.approx(-(math.sqrt(5.0) + 1.0) / 2.0, rel=1e-15)
     assert eq.decay_rate == pytest.approx(math.sqrt(5.0) * 1e-300, rel=1e-15)
+    # mu* = 1 - 1e-300 rounds to 1.0; the quotient gave 1.0000000000000002
+    eq = equilibrium_roots(1e-300, 1e-300, 1.0)
+    assert (eq.mu_star, eq.uniform_A) == (1.0, 1.0)
+    assert eq.nu_star == pytest.approx(-1e300, rel=1e-15)
+    # D^2 and E overflow, but the roots fit: these used to be refused
+    eq = equilibrium_roots(1e300, 0.3, 1.0)
+    assert eq.mu_star == 1.0
+    assert eq.nu_star == pytest.approx(-1e-300, rel=1e-15)
+    assert eq.uniform_A == pytest.approx(1e300, rel=1e-15)
+    eq = equilibrium_roots(1.0, 1.0, 2.0**512)
+    assert (eq.mu_star, eq.nu_star, eq.decay_rate) == (1.0, -(2.0**512), 2.0**512)
+    # only the decay rate, sqrt(5) times the rates, leaves the float range
+    eq = equilibrium_roots(1.7e308, 1.7e308, 1.7e308)
+    assert eq.decay_rate == math.inf
+    assert eq.mu_star == equilibrium_roots(1.0, 1.0, 1.0).mu_star
 
 
-# normal floats small enough that E, about the largest rate squared, stays finite
-_NORMAL_RATE = st.floats(min_value=sys.float_info.min, max_value=2.0**509)
+_NORMAL_RATE = st.floats(min_value=sys.float_info.min, max_value=sys.float_info.max)
 
 
 @settings(max_examples=300, deadline=None)
@@ -235,10 +246,12 @@ _NORMAL_RATE = st.floats(min_value=sys.float_info.min, max_value=2.0**509)
 @example(rates=(1e-300, 1e-300, 1e-300), k=600)
 @example(rates=(1e-300, 1e-300, 1e10), k=-20)
 @example(rates=(1e-300, 1e-300, 1.0), k=1000)
+@example(rates=(1.0, 1.0, 2.0**512), k=-600)
+@example(rates=(1.7e308, 1.7e308, 1.7e308), k=-1)
 @example(rates=(0.3, 1.0, 1.0), k=-1021)
 def test_equilibrium_roots_do_not_change_when_the_rates_scale_by_a_power_of_two(rates, k):
-    # k clipped to the powers of two that keep all three rates in that range
-    k = min(max(k, -1021 - math.frexp(min(rates))[1]), 510 - math.frexp(max(rates))[1])
+    # k clipped to the powers of two that keep all three rates normal floats
+    k = min(max(k, -1021 - math.frexp(min(rates))[1]), 1024 - math.frexp(max(rates))[1])
 
     def roots(D, K1, K2):
         try:
@@ -248,7 +261,7 @@ def test_equilibrium_roots_do_not_change_when_the_rates_scale_by_a_power_of_two(
         return eq.mu_star.hex(), eq.nu_star.hex(), eq.uniform_A.hex()
 
     scaled = tuple(math.ldexp(r, k) for r in rates)
-    assert all(sys.float_info.min <= r <= 2.0**510 for r in scaled)
+    assert all(sys.float_info.min <= r <= sys.float_info.max for r in scaled)
     assert roots(*scaled) == roots(*rates)
 
 
