@@ -8,9 +8,8 @@ nutrient-dependent rates K1(c) (normal -> autophagic) and K2(c) (autophagic
 -> normal).
 
 This module owns the pointwise rate laws, the equilibrium analysis of the
-normal-cell fraction mu = n1/(n1+n2) for constant switch rates, the closed
-form of the space-free fraction equation, and a fixed-step RK4 integrator
-for the space-free (n1, n2, c) system.
+normal-cell fraction mu = n1/(n1+n2) for constant switch rates, and the
+closed form of the space-free fraction equation.
 """
 
 from __future__ import annotations
@@ -20,16 +19,16 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
 __all__ = [
     "Proportional", "AffineDeath", "Logistic", "GrowthSpec", "ConstantTransitions",
     "HullTransitions", "RationalPairTransitions", "TransitionSpec", "ConstantFlux", "PeriodicFlux",
-    "FluxSchedule", "QUASISTATIC", "NEUMANN", "ModelParameters", "ReactionEquilibrium", "OdeState",
+    "FluxSchedule", "QUASISTATIC", "NEUMANN", "ModelParameters", "ReactionEquilibrium",
     "eval_growth", "eval_transitions", "eval_flux", "reaction_rate_f", "equilibrium_roots",
-    "mu_ode_closed_form", "wellmixed_pointwise_bound", "integrate_ode_model",
+    "mu_ode_closed_form", "wellmixed_pointwise_bound",
 ]
 
 
@@ -297,67 +296,3 @@ def wellmixed_pointwise_bound(z0: float, t, eq: ReactionEquilibrium, D: float):
         z0 - eq.mu_star
     )
 
-
-# ---------------------------------------------------------------------------
-# space-free three-variable model
-
-
-@dataclass(frozen=True)
-class OdeState:
-    n1: float
-    n2: float
-    c: float
-    t: float
-
-
-def integrate_ode_model(
-    s0: OdeState,
-    p: ModelParameters,
-    lambda_fn: Callable[[float], float],
-    c_B_fn: Callable[[float], float],
-    t_end: float,
-    dt: float,
-) -> list[OdeState]:
-    """Fixed-step RK4 for the space-free system
-
-        n1' = G(c, n)*n1 - K1(c)*n1 + K2(c)*n2
-        n2' = (G(c, n) - D)*n2 + K1(c)*n1 - K2(c)*n2
-        c'  = -lambda(t)*(c - c_B(t)) - c*(n1 + n2) + a*n2
-
-    Returns the state at every step, s0 included. Raises ValueError naming
-    the offending time if the solution leaves the physical range (NaN,
-    infinity, or a clearly negative component).
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t_end < s0.t:
-        raise ValueError(f"t_end={t_end} precedes initial time {s0.t}")
-
-    def rhs(t, y):
-        n1, n2, c = y
-        n = n1 + n2
-        G = eval_growth(p.growth, c, n)
-        K1, K2 = eval_transitions(p.transitions, c)
-        return np.array(
-            [
-                G * n1 - K1 * n1 + K2 * n2,
-                (G - p.D) * n2 + K1 * n1 - K2 * n2,
-                -lambda_fn(t) * (c - c_B_fn(t)) - c * n + p.a * n2,
-            ]
-        )
-
-    n_steps = max(0, int(round((t_end - s0.t) / dt)))
-    y = np.array([s0.n1, s0.n2, s0.c], dtype=float)
-    out = [s0]
-    t = s0.t
-    for j in range(n_steps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
-        k4 = rhs(t + dt, y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = s0.t + (j + 1) * dt
-        if not np.all(np.isfinite(y)) or np.min(y) < -1e-9:
-            raise ValueError(f"state left the physical range at t={t}: {tuple(y)}")
-        out.append(OdeState(n1=float(y[0]), n2=float(y[1]), c=float(y[2]), t=t))
-    return out

@@ -304,10 +304,8 @@ _STRINGS = ("a list of strings", lambda v: isinstance(v, list)
             and all(isinstance(s, str) for s in v), tuple)
 _FIELD_KINDS = {"float": _NUMBER, "int": _INTEGER, "str": _STRING, "tuple[float, ...]": _NUMBERS,
                 "tuple[str, ...]": _STRINGS}
-# where the JSON differs from the fields: the key of ScenarioConfig.params,
-# and the kind of t_end
+# where the JSON key differs from the field name: ScenarioConfig.params
 _JSON_KEYS = {"params": "model"}
-_T_END = ("finite and positive", _finite_positive, float)
 
 
 def _pop(d: dict, key: str, path: str, kind: tuple, default=MISSING):
@@ -369,8 +367,7 @@ def _from_dict(cls, d: dict, path: str):
         elif f.type in _SECTIONS:
             values[f.name] = _from_dict(_SECTIONS[f.type], _pop(d, key, path, _OBJECT), sub)
         else:
-            kind = _T_END if f.name == "t_end" else _FIELD_KINDS[f.type]
-            values[f.name] = _pop(d, key, path, kind, f.default)
+            values[f.name] = _pop(d, key, path, _FIELD_KINDS[f.type], f.default)
     out = cls(**values)
     _check_empty(d, path)
     return out

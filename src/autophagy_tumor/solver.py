@@ -652,31 +652,40 @@ def write_checkpoint(path, state: FieldState, gamma: float) -> None:
 def read_checkpoint(path) -> tuple[FieldState, float]:
     """Read a checkpoint written by write_checkpoint. Returns (state, gamma).
 
-    Raises ValueError, naming the key or the column and row, for a missing
-    or non-finite header value, a row count or shape that does not match,
-    a value that is not finite, and a negative n1, n2 or c."""
+    Raises ValueError, naming the key or the column and row, for a missing or
+    repeated header key, an n_cells not written as digits, a header value
+    that is not finite, a data row that is not 4 numbers, a row count that
+    does not match, a value that is not finite, and a negative n1, n2 or c."""
     header: dict[str, str] = {}
-    data_rows: list[list[float]] = []
+    rows: list[list[float]] = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" in line:
-                key, _, value = line.partition("=")
-                header[key.strip()] = value.strip()
-            else:
-                data_rows.append([float(tok) for tok in line.split()])
+                key, _, value = (part.strip() for part in line.partition("="))
+                if key in header:
+                    raise ValueError(f"checkpoint repeats header key {key!r}")
+                header[key] = value
+                continue
+            try:
+                row = [float(tok) for tok in line.split()]
+            except ValueError:  # a token that is not a number
+                row = []
+            if len(row) != 4:
+                raise ValueError(f"checkpoint data row {len(rows) + 1} is not 4 numbers: {line!r}")
+            rows.append(row)
     for key in ("x_min", "dx", "n_cells", "t", "gamma"):
         if key not in header:
             raise ValueError(f"checkpoint is missing header key {key!r}")
+    if not header["n_cells"].isdecimal():
+        raise ValueError(f"checkpoint header n_cells = {header['n_cells']} is not a cell count")
     n_cells = int(header["n_cells"])
-    if len(data_rows) != n_cells:
-        raise ValueError(f"checkpoint has {len(data_rows)} data rows "
+    if len(rows) != n_cells:
+        raise ValueError(f"checkpoint has {len(rows)} data rows "
                          f"but header says {n_cells} cells")
-    arr = np.array(data_rows, dtype=float)
-    if arr.shape != (n_cells, 4):
-        raise ValueError(f"checkpoint rows must have 4 columns, got shape {arr.shape}")
+    arr = np.array(rows, dtype=float).reshape(n_cells, 4)
     for key in ("x_min", "dx", "t", "gamma"):
         if not math.isfinite(float(header[key])):
             raise ValueError(f"checkpoint header {key} = {header[key]} is not finite")

@@ -218,13 +218,17 @@ def test_run_rejects_profiles_that_share_a_file_at_load(tmp_path, capsys, entrie
 
 @pytest.mark.parametrize("t_end", [float("inf"), float("nan"), -1.0, 0.0, None])
 def test_run_rejects_bad_t_end_at_load(tmp_path, capsys, t_end):
-    # checked before the profile times, which are bounded by t_end
+    # checked before the profile times, which are bounded by t_end: what is
+    # not a finite number is refused as in every number field, and the
+    # config refuses a number that is not positive
     data = tiny_config_dict(t_end=t_end)
     data["outputs"] = ["timeseries", "profiles@1"]
     out_dir = tmp_path / "never"
     rc = main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)])
     assert rc == 2
-    assert "t_end must be finite and positive" in capsys.readouterr().err
+    expected = (f"t_end must be finite and positive, got {t_end!r}" if t_end in (-1.0, 0.0)
+                else f"config.t_end must be a number, got {t_end!r}")
+    assert expected in capsys.readouterr().err
     assert not out_dir.exists()
 
 

@@ -17,7 +17,6 @@ from autophagy_tumor.kinetics import (
     HullTransitions,
     Logistic,
     ModelParameters,
-    OdeState,
     PeriodicFlux,
     Proportional,
     RationalPairTransitions,
@@ -25,7 +24,6 @@ from autophagy_tumor.kinetics import (
     eval_flux,
     eval_growth,
     eval_transitions,
-    integrate_ode_model,
     mu_ode_closed_form,
     reaction_rate_f,
     wellmixed_pointwise_bound,
@@ -342,99 +340,3 @@ def test_pointwise_bound_dominates_on_grid():
         z = mu_ode_closed_form(float(z0), ts, EQ, 0.3)
         bound = wellmixed_pointwise_bound(float(z0), ts, EQ, 0.3)
         assert np.all(np.abs(z - EQ.mu_star) <= bound * (1.0 + 1e-12) + 1e-15)
-
-
-# ---------------------------------------------------------------------------
-# space-free (n1, n2, c) integrator
-
-
-def _params(growth=None, transitions=None, D=0.3, a=0.5):
-    return ModelParameters(
-        gamma=2.0,
-        D=D,
-        a=a,
-        c_B=1.0,
-        growth=growth if growth is not None else Proportional(1.0),
-        transitions=transitions if transitions is not None else ConstantTransitions(1.0, 1.0),
-    )
-
-
-def test_ode_model_nutrient_relaxation():
-    # with no cells, c solves c' = -lambda*(c - c_B): c(t) = 1 - exp(-t)
-    out = integrate_ode_model(
-        OdeState(0.0, 0.0, 0.0, 0.0),
-        _params(),
-        lambda_fn=lambda t: 1.0,
-        c_B_fn=lambda t: 1.0,
-        t_end=2.0,
-        dt=0.01,
-    )
-    assert out[-1].t == pytest.approx(2.0, abs=1e-12)
-    assert out[-1].c == pytest.approx(1.0 - math.exp(-2.0), abs=1e-7)
-    assert out[-1].n1 == 0.0 and out[-1].n2 == 0.0
-
-
-def test_ode_model_fourth_order_steps():
-    def c_error(dt):
-        out = integrate_ode_model(
-            OdeState(0.0, 0.0, 0.0, 0.0),
-            _params(),
-            lambda_fn=lambda t: 1.0,
-            c_B_fn=lambda t: 1.0,
-            t_end=1.0,
-            dt=dt,
-        )
-        return abs(out[-1].c - (1.0 - math.exp(-1.0)))
-
-    ratio = c_error(0.05) / c_error(0.025)
-    assert 12.0 < ratio < 20.0
-
-
-def test_ode_model_zero_state_is_invariant():
-    out = integrate_ode_model(
-        OdeState(0.0, 0.0, 0.0, 0.0),
-        _params(),
-        lambda_fn=lambda t: 0.0,
-        c_B_fn=lambda t: 1.0,
-        t_end=1.0,
-        dt=0.1,
-    )
-    assert len(out) == 11
-    for s in out:
-        assert s.n1 == 0.0 and s.n2 == 0.0 and s.c == 0.0
-
-
-def test_ode_model_exchange_conserves_population_without_growth_or_death():
-    # G = 0 and D = 0: (n1+n2)' = 0 identically, so every RK4 stage keeps the
-    # total and the split relaxes to K2/(K1+K2)
-    p = ModelParameters(
-        gamma=2.0, D=0.0, a=0.3, c_B=1.0,
-        growth=Proportional(0.0),
-        transitions=ConstantTransitions(1.0, 1.0),
-    )
-    out = integrate_ode_model(
-        OdeState(0.8, 0.2, 0.7, 0.0),
-        p,
-        lambda_fn=lambda t: 0.5,
-        c_B_fn=lambda t: 1.0,
-        t_end=20.0,
-        dt=0.01,
-    )
-    for s in out:
-        assert s.n1 + s.n2 == pytest.approx(1.0, abs=1e-13)
-    assert out[-1].n1 == pytest.approx(0.5, abs=1e-6)
-    # c settles where wall exchange balances consumption minus release:
-    # 0.5*(1-c) - c*1 + 0.3*0.5 = 0  =>  c = 0.65/1.5
-    assert out[-1].c == pytest.approx(0.65 / 1.5, abs=1e-6)
-
-
-def test_ode_model_rejects_bad_steps_and_blowup():
-    with pytest.raises(ValueError):
-        integrate_ode_model(OdeState(0, 0, 0, 0), _params(), lambda t: 0, lambda t: 1, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        integrate_ode_model(OdeState(0, 0, 0, 1.0), _params(), lambda t: 0, lambda t: 1, 0.5, 0.1)
-    with pytest.raises(ValueError):
-        # a clearly unphysical start is flagged at the first step
-        integrate_ode_model(
-            OdeState(-1.0, 0.0, 0.0, 0.0), _params(), lambda t: 0.0, lambda t: 1.0, 1.0, 0.1
-        )

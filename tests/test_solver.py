@@ -23,6 +23,7 @@ from autophagy_tumor.kinetics import (
     eval_flux,
     eval_growth,
     eval_transitions,
+    mu_ode_closed_form,
 )
 from autophagy_tumor.solver import (
     FieldState,
@@ -700,6 +701,62 @@ def test_step_discrete_mass_balance():
     G = eval_growth(params.growth, state.c, state.n)
     source = dx * np.sum(G * new.n1 + (G - params.D) * new.n2)
     assert (mass_new - mass_old) / cfg.dt == pytest.approx(source, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# time order against exact references: on a uniform state in a box with no
+# wall flux nothing moves or diffuses, so every cell follows the space-free
+# reaction; the scheme is first order in time (semi-implicit reaction,
+# backward Euler nutrient), and each halving of dt should halve the error
+
+
+def uniform_final_states(params, n1, n2, c):
+    """The 21-cell uniform state (n1, n2, c) run to t = 1 at each dt of the ladder."""
+    ones = np.ones(21)
+    state = make_state(n1 * ones, n2 * ones, c * ones)
+    return [run(state, params, SolverConfig(dt=dt), t_end=1.0).final_state
+            for dt in (0.008, 0.004, 0.002, 0.001)]
+
+
+def assert_first_order(errors, finest_bound):
+    orders = np.log2(np.divide(errors[:-1], errors[1:]))
+    print(f"errors {np.array(errors)}, observed orders {orders}")
+    assert np.all((0.95 <= orders) & (orders <= 1.05)), orders
+    assert errors[-1] < finest_bound
+
+
+def test_fraction_has_first_order_in_time_against_the_closed_form():
+    # the fraction equation mu' = f(mu) does not involve the growth rate
+    params = neumann_params(g=1.0, D=0.3, K1=1.0, K2=1.0)
+    exact = mu_ode_closed_form(0.05, 1.0, equilibrium_roots(0.3, 1.0, 1.0), 0.3)
+    errors = []
+    for state in uniform_final_states(params, 0.05, 0.95, 1.0):
+        mu = state.n1 / state.n
+        assert np.ptp(mu) < 1e-14  # stays uniform
+        errors.append(np.abs(mu - exact).max())
+    assert_first_order(errors, 1e-4)
+
+
+def test_state_has_first_order_in_time_against_a_fine_rk4_reference():
+    params = dataclasses.replace(neumann_params(D=0.3, a=0.5), growth=AffineDeath(0.5),
+                                 transitions=HullTransitions(2.0, 0.5, 1.0))
+
+    def reaction(y):  # (n1, n2, c)' of one cell with no transport and lambda = 0
+        n1, n2, c = y
+        G = eval_growth(params.growth, c)
+        K1, K2 = eval_transitions(params.transitions, c)
+        return np.array([G * n1 - K1 * n1 + K2 * n2, (G - params.D) * n2 + K1 * n1 - K2 * n2,
+                         params.a * n2 - c * (n1 + n2)])
+
+    y, h = np.array([0.6, 0.4, 0.8]), 1e-3  # RK4 error ~h^4, far below the scheme's
+    for _ in range(1000):
+        k1 = reaction(y)
+        k2 = reaction(y + 0.5 * h * k1)
+        k3 = reaction(y + 0.5 * h * k2)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + reaction(y + h * k3))
+    errors = [max(np.abs(field - ref).max() for field, ref in zip((s.n1, s.n2, s.c), y))
+              for s in uniform_final_states(params, 0.6, 0.4, 0.8)]
+    assert_first_order(errors, 3e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -1592,10 +1649,15 @@ def test_checkpoint_rejects_malformed_files(tmp_path):
         ("n2", "inf", "checkpoint column n2 must be finite and >= 0; data row 3 holds inf"),
         ("c", "-3", "checkpoint column c must be finite and >= 0; data row 3 holds -3"),
         ("u", "-inf", "checkpoint column u must be finite; data row 3 holds -inf"),
+        ("t", "0\nt = 99", "checkpoint repeats header key 't'"),
+        ("n_cells", "1e253", "checkpoint header n_cells = 1e253 is not a cell count"),
+        ("c", "x", "checkpoint data row 3 is not 4 numbers: '0.5 0.25 x 0'"),
+        ("u", "", "checkpoint data row 3 is not 4 numbers: '0.5 0.25 1'"),
     ],
 )
 def test_checkpoint_rejects_values_no_state_holds(tmp_path, key, value, message):
-    # a header key is replaced, or the column's entry in the third data row
+    # a header key is replaced (a value with a second line appends a key), or
+    # the column's entry in the third data row (an empty one drops a value)
     p = tmp_path / "chk.txt"
     write_checkpoint(p, make_state(np.full(5, 0.5), np.full(5, 0.25), dx=0.1), gamma=4.0)
     lines = p.read_text().splitlines()
