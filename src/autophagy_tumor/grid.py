@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 __all__ = ["Grid1D", "pressure_from_density", "density_from_pressure", "numerical_flux"]
-_HALF = np.array(0.5)  # a 0-d operand, which numpy need not convert per call
+_HALF, _ZERO = np.array(0.5), np.array(0.0)  # 0-d operands, which numpy need not convert per call
 
 
 @dataclass(frozen=True)
@@ -76,18 +76,19 @@ def density_from_pressure(p, gamma: float):
 
 
 def _limit(d_minus, d_plus, d_center, out):
-    """Write the limited slope of three differences into `out`, which holds
-    zeros; returns `out`.
+    """Write the limited slope of three differences into `out`; returns `out`.
 
     The smallest difference where all three are positive, the largest where
-    all three are negative, else the 0 already in `out`. All three are
-    positive exactly when the smallest is, and all negative exactly when
-    the largest is; a NaN propagates into both and leaves 0.
+    all three are negative, else +0.0: that is fmin(fmax(smallest, 0),
+    largest), as all three are positive exactly when the smallest is and
+    negative exactly when the largest is. A NaN propagates into both and
+    fmax/fmin drop it, leaving 0; adding +0.0 turns a -0.0 into +0.0.
     """
     smallest = np.minimum(np.minimum(d_minus, d_plus), d_center)
     largest = np.maximum(np.maximum(d_minus, d_plus), d_center)
-    np.copyto(out, largest, where=largest < 0)
-    np.copyto(out, smallest, where=smallest > 0)
+    np.fmax(smallest, _ZERO, out=out)
+    np.fmin(out, largest, out=out)
+    out += _ZERO
     return out
 
 

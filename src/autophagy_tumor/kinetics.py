@@ -17,7 +17,7 @@ from __future__ import annotations
 import contextlib
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from functools import cached_property
 from typing import Union
 
@@ -35,22 +35,40 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # rate-law variants
 
+_ONE, _FOUR = np.array(1.0), np.array(4.0)  # 0-d operands, which numpy need not convert per call
+
+
+class _Bound:
+    """A rate law a step evaluates: `_operands` holds its fields as read-only
+    float64 0-d arrays, formed once per spec, as numpy converts a Python
+    float operand on every call, not a 0-d array."""
+
+    @cached_property
+    def _operands(self) -> tuple[np.ndarray, ...]:
+        values = np.array(astuple(self), dtype=float)
+        values.flags.writeable = False
+        return tuple(values[i, ...] for i in range(values.size))  # read-only 0-d views
+
+    def __getstate__(self):  # the fields alone: unpickled, the spec forms its operands afresh
+        return asdict(self)
+
+
 @dataclass(frozen=True)
-class Proportional:
+class Proportional(_Bound):
     """Growth proportional to nutrient: G(c) = g*c."""
 
     g: float
 
 
 @dataclass(frozen=True)
-class AffineDeath:
+class AffineDeath(_Bound):
     """Growth with a constant maintenance cost: G(c) = c - delta."""
 
     delta: float
 
 
 @dataclass(frozen=True)
-class Logistic:
+class Logistic(_Bound):
     """Crowding-limited growth: G(c, n) = g*(M - n)*c - delta."""
 
     g: float
@@ -62,7 +80,7 @@ GrowthSpec = Union[Proportional, AffineDeath, Logistic]
 
 
 @dataclass(frozen=True)
-class ConstantTransitions:
+class ConstantTransitions(_Bound):
     K1: float
     K2: float
 
@@ -70,18 +88,9 @@ class ConstantTransitions:
         if not (self.K1 >= 0.0 and self.K2 >= 0.0):
             raise ValueError(f"switch rates must be >= 0, got K1={self.K1}, K2={self.K2}")
 
-    @cached_property
-    def _rates(self) -> tuple[np.ndarray, np.ndarray]:
-        rates = np.array([self.K1, self.K2], dtype=float)
-        rates.flags.writeable = False
-        return rates[0, ...], rates[1, ...]  # read-only 0-d views
-
-    def __getstate__(self):  # the fields alone: unpickled, the spec forms read-only rates afresh
-        return {"K1": self.K1, "K2": self.K2}
-
 
 @dataclass(frozen=True)
-class HullTransitions:
+class HullTransitions(_Bound):
     """Sharp starvation switch around the threshold omega.
 
     K1(c) = k1max * omega^4 / (omega^4 + c^4)   (activates when starved)
@@ -128,11 +137,12 @@ FluxSchedule = Union[ConstantFlux, PeriodicFlux]
 def eval_growth(spec: GrowthSpec, c, n=0.0):
     """Pointwise normal-cell growth rate; `c` and `n` may be scalars or arrays."""
     if isinstance(spec, Proportional):
-        return spec.g * c
+        return spec._operands[0] * c
     if isinstance(spec, AffineDeath):
-        return c - spec.delta
+        return c - spec._operands[0]
     if isinstance(spec, Logistic):
-        return spec.g * (spec.M - n) * c - spec.delta
+        g, M, delta = spec._operands
+        return g * (M - n) * c - delta
     raise TypeError(f"unknown growth spec {spec!r}")
 
 
@@ -141,12 +151,12 @@ def eval_transitions(spec: TransitionSpec, c):
     rates come back as read-only float64 0-d arrays, formed once per spec,
     which broadcast against c."""
     if isinstance(spec, ConstantTransitions):
-        return spec._rates
+        return spec._operands
     if isinstance(spec, HullTransitions):
-        c4 = np.asarray(c, dtype=float) ** 4
-        w4 = spec.omega**4
-        frac = c4 / (w4 + c4)
-        return spec.k1max * (1.0 - frac), spec.k2max * frac
+        k1max, k2max, _ = spec._operands
+        c4 = np.asarray(c, dtype=float) ** _FOUR
+        frac = c4 / (spec.omega**4 + c4)
+        return k1max * (_ONE - frac), k2max * frac
     if isinstance(spec, RationalPairTransitions):
         ca = np.asarray(c, dtype=float)
         k1 = np.maximum(0.0, (1.0 - ca) / (ca + 0.1))

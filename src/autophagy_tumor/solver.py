@@ -161,9 +161,9 @@ class _Coefficients:
     """A step's scalar coefficients on `grid` with (params, dt) as float64 0-d
     arrays, with the bits of their Python float formulas: numpy converts a
     Python float operand on every call, not a 0-d array (`c_B_dx2`, only
-    added to single elements, is a faster Python float). `off` is -1/dx^2 on
-    every face, `wall_lower`/`wall_upper` add the Neumann wall rows' 1, and
-    `ambient` is c_B on every cell; without dt (quasi-static) no dt-terms."""
+    added to single elements, is a faster Python float). Nutrient solves copy
+    a prefix of `off`, all cells packed (`_views`) with -1/dx^2 off-diagonals;
+    `ambient` is c_B on every cell; no dt (quasi-static), no dt-terms."""
 
     def __init__(self, params: ModelParameters, grid: Grid1D, dt: float | None):
         self.params, self.grid, self.dt_value, dx, g = params, grid, dt, grid.dx, params.gamma
@@ -173,11 +173,9 @@ class _Coefficients:
         # the pressure law's and the prediction's n^(gamma-1)*gamma/(gamma-1) and n^(gamma-2)
         self.g1, self.p_factor, self.g2 = (np.array(v) for v in (g - 1.0, g / (g - 1.0), g - 2.0))
         self.two_dx2, self.c_B_dx2 = np.array(2.0 / dx**2), params.c_B / dx**2
-        off = np.full((3, grid.n_cells - 1), -1.0 / dx**2)
-        off[1, -1] = off[2, 0] = 1.0
+        self.off = np.full(4 * grid.n_cells - 2, -1.0 / dx**2)
         self.ambient = np.full(grid.n_cells, params.c_B)
-        off.flags.writeable = self.ambient.flags.writeable = False  # only ever read or copied
-        self.off, self.wall_lower, self.wall_upper = off
+        self.off.flags.writeable = self.ambient.flags.writeable = False  # only ever read or copied
         if dt is not None:
             A = params.gamma * dt / dx**2
             self.dt, self.inv_dt, self.A, self.neg_A = (np.array(v) for v in (dt, 1.0 / dt, A, -A))
@@ -217,6 +215,30 @@ def _all_finite(x: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(x)) == x.size
 
 
+def _views(system: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """`system`, n unknowns' lower, upper, diag and rhs end to end, and those four views."""
+    a, b, c = n - 1, 2 * n - 2, 3 * n - 2
+    return system, system[:a], system[a:b], system[b:c], system[c:]
+
+
+def _solve_packed(system, lower, upper, diag, rhs) -> np.ndarray:
+    """`solve_tridiagonal` of `_views` of `system`: one finiteness test, solved in place."""
+    if not _all_finite(system):
+        raise SolverError("tridiagonal system has non-finite entries")
+    if len(diag) < 2:
+        # gtsv rejects a 1x1 system; solve_banded divides, and so do we
+        x = rhs / diag
+    else:
+        x, info = dgtsv(lower, diag, upper, rhs, 1, 1, 1, 1)[3:]  # in place: f2py copies nothing
+        if info > 0:
+            raise SolverError(f"tridiagonal solve failed: singular matrix (zero pivot {info})")
+        if info < 0:
+            raise SolverError(f"tridiagonal solve failed: bad argument {-info} to gtsv")
+    if not _all_finite(x):
+        raise SolverError("tridiagonal solve produced non-finite values")
+    return x
+
+
 def solve_tridiagonal(
     lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
@@ -225,22 +247,11 @@ def solve_tridiagonal(
     not written.
 
     Non-finite entries, then a singular matrix or a bad argument, then a
-    non-finite solution raise SolverError.
+    non-finite solution raise SolverError; sizes that do not fit, ValueError.
     """
-    if not _all_finite(np.concatenate((lower, diag, upper, rhs))):
-        raise SolverError("tridiagonal system has non-finite entries")
-    if len(diag) < 2:
-        # gtsv rejects a 1x1 system; solve_banded divides, and so do we
-        x = rhs / diag
-    else:
-        x, info = dgtsv(lower, diag, upper, rhs)[3:]
-        if info > 0:
-            raise SolverError(f"tridiagonal solve failed: singular matrix (zero pivot {info})")
-        if info < 0:
-            raise SolverError(f"tridiagonal solve failed: bad argument {-info} to gtsv")
-    if not _all_finite(x):
-        raise SolverError("tridiagonal solve produced non-finite values")
-    return x
+    if not len(lower) == len(upper) == len(diag) - 1 == len(rhs) - 1:
+        raise ValueError(f"sizes {len(lower)}, {len(diag)}, {len(upper)}, {len(rhs)} do not fit")
+    return _solve_packed(*_views(np.concatenate((lower, upper, diag, rhs)), len(diag)))
 
 
 def predict_velocity(
@@ -264,22 +275,23 @@ def predict_velocity(
     ws *= w
 
     # A = gamma*dt/dx^2, B = gamma*dt/dx
+    system, lower, upper, diag, rhs = _views(np.empty(4 * state.u.size - 2), state.u.size)
     m = n[:-1] + n[1:]
     m *= k.half
-    diag = m * k.A
+    np.multiply(m, k.A, out=diag)
     diag *= w[:-1] + w[1:]
     diag += k.one
-    lower = w[1:-1] * k.neg_A
-    upper = lower * m[1:]
+    np.multiply(w[1:-1], k.neg_A, out=lower)
+    np.multiply(lower, m[1:], out=upper)
     lower *= m[:-1]
-    rhs = ws[1:] - ws[:-1]
+    np.subtract(ws[1:], ws[:-1], out=rhs)
     rhs *= k.B
     np.subtract(state.u, rhs, out=rhs)
 
     # hold the outermost interior faces at rest
     diag[0] = diag[-1] = 1.0
     rhs[0] = rhs[-1] = upper[0] = lower[-1] = 0.0
-    return solve_tridiagonal(lower, diag, upper, rhs)
+    return _solve_packed(system, lower, upper, diag, rhs)
 
 
 def correct_densities(
@@ -314,7 +326,7 @@ def correct_densities(
     a22 += K2
     det = a11 * a22
     det -= K1 * K2
-    if np.abs(det).min() < k.singular:
+    if np.minimum.reduce(np.abs(det)) < k.singular:
         raise SolverError("reaction solve is singular (dt too large for the reaction rates)")
     r = values / k.dt
     r -= div
@@ -331,7 +343,7 @@ def correct_densities(
     rows /= det
 
     clamped = 0.0
-    if new.min() < 0.0:  # one reduction; the masks only when something clamps
+    if np.minimum.reduce(new) < 0.0:  # one reduction; the masks only when something clamps
         for row in rows:
             row_neg = row < k.zero
             if np.count_nonzero(row_neg):
@@ -357,11 +369,12 @@ def solve_nutrient_quasistatic(
                 "occupied region reached the domain edge; "
                 "increase the enlargement margin or the initial padding"
             )
-        diag = k.two_dx2 + n[s : e + 1]
-        rhs = k.a * n2[s : e + 1]
+        system, lower, upper, diag, rhs = _views(k.off[: 4 * (e - s) + 2].copy(), e - s + 1)
+        np.add(k.two_dx2, n[s : e + 1], out=diag)
+        np.multiply(k.a, n2[s : e + 1], out=rhs)
         rhs[0] += k.c_B_dx2
         rhs[-1] += k.c_B_dx2
-        c[s : e + 1] = solve_tridiagonal(k.off[: e - s], diag, k.off[: e - s], rhs)
+        c[s : e + 1] = _solve_packed(system, lower, upper, diag, rhs)
     return c
 
 
@@ -379,12 +392,14 @@ def step_nutrient_neumann(
     their neighbours and carries nutrient out). Negative values are clamped
     to zero; returns (c, number of clamped cells)."""
     k = _coefficients(params, state.grid, dt)
-    diag = k.inv_dt_two_dx2 + state.n
-    rhs = state.c / k.dt
+    system, lower, upper, diag, rhs = _views(k.off.copy(), state.grid.n_cells)
+    np.add(k.inv_dt_two_dx2, state.n, out=diag)
+    np.divide(state.c, k.dt, out=rhs)
     rhs += state.n2 * k.a
+    lower[-1] = upper[0] = 1.0
     diag[0] = diag[-1] = -1.0
     rhs[0] = rhs[-1] = eval_flux(params.lambda_schedule, t_new) * state.grid.dx
-    c = solve_tridiagonal(k.wall_lower, diag, k.wall_upper, rhs)
+    c = _solve_packed(system, lower, upper, diag, rhs)
     neg = c < k.zero
     clamped = int(np.count_nonzero(neg))
     if clamped:
@@ -453,7 +468,7 @@ def step(
         grid = state.grid
         k = _coefficients(params, grid, dt)
         u_star = predict_velocity(state, params, dt, growth)
-        cfl = float(np.abs(u_star).max() * dt / grid.dx)
+        cfl = float(np.maximum.reduce(np.abs(u_star)) * dt / grid.dx)
         densities, clamped = correct_densities(state, u_star, params, dt, growth)
         n2 = densities[grid.n_cells :]
         n = densities[: grid.n_cells] + n2
@@ -687,8 +702,10 @@ def read_checkpoint(path) -> tuple[FieldState, float]:
                          f"but header says {n_cells} cells")
     arr = np.array(rows, dtype=float).reshape(n_cells, 4)
     for key in ("x_min", "dx", "t", "gamma"):
-        if not math.isfinite(float(header[key])):
-            raise ValueError(f"checkpoint header {key} = {header[key]} is not finite")
+        with contextlib.suppress(ValueError):  # a value that is not a number is named below
+            if math.isfinite(float(header[key])):
+                continue
+        raise ValueError(f"checkpoint header {key} = {header[key]} is not finite")
     for col, name in enumerate(("n1", "n2", "c", "u")):
         # u's last row is the pad; the densities and the nutrient are >= 0
         values = arr[: n_cells - 1 if name == "u" else n_cells, col]

@@ -48,6 +48,29 @@ def test_growth_laws():
     np.testing.assert_allclose(eval_growth(Proportional(2.0), c), 2.0 * c)
 
 
+def test_rate_laws_keep_the_bits_of_their_python_float_formulas():
+    # the specs bind their coefficients as 0-d arrays, formed once per spec
+    # and formed afresh by a copy sent to a worker process
+    rng = np.random.default_rng(7)
+    c, n = 2.0 * rng.random(251), 1.5 * rng.random(251)
+    cases = [
+        (Proportional(1.3), 1.3 * c),
+        (AffineDeath(0.2), c - 0.2),
+        (Logistic(g=2.0, M=1.2, delta=0.5), 2.0 * (1.2 - n) * c - 0.5),
+    ]
+    for spec, want in cases:
+        for s in (spec, pickle.loads(pickle.dumps(spec))):
+            assert s == spec and eval_growth(s, c, n).tobytes() == want.tobytes()
+    spec = HullTransitions(3.0, 0.5, 0.7)
+    frac = c**4 / (0.7**4 + c**4)
+    for s in (spec, pickle.loads(pickle.dumps(spec))):
+        k1, k2 = eval_transitions(s, c)
+        assert k1.tobytes() == (3.0 * (1.0 - frac)).tobytes()
+        assert k2.tobytes() == (0.5 * frac).tobytes()
+    assert spec._operands is spec._operands
+    assert not any(op.flags.writeable for op in spec._operands)
+
+
 def test_transition_laws():
     k1, k2 = eval_transitions(HullTransitions(3.0, 3.0, 0.5), 0.5)
     assert k1 == pytest.approx(1.5, abs=1e-14)

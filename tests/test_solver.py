@@ -182,12 +182,33 @@ def test_tridiagonal_non_finite_solution_raises():
 def test_tridiagonal_reports_bad_gtsv_argument(monkeypatch):
     import autophagy_tumor.solver as solver
 
-    def rejecting_gtsv(dl, d, du, b):
+    def rejecting_gtsv(dl, d, du, b, *overwrite_flags):
         return dl, d, du, b, -3
 
     monkeypatch.setattr(solver, "dgtsv", rejecting_gtsv)
     with pytest.raises(SolverError, match="bad argument 3 to gtsv"):
         solve_tridiagonal(np.zeros(2), np.ones(3), np.zeros(2), np.ones(3))
+
+
+def test_tridiagonal_leaves_its_inputs_unchanged(rng):
+    # gtsv overwrites the packed copy alone: writeable and read-only inputs
+    # (the coefficients' off-diagonals) keep their bits, 1x1 systems too
+    for m in (1, 2, 12, 251):
+        off = _coefficients(basic_params(), Grid1D(x_min=0.0, dx=0.1, n_cells=m + 3)).off
+        for lower, upper in ((rng.random(m - 1) - 0.5, rng.random(m - 1) - 0.5),
+                             (off[: m - 1], off[: m - 1])):
+            arrays = (lower, 3.0 + rng.random(m), upper, rng.random(m))
+            before = [a.tobytes() for a in arrays]
+            x = solve_tridiagonal(*arrays)
+            assert [a.tobytes() for a in arrays] == before
+            assert not any(np.shares_memory(x, a) for a in arrays)
+    assert not off.flags.writeable
+
+
+def test_tridiagonal_refuses_sizes_that_do_not_fit():
+    # 1 + 3 + 3 + 3 values would fill a packed system of 3 unknowns
+    with pytest.raises(ValueError, match="sizes 1, 3, 3, 3 do not fit"):
+        solve_tridiagonal(np.ones(1), np.ones(3), np.ones(3), np.ones(3))
 
 
 def test_tridiagonal_one_by_one_divides():
@@ -1464,13 +1485,11 @@ def test_coefficients_are_0d_float64_with_the_bits_of_their_formulas():
     # added to single elements only, where a Python float is the faster operand
     assert type(k.c_B_dx2) is float and k.c_B_dx2 == params.c_B / dx**2
     assert k.singular == 1e-14 * (1.0 / dt**2)
-    # the off-diagonals: -1/dx^2, and the Neumann wall rows' 1; read-only
-    off = np.full(20, -1.0 / dx**2)
-    assert np.array_equal(k.off, off)
-    assert np.array_equal(k.wall_lower, np.concatenate((off[:-1], [1.0])))
-    assert np.array_equal(k.wall_upper, np.concatenate(([1.0], off[1:])))
+    # the nutrient solves copy a prefix of a packed system (lower, upper, diag,
+    # rhs end to end) whose off-diagonals hold -1/dx^2; read-only
+    assert np.array_equal(k.off, np.full(4 * 21 - 2, -1.0 / dx**2))
     assert np.array_equal(k.ambient, np.full(21, params.c_B))
-    assert not any(a.flags.writeable for a in (k.off, k.wall_lower, k.wall_upper, k.ambient))
+    assert not any(a.flags.writeable for a in (k.off, k.ambient))
     # kept for the last setup, matched by identity; no dt matches any dt
     assert _coefficients(params, grid, dt) is k and _coefficients(params, grid) is k
     for other in (
@@ -1644,6 +1663,10 @@ def test_checkpoint_rejects_malformed_files(tmp_path):
         ("x_min", "nan", "checkpoint header x_min = nan is not finite"),
         ("t", "-inf", "checkpoint header t = -inf is not finite"),
         ("gamma", "inf", "checkpoint header gamma = inf is not finite"),
+        ("x_min", "--1", "checkpoint header x_min = --1 is not finite"),
+        ("dx", "abc", "checkpoint header dx = abc is not finite"),
+        ("t", "0x1", "checkpoint header t = 0x1 is not finite"),
+        ("gamma", "four", "checkpoint header gamma = four is not finite"),
         ("n1", "nan", "checkpoint column n1 must be finite and >= 0; data row 3 holds nan"),
         ("n1", "-0.5", "checkpoint column n1 must be finite and >= 0; data row 3 holds -0.5"),
         ("n2", "inf", "checkpoint column n2 must be finite and >= 0; data row 3 holds inf"),
