@@ -124,10 +124,6 @@ class TimeSeries:
     def column(self, name: str) -> np.ndarray:
         return self.data[:, self.channels.index(name)]
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.column("t")
-
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(",".join(self.channels) + "\n")

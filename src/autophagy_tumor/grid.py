@@ -78,11 +78,9 @@ def density_from_pressure(p, gamma: float):
 def _limit(d_minus, d_plus, d_center, out):
     """Write the limited slope of three differences into `out`; returns `out`.
 
-    The smallest difference where all three are positive, the largest where
-    all three are negative, else +0.0: that is fmin(fmax(smallest, 0),
-    largest), as all three are positive exactly when the smallest is and
-    negative exactly when the largest is. A NaN propagates into both and
-    fmax/fmin drop it, leaving 0; adding +0.0 turns a -0.0 into +0.0.
+    fmin(fmax(smallest, 0), largest): the smallest where all three are
+    positive, the largest where all three are negative, else 0. fmax and fmin
+    drop the NaN a NaN difference gives both; adding +0.0 makes -0.0 +0.0.
     """
     smallest = np.minimum(np.minimum(d_minus, d_plus), d_center)
     largest = np.maximum(np.maximum(d_minus, d_plus), d_center)

@@ -30,24 +30,19 @@ __all__ = [
     "eval_growth", "eval_transitions", "eval_flux", "reaction_rate_f", "equilibrium_roots",
     "mu_ode_closed_form", "wellmixed_pointwise_bound",
 ]
+_ONE, _FOUR = np.array(1.0), np.array(4.0)  # 0-d operands, which numpy need not convert per call
 
 
 # ---------------------------------------------------------------------------
 # rate-law variants
 
-_ONE, _FOUR = np.array(1.0), np.array(4.0)  # 0-d operands, which numpy need not convert per call
-
-
 class _Bound:
-    """A rate law a step evaluates: `_operands` holds its fields as read-only
-    float64 0-d arrays, formed once per spec, as numpy converts a Python
-    float operand on every call, not a 0-d array."""
+    """A rate law whose `_operands`, its fields as read-only float64 0-d arrays formed
+    once per spec, spare numpy the conversion of a Python float operand per call."""
 
     @cached_property
     def _operands(self) -> tuple[np.ndarray, ...]:
-        values = np.array(astuple(self), dtype=float)
-        values.flags.writeable = False
-        return tuple(values[i, ...] for i in range(values.size))  # read-only 0-d views
+        return tuple(np.broadcast_to(float(value), ()) for value in astuple(self))  # read-only
 
     def __getstate__(self):  # the fields alone: unpickled, the spec forms its operands afresh
         return asdict(self)
@@ -140,9 +135,8 @@ def eval_growth(spec: GrowthSpec, c, n=0.0):
         return spec._operands[0] * c
     if isinstance(spec, AffineDeath):
         return c - spec._operands[0]
-    if isinstance(spec, Logistic):
-        g, M, delta = spec._operands
-        return g * (M - n) * c - delta
+    if isinstance(spec, Logistic):  # g, M, delta
+        return spec._operands[0] * (spec._operands[1] - n) * c - spec._operands[2]
     raise TypeError(f"unknown growth spec {spec!r}")
 
 
@@ -153,10 +147,9 @@ def eval_transitions(spec: TransitionSpec, c):
     if isinstance(spec, ConstantTransitions):
         return spec._operands
     if isinstance(spec, HullTransitions):
-        k1max, k2max, _ = spec._operands
         c4 = np.asarray(c, dtype=float) ** _FOUR
         frac = c4 / (spec.omega**4 + c4)
-        return k1max * (_ONE - frac), k2max * frac
+        return spec._operands[0] * (_ONE - frac), spec._operands[1] * frac  # k1max, k2max
     if isinstance(spec, RationalPairTransitions):
         ca = np.asarray(c, dtype=float)
         k1 = np.maximum(0.0, (1.0 - ca) / (ca + 0.1))

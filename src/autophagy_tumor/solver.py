@@ -54,10 +54,9 @@ from .kinetics import (
 )
 
 __all__ = [
-    "SolverConfig", "FieldState", "SolverError", "solve_tridiagonal", "StepDiagnostics", "RunLog",
-    "RunResult", "predict_velocity", "correct_densities", "solve_nutrient_quasistatic",
-    "step_nutrient_neumann", "enlarge_domain_if_needed", "step", "run", "write_checkpoint",
-    "read_checkpoint",
+    "SolverConfig", "FieldState", "SolverError", "StepDiagnostics", "RunLog", "RunResult",
+    "predict_velocity", "correct_densities", "solve_nutrient_quasistatic", "step_nutrient_neumann",
+    "enlarge_domain_if_needed", "step", "run", "write_checkpoint", "read_checkpoint",
 ]
 
 
@@ -161,9 +160,8 @@ class _Coefficients:
     """A step's scalar coefficients on `grid` with (params, dt) as float64 0-d
     arrays, with the bits of their Python float formulas: numpy converts a
     Python float operand on every call, not a 0-d array (`c_B_dx2`, only
-    added to single elements, is a faster Python float). Nutrient solves copy
-    a prefix of `off`, all cells packed (`_views`) with -1/dx^2 off-diagonals;
-    `ambient` is c_B on every cell; no dt (quasi-static), no dt-terms."""
+    added to single elements, is a faster Python float). `off` is a packed
+    system (`_views`) of all cells with -1/dx^2 off-diagonals, `ambient` c_B."""
 
     def __init__(self, params: ModelParameters, grid: Grid1D, dt: float | None):
         self.params, self.grid, self.dt_value, dx, g = params, grid, dt, grid.dx, params.gamma
@@ -216,13 +214,14 @@ def _all_finite(x: np.ndarray) -> bool:
 
 
 def _views(system: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """`system`, n unknowns' lower, upper, diag and rhs end to end, and those four views."""
-    a, b, c = n - 1, 2 * n - 2, 3 * n - 2
-    return system, system[:a], system[a:b], system[b:c], system[c:]
+    """`system` and its views lower, upper, diag, rhs: n unknowns' system end to end."""
+    return system, system[: n - 1], system[n - 1 : 2 * n - 2], system[2 * n - 2 : -n], system[-n:]
 
 
 def _solve_packed(system, lower, upper, diag, rhs) -> np.ndarray:
-    """`solve_tridiagonal` of `_views` of `system`: one finiteness test, solved in place."""
+    """Solve lower[k-1]*x[k-1] + diag[k]*x[k] + upper[k]*x[k+1] = rhs[k], `_views`
+    of `system`, into rhs by LAPACK gtsv. Non-finite entries, then a singular
+    matrix or a bad argument, then a non-finite solution raise SolverError."""
     if not _all_finite(system):
         raise SolverError("tridiagonal system has non-finite entries")
     if len(diag) < 2:
@@ -237,21 +236,6 @@ def _solve_packed(system, lower, upper, diag, rhs) -> np.ndarray:
     if not _all_finite(x):
         raise SolverError("tridiagonal solve produced non-finite values")
     return x
-
-
-def solve_tridiagonal(
-    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray
-) -> np.ndarray:
-    """Solve lower[k-1]*x[k-1] + diag[k]*x[k] + upper[k]*x[k+1] = rhs[k] by
-    Gaussian elimination with partial pivoting (LAPACK gtsv); the inputs are
-    not written.
-
-    Non-finite entries, then a singular matrix or a bad argument, then a
-    non-finite solution raise SolverError; sizes that do not fit, ValueError.
-    """
-    if not len(lower) == len(upper) == len(diag) - 1 == len(rhs) - 1:
-        raise ValueError(f"sizes {len(lower)}, {len(diag)}, {len(upper)}, {len(rhs)} do not fit")
-    return _solve_packed(*_views(np.concatenate((lower, upper, diag, rhs)), len(diag)))
 
 
 def predict_velocity(

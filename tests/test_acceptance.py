@@ -114,7 +114,7 @@ def test_acceptance_2_radius_dichotomy():
     assert rel <= 0.05
 
     res_gr = preset_run("fig-s4f2-D0.3")
-    t = res_gr.series.times
+    t = res_gr.series.column("t")
     r = res_gr.series.column("radius")
     late = t >= 10.0 - 1e-9
     slope_sim = np.polyfit(t[late], np.log(r[late]), 1)[0]
@@ -140,7 +140,7 @@ def test_acceptance_3_uniform_composition_convergence():
     res = preset_run("fig-s3unicon")
     eq = equilibrium_roots(0.3, 1.0, 1.0)
     assert eq.decay_rate == pytest.approx(math.sqrt(4.09), rel=1e-12)
-    t = res.series.times
+    t = res.series.column("t")
     dev = res.series.column("sup_dev")
     assert np.all(np.isfinite(dev))
     bound = uniform_bound_at(t, dev[0], eq)
@@ -158,14 +158,14 @@ def test_acceptance_4_composition_norm_regimes():
     # fast switching back: all deviation norms decay; slow switching back:
     # the L2 norm keeps growing while the higher norms still decay
     res_a = preset_run("fig-s3l2n-a")
-    t = res_a.series.times
+    t = res_a.series.column("t")
     window = t >= 1.0 - 1e-9
     for channel in ("l2_dev", "l4_dev", "l8_dev"):
         vals = res_a.series.column(channel)[window]
         assert np.all(np.diff(vals) < 0), channel
 
     res_b = preset_run("fig-s3l2n-b")
-    t = res_b.series.times
+    t = res_b.series.column("t")
     window = t >= 1.0 - 1e-9
     l2 = res_b.series.column("l2_dev")[window]
     assert np.all(np.diff(l2) >= 0)
@@ -250,7 +250,7 @@ def test_acceptance_6_starvation_switch_rescues_population():
         series[k] = res.series
     assert masses[0] < masses[2] < masses[8]
 
-    t = series[0].times
+    t = series[0].column("t")
     early = (t > 0) & (t <= 0.5 + 1e-9)
     assert early.any()
     spreads = []

@@ -282,7 +282,7 @@ def test_time_series_columns_and_csv(tmp_path, rng):
     data = rng.random((6, len(SERIES_CHANNELS)))
     data[:, 0] = np.linspace(0.0, 1.0, 6)
     ts = TimeSeries(channels=SERIES_CHANNELS, data=data)
-    np.testing.assert_array_equal(ts.times, data[:, 0])
+    np.testing.assert_array_equal(ts.column("t"), data[:, 0])
     np.testing.assert_array_equal(ts.column("c_max"), data[:, SERIES_CHANNELS.index("c_max")])
     with pytest.raises(ValueError):
         ts.column("bogus")

@@ -32,6 +32,8 @@ from autophagy_tumor.solver import (
     SolverError,
     StepDiagnostics,
     _coefficients,
+    _solve_packed,
+    _views,
     _sample,
     correct_densities,
     enlarge_domain_if_needed,
@@ -39,7 +41,6 @@ from autophagy_tumor.solver import (
     read_checkpoint,
     run,
     solve_nutrient_quasistatic,
-    solve_tridiagonal,
     step,
     step_nutrient_neumann,
     write_checkpoint,
@@ -61,6 +62,20 @@ def correct(state, u_star, params, dt):
     densities, clamped = correct_densities(state, u_star, params, dt, growth)
     m = state.grid.n_cells
     return densities[:m], densities[m:], clamped
+
+
+def packed_solve(lower, diag, upper, rhs):
+    """`_solve_packed` of the four arrays packed end to end into one new buffer."""
+    return _solve_packed(*_views(np.concatenate((lower, upper, diag, rhs)), len(diag)))
+
+
+def solve_banded_tridiagonal(lower, diag, upper, rhs):
+    """scipy's `solve_banded` on the three bands: LAPACK gtsv as in the
+    solver, and a division for one unknown; a reference independent of
+    `_solve_packed`."""
+    ab = np.zeros((3, len(diag)))
+    ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
+    return solve_banded((1, 1), ab, rhs)
 
 
 def basic_params(gamma=2.0, g=1.0, D=0.0, K1=0.0, K2=0.0, a=0.5, c_B=1.0, **kw):
@@ -123,7 +138,7 @@ def test_tridiagonal_matches_dense_solve(rng):
     upper = rng.random(m - 1) - 0.5
     diag = 3.0 + rng.random(m)
     rhs = rng.random(m)
-    x = solve_tridiagonal(lower, diag, upper, rhs)
+    x = packed_solve(lower, diag, upper, rhs)
     dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
     np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-12)
 
@@ -135,12 +150,8 @@ def test_tridiagonal_matches_solve_banded_bit_for_bit(rng):
         upper = rng.random(m - 1) - 0.5
         diag = 1.0 + rng.random(m)
         rhs = rng.random(m) - 0.5
-        ab = np.zeros((3, m))
-        ab[0, 1:] = upper
-        ab[1, :] = diag
-        ab[2, :-1] = lower
-        x = solve_tridiagonal(lower, diag, upper, rhs)
-        np.testing.assert_array_equal(x, solve_banded((1, 1), ab, rhs))
+        x = packed_solve(lower, diag, upper, rhs)
+        np.testing.assert_array_equal(x, solve_banded_tridiagonal(lower, diag, upper, rhs))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -154,27 +165,27 @@ def test_tridiagonal_rejects_non_finite_entries(which, bad):
     }
     arrays[which][1] = bad
     with pytest.raises(SolverError, match="tridiagonal system has non-finite entries"):
-        solve_tridiagonal(**arrays)
+        packed_solve(**arrays)
     # named first also when the rest of the system is singular
     for name in ("lower", "diag", "upper"):
         if name != which:
             arrays[name][:] = 0.0
     with pytest.raises(SolverError, match="tridiagonal system has non-finite entries"):
-        solve_tridiagonal(**arrays)
+        packed_solve(**arrays)
 
 
 def test_tridiagonal_singular_matrix_raises():
     # rows (1, 1) and (1, 1): elimination leaves a zero pivot
     with pytest.raises(SolverError, match="singular matrix"):
-        solve_tridiagonal(np.ones(1), np.ones(2), np.ones(1), np.array([1.0, 2.0]))
+        packed_solve(np.ones(1), np.ones(2), np.ones(1), np.array([1.0, 2.0]))
     with pytest.raises(SolverError, match="singular matrix"):
-        solve_tridiagonal(np.zeros(2), np.zeros(3), np.zeros(2), np.ones(3))
+        packed_solve(np.zeros(2), np.zeros(3), np.zeros(2), np.ones(3))
 
 
 def test_tridiagonal_non_finite_solution_raises():
     # finite entries whose solution overflows: x[0] = 1e300 / 1e-300
     with np.errstate(over="ignore"), pytest.raises(SolverError, match="non-finite values"):
-        solve_tridiagonal(
+        packed_solve(
             np.zeros(1), np.array([1e-300, 1.0]), np.zeros(1), np.array([1e300, 1.0])
         )
 
@@ -187,36 +198,42 @@ def test_tridiagonal_reports_bad_gtsv_argument(monkeypatch):
 
     monkeypatch.setattr(solver, "dgtsv", rejecting_gtsv)
     with pytest.raises(SolverError, match="bad argument 3 to gtsv"):
-        solve_tridiagonal(np.zeros(2), np.ones(3), np.zeros(2), np.ones(3))
+        packed_solve(np.zeros(2), np.ones(3), np.zeros(2), np.ones(3))
 
 
-def test_tridiagonal_leaves_its_inputs_unchanged(rng):
-    # gtsv overwrites the packed copy alone: writeable and read-only inputs
-    # (the coefficients' off-diagonals) keep their bits, 1x1 systems too
-    for m in (1, 2, 12, 251):
-        off = _coefficients(basic_params(), Grid1D(x_min=0.0, dx=0.1, n_cells=m + 3)).off
-        for lower, upper in ((rng.random(m - 1) - 0.5, rng.random(m - 1) - 0.5),
-                             (off[: m - 1], off[: m - 1])):
-            arrays = (lower, 3.0 + rng.random(m), upper, rng.random(m))
-            before = [a.tobytes() for a in arrays]
-            x = solve_tridiagonal(*arrays)
-            assert [a.tobytes() for a in arrays] == before
-            assert not any(np.shares_memory(x, a) for a in arrays)
-    assert not off.flags.writeable
-
-
-def test_tridiagonal_refuses_sizes_that_do_not_fit():
-    # 1 + 3 + 3 + 3 values would fill a packed system of 3 unknowns
-    with pytest.raises(ValueError, match="sizes 1, 3, 3, 3 do not fit"):
-        solve_tridiagonal(np.ones(1), np.ones(3), np.ones(3), np.ones(3))
+def test_packed_solves_write_neither_their_state_nor_the_coefficients():
+    # gtsv overwrites each solve's own packed buffer alone: the state and
+    # the read-only coefficient buffers (copied, never written) keep their
+    # bits, and no solution shares memory with them or with another one; a
+    # one-cell component takes the 1x1 path
+    n1 = np.zeros(21)
+    n1[4], n1[8:15] = 0.7, np.linspace(0.2, 0.9, 7)
+    state = make_state(n1, 0.5 * n1, c=np.linspace(0.5, 1.0, 21), u=np.linspace(-0.1, 0.1, 20))
+    params = neumann_params(gamma=3.0, D=0.2, K1=0.5, K2=0.3)
+    dt = 0.01
+    k = _coefficients(params, state.grid, dt)
+    kept = frozen_copy(state) | {"off": k.off.copy(), "ambient": k.ambient.copy()}
+    growth = eval_growth(params.growth, state.c, state.n)
+    solutions = [
+        predict_velocity(state, params, dt, growth),
+        step_nutrient_neumann(state, params, dt, state.t + dt)[0],
+        solve_nutrient_quasistatic(state.grid, state.n, state.n2, params, ((4, 4), (8, 14))),
+    ]
+    assert _coefficients(params, state.grid, dt) is k
+    for name, arr in kept.items():
+        assert getattr(k if name in ("off", "ambient") else state, name).tobytes() == arr.tobytes()
+    arrays = [getattr(state, name) for name in ("densities", "n", "c", "u")] + [k.off, k.ambient]
+    for i, x in enumerate(solutions):
+        assert not any(np.shares_memory(x, a) for a in arrays + solutions[:i])
+    assert not (k.off.flags.writeable or k.ambient.flags.writeable)
 
 
 def test_tridiagonal_one_by_one_divides():
-    x = solve_tridiagonal(np.empty(0), np.array([4.0]), np.empty(0), np.array([3.0]))
+    x = packed_solve(np.empty(0), np.array([4.0]), np.empty(0), np.array([3.0]))
     np.testing.assert_array_equal(x, np.array([0.75]))
     # tested before the division, which would raise here (inf / inf)
     with np.errstate(invalid="raise"), pytest.raises(SolverError, match="non-finite entries"):
-        solve_tridiagonal(np.empty(0), np.array([np.inf]), np.empty(0), np.array([np.inf]))
+        packed_solve(np.empty(0), np.array([np.inf]), np.empty(0), np.array([np.inf]))
 
 
 def test_quasistatic_single_cell_component_matches_dense():
@@ -1069,9 +1086,10 @@ def test_run_front_expands_and_series_is_sampled():
     res = run(state, params, cfg, t_end=1.0)
     assert res.log.steps == 200
     radius = res.series.column("radius")
-    assert res.series.times[0] == 0.0
-    assert res.series.times[-1] == pytest.approx(1.0)
-    assert len(res.series.times) == 11
+    times = res.series.column("t")
+    assert times[0] == 0.0
+    assert times[-1] == pytest.approx(1.0)
+    assert len(times) == 11
     assert radius[-1] > radius[0]
     mass = res.series.column("mass_total")
     assert np.all(np.diff(mass) > 0)  # pure growth, no death
@@ -1198,7 +1216,7 @@ def reference_predict(state, params, dt):
     diag[0] = diag[-1] = 1.0
     rhs[0] = rhs[-1] = 0.0
     upper[0] = lower[-1] = 0.0
-    return solve_tridiagonal(lower, diag, upper, rhs)
+    return solve_banded_tridiagonal(lower, diag, upper, rhs)
 
 
 def reference_quasistatic(state, params, threshold):
@@ -1212,7 +1230,7 @@ def reference_quasistatic(state, params, threshold):
         rhs[0] += params.c_B / dx**2
         rhs[-1] += params.c_B / dx**2
         diag = 2.0 / dx**2 + n[s : e + 1]
-        c[s : e + 1] = solve_tridiagonal(off, diag, off.copy(), rhs)
+        c[s : e + 1] = solve_banded_tridiagonal(off, diag, off.copy(), rhs)
     return c
 
 
@@ -1228,7 +1246,7 @@ def reference_neumann(state, params, dt, t_new):
     diag[0] = diag[-1] = -1.0
     upper[0] = lower[-1] = 1.0
     rhs[0] = rhs[-1] = lam * dx
-    c = solve_tridiagonal(lower, diag, upper, rhs)
+    c = solve_banded_tridiagonal(lower, diag, upper, rhs)
     clamped = int(np.count_nonzero(c < 0.0))
     c[c < 0.0] = 0.0
     return c, clamped
