@@ -52,9 +52,9 @@ def _law_input(x, gamma: float, what: str):
 
 
 def pressure_from_density(n, gamma: float):
-    """gamma/(gamma-1) * n^(gamma-1), checking gamma > 1 and n >= 0. `step`
-    calls the bare `_pressure`: ModelParameters holds gamma >= 2, the clamp
-    keeps n >= 0, and its end-of-step finiteness test catches a NaN."""
+    """gamma/(gamma-1) * n^(gamma-1), checking gamma > 1 and n >= 0. The
+    solver finishes its states with the bare `_pressure`: ModelParameters
+    holds gamma >= 2, the clamp keeps n >= 0, and `step` tests u for a NaN."""
     n = _law_input(n, gamma, "density passed to the pressure law")
     return _pressure(n, gamma - 1.0, gamma / (gamma - 1.0))
 

@@ -14,14 +14,14 @@ import json
 import math
 import sys
 import time
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
 from .analytic import AnalyticSetup, analytic_pressure
-from .diagnostics import support_components, write_table
+from .diagnostics import write_table
 from .grid import Grid1D, density_from_pressure, pressure_from_density
 from .kinetics import (
     NEUMANN,
@@ -42,9 +42,9 @@ from .solver import (
     RunResult,
     SolverConfig,
     _check_t_end,
+    _settle,
     read_checkpoint,
     run,
-    solve_nutrient_quasistatic,
     write_checkpoint,
 )
 
@@ -138,10 +138,11 @@ class CustomCoshInit:
     halfwidth: float
 
     def __post_init__(self):
-        if not 0.0 < self.R < self.halfwidth:
-            raise ValueError(f"need 0 < R < halfwidth, got R={self.R}, halfwidth={self.halfwidth}")
-        if not self.dx > 0.0:
-            raise ValueError(f"dx must be positive, got {self.dx}")
+        if not 0.0 < self.R < self.halfwidth <= sys.float_info.max:  # R and halfwidth finite
+            raise ValueError(f"need 0 < R < halfwidth, both finite, got R={self.R}, "
+                             f"halfwidth={self.halfwidth}")
+        if not 0.0 < self.dx <= sys.float_info.max:
+            raise ValueError(f"dx must be positive and finite, got {self.dx}")
         if abs(round(self.halfwidth / self.dx) * self.dx - self.halfwidth) > 1e-9:
             raise ValueError(
                 f"halfwidth {self.halfwidth} is not a whole number of cells of size {self.dx}"
@@ -237,7 +238,8 @@ def _composition_values(comp: CompositionInit, x: np.ndarray, R0: float) -> np.n
 def build_initial_state(
     initial: InitialSpec, params: ModelParameters, solver_cfg: SolverConfig
 ) -> FieldState:
-    """The recipe's state at t = 0, or the one its checkpoint holds.
+    """The recipe's state at t = 0, finished as each step's is (u, and in
+    quasi-static mode c and its support), or the one its checkpoint holds.
 
     The grid is symmetric with a cell center at x = 0: the closed-form slab
     gets 2*margin vacuum cells per side, the cosh box spans its halfwidth."""
@@ -269,13 +271,7 @@ def build_initial_state(
         p = np.maximum(0.0, 1.0 - np.cosh(grid.cell_x) / np.cosh(initial.R))
         n1 = density_from_pressure(p, params.gamma)
         n2, c = np.zeros(grid.n_cells), np.ones(grid.n_cells)
-
-    n = n1 + n2
-    u = -np.diff(pressure_from_density(n, params.gamma)) / grid.dx
-    if params.nutrient_mode == QUASISTATIC:
-        c = solve_nutrient_quasistatic(
-            grid, n, n2, params, support_components(n > solver_cfg.support_threshold))
-    return FieldState(grid=grid, n1=n1, n2=n2, c=c, u=u, t=0.0)
+    return _settle(grid, np.concatenate((n1, n2)), c, 0.0, params, solver_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -579,10 +575,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunResult:
     try:
         result = run(initial, cfg.params, cfg.solver, cfg.t_end, cfg.snapshot_times())
         manifest["wall_time_s"] = time.perf_counter() - started
-        manifest["steps"] = result.log.steps
-        manifest["warnings"] = result.log.warnings
-        manifest["violations"] = result.log.violations
-        manifest["clamped_neg_mass"] = result.log.clamped_neg_mass
+        manifest.update(asdict(result.log))
 
         if "timeseries" in cfg.outputs:
             result.series.to_csv(out / "timeseries.csv")

@@ -89,7 +89,7 @@ class FieldState:
 
     The state also carries its support: `support(threshold)` is
     `support_components(n > threshold)`, found at most once per state and
-    threshold. A step hands the new state the components its quasi-static
+    threshold. `_settle` hands a state the components its quasi-static
     nutrient solve found, and an enlarged state gets its source's, shifted."""
 
     densities = property(attrgetter("_densities"))
@@ -427,6 +427,24 @@ def enlarge_domain_if_needed(
     return new, True
 
 
+def _settle(grid: Grid1D, densities: np.ndarray, c: np.ndarray | None, t: float,
+            params: ModelParameters, cfg: SolverConfig) -> FieldState:
+    """The state at t over `densities` (n1 then n2), with which set-up and
+    each step end: n, u = -p(n)' and, in quasi-static mode, c solved on the
+    support it finds, which the state carries (else c is the one given)."""
+    k = _coefficients(params, grid, cfg.dt)
+    n2 = densities[grid.n_cells :]
+    n = densities[: grid.n_cells] + n2
+    support = (None, ())
+    if params.nutrient_mode == QUASISTATIC:
+        support = (cfg.support_threshold, support_components(n > cfg.support_threshold))
+        c = solve_nutrient_quasistatic(grid, n, n2, params, support[1])
+    p = _pressure(n, k.g1, k.p_factor)  # unchecked: see pressure_from_density
+    u = p[1:] - p[:-1]
+    u /= k.neg_dx  # -(a/b) == a/(-b) bit for bit
+    return FieldState._of(grid, densities, n, c, u, t, support)
+
+
 class StepDiagnostics(NamedTuple):
     """A step's CFL number max|u*| dt/dx, the density mass its clamp removed, its
     count of nutrient cells clamped to zero, and whether it enlarged the grid."""
@@ -449,27 +467,16 @@ def step(
         state, enlarged = enlarge_domain_if_needed(state, params, cfg)
     try:
         growth = eval_growth(params.growth, state.c, state.n)
-        grid = state.grid
-        k = _coefficients(params, grid, dt)
         u_star = predict_velocity(state, params, dt, growth)
-        cfl = float(np.maximum.reduce(np.abs(u_star)) * dt / grid.dx)
+        cfl = float(np.maximum.reduce(np.abs(u_star)) * dt / state.grid.dx)
         densities, clamped = correct_densities(state, u_star, params, dt, growth)
-        n2 = densities[grid.n_cells :]
-        n = densities[: grid.n_cells] + n2
-
-        support = (None, ())
-        if params.nutrient_mode == QUASISTATIC:
-            support = (cfg.support_threshold, support_components(n > cfg.support_threshold))
-            c = solve_nutrient_quasistatic(grid, n, n2, params, support[1])
-            nutrient_clamped = 0
-        else:
+        c, nutrient_clamped = None, 0
+        if params.nutrient_mode != QUASISTATIC:
             c, nutrient_clamped = step_nutrient_neumann(state, params, dt, t_new)
-        p = _pressure(n, k.g1, k.p_factor)  # unchecked: see pressure_from_density
-        u = p[1:] - p[:-1]
-        u /= k.neg_dx  # -(a/b) == a/(-b) bit for bit
-        new = FieldState._of(grid, densities, n, c, u, t_new, support)
-        if not _all_finite(np.concatenate((densities, c, u))):
-            name = next(f for f in ("n1", "n2", "c", "u") if not _all_finite(getattr(new, f)))
+        new = _settle(state.grid, densities, c, t_new, params, cfg)
+        # c passed _solve_packed's test; a bad n1 or n2 reaches u through n and p
+        if not _all_finite(new.u):
+            name = next(f for f in ("n1", "n2", "u") if not _all_finite(getattr(new, f)))
             raise SolverError(f"non-finite values in {name} at t={t_new:.6g}")
     except SolverError as err:
         err.state, err.t = state, t_new
@@ -478,11 +485,11 @@ def step(
 
 
 @dataclass
-class RunLog:
+class RunLog:  # the run record, which manifest.json holds field by field in this order
+    steps: int = 0
     warnings: list[str] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
     clamped_neg_mass: float = 0.0
-    steps: int = 0
 
 
 @dataclass

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from autophagy_tumor import scenarios
-from autophagy_tumor.diagnostics import SERIES_CHANNELS
+from autophagy_tumor import scenarios, solver
+from autophagy_tumor.diagnostics import SERIES_CHANNELS, support_components
 from autophagy_tumor.grid import pressure_from_density
 from autophagy_tumor.kinetics import (
     NEUMANN,
+    QUASISTATIC,
     AffineDeath,
     ConstantFlux,
     ConstantTransitions,
@@ -44,6 +45,7 @@ from autophagy_tumor.solver import (
     SolverError,
     read_checkpoint,
     run,
+    step,
     write_checkpoint,
 )
 
@@ -78,6 +80,11 @@ def test_initializer_validation():
         CustomCoshInit(R=5.0, dx=0.1, halfwidth=5.0)
     with pytest.raises(ValueError):
         CustomCoshInit(R=0.0, dx=0.1, halfwidth=5.0)
+    # a non-finite size is refused when the recipe is built, not in set-up
+    with pytest.raises(ValueError, match="halfwidth"):
+        CustomCoshInit(R=1.0, dx=0.04, halfwidth=float("inf"))
+    with pytest.raises(ValueError, match="dx must be positive and finite"):
+        CustomCoshInit(R=1.0, dx=float("inf"), halfwidth=5.0)
 
 
 def test_scenario_config_output_entries():
@@ -200,6 +207,31 @@ def test_initial_state_cosh_box():
     # support fills |x| < 4 inside the [-5, 5] box
     assert state.n[0] == 0.0
     assert state.n[center] > 0.9
+
+
+@pytest.mark.parametrize("preset", ["fig-s4limit-gamma5", "neumann-autohelp-k2"])
+def test_the_first_step_reuses_what_set_up_formed(monkeypatch, preset):
+    # the initial state is finished as a step's is: with the run's dt, so the
+    # first step reuses the coefficients set-up formed, and carrying its
+    # support, so that step's enlargement check does not scan it again; a
+    # quasi-static step then scans once, for its own nutrient solve
+    cfg = PRESETS[preset]
+    scans = []
+
+    def counting(mask):
+        scans.append(mask.size)
+        return support_components(mask)
+
+    for module in (scenarios, solver):
+        if hasattr(module, "support_components"):
+            monkeypatch.setattr(module, "support_components", counting)
+    monkeypatch.setattr(solver, "_memo", None)
+    state = build_initial_state(cfg.initial, cfg.params, cfg.solver)
+    formed = solver._memo
+    new, diag = step(state, cfg.params, cfg.solver)
+    assert formed is not None and solver._memo is formed
+    assert not diag.enlarged and new.grid is state.grid
+    assert len(scans) == (2 if cfg.params.nutrient_mode == QUASISTATIC else 0)
 
 
 def test_initial_state_from_checkpoint(tmp_path):

@@ -909,26 +909,31 @@ def test_step_and_enlargement_never_write_into_their_input(case):
 @pytest.mark.parametrize(
     "bad, named",
     [
-        (("n1",), "n1"),
-        (("n2",), "n2"),
-        (("c",), "c"),
-        (("u",), "u"),
-        (("n1", "n2"), "n1"),
-        (("n2", "c"), "n2"),
-        (("c", "u"), "c"),
+        ({"n1": np.inf}, "n1"),
+        ({"n2": np.inf}, "n2"),
+        ({"n1": np.nan}, "n1"),
+        ({"u": np.inf}, "u"),
+        ({"n1": np.inf, "n2": np.inf}, "n1"),
+        ({"n2": np.inf, "c": np.inf}, "n2"),
+        ({"c": np.inf, "u": np.inf}, "u"),
+        ({"n2": np.nan}, "n2"),
+        ({"n1": np.nan, "n2": np.nan}, "n1"),
     ],
 )
 def test_step_names_the_first_non_finite_field(monkeypatch, bad, named):
-    # one non-finite cell injected where `step` gets each bad field; the
-    # error names the first bad field in the order n1, n2, c, u
+    # bad[f] injected into one cell where `step` gets field f; the error
+    # names the first bad field in the order n1, n2, u. `step` tests u
+    # alone: a bad density reaches u through n and the pressure, and a
+    # non-finite c cannot leave a nutrient solve (`_solve_packed` refuses
+    # it), so the c injected here goes unnamed
     import autophagy_tumor.solver as solver
 
-    def poisoned(func, *cells):
-        # inf at each index of the array func returns first (or alone)
+    def poisoned(func, cells):
+        # each {index: value} of cells into the array func returns first (or alone)
         def wrapper(*args, **kwargs):
             out = func(*args, **kwargs)
-            for cell in cells:
-                (out[0] if isinstance(out, tuple) else out)[cell] = np.inf
+            for cell, value in cells.items():
+                (out[0] if isinstance(out, tuple) else out)[cell] = value
             return out
 
         return wrapper
@@ -936,16 +941,17 @@ def test_step_names_the_first_non_finite_field(monkeypatch, bad, named):
     # the fixed box: no enlargement, and the nutrient step reads the old state
     state = bump_state()
     # n1 then n2 in the one array correct_densities returns
-    cells = [3 + state.grid.n_cells * ("n1", "n2").index(f) for f in bad if f in ("n1", "n2")]
+    cells = {3 + state.grid.n_cells * ("n1", "n2").index(f): value
+             for f, value in bad.items() if f in ("n1", "n2")}
     if cells:
-        monkeypatch.setattr(solver, "correct_densities", poisoned(solver.correct_densities, *cells))
+        monkeypatch.setattr(solver, "correct_densities", poisoned(solver.correct_densities, cells))
     if "c" in bad:
         monkeypatch.setattr(
-            solver, "step_nutrient_neumann", poisoned(solver.step_nutrient_neumann, 3)
+            solver, "step_nutrient_neumann", poisoned(solver.step_nutrient_neumann, {3: bad["c"]})
         )
     if "u" in bad:
-        # the pressure kernel step calls (bare, without pressure_from_density's checks)
-        monkeypatch.setattr(solver, "_pressure", poisoned(solver._pressure, 3))
+        # the pressure kernel that finishes the state (bare, without pressure_from_density's checks)
+        monkeypatch.setattr(solver, "_pressure", poisoned(solver._pressure, {3: bad["u"]}))
     params = neumann_params(g=1.0, D=0.3, K1=1.0, K2=1.0)
     with np.errstate(invalid="ignore"):
         with pytest.raises(SolverError, match=f"non-finite values in {named} at t=0.005$") as err:
