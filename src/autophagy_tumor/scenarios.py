@@ -42,6 +42,7 @@ from .solver import (
     RunResult,
     SolverConfig,
     _check_t_end,
+    _Coefficients,
     _settle,
     read_checkpoint,
     run,
@@ -122,10 +123,10 @@ class AnalyticPressureInit:
     composition: CompositionInit
 
     def __post_init__(self):
-        if not self.R0 > 0.0:
-            raise ValueError(f"R0 must be positive, got {self.R0}")
-        if not self.dx > 0.0:
-            raise ValueError(f"dx must be positive, got {self.dx}")
+        for name in ("R0", "dx"):
+            value = getattr(self, name)
+            if not 0.0 < value <= sys.float_info.max:  # not NaN, inf or a huge int
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,10 @@ class CustomCoshInit:
                              f"halfwidth={self.halfwidth}")
         if not 0.0 < self.dx <= sys.float_info.max:
             raise ValueError(f"dx must be positive and finite, got {self.dx}")
-        if abs(round(self.halfwidth / self.dx) * self.dx - self.halfwidth) > 1e-9:
+        cells = self.halfwidth / self.dx
+        if not cells <= sys.float_info.max:  # round() cannot take the infinity
+            raise ValueError(f"halfwidth {self.halfwidth} / dx {self.dx} overflows the cell count")
+        if abs(round(cells) * self.dx - self.halfwidth) > 1e-9:
             raise ValueError(
                 f"halfwidth {self.halfwidth} is not a whole number of cells of size {self.dx}"
             )
@@ -271,7 +275,8 @@ def build_initial_state(
         p = np.maximum(0.0, 1.0 - np.cosh(grid.cell_x) / np.cosh(initial.R))
         n1 = density_from_pressure(p, params.gamma)
         n2, c = np.zeros(grid.n_cells), np.ones(grid.n_cells)
-    return _settle(grid, np.concatenate((n1, n2)), c, 0.0, params, solver_cfg)
+    k = _Coefficients(params, solver_cfg, grid.dx)
+    return _settle(grid, np.concatenate((n1, n2)), c, 0.0, k)
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,15 @@ Velocities live on interior faces; the two wall faces always carry zero
 flux, so the scheme conserves mass up to the reaction terms and the
 clamping of negative densities (which is tracked and reported).
 
-A step's scalar coefficients are float64 0-d arrays formed once per
-(params, dt, grid), and each state carries its occupied components, found
+A run's scalar coefficients are float64 0-d arrays formed once and passed
+to each step, and each state carries its occupied components, found
 once; README "Performance" explains how a step keeps its per-call cost down.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -55,8 +56,7 @@ from .kinetics import (
 
 __all__ = [
     "SolverConfig", "FieldState", "SolverError", "StepDiagnostics", "RunLog", "RunResult",
-    "predict_velocity", "correct_densities", "solve_nutrient_quasistatic", "step_nutrient_neumann",
-    "enlarge_domain_if_needed", "step", "run", "write_checkpoint", "read_checkpoint",
+    "run", "write_checkpoint", "read_checkpoint",
 ]
 
 
@@ -157,43 +157,37 @@ _ZERO = np.zeros(1)
 
 
 class _Coefficients:
-    """A step's scalar coefficients on `grid` with (params, dt) as float64 0-d
-    arrays, with the bits of their Python float formulas: numpy converts a
-    Python float operand on every call, not a 0-d array (`c_B_dx2`, only
-    added to single elements, is a faster Python float). `off` is a packed
-    system (`_views`) of all cells with -1/dx^2 off-diagonals, `ambient` c_B."""
+    """A run's (params, cfg) and its scalar coefficients with cell width dx,
+    which an enlargement keeps, as float64 0-d arrays with the bits of their
+    Python float formulas: numpy converts a Python float operand on every
+    call, not a 0-d array (`c_B_dx2`, only added to single elements, is a
+    faster Python float, and so is `off_diag`, which fills a buffer)."""
 
-    def __init__(self, params: ModelParameters, grid: Grid1D, dt: float | None):
-        self.params, self.grid, self.dt_value, dx, g = params, grid, dt, grid.dx, params.gamma
+    def __init__(self, params: ModelParameters, cfg: SolverConfig, dx: float):
+        self.params, self.cfg, dt, g = params, cfg, cfg.dt, params.gamma
         self.dx, self.D, self.a = np.array(dx), np.array(params.D), np.array(params.a)
         self.neg_dx, self.two_dx, self.half_dx = (np.array(v) for v in (-dx, 2.0 * dx, 0.5 * dx))
         self.zero, self.half, self.one = np.array(0.0), np.array(0.5), np.array(1.0)
         # the pressure law's and the prediction's n^(gamma-1)*gamma/(gamma-1) and n^(gamma-2)
         self.g1, self.p_factor, self.g2 = (np.array(v) for v in (g - 1.0, g / (g - 1.0), g - 2.0))
         self.two_dx2, self.c_B_dx2 = np.array(2.0 / dx**2), params.c_B / dx**2
-        self.off = np.full(4 * grid.n_cells - 2, -1.0 / dx**2)
-        self.ambient = np.full(grid.n_cells, params.c_B)
-        self.off.flags.writeable = self.ambient.flags.writeable = False  # only ever read or copied
-        if dt is not None:
-            A = params.gamma * dt / dx**2
-            self.dt, self.inv_dt, self.A, self.neg_A = (np.array(v) for v in (dt, 1.0 / dt, A, -A))
-            self.B = np.array(params.gamma * dt / dx)
-            self.inv_dt_two_dx2 = np.array(1.0 / dt + 2.0 / dx**2)
-            self.singular = 1e-14 * (1.0 / dt**2)
+        self.off_diag = -1.0 / dx**2
+        A = g * dt / dx**2
+        self.dt, self.inv_dt, self.A, self.neg_A = (np.array(v) for v in (dt, 1.0 / dt, A, -A))
+        self.B = np.array(g * dt / dx)
+        self.inv_dt_two_dx2 = np.array(1.0 / dt + 2.0 / dx**2)
+        self.singular = 1e-14 * (1.0 / dt**2)
 
 
-_memo: _Coefficients | None = None
-
-
-def _coefficients(params: ModelParameters, grid: Grid1D, dt: float | None = None) -> _Coefficients:
-    """The last (params, grid, dt)'s coefficients, matched by identity (hashing
-    ModelParameters costs ten identity checks); dt None matches any dt."""
-    global _memo
-    k = _memo
-    if k is None or k.params is not params or k.grid is not grid or (
-            dt is not None and k.dt_value != dt):
-        k = _memo = _Coefficients(params, grid, dt)
-    return k
+@functools.lru_cache(maxsize=8)
+def _filled(size: int, value: float) -> np.ndarray:
+    """A read-only np.full(size, value), formed once per (size, value): the
+    nutrient solves copy (a prefix of) the packed system (`_views`) of a
+    grid's N cells with -1/dx^2 off-diagonals, `_filled(4N - 2, -1/dx^2)`,
+    and the ambient row `_filled(N, c_B)`."""
+    out = np.full(size, value, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 class SolverError(RuntimeError):
@@ -238,9 +232,7 @@ def _solve_packed(system, lower, upper, diag, rhs) -> np.ndarray:
     return x
 
 
-def predict_velocity(
-    state: FieldState, params: ModelParameters, dt: float, growth: np.ndarray
-) -> np.ndarray:
+def predict_velocity(state: FieldState, k: _Coefficients, growth: np.ndarray) -> np.ndarray:
     """Implicit prediction of the face velocities for the transport step.
 
     Solves, on interior faces, the linear system obtained from a backward
@@ -248,7 +240,6 @@ def predict_velocity(
     density weights n^(gamma-2), bounded at vacuum as ModelParameters holds
     gamma >= 2. The first and last interior faces are held at zero.
     `growth` is the rate G(c, n) on `state`."""
-    k = _coefficients(params, state.grid, dt)
     n = state.n
     w = n**k.g2
     # ws = w * (n1*G + n2*(G - D))
@@ -279,7 +270,7 @@ def predict_velocity(
 
 
 def correct_densities(
-    state: FieldState, u_star: np.ndarray, params: ModelParameters, dt: float, growth: np.ndarray
+    state: FieldState, u_star: np.ndarray, k: _Coefficients, growth: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Transport both species with the predicted velocity and apply the
     exchange/growth terms semi-implicitly; `growth` is the rate G(c, n) on
@@ -289,8 +280,7 @@ def correct_densities(
     in `FieldState.densities`, and the total mass removed by zeroing
     negative densities."""
     m = state.grid.n_cells
-    k = _coefficients(params, state.grid, dt)
-    K1, K2 = eval_transitions(params.transitions, state.c)
+    K1, K2 = eval_transitions(k.params.transitions, state.c)
 
     # both species in one pass over the flat n1-then-n2 array: u* on each
     # species' faces, and zero flux through the walls and through the junk
@@ -337,7 +327,7 @@ def correct_densities(
 
 
 def solve_nutrient_quasistatic(
-    grid: Grid1D, n: np.ndarray, n2: np.ndarray, params: ModelParameters,
+    grid: Grid1D, n: np.ndarray, n2: np.ndarray, k: _Coefficients,
     components: tuple[tuple[int, int], ...],
 ) -> np.ndarray:
     """Solve -c'' + c*n = a*n2 on `grid` for each occupied component, an
@@ -345,15 +335,15 @@ def solve_nutrient_quasistatic(
     n > threshold, found by the caller, who can hand them on to the state),
     with c equal to the ambient level at the first unoccupied cell on
     either side, and ambient everywhere off the occupied region."""
-    k = _coefficients(params, grid)
-    c = k.ambient.copy()
+    c = _filled(grid.n_cells, k.params.c_B).copy()
+    off = _filled(4 * grid.n_cells - 2, k.off_diag)
     for s, e in components:
         if s == 0 or e == grid.n_cells - 1:
             raise SolverError(
                 "occupied region reached the domain edge; "
                 "increase the enlargement margin or the initial padding"
             )
-        system, lower, upper, diag, rhs = _views(k.off[: 4 * (e - s) + 2].copy(), e - s + 1)
+        system, lower, upper, diag, rhs = _views(off[: 4 * (e - s) + 2].copy(), e - s + 1)
         np.add(k.two_dx2, n[s : e + 1], out=diag)
         np.multiply(k.a, n2[s : e + 1], out=rhs)
         rhs[0] += k.c_B_dx2
@@ -363,7 +353,7 @@ def solve_nutrient_quasistatic(
 
 
 def step_nutrient_neumann(
-    state: FieldState, params: ModelParameters, dt: float, t_new: float
+    state: FieldState, k: _Coefficients, t_new: float
 ) -> tuple[np.ndarray, int]:
     """One backward Euler step of c_t - c'' + c*n = a*n2 on the whole box,
     with the wall flux lambda(t) prescribed through the boundary rows
@@ -375,14 +365,14 @@ def step_nutrient_neumann(
     interior cells exactly (positive lambda lowers both wall cells below
     their neighbours and carries nutrient out). Negative values are clamped
     to zero; returns (c, number of clamped cells)."""
-    k = _coefficients(params, state.grid, dt)
-    system, lower, upper, diag, rhs = _views(k.off.copy(), state.grid.n_cells)
+    m = state.grid.n_cells
+    system, lower, upper, diag, rhs = _views(_filled(4 * m - 2, k.off_diag).copy(), m)
     np.add(k.inv_dt_two_dx2, state.n, out=diag)
     np.divide(state.c, k.dt, out=rhs)
     rhs += state.n2 * k.a
     lower[-1] = upper[0] = 1.0
     diag[0] = diag[-1] = -1.0
-    rhs[0] = rhs[-1] = eval_flux(params.lambda_schedule, t_new) * state.grid.dx
+    rhs[0] = rhs[-1] = eval_flux(k.params.lambda_schedule, t_new) * state.grid.dx
     c = _solve_packed(system, lower, upper, diag, rhs)
     neg = c < k.zero
     clamped = int(np.count_nonzero(neg))
@@ -391,9 +381,7 @@ def step_nutrient_neumann(
     return c, clamped
 
 
-def enlarge_domain_if_needed(
-    state: FieldState, params: ModelParameters, cfg: SolverConfig
-) -> tuple[FieldState, bool]:
+def enlarge_domain_if_needed(state: FieldState, k: _Coefficients) -> tuple[FieldState, bool]:
     """Extend the grid with vacuum cells when the occupied region (where the
     total density exceeds the support threshold) gets within
     `enlargement_margin` cells of an edge, restoring a gap of twice the
@@ -402,24 +390,24 @@ def enlarge_domain_if_needed(
     The gaps are those before the first and after the last occupied cell
     of the state's support, which a state built by `step` already carries;
     the enlarged state carries the same components, shifted by the pad."""
-    threshold = cfg.support_threshold
+    threshold, margin = k.cfg.support_threshold, k.cfg.enlargement_margin
     components = state.support(threshold)
     if not components:
         return state, False
-    n_cells, margin = state.grid.n_cells, cfg.enlargement_margin
+    n_cells = state.grid.n_cells
     left_gap, right_gap = components[0][0], n_cells - 1 - components[-1][1]
     pad_left = 2 * margin - left_gap if left_gap <= margin else 0
     pad_right = 2 * margin - right_gap if right_gap <= margin else 0
     if pad_left == 0 and pad_right == 0:
         return state, False
-    dx = state.grid.dx
+    dx, c_B = state.grid.dx, k.params.c_B
     grid = Grid1D(state.grid.x_min - pad_left * dx, dx, n_cells + pad_left + pad_right)
     zeros_l, zeros_r = np.zeros(pad_left), np.zeros(pad_right)
     new = FieldState._of(
         grid,
         np.concatenate((zeros_l, state.n1, zeros_r, zeros_l, state.n2, zeros_r)),
         np.concatenate((zeros_l, state.n, zeros_r)),
-        np.concatenate((np.full(pad_left, params.c_B), state.c, np.full(pad_right, params.c_B))),
+        np.concatenate((np.full(pad_left, c_B), state.c, np.full(pad_right, c_B))),
         np.concatenate((zeros_l, state.u, zeros_r)),
         state.t,
         (threshold, tuple((s + pad_left, e + pad_left) for s, e in components)),
@@ -428,17 +416,17 @@ def enlarge_domain_if_needed(
 
 
 def _settle(grid: Grid1D, densities: np.ndarray, c: np.ndarray | None, t: float,
-            params: ModelParameters, cfg: SolverConfig) -> FieldState:
+            k: _Coefficients) -> FieldState:
     """The state at t over `densities` (n1 then n2), with which set-up and
     each step end: n, u = -p(n)' and, in quasi-static mode, c solved on the
     support it finds, which the state carries (else c is the one given)."""
-    k = _coefficients(params, grid, cfg.dt)
     n2 = densities[grid.n_cells :]
     n = densities[: grid.n_cells] + n2
     support = (None, ())
-    if params.nutrient_mode == QUASISTATIC:
-        support = (cfg.support_threshold, support_components(n > cfg.support_threshold))
-        c = solve_nutrient_quasistatic(grid, n, n2, params, support[1])
+    if k.params.nutrient_mode == QUASISTATIC:
+        threshold = k.cfg.support_threshold
+        support = (threshold, support_components(n > threshold))
+        c = solve_nutrient_quasistatic(grid, n, n2, k, support[1])
     p = _pressure(n, k.g1, k.p_factor)  # unchecked: see pressure_from_density
     u = p[1:] - p[:-1]
     u /= k.neg_dx  # -(a/b) == a/(-b) bit for bit
@@ -455,25 +443,24 @@ class StepDiagnostics(NamedTuple):
     enlarged: bool
 
 
-def step(
-    state: FieldState, params: ModelParameters, cfg: SolverConfig
-) -> tuple[FieldState, StepDiagnostics]:
-    """Advance one time step and return the new state, built once and
-    sharing no array with `state`, with per-step diagnostics."""
-    dt = cfg.dt
+def step(state: FieldState, k: _Coefficients) -> tuple[FieldState, StepDiagnostics]:
+    """Advance one time step with the run's coefficients `k` and return the
+    new state, built once and sharing no array with `state`, with per-step
+    diagnostics."""
+    params, dt = k.params, k.cfg.dt
     t_new = state.t + dt
     enlarged = False
     if params.nutrient_mode == QUASISTATIC:
-        state, enlarged = enlarge_domain_if_needed(state, params, cfg)
+        state, enlarged = enlarge_domain_if_needed(state, k)
     try:
         growth = eval_growth(params.growth, state.c, state.n)
-        u_star = predict_velocity(state, params, dt, growth)
+        u_star = predict_velocity(state, k, growth)
         cfl = float(np.maximum.reduce(np.abs(u_star)) * dt / state.grid.dx)
-        densities, clamped = correct_densities(state, u_star, params, dt, growth)
+        densities, clamped = correct_densities(state, u_star, k, growth)
         c, nutrient_clamped = None, 0
         if params.nutrient_mode != QUASISTATIC:
-            c, nutrient_clamped = step_nutrient_neumann(state, params, dt, t_new)
-        new = _settle(state.grid, densities, c, t_new, params, cfg)
+            c, nutrient_clamped = step_nutrient_neumann(state, k, t_new)
+        new = _settle(state.grid, densities, c, t_new, k)
         # c passed _solve_packed's test; a bad n1 or n2 reaches u through n and p
         if not _all_finite(new.u):
             name = next(f for f in ("n1", "n2", "u") if not _all_finite(getattr(new, f)))
@@ -587,6 +574,7 @@ def run(initial: FieldState, params: ModelParameters, cfg: SolverConfig, t_end: 
         c_ceiling = max([params.c_B, *(float(state.c[s : e + 1].max())
                                        for s, e in state.support(cfg.support_threshold))])
 
+    k = _Coefficients(params, cfg, initial.grid.dx)  # an enlargement keeps dx
     rows: list[list[float]] = []
     max_cfl = 0.0
     first_cfl_t = None
@@ -600,7 +588,7 @@ def run(initial: FieldState, params: ModelParameters, cfg: SolverConfig, t_end: 
 
     for j in range(n_steps):
         try:
-            state, diag = step(state, params, cfg)
+            state, diag = step(state, k)
         except SolverError as err:
             err.args = (f"step {j + 1}: {err.args[0]}",)
             raise

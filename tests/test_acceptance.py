@@ -26,6 +26,7 @@ from autophagy_tumor.scenarios import (
 )
 from autophagy_tumor.solver import (
     SolverConfig,
+    _Coefficients,
     run,
     solve_nutrient_quasistatic,
     step,
@@ -217,7 +218,8 @@ def test_acceptance_5_closed_form_oracles():
             gamma=2.0, D=0.3, a=0.5, c_B=1.0, growth=Proportional(1.0),
             transitions=ConstantTransitions(1.0, 1.0),
         )
-        c = solve_nutrient_quasistatic(state.grid, state.n, state.n2, params, state.support(1e-8))
+        k = _Coefficients(params, SolverConfig(dt=0.01), state.grid.dx)
+        c = solve_nutrient_quasistatic(state.grid, state.n, state.n2, k, state.support(1e-8))
         exact = 0.25 + 0.75 * np.cosh(x) / np.cosh(1.0)
         inside = np.abs(x) <= 1.0 + dx / 2
         return float(np.max(np.abs(c[inside] - exact[inside])))
@@ -290,9 +292,10 @@ def test_acceptance_7_invariants_on_all_runs():
         init = CustomCoshInit(R=4.0, dx=dx, halfwidth=5.0)
         state = build_initial_state(init, params, cfg)
         worst = 0.0
+        k = _Coefficients(params, cfg, state.grid.dx)
         for _ in range(n_steps):
             old = state
-            state, diag = step(state, params, cfg)
+            state, diag = step(state, k)
             assert diag.clamped_mass == 0.0
             G = eval_growth(params.growth, old.c, old.n)
             lhs = dx * np.sum(state.n - old.n) / dt

@@ -24,7 +24,13 @@ from autophagy_tumor.kinetics import (
     Proportional,
     equilibrium_roots,
 )
-from autophagy_tumor.solver import RunLog, SolverConfig, _sample, enlarge_domain_if_needed
+from autophagy_tumor.solver import (
+    RunLog,
+    SolverConfig,
+    _Coefficients,
+    _sample,
+    enlarge_domain_if_needed,
+)
 
 from conftest import make_state
 
@@ -266,7 +272,7 @@ def test_total_population_invariant_under_domain_growth(rng):
     before = total_population(state)
     cfg = SolverConfig(dt=1e-3, enlargement_margin=5)
     params = params_with(ConstantTransitions(K1=1.0, K2=1.0))
-    grown, changed = enlarge_domain_if_needed(state, params, cfg)
+    grown, changed = enlarge_domain_if_needed(state, _Coefficients(params, cfg, state.grid.dx))
     assert changed
     assert grown.grid.n_cells > state.grid.n_cells
     # old cells are preserved bitwise inside the padded arrays

@@ -85,6 +85,11 @@ def test_initializer_validation():
         CustomCoshInit(R=1.0, dx=0.04, halfwidth=float("inf"))
     with pytest.raises(ValueError, match="dx must be positive and finite"):
         CustomCoshInit(R=1.0, dx=float("inf"), halfwidth=5.0)
+    with pytest.raises(ValueError, match="dx must be positive and finite"):
+        AnalyticPressureInit(R0=1.0, dx=float("inf"), composition=ConstantComposition(1.0))
+    # finite sizes whose cell count overflows: a ValueError, not round(inf)'s OverflowError
+    with pytest.raises(ValueError, match=r"halfwidth 1e\+300 / dx 1e-10 overflows"):
+        CustomCoshInit(R=1.0, dx=1e-10, halfwidth=1e300)
 
 
 def test_scenario_config_output_entries():
@@ -211,9 +216,8 @@ def test_initial_state_cosh_box():
 
 @pytest.mark.parametrize("preset", ["fig-s4limit-gamma5", "neumann-autohelp-k2"])
 def test_the_first_step_reuses_what_set_up_formed(monkeypatch, preset):
-    # the initial state is finished as a step's is: with the run's dt, so the
-    # first step reuses the coefficients set-up formed, and carrying its
-    # support, so that step's enlargement check does not scan it again; a
+    # the initial state is finished as a step's is, carrying its support, so
+    # the first step's enlargement check does not scan it again; a
     # quasi-static step then scans once, for its own nutrient solve
     cfg = PRESETS[preset]
     scans = []
@@ -225,13 +229,26 @@ def test_the_first_step_reuses_what_set_up_formed(monkeypatch, preset):
     for module in (scenarios, solver):
         if hasattr(module, "support_components"):
             monkeypatch.setattr(module, "support_components", counting)
-    monkeypatch.setattr(solver, "_memo", None)
     state = build_initial_state(cfg.initial, cfg.params, cfg.solver)
-    formed = solver._memo
-    new, diag = step(state, cfg.params, cfg.solver)
-    assert formed is not None and solver._memo is formed
+    new, diag = step(state, solver._Coefficients(cfg.params, cfg.solver, state.grid.dx))
     assert not diag.enlarged and new.grid is state.grid
     assert len(scans) == (2 if cfg.params.nutrient_mode == QUASISTATIC else 0)
+
+
+def test_a_run_forms_its_coefficients_once_while_its_grid_grows(monkeypatch):
+    # set-up forms one bundle and `run` one more, which serves every step:
+    # an enlargement keeps dx, and the grid-sized buffers are keyed by value
+    cfg = PRESETS["fig-s3unicon"]
+    assert cfg.params.nutrient_mode == QUASISTATIC
+    formed = []
+    init = solver._Coefficients.__init__
+    monkeypatch.setattr(solver._Coefficients, "__init__",
+                        lambda self, *args: formed.append(args) or init(self, *args))
+    state = build_initial_state(cfg.initial, cfg.params, cfg.solver)
+    assert len(formed) == 1
+    result = run(state, cfg.params, cfg.solver, cfg.t_end)
+    assert result.final_state.grid.n_cells > state.grid.n_cells  # it enlarged
+    assert len(formed) == 2
 
 
 def test_initial_state_from_checkpoint(tmp_path):

@@ -31,7 +31,8 @@ from autophagy_tumor.solver import (
     SolverConfig,
     SolverError,
     StepDiagnostics,
-    _coefficients,
+    _Coefficients,
+    _filled,
     _solve_packed,
     _views,
     _sample,
@@ -49,17 +50,34 @@ from autophagy_tumor.solver import (
 from conftest import make_state
 
 
+def coefficients(state, params, dt=0.01):
+    """The coefficients `run` forms for (params, a step of dt) on `state`'s grid."""
+    return _Coefficients(params, SolverConfig(dt=dt), state.grid.dx)
+
+
+def quasistatic(state, params):
+    """The quasi-static nutrient on the support of `state`, as `_settle` solves it."""
+    k = coefficients(state, params)
+    return solve_nutrient_quasistatic(state.grid, state.n, state.n2, k, state.support(1e-8))
+
+
+def enlarge(state, params, cfg):
+    """`enlarge_domain_if_needed` with the coefficients `run` forms."""
+    return enlarge_domain_if_needed(state, _Coefficients(params, cfg, state.grid.dx))
+
+
 def predict(state, params, dt):
     """predict_velocity with the growth rate that `step` computes once and
     passes on."""
-    return predict_velocity(state, params, dt, eval_growth(params.growth, state.c, state.n))
+    k = coefficients(state, params, dt)
+    return predict_velocity(state, k, eval_growth(params.growth, state.c, state.n))
 
 
 def correct(state, u_star, params, dt):
     """correct_densities with the growth rate that `step` passes on, as
     (n1, n2, clamped mass)."""
     growth = eval_growth(params.growth, state.c, state.n)
-    densities, clamped = correct_densities(state, u_star, params, dt, growth)
+    densities, clamped = correct_densities(state, u_star, coefficients(state, params, dt), growth)
     m = state.grid.n_cells
     return densities[:m], densities[m:], clamped
 
@@ -211,21 +229,22 @@ def test_packed_solves_write_neither_their_state_nor_the_coefficients():
     state = make_state(n1, 0.5 * n1, c=np.linspace(0.5, 1.0, 21), u=np.linspace(-0.1, 0.1, 20))
     params = neumann_params(gamma=3.0, D=0.2, K1=0.5, K2=0.3)
     dt = 0.01
-    k = _coefficients(params, state.grid, dt)
-    kept = frozen_copy(state) | {"off": k.off.copy(), "ambient": k.ambient.copy()}
+    k = coefficients(state, params, dt)
+    buffers = {"off": _filled(4 * 21 - 2, k.off_diag), "ambient": _filled(21, k.params.c_B)}
+    kept = frozen_copy(state) | {name: arr.copy() for name, arr in buffers.items()}
     growth = eval_growth(params.growth, state.c, state.n)
     solutions = [
-        predict_velocity(state, params, dt, growth),
-        step_nutrient_neumann(state, params, dt, state.t + dt)[0],
-        solve_nutrient_quasistatic(state.grid, state.n, state.n2, params, ((4, 4), (8, 14))),
+        predict_velocity(state, k, growth),
+        step_nutrient_neumann(state, k, state.t + dt)[0],
+        solve_nutrient_quasistatic(state.grid, state.n, state.n2, k, ((4, 4), (8, 14))),
     ]
-    assert _coefficients(params, state.grid, dt) is k
     for name, arr in kept.items():
-        assert getattr(k if name in ("off", "ambient") else state, name).tobytes() == arr.tobytes()
-    arrays = [getattr(state, name) for name in ("densities", "n", "c", "u")] + [k.off, k.ambient]
+        held = buffers[name] if name in buffers else getattr(state, name)
+        assert held.tobytes() == arr.tobytes()
+    arrays = [getattr(state, name) for name in ("densities", "n", "c", "u")] + [*buffers.values()]
     for i, x in enumerate(solutions):
         assert not any(np.shares_memory(x, a) for a in arrays + solutions[:i])
-    assert not (k.off.flags.writeable or k.ambient.flags.writeable)
+    assert not any(arr.flags.writeable for arr in buffers.values())
 
 
 def test_tridiagonal_one_by_one_divides():
@@ -245,7 +264,7 @@ def test_quasistatic_single_cell_component_matches_dense():
     n2[4] = 0.2
     state = make_state(n1, n2, dx=dx)
     params = basic_params(a=0.5, c_B=1.5)
-    c = solve_nutrient_quasistatic(state.grid, state.n, state.n2, params, state.support(1e-8))
+    c = quasistatic(state, params)
     dense = np.array([[2.0 / dx**2 + 0.9]])
     rhs = np.array([0.5 * 0.2 + 2.0 * 1.5 / dx**2])
     np.testing.assert_allclose(c[4:5], np.linalg.solve(dense, rhs), rtol=1e-14)
@@ -452,9 +471,7 @@ def quasistatic_case(mu, a, R, dx, pad=6):
 
 def test_quasistatic_vacuum_gives_ambient():
     state = make_state(np.zeros(9), np.zeros(9))
-    c = solve_nutrient_quasistatic(
-        state.grid, state.n, state.n2, basic_params(c_B=1.25), state.support(1e-8)
-    )
+    c = quasistatic(state, basic_params(c_B=1.25))
     np.testing.assert_array_equal(c, np.full(9, 1.25))
 
 
@@ -466,24 +483,23 @@ def test_quasistatic_matches_closed_form_and_converges():
     errors = []
     for dx in (R / 20, R / 40, R / 80):
         state, x = quasistatic_case(mu, a, R, dx)
-        c = solve_nutrient_quasistatic(state.grid, state.n, state.n2, params, state.support(1e-8))
+        c = quasistatic(state, params)
         exact = 0.25 + 0.75 * np.cosh(x) / np.cosh(1.0)
         inside = np.abs(x) <= R + dx / 2
         errors.append(np.max(np.abs(c[inside] - exact[inside])))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all(orders > 1.9)
     state, x = quasistatic_case(mu, a, R, R / 80)
-    c = solve_nutrient_quasistatic(state.grid, state.n, state.n2, params, state.support(1e-8))
+    c = quasistatic(state, params)
     center = c[np.argmin(np.abs(x))]
     assert center == pytest.approx(0.7360407052479141, abs=2e-4)
 
 
 def test_quasistatic_pure_normal_center_value():
-    # mu = 1 slab: c(0) -> 1/cosh(1)
+    # mu = 1 slab: c(0) -> 1/cosh(1); an int c_B, as Python code may pass,
+    # still gives a float nutrient
     state, x = quasistatic_case(1.0, 0.5, 1.0, 1.0 / 80)
-    c = solve_nutrient_quasistatic(
-        state.grid, state.n, state.n2, basic_params(a=0.5, c_B=1.0), state.support(1e-8)
-    )
+    c = quasistatic(state, basic_params(a=0.5, c_B=1))
     center = c[np.argmin(np.abs(x))]
     assert center == pytest.approx(0.6480542736638855, abs=2e-4)
 
@@ -494,9 +510,7 @@ def test_quasistatic_components_solved_independently():
     n[8:12] = 1.0
     n[28:33] = 1.0
     state = make_state(n, np.zeros(41), dx=dx)
-    c = solve_nutrient_quasistatic(
-        state.grid, state.n, state.n2, basic_params(a=0.0, c_B=2.0), state.support(1e-8)
-    )
+    c = quasistatic(state, basic_params(a=0.0, c_B=2.0))
     # gap and exterior hold the ambient level exactly
     np.testing.assert_array_equal(c[:8], 2.0)
     np.testing.assert_array_equal(c[12:28], 2.0)
@@ -512,9 +526,7 @@ def test_quasistatic_edge_contact_raises():
     n[0:3] = 1.0
     state = make_state(n, np.zeros(9))
     with pytest.raises(SolverError):
-        solve_nutrient_quasistatic(
-            state.grid, state.n, state.n2, basic_params(), state.support(1e-8)
-        )
+        quasistatic(state, basic_params())
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +541,7 @@ def test_neumann_uniform_fixed_point():
     params = neumann_params(a=0.5)
     c0 = params.a * n2[0] / (n1[0] + n2[0])
     state = make_state(n1, n2, c=np.full(m, c0))
-    c, clamped = step_nutrient_neumann(state, params, dt=0.01, t_new=0.01)
+    c, clamped = step_nutrient_neumann(state, coefficients(state, params, 0.01), 0.01)
     assert clamped == 0
     np.testing.assert_allclose(c, c0, rtol=1e-12)
 
@@ -539,7 +551,7 @@ def test_neumann_wall_rows_hold_exactly():
     lam = 0.3
     state = make_state(np.full(m, 0.4), np.full(m, 0.2), c=np.ones(m), dx=0.1)
     params = neumann_params(a=0.5, lambda_schedule=ConstantFlux(lam))
-    c, clamped = step_nutrient_neumann(state, params, dt=0.01, t_new=0.01)
+    c, clamped = step_nutrient_neumann(state, coefficients(state, params, 0.01), 0.01)
     assert clamped == 0
     assert c[1] - c[0] == pytest.approx(lam * 0.1, rel=1e-12)
     assert c[-2] - c[-1] == pytest.approx(lam * 0.1, rel=1e-12)
@@ -558,7 +570,7 @@ def test_neumann_interior_balance_identity():
     c_old = 1.0 + 0.1 * np.cos(x)
     state = make_state(n1, n2, c=c_old, dx=dx)
     params = neumann_params(a=0.5, lambda_schedule=ConstantFlux(lam))
-    c, clamped = step_nutrient_neumann(state, params, dt=dt, t_new=dt)
+    c, clamped = step_nutrient_neumann(state, coefficients(state, params, dt), dt)
     assert clamped == 0
     n = n1 + n2
     interior = slice(1, m - 1)
@@ -574,11 +586,11 @@ def test_neumann_positive_flux_drains_the_box():
     m = 25
     state = make_state(np.zeros(m), np.zeros(m), c=np.ones(m), dx=0.1)
     params = neumann_params(a=0.0, lambda_schedule=ConstantFlux(0.4))
-    c, _ = step_nutrient_neumann(state, params, dt=0.05, t_new=0.05)
+    c, _ = step_nutrient_neumann(state, coefficients(state, params, 0.05), 0.05)
     assert np.sum(c[1:-1]) < np.sum(np.ones(m)[1:-1])
     # and an inward (negative) flux replenishes it
     params_in = neumann_params(a=0.0, lambda_schedule=ConstantFlux(-0.4))
-    c_in, _ = step_nutrient_neumann(state, params_in, dt=0.05, t_new=0.05)
+    c_in, _ = step_nutrient_neumann(state, coefficients(state, params_in, 0.05), 0.05)
     assert np.sum(c_in[1:-1]) > np.sum(c[1:-1])
 
 
@@ -586,7 +598,7 @@ def test_neumann_clamps_negative_cells():
     m = 25
     state = make_state(np.zeros(m), np.zeros(m), c=np.zeros(m), dx=0.1)
     params = neumann_params(a=0.0, lambda_schedule=ConstantFlux(2.0))
-    c, clamped = step_nutrient_neumann(state, params, dt=0.05, t_new=0.05)
+    c, clamped = step_nutrient_neumann(state, coefficients(state, params, 0.05), 0.05)
     assert clamped > 0
     assert np.all(c >= 0.0)
 
@@ -600,7 +612,7 @@ def test_enlarge_noop_when_gap_is_wide():
     n[14:17] = 1.0
     state = make_state(n, np.zeros(31))
     cfg = SolverConfig(dt=0.01, enlargement_margin=5)
-    out, changed = enlarge_domain_if_needed(state, basic_params(), cfg)
+    out, changed = enlarge(state, basic_params(), cfg)
     assert not changed
     assert out is state
 
@@ -614,7 +626,7 @@ def test_enlarge_pads_to_double_margin():
     state = make_state(n, 0.5 * n, c=c, u=u, dx=dx)
     cfg = SolverConfig(dt=0.01, enlargement_margin=5)
     params = basic_params(c_B=2.0)
-    out, changed = enlarge_domain_if_needed(state, params, cfg)
+    out, changed = enlarge(state, params, cfg)
     assert changed
     pad_left = 2 * 5 - 3
     idx = np.flatnonzero(out.n > cfg.support_threshold)
@@ -661,7 +673,7 @@ def test_enlarge_edge_windows_match_support_scan(margin, cells):
     state = make_state(0.5 * n, 0.5 * n, dx=0.1)
     cfg = SolverConfig(dt=0.01, support_threshold=_THRESHOLD, enlargement_margin=margin)
     pad_left, pad_right = enlargement_pads_by_scan(n, _THRESHOLD, margin)
-    out, changed = enlarge_domain_if_needed(state, basic_params(), cfg)
+    out, changed = enlarge(state, basic_params(), cfg)
     assert changed == (pad_left > 0 or pad_right > 0)
     assert out.grid.n_cells == n.size + pad_left + pad_right
     assert out.grid.x_min == state.grid.x_min - pad_left * 0.1
@@ -671,7 +683,7 @@ def test_enlarge_edge_windows_match_support_scan(margin, cells):
 def test_enlarge_ignores_empty_state():
     state = make_state(np.zeros(9), np.zeros(9))
     cfg = SolverConfig(dt=0.01, enlargement_margin=4)
-    out, changed = enlarge_domain_if_needed(state, basic_params(), cfg)
+    out, changed = enlarge(state, basic_params(), cfg)
     assert not changed and out is state
 
 
@@ -689,7 +701,7 @@ def test_step_zero_state_is_fixed_point():
     state = make_state(np.zeros(15), np.zeros(15), c=np.ones(15))
     params = basic_params(g=1.0, K1=1.0, K2=1.0, c_B=1.0)
     cfg = SolverConfig(dt=0.01)
-    new, diag = step(state, params, cfg)
+    new, diag = step(state, _Coefficients(params, cfg, state.grid.dx))
     np.testing.assert_array_equal(new.n1, np.zeros(15))
     np.testing.assert_array_equal(new.n2, np.zeros(15))
     np.testing.assert_array_equal(new.c, np.ones(15))
@@ -702,7 +714,7 @@ def test_step_preserves_mirror_symmetry():
     state = bump_state()
     params = basic_params(g=1.0, D=0.3, K1=1.0, K2=1.0)
     cfg = SolverConfig(dt=0.005)
-    new, _ = step(state, params, cfg)
+    new, _ = step(state, _Coefficients(params, cfg, state.grid.dx))
     assert np.max(np.abs(new.n1 - new.n1[::-1])) < 1e-12
     assert np.max(np.abs(new.n2 - new.n2[::-1])) < 1e-12
     assert np.max(np.abs(new.c - new.c[::-1])) < 1e-12
@@ -713,7 +725,7 @@ def test_step_updates_velocity_from_new_pressure():
     state = bump_state()
     params = basic_params(g=1.0, D=0.3, K1=1.0, K2=1.0)
     cfg = SolverConfig(dt=0.005)
-    new, _ = step(state, params, cfg)
+    new, _ = step(state, _Coefficients(params, cfg, state.grid.dx))
     p = pressure_from_density(new.n, params.gamma)
     np.testing.assert_allclose(new.u, -np.diff(p) / new.grid.dx, atol=1e-15)
 
@@ -725,12 +737,10 @@ def test_step_discrete_mass_balance():
     from autophagy_tumor.kinetics import eval_growth
 
     state = bump_state()
-    state.c = solve_nutrient_quasistatic(
-        state.grid, state.n, state.n2, basic_params(a=0.5, D=0.3), state.support(1e-8)
-    )
+    state.c = quasistatic(state, basic_params(a=0.5, D=0.3))
     params = basic_params(g=1.0, D=0.3, K1=1.0, K2=1.0, a=0.5)
     cfg = SolverConfig(dt=0.002, enlargement_margin=5)
-    new, diag = step(state, params, cfg)
+    new, diag = step(state, _Coefficients(params, cfg, state.grid.dx))
     assert new.grid.n_cells == state.grid.n_cells
     assert diag.clamped_mass == 0.0
     dx = state.grid.dx
@@ -844,7 +854,7 @@ def mirrored(state):
 @given(case=small_cases())
 def test_step_keeps_densities_non_negative_and_balances_mass(case):
     state, params, cfg, reacting = case
-    new, diag = step(state, params, cfg)
+    new, diag = step(state, _Coefficients(params, cfg, state.grid.dx))
     assert np.all(new.densities >= 0.0)
     assert diag.clamped_mass >= 0.0
     # without growth and death, transport and exchange conserve mass, so it
@@ -852,7 +862,7 @@ def test_step_keeps_densities_non_negative_and_balances_mass(case):
     # the source on the (possibly enlarged) state the step transports
     old = state
     if params.nutrient_mode == QUASISTATIC:
-        old = enlarge_domain_if_needed(state, params, cfg)[0]
+        old = enlarge(state, params, cfg)[0]
     dx = state.grid.dx
     change = dx * np.sum(new.n) - dx * np.sum(old.n)
     if not reacting:
@@ -867,8 +877,9 @@ def test_step_keeps_densities_non_negative_and_balances_mass(case):
 @given(case=small_cases())
 def test_step_of_a_mirrored_state_is_the_mirrored_step(case):
     state, params, cfg, _ = case
-    new, diag = step(state, params, cfg)
-    flip, flip_diag = step(mirrored(state), params, cfg)
+    k = _Coefficients(params, cfg, state.grid.dx)
+    new, diag = step(state, k)
+    flip, flip_diag = step(mirrored(state), k)
     assert flip.grid.n_cells == new.grid.n_cells
     for name, sign in (("n1", 1.0), ("n2", 1.0), ("c", 1.0), ("u", -1.0)):
         want = getattr(new, name)
@@ -896,8 +907,8 @@ def test_step_and_enlargement_never_write_into_their_input(case):
     state = make()
     for _ in range(3):
         before = frozen_copy(state)
-        grown, _ = enlarge_domain_if_needed(state, params, cfg)
-        new, _ = step(state, params, cfg)
+        grown, _ = enlarge(state, params, cfg)
+        new, _ = step(state, _Coefficients(params, cfg, state.grid.dx))
         for name, arr in before.items():
             assert np.array_equal(getattr(state, name), arr), name
             for out in (grown, new):
@@ -955,7 +966,7 @@ def test_step_names_the_first_non_finite_field(monkeypatch, bad, named):
     params = neumann_params(g=1.0, D=0.3, K1=1.0, K2=1.0)
     with np.errstate(invalid="ignore"):
         with pytest.raises(SolverError, match=f"non-finite values in {named} at t=0.005$") as err:
-            step(state, params, SolverConfig(dt=0.005))
+            step(state, _Coefficients(params, SolverConfig(dt=0.005), state.grid.dx))
     assert err.value.state is state
     assert err.value.t == 0.005
 
@@ -976,7 +987,7 @@ def test_step_pressure_kernel_matches_pressure_from_density(gamma, n):
     # the bare law step calls, with the run's bound operands, against the
     # checked public law, bit for bit
     n = np.array(n)
-    k = _coefficients(basic_params(gamma=gamma), Grid1D(x_min=0.0, dx=0.1, n_cells=n.size), 0.01)
+    k = _Coefficients(basic_params(gamma=gamma), SolverConfig(dt=0.01), 0.1)
     with np.errstate(over="ignore"):
         got, want = solver_module._pressure(n, k.g1, k.p_factor), pressure_from_density(n, gamma)
     assert got.dtype == want.dtype == np.float64
@@ -1044,10 +1055,10 @@ def test_step_failure_carries_the_state_it_advanced_and_the_time_it_failed_at(ca
     # first, and the enlarged state is the one carried
     want = state
     if params.nutrient_mode == QUASISTATIC:
-        want = enlarge_domain_if_needed(state, params, cfg)[0]
+        want = enlarge(state, params, cfg)[0]
         assert want.grid.n_cells > state.grid.n_cells
     with np.errstate(all="ignore"), pytest.raises(SolverError, match=message) as err:
-        step(state, params, cfg)
+        step(state, _Coefficients(params, cfg, state.grid.dx))
     assert err.value.t == state.t + cfg.dt
     if want is state:
         assert err.value.state is state
@@ -1360,8 +1371,9 @@ def test_step_matches_reference_bit_for_bit(case):
     n_cells0 = state.grid.n_cells
     clamped = 0.0
     enlargements = nutrient_clamps = 0
+    k = _Coefficients(params, cfg, state.grid.dx)  # one for the run, as `run` forms it
     for j in range(50):
-        state, diag = step(state, params, cfg)
+        state, diag = step(state, k)
         ref, ref_diag = reference_step(ref, params, cfg)
         # every per-step diagnostic, not only their sums
         assert diag == ref_diag, j
@@ -1455,9 +1467,10 @@ def test_sample_matches_reference_on_stepped_states(case):
     if isinstance(params.transitions, ConstantTransitions) and params.D > 0:
         mu_star = equilibrium_roots(params.D, params.transitions.K1, params.transitions.K2).mu_star
     clamped = 0.0
+    k = _Coefficients(params, cfg, state.grid.dx)
     for _ in range(30):
         assert_sample_matches_reference(state, params, mu_star, c0, clamped)
-        state, diag = step(state, params, cfg)
+        state, diag = step(state, k)
         clamped += diag.clamped_mass
     assert_sample_matches_reference(state, params, None, c0, clamped)
 
@@ -1486,14 +1499,14 @@ def test_sample_matches_reference_on_built_states():
 
 
 # ---------------------------------------------------------------------------
-# the coefficients bound per setup and the support carried by each state
+# the coefficients bound per run and the support carried by each state
 
 
 def test_coefficients_are_0d_float64_with_the_bits_of_their_formulas():
     params = basic_params(gamma=3.0, D=0.3, a=0.45)
-    grid, dt = Grid1D(x_min=-1.0, dx=0.1, n_cells=21), 0.005
-    gamma, dx = params.gamma, grid.dx
-    k = _coefficients(params, grid, dt)
+    dx, dt = 0.1, 0.005
+    gamma = params.gamma
+    k = _Coefficients(params, SolverConfig(dt=dt), dx)
     formulas = {
         "dx": dx, "D": params.D, "a": params.a, "zero": 0.0, "half": 0.5, "one": 1.0,
         "two_dx2": 2.0 / dx**2, "dt": dt, "inv_dt": 1.0 / dt, "A": gamma * dt / dx**2,
@@ -1509,28 +1522,29 @@ def test_coefficients_are_0d_float64_with_the_bits_of_their_formulas():
     # added to single elements only, where a Python float is the faster operand
     assert type(k.c_B_dx2) is float and k.c_B_dx2 == params.c_B / dx**2
     assert k.singular == 1e-14 * (1.0 / dt**2)
-    # the nutrient solves copy a prefix of a packed system (lower, upper, diag,
-    # rhs end to end) whose off-diagonals hold -1/dx^2; read-only
-    assert np.array_equal(k.off, np.full(4 * 21 - 2, -1.0 / dx**2))
-    assert np.array_equal(k.ambient, np.full(21, params.c_B))
-    assert not any(a.flags.writeable for a in (k.off, k.ambient))
-    # kept for the last setup, matched by identity; no dt matches any dt
-    assert _coefficients(params, grid, dt) is k and _coefficients(params, grid) is k
-    for other in (
-        (dataclasses.replace(params), grid, dt),
-        (params, Grid1D(x_min=-1.0, dx=0.1, n_cells=21), dt),
-        (params, grid, 0.0025),
-    ):
-        assert _coefficients(*other) is not k
-        k = _coefficients(params, grid, dt)
+    # the nutrient solves copy (a prefix of) a packed system (lower, upper,
+    # diag, rhs end to end) whose off-diagonals hold -1/dx^2, and the ambient
+    # row; read-only buffers, formed once per value
+    assert k.off_diag == -1.0 / dx**2
+    off, ambient = _filled(4 * 21 - 2, k.off_diag), _filled(21, params.c_B)
+    assert off.tobytes() == np.full(4 * 21 - 2, -1.0 / dx**2).tobytes()
+    assert ambient.tobytes() == np.full(21, params.c_B).tobytes()
+    assert not any(a.flags.writeable for a in (off, ambient))
+    with pytest.raises(ValueError, match="read-only"):
+        off[0] = 0.0
+    # matched by value: equal parameters in another object, another dt
+    other = _Coefficients(dataclasses.replace(params), SolverConfig(dt=0.0025), dx)
+    assert _filled(4 * 21 - 2, other.off_diag) is off
+    assert _filled(21, other.params.c_B) is ambient
 
 
 def test_step_matches_reference_when_setups_alternate():
-    # every step meets the coefficients of another setup. The first four
-    # start from one state, so they share its grid object, and each differs
-    # from the one before in one way only: another gamma, then equal
-    # parameters in a distinct object, then another dt. Then another grid
-    # under the same parameters and config, a grid that grows, a Neumann box
+    # each setup steps with its own coefficients, formed once as `run` forms
+    # them, between steps of the other setups. The first four start from one
+    # state, so they share its grid object, and each differs from the one
+    # before in one way only: another gamma, then equal parameters in a
+    # distinct object, then another dt. Then another grid under the same
+    # parameters and config, a grid that grows, a Neumann box
     base = basic_params(g=1.0, D=0.3, K1=1.0, K2=1.0, a=0.5)
     cfg = SolverConfig(dt=0.005, enlargement_margin=5)
     shared, equal = bump_state(), dataclasses.replace(base)
@@ -1545,9 +1559,10 @@ def test_step_matches_reference_when_setups_alternate():
     ]
     states = [state for state, _, _ in setups]
     refs = list(states)
+    bundles = [_Coefficients(params, cfg_i, state.grid.dx) for state, params, cfg_i in setups]
     for j in range(20):
         for i, (_, params, cfg_i) in enumerate(setups):
-            states[i], diag = step(states[i], params, cfg_i)
+            states[i], diag = step(states[i], bundles[i])
             refs[i], ref_diag = reference_step(refs[i], params, cfg_i)
             assert diag == ref_diag, (i, j)
             for name in ("n1", "n2", "c", "u"):
@@ -1588,7 +1603,7 @@ def test_state_carries_its_support(cells, other):
         assert state.support(other) == support_components(n > other)
         assert len(scans) == 2
         # an enlarged state carries the components of its source, shifted
-        out, changed = enlarge_domain_if_needed(state, basic_params(), cfg)
+        out, changed = enlarge(state, basic_params(), cfg)
         assert out.support(_THRESHOLD) == support_components(out.n > _THRESHOLD)
         assert len(scans) == 3
     if changed:
@@ -1603,8 +1618,9 @@ def test_step_hands_its_quasistatic_support_to_the_new_state(monkeypatch):
     scans = []
     monkeypatch.setattr(solver_module, "support_components",
                         lambda mask: scans.append(1) or support_components(mask))
+    k = _Coefficients(params, cfg, state.grid.dx)
     for _ in range(5):
-        state, _ = step(state, params, cfg)
+        state, _ = step(state, k)
     # one scan for the built state (the first enlargement check), then one
     # per step, the nutrient solve's; enlargement and sampling reuse it
     _sample(state, state.t, cfg.support_threshold, 0.4, None, RunLog())
@@ -1632,6 +1648,7 @@ def flatnonzero_sample(state, t, threshold, mu_star):
 def test_sample_matches_a_flatnonzero_gather(make):
     _, params, cfg = REFERENCE_CASES["two-components"]
     state = make()
+    k = _Coefficients(params, cfg, state.grid.dx)
     for _ in range(10):
         for fresh in (False, True):
             # the support the step carried, and one found afresh
@@ -1641,7 +1658,7 @@ def test_sample_matches_a_flatnonzero_gather(make):
             row = _sample(sampled, state.t, cfg.support_threshold, 0.4, None, RunLog())
             want = flatnonzero_sample(state, state.t, cfg.support_threshold, 0.4)
             assert np.array(row).tobytes() == np.array(want).tobytes()
-        state, _ = step(state, params, cfg)
+        state, _ = step(state, k)
     if make is two_bump_state:
         assert len(state.support(cfg.support_threshold)) == 2
 
