@@ -30,10 +30,8 @@ import numpy as np
 __all__ = [
     "AnalyticSetup",
     "RadiusTrajectory",
-    "cosh_ratio",
     "analytic_nutrient",
     "analytic_pressure",
-    "boundary_speed",
     "integrate_radius",
     "exp_growth_lower_bound",
     "assumption_violation_radius",

@@ -186,24 +186,6 @@ def _parse_value(token: str):
         return token
 
 
-def fan_out(func, items: list, jobs: int) -> list:
-    """[func(item) for item in items], in min(jobs, len(items)) worker
-    processes, or in this process when that is 1.
-
-    Raises ValueError for jobs < 1 before anything runs. The process pool is
-    imported only when it is used, so the other commands start without it.
-    """
-    if jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {jobs}")
-    workers = min(jobs, len(items))
-    if workers <= 1:
-        return [func(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items))
-
-
 def _run_member(member: tuple[ScenarioConfig, str]) -> tuple[int, RunLog | str]:
     """(0, the run's log) of one (config, out_dir) member, or (status, error):
     1 for a solver failure, 2 for a refused start (its checkpoint cannot be
@@ -217,8 +199,22 @@ def _run_member(member: tuple[ScenarioConfig, str]) -> tuple[int, RunLog | str]:
 
 
 def _run_members(members: list[tuple[ScenarioConfig, str]], jobs: int) -> int:
-    """Run the members through `fan_out`, report each and return the worst status."""
-    outcomes = fan_out(_run_member, members, jobs)
+    """Run the members in min(jobs, len(members)) worker processes, or in this
+    process when that is 1; report each and return the worst status.
+
+    Raises ValueError for jobs < 1 before any member runs. The process pool is
+    imported only when it is used, so the other commands start without it.
+    """
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
+    workers = min(jobs, len(members))
+    if workers <= 1:
+        outcomes = [_run_member(member) for member in members]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_run_member, members))
     for (_, out_dir), (status, outcome) in zip(members, outcomes):
         if status:  # 1: the solver failed, 2: the start was refused
             print(f"{('FAILED', 'bad config')[status - 1]} {out_dir}: {outcome}", file=sys.stderr)
@@ -325,6 +321,25 @@ def _check_series_against_manifest(rows: list[list[float]], manifest: dict,
                         f"but the series ends at {clamped!r}")
 
 
+def _manifest_shape_problem(manifest) -> str | None:
+    """What makes a parsed manifest the wrong shape to check, or None: the
+    checks below read violations as a list and outputs as file names."""
+    if not isinstance(manifest, dict):
+        return "the top level is not an object"
+    if not isinstance(manifest.get("violations", []), list):
+        return "violations is not a list"
+    outputs = manifest.get("outputs", {})
+    profiles = outputs.get("profiles", {}) if isinstance(outputs, dict) else None
+    if not isinstance(profiles, dict):
+        return "outputs or outputs.profiles is not an object"
+    files = {key: outputs[key] for key in ("timeseries", "checkpoint") if key in outputs}
+    files.update((f"profiles.{key}", name) for key, name in profiles.items())
+    for key, name in files.items():
+        if not isinstance(name, str):
+            return f"outputs.{key} is {name!r}, not a file name"
+    return None
+
+
 def _cmd_check(args) -> int:
     run_dir = Path(args.run_dir)
     problems: list[str] = []
@@ -334,6 +349,10 @@ def _cmd_check(args) -> int:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         print(f"check failed: {manifest_path}: {err}", file=sys.stderr)
+        return 1
+    shape = _manifest_shape_problem(manifest)
+    if shape:
+        print(f"check failed: manifest.json: {shape}", file=sys.stderr)
         return 1
 
     if manifest.get("failed"):

@@ -115,8 +115,8 @@ SERIES_CHANNELS = (
 
 @dataclass
 class TimeSeries:
-    channels: tuple[str, ...]
-    data: np.ndarray  # shape (n_samples, n_channels)
+    data: np.ndarray  # shape (n_samples, len(SERIES_CHANNELS))
+    channels = SERIES_CHANNELS  # not a field: every series has these channels
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float).reshape(-1, len(self.channels))

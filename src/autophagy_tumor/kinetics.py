@@ -7,9 +7,8 @@ while releasing nutrient back at rate a per unit mass. Cells switch state at
 nutrient-dependent rates K1(c) (normal -> autophagic) and K2(c) (autophagic
 -> normal).
 
-This module owns the pointwise rate laws, the equilibrium analysis of the
-normal-cell fraction mu = n1/(n1+n2) for constant switch rates, and the
-closed form of the space-free fraction equation.
+This module owns the pointwise rate laws and the equilibrium analysis of
+the normal-cell fraction mu = n1/(n1+n2) for constant switch rates.
 """
 
 from __future__ import annotations
@@ -27,10 +26,10 @@ __all__ = [
     "Proportional", "AffineDeath", "Logistic", "GrowthSpec", "ConstantTransitions",
     "HullTransitions", "RationalPairTransitions", "TransitionSpec", "ConstantFlux", "PeriodicFlux",
     "FluxSchedule", "QUASISTATIC", "NEUMANN", "ModelParameters", "ReactionEquilibrium",
-    "eval_growth", "eval_transitions", "eval_flux", "reaction_rate_f", "equilibrium_roots",
-    "mu_ode_closed_form", "wellmixed_pointwise_bound",
+    "eval_growth", "eval_transitions", "eval_flux", "equilibrium_roots",
 ]
-_ONE, _FOUR = np.array(1.0), np.array(4.0)  # 0-d operands, which numpy need not convert per call
+# 0-d operands, which numpy need not convert per call
+_ZERO, _TENTH, _ONE, _TWO, _FOUR = (np.array(v) for v in (0.0, 0.1, 1.0, 2.0, 4.0))
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +151,8 @@ def eval_transitions(spec: TransitionSpec, c):
         return spec._operands[0] * (_ONE - frac), spec._operands[1] * frac  # k1max, k2max
     if isinstance(spec, RationalPairTransitions):
         ca = np.asarray(c, dtype=float)
-        k1 = np.maximum(0.0, (1.0 - ca) / (ca + 0.1))
-        k2 = 2.0 * ca / (ca + 1.0)
+        k1 = np.maximum(_ZERO, (_ONE - ca) / (ca + _TENTH))
+        k2 = _TWO * ca / (ca + _ONE)
         return k1, k2
     raise TypeError(f"unknown transition spec {spec!r}")
 
@@ -224,10 +223,6 @@ class ModelParameters:
 # nu* < 0 and one stable root mu* in (0, 1).
 
 
-def reaction_rate_f(mu, D: float, K1: float, K2: float):
-    return -mu * K1 + (1.0 - mu) * K2 + D * mu * (1.0 - mu)
-
-
 @dataclass(frozen=True)
 class ReactionEquilibrium:
     nu_star: float  # negative root of f
@@ -269,33 +264,4 @@ def equilibrium_roots(D: float, K1: float, K2: float) -> ReactionEquilibrium:
             # s * 2**e, inf when it leaves the float range (2.0 ** 1024 raises)
             return ReactionEquilibrium(nu, mu, s * 2.0 ** (e - 1) * 2.0, uniform_A)
     raise ValueError(f"the roots for D={D}, K1={K1}, K2={K2} leave the float range")
-
-
-def mu_ode_closed_form(z0: float, t, eq: ReactionEquilibrium, D: float):
-    """Exact solution z(t) of dz/dt = f(z), z(0) = z0, for constant rates.
-
-    Uses the invariant (z - mu*)/(z - nu*) = exp(-D*(mu*-nu*)*t) * (z0 - mu*)/(z0 - nu*).
-    `t` may be a scalar or an array. Valid for z0 > nu* (below the repelling
-    root the solution escapes to -infinity in finite time).
-    """
-    if z0 <= eq.nu_star:
-        raise ValueError(f"z0={z0} must exceed the negative root nu*={eq.nu_star}")
-    w = np.exp(-D * (eq.mu_star - eq.nu_star) * np.asarray(t, dtype=float))
-    w = w * ((z0 - eq.mu_star) / (z0 - eq.nu_star))
-    # w < 1 always (the t=0 ratio is < 1 and decays), so no pole here
-    z = (eq.mu_star - w * eq.nu_star) / (1.0 - w)
-    return float(z) if np.ndim(t) == 0 else z
-
-
-def wellmixed_pointwise_bound(z0: float, t, eq: ReactionEquilibrium, D: float):
-    """Envelope for |z(t) - mu*|: coefficient * exp(-D*(mu*-nu*)*t) * |z0 - mu*|.
-
-    The coefficient (max(z0, mu*) - nu*)/(z0 - nu*) equals 1 for z0 >= mu*.
-    """
-    if z0 <= eq.nu_star:
-        raise ValueError(f"z0={z0} must exceed the negative root nu*={eq.nu_star}")
-    coef = (max(z0, eq.mu_star) - eq.nu_star) / (z0 - eq.nu_star)
-    return coef * np.exp(-D * (eq.mu_star - eq.nu_star) * np.asarray(t, dtype=float)) * abs(
-        z0 - eq.mu_star
-    )
 

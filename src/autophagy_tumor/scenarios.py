@@ -208,7 +208,10 @@ class ScenarioConfig:
         profile_files = set()
         for entry in self.outputs:
             if entry.startswith("profiles@"):
-                ts = float(entry.split("@", 1)[1])
+                try:
+                    ts = float(entry.split("@", 1)[1])
+                except ValueError:
+                    raise ValueError(f"output {entry!r}: the profile time must be a number") from None
                 if not (math.isfinite(ts) and 0.0 <= ts <= self.t_end):
                     raise ValueError(
                         f"output {entry!r}: the profile time must be finite "

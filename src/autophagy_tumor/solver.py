@@ -36,7 +36,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .diagnostics import (
-    SERIES_CHANNELS,
     TimeSeries,
     deviation_norms,
     support_components,
@@ -618,7 +617,7 @@ def run(initial: FieldState, params: ModelParameters, cfg: SolverConfig, t_end: 
         log.violations.append(f"clamped negative mass {log.clamped_neg_mass:.3e} exceeds "
                               f"1e-6 of the final total mass {total_mass:.6g}")
 
-    series = TimeSeries(channels=SERIES_CHANNELS, data=np.array(rows, dtype=float))
+    series = TimeSeries(np.array(rows, dtype=float))
     return RunResult(series=series, final_state=state, snapshots=snapshots, log=log)
 
 

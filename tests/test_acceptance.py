@@ -13,12 +13,7 @@ import pytest
 from autophagy_tumor.analytic import AnalyticSetup, integrate_radius
 from autophagy_tumor.diagnostics import uniform_bound_at
 from autophagy_tumor.grid import pressure_from_density
-from autophagy_tumor.kinetics import (
-    eval_growth,
-    equilibrium_roots,
-    mu_ode_closed_form,
-    reaction_rate_f,
-)
+from autophagy_tumor.kinetics import eval_growth, equilibrium_roots
 from autophagy_tumor.scenarios import (
     PRESETS,
     CustomCoshInit,
@@ -33,6 +28,7 @@ from autophagy_tumor.solver import (
 )
 
 from conftest import make_state
+from reference import mu_ode_closed_form, reaction_rate_f
 
 _RUNS = {}
 

@@ -673,6 +673,33 @@ def test_check_fails_in_one_line_on_a_manifest_dt_it_cannot_step_by(tmp_path, ca
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        (None, [], "the top level is not an object"),
+        ("outputs", [], "outputs or outputs.profiles is not an object"),
+        ("outputs", {"profiles": ["a.csv"]}, "outputs or outputs.profiles is not an object"),
+        ("outputs", {"timeseries": 5}, "outputs.timeseries is 5, not a file name"),
+        ("outputs", {"profiles": {"1": None}}, "outputs.profiles.1 is None, not a file name"),
+        ("violations", "xy", "violations is not a list"),
+    ],
+)
+def test_check_fails_in_one_line_on_a_manifest_of_the_wrong_shape(tmp_path, capsys, key, value,
+                                                                   message):
+    out_dir = finished_run(tmp_path, capsys)
+    manifest_path = out_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    if key is None:
+        manifest = value
+    else:
+        manifest[key] = value
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["check", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("check failed: ") == 1 and err.count("\n") == 1, err
+    assert f"check failed: manifest.json: {message}" in err
+
+
 @pytest.mark.parametrize("row, value", [(1, "nan"), (-1, "inf"), (-1, "-inf")])
 def test_check_fails_in_one_line_on_series_times_that_are_not_finite(tmp_path, capsys, row,
                                                                      value):

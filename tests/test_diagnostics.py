@@ -287,7 +287,7 @@ def test_total_population_invariant_under_domain_growth(rng):
 def test_time_series_columns_and_csv(tmp_path, rng):
     data = rng.random((6, len(SERIES_CHANNELS)))
     data[:, 0] = np.linspace(0.0, 1.0, 6)
-    ts = TimeSeries(channels=SERIES_CHANNELS, data=data)
+    ts = TimeSeries(data)
     np.testing.assert_array_equal(ts.column("t"), data[:, 0])
     np.testing.assert_array_equal(ts.column("c_max"), data[:, SERIES_CHANNELS.index("c_max")])
     with pytest.raises(ValueError):
@@ -303,7 +303,7 @@ def test_time_series_columns_and_csv(tmp_path, rng):
 
 def test_time_series_flat_data_reshapes():
     flat = np.arange(2 * len(SERIES_CHANNELS), dtype=float)
-    ts = TimeSeries(channels=SERIES_CHANNELS, data=flat)
+    ts = TimeSeries(flat)
     assert ts.data.shape == (2, len(SERIES_CHANNELS))
 
 

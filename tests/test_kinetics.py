@@ -24,10 +24,9 @@ from autophagy_tumor.kinetics import (
     eval_flux,
     eval_growth,
     eval_transitions,
-    mu_ode_closed_form,
-    reaction_rate_f,
-    wellmixed_pointwise_bound,
 )
+
+from reference import mu_ode_closed_form, reaction_rate_f, wellmixed_pointwise_bound
 
 # reference equilibrium used throughout: D=0.3, K1=K2=1
 EQ = equilibrium_roots(0.3, 1.0, 1.0)
@@ -61,12 +60,16 @@ def test_rate_laws_keep_the_bits_of_their_python_float_formulas():
     for spec, want in cases:
         for s in (spec, pickle.loads(pickle.dumps(spec))):
             assert s == spec and eval_growth(s, c, n).tobytes() == want.tobytes()
-    spec = HullTransitions(3.0, 0.5, 0.7)
     frac = c**4 / (0.7**4 + c**4)
-    for s in (spec, pickle.loads(pickle.dumps(spec))):
-        k1, k2 = eval_transitions(s, c)
-        assert k1.tobytes() == (3.0 * (1.0 - frac)).tobytes()
-        assert k2.tobytes() == (0.5 * frac).tobytes()
+    cases = [
+        (HullTransitions(3.0, 0.5, 0.7), 3.0 * (1.0 - frac), 0.5 * frac),
+        (RationalPairTransitions(), np.maximum(0.0, (1.0 - c) / (c + 0.1)), 2.0 * c / (c + 1.0)),
+    ]
+    for spec, want1, want2 in cases:
+        for s in (spec, pickle.loads(pickle.dumps(spec))):
+            k1, k2 = eval_transitions(s, c)
+            assert k1.tobytes() == want1.tobytes() and k2.tobytes() == want2.tobytes()
+    spec = cases[0][0]
     assert spec._operands is spec._operands
     assert not any(op.flags.writeable for op in spec._operands)
 

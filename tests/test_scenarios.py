@@ -110,6 +110,9 @@ def test_scenario_config_output_entries():
     for entry in ("profiles@2.5", "profiles@inf", "profiles@nan", "profiles@-0.5"):
         with pytest.raises(ValueError, match="profile time"):
             dataclasses.replace(base, outputs=(entry,))
+    for entry in ("profiles@abc", "profiles@"):
+        with pytest.raises(ValueError, match=f"output '{entry}': the profile time must be a number"):
+            dataclasses.replace(base, outputs=(entry,))
 
 
 # ---------------------------------------------------------------------------

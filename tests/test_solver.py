@@ -23,7 +23,6 @@ from autophagy_tumor.kinetics import (
     eval_flux,
     eval_growth,
     eval_transitions,
-    mu_ode_closed_form,
 )
 from autophagy_tumor.solver import (
     FieldState,
@@ -48,6 +47,7 @@ from autophagy_tumor.solver import (
 )
 
 from conftest import make_state
+from reference import mu_ode_closed_form
 
 
 def coefficients(state, params, dt=0.01):
