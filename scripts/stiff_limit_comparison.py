@@ -7,15 +7,10 @@ from pathlib import Path
 
 import numpy as np
 
-from autophagy_tumor.analytic import (
-    AnalyticSetup,
-    analytic_pressure,
-    integrate_radius,
-)
+from autophagy_tumor.analytic import analytic_pressure, integrate_radius
 from autophagy_tumor.diagnostics import write_table
 from autophagy_tumor.grid import pressure_from_density
-from autophagy_tumor.kinetics import equilibrium_roots
-from autophagy_tumor.scenarios import PRESETS, build_initial_state
+from autophagy_tumor.scenarios import PRESETS, analytic_setup, build_initial_state
 from autophagy_tumor.solver import run
 
 
@@ -25,15 +20,7 @@ def compare_one(gamma: int, t_end: float):
     result = run(initial, cfg.params, cfg.solver, t_end, snapshot_times=(t_end,))
     snap = result.snapshots[t_end]
 
-    D = cfg.params.D
-    setup = AnalyticSetup(
-        mu=equilibrium_roots(D, 1.0, 1.0).mu_star,
-        g=cfg.params.growth.g,
-        a=cfg.params.a,
-        D=D,
-        c_B=cfg.params.c_B,
-        R0=1.0,
-    )
+    setup = analytic_setup(cfg.initial, cfg.params)
     R_ref = integrate_radius(setup, t_end=t_end).radii[-1]
 
     x = snap.grid.cell_x

@@ -23,13 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import AnalyticSetup, analytic_nutrient, analytic_pressure, integrate_radius
-from .diagnostics import SERIES_CHANNELS
+from .diagnostics import SERIES_CHANNELS, write_table
 from .scenarios import (
     PRESETS,
     PROFILE_COLUMNS,
     ScenarioConfig,
-    _finite_positive,
-    _is_number,
     check_out_dir,
     config_from_dict,
     config_to_dict,
@@ -126,18 +124,13 @@ def _cmd_analytic(args) -> int:
         print(f"integration failed: {err}", file=sys.stderr)
         return 1
     if args.quantity == "radius":
-        print("t,radius,speed")
-        for t, r, v in zip(traj.times, traj.radii, traj.speeds):
-            print("%.12g,%.12g,%.12g" % (t, r, v))
-        return 0
-    x = np.linspace(-args.R0, args.R0, args.points)
-    if args.quantity == "nutrient":
-        values = analytic_nutrient(x, args.R0, setup)
+        header, columns = "t,radius,speed", (traj.times, traj.radii, traj.speeds)
     else:
-        values = analytic_pressure(x, args.R0, setup)
-    print("x,value")
-    for xi, vi in zip(x, values):
-        print("%.12g,%.12g" % (xi, vi))
+        x = np.linspace(-args.R0, args.R0, args.points)
+        profile = analytic_nutrient if args.quantity == "nutrient" else analytic_pressure
+        header, columns = "x,value", (x, profile(x, args.R0, setup))
+    print(header)
+    write_table(sys.stdout, np.column_stack(columns), ",")
     return 0
 
 
@@ -188,11 +181,12 @@ def _parse_value(token: str):
 
 def _run_member(member: tuple[ScenarioConfig, str]) -> tuple[int, RunLog | str]:
     """(0, the run's log) of one (config, out_dir) member, or (status, error):
-    1 for a solver failure, 2 for a refused start (its checkpoint cannot be
-    read, was written with another gamma or starts after t_end)."""
+    1 for a solver failure or an OSError (writing its outputs), 2 for a
+    refused start (its checkpoint cannot be read, was written with another
+    gamma or starts after t_end)."""
     try:
         return 0, run_scenario(*member).log
-    except SolverError as err:
+    except (SolverError, OSError) as err:
         return 1, str(err)
     except ValueError as err:
         return 2, str(err)
@@ -200,7 +194,8 @@ def _run_member(member: tuple[ScenarioConfig, str]) -> tuple[int, RunLog | str]:
 
 def _run_members(members: list[tuple[ScenarioConfig, str]], jobs: int) -> int:
     """Run the members in min(jobs, len(members)) worker processes, or in this
-    process when that is 1; report each and return the worst status.
+    process when that is 1; report each and return the worst status. A
+    member whose worker process dies fails (status 1) with the pool's error.
 
     Raises ValueError for jobs < 1 before any member runs. The process pool is
     imported only when it is used, so the other commands start without it.
@@ -212,11 +207,18 @@ def _run_members(members: list[tuple[ScenarioConfig, str]], jobs: int) -> int:
         outcomes = [_run_member(member) for member in members]
     else:
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_member, members))
+            futures = [pool.submit(_run_member, member) for member in members]
+        outcomes = []
+        for future in futures:
+            try:
+                outcomes.append(future.result())
+            except BrokenProcessPool as err:
+                outcomes.append((1, str(err)))
     for (_, out_dir), (status, outcome) in zip(members, outcomes):
-        if status:  # 1: the solver failed, 2: the start was refused
+        if status:  # 1: the member failed, 2: its start was refused
             print(f"{('FAILED', 'bad config')[status - 1]} {out_dir}: {outcome}", file=sys.stderr)
             continue
         # warnings and violations are reported but never fail a member
@@ -291,19 +293,17 @@ def _read_csv(path: Path, expected_header: tuple[str, ...], problems: list[str])
 
 def _check_series_against_manifest(rows: list[list[float]], manifest: dict,
                                    problems: list[str]) -> None:
-    """The step count spans the series' first to last time in steps of the
-    config's dt, the last time is t_end to the nearest step, and the
-    manifest's clamped mass is the series' last."""
+    """The manifest's config loads, its step count spans the series' first
+    to last time in steps of the config's dt, the last time is t_end to the
+    nearest step, and the manifest's clamped mass is the series' last."""
+    try:
+        cfg = config_from_dict(manifest.get("config"))
+    except ValueError as err:
+        problems.append(f"manifest config: {err}")
+        return
+    dt, t_end = cfg.solver.dt, cfg.t_end
     steps, clamped = 0, 0.0
     if rows:
-        try:
-            dt, t_end = manifest["config"]["solver"]["dt"], manifest["config"]["t_end"]
-        except (KeyError, TypeError):
-            problems.append("manifest has no config.solver.dt or config.t_end")
-            return
-        if not (_finite_positive(dt) and _is_number(t_end)):
-            problems.append(f"manifest dt {dt!r} is not a number > 0 or t_end {t_end!r} not a number")
-            return
         t, neg = SERIES_CHANNELS.index("t"), SERIES_CHANNELS.index("neg_mass_clamped")
         span, to_end = (rows[-1][t] - rows[0][t]) / dt, (t_end - rows[-1][t]) / dt
         if not (math.isfinite(span) and math.isfinite(to_end)):
@@ -323,7 +323,8 @@ def _check_series_against_manifest(rows: list[list[float]], manifest: dict,
 
 def _manifest_shape_problem(manifest) -> str | None:
     """What makes a parsed manifest the wrong shape to check, or None: the
-    checks below read violations as a list and outputs as file names."""
+    checks below read violations as a list and outputs as the names of
+    files in the run directory."""
     if not isinstance(manifest, dict):
         return "the top level is not an object"
     if not isinstance(manifest.get("violations", []), list):
@@ -335,8 +336,8 @@ def _manifest_shape_problem(manifest) -> str | None:
     files = {key: outputs[key] for key in ("timeseries", "checkpoint") if key in outputs}
     files.update((f"profiles.{key}", name) for key, name in profiles.items())
     for key, name in files.items():
-        if not isinstance(name, str):
-            return f"outputs.{key} is {name!r}, not a file name"
+        if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+            return f"outputs.{key} is {name!r}, not a file name in the run directory"
     return None
 
 

@@ -58,6 +58,7 @@ __all__ = [
     "CheckpointInit",
     "ScenarioConfig",
     "PRESETS",
+    "analytic_setup",
     "build_initial_state",
     "config_from_dict",
     "config_to_dict",
@@ -163,7 +164,7 @@ class CheckpointInit:
 InitialSpec = Union[AnalyticPressureInit, CustomCoshInit, CheckpointInit]
 
 
-def _analytic_setup(initial: AnalyticPressureInit, params: ModelParameters) -> AnalyticSetup:
+def analytic_setup(initial: AnalyticPressureInit, params: ModelParameters) -> AnalyticSetup:
     """The closed-form slab this model starts from, or ValueError when it
     cannot: growth must be nutrient-proportional, and a composition profile
     needs constant switch rates (the pressure is that of their equilibrium
@@ -202,8 +203,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if isinstance(self.initial, AnalyticPressureInit):
-            _analytic_setup(self.initial, self.params)
-        if not _finite_positive(self.t_end):
+            analytic_setup(self.initial, self.params)
+        if not 0.0 < self.t_end <= sys.float_info.max:  # not NaN, inf or a huge int
             raise ValueError(f"t_end must be finite and positive, got {self.t_end!r}")
         profile_files = set()
         for entry in self.outputs:
@@ -262,7 +263,7 @@ def build_initial_state(
         return state
 
     if isinstance(initial, AnalyticPressureInit):
-        setup = _analytic_setup(initial, params)
+        setup = analytic_setup(initial, params)
         n_side = math.ceil(initial.R0 / initial.dx - 1e-12) + 2 * solver_cfg.enlargement_margin
         grid = Grid1D(x_min=-n_side * initial.dx, dx=initial.dx, n_cells=2 * n_side + 1)
         x = grid.cell_x
@@ -290,10 +291,6 @@ def _is_number(value) -> bool:
     """A finite JSON number: not a bool, NaN, an infinity or an int beyond float range."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
-
-
-def _finite_positive(value) -> bool:
-    return _is_number(value) and value > 0.0
 
 
 # the JSON type of a config value: (its name, a test, the conversion to the
@@ -398,6 +395,8 @@ _BOUNDARY_MODES = {QUASISTATIC: ("padded_dirichlet", "quasi-static", "padded"),
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
+    if not isinstance(data, dict):
+        raise ValueError("a config must be a JSON object")
     d = copy.deepcopy(data)
     if "preset" in d:
         name = _pop(d, "preset", "config", _STRING)
@@ -429,8 +428,6 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 def load_config(path) -> ScenarioConfig:
     with open(path) as fh:
         data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
     return config_from_dict(data)
 
 

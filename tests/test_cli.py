@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -10,6 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from autophagy_tumor.analytic import (
+    AnalyticSetup,
+    analytic_nutrient,
+    analytic_pressure,
+    integrate_radius,
+)
 from autophagy_tumor.cli import main, set_config_value
 from autophagy_tumor.scenarios import (
     PRESETS,
@@ -105,6 +112,26 @@ def test_analytic_pressure_profile(capsys):
     assert vals[0] == pytest.approx(0.0, abs=1e-9)
     assert vals[-1] == pytest.approx(0.0, abs=1e-9)
     assert vals[2] == pytest.approx(0.351946, abs=1e-5)
+
+
+@pytest.mark.parametrize("quantity", ["radius", "nutrient", "pressure"])
+def test_analytic_prints_every_value_exactly(capsys, quantity):
+    # each printed value parses back to the bits the closed form computed
+    argv = ["analytic", quantity, "--mu", "0.5", "--g", "1", "--a", "0.5", "--D", "0.3",
+            "--cB", "1", "--R0", "1.5", "--t-end", "0.5", "--dt", "0.01", "--points", "11"]
+    assert main(argv) == 0
+    _, *lines = capsys.readouterr().out.splitlines()
+    printed = np.array([[float(tok) for tok in line.split(",")] for line in lines])
+    setup = AnalyticSetup(mu=0.5, g=1.0, a=0.5, D=0.3, c_B=1.0, R0=1.5)
+    if quantity == "radius":
+        traj = integrate_radius(setup, 0.5, 0.01)
+        expected = np.column_stack((traj.times, traj.radii, traj.speeds))
+    else:
+        x = np.linspace(-1.5, 1.5, 11)
+        profile = analytic_nutrient if quantity == "nutrient" else analytic_pressure
+        expected = np.column_stack((x, profile(x, 1.5, setup)))
+    assert printed.shape == expected.shape
+    assert printed.tobytes() == expected.tobytes()
 
 
 def test_analytic_rejects_bad_parameters(capsys):
@@ -651,11 +678,12 @@ def test_check_tests_the_last_sample_time_against_t_end(tmp_path, capsys):
 @pytest.mark.parametrize(
     "dt, message",
     [
-        (0, "manifest dt 0 is not a number > 0"),
-        (-0.002, "manifest dt -0.002 is not a number > 0"),
-        (float("nan"), "manifest dt nan is not a number > 0"),
-        ("0.002", "manifest dt '0.002' is not a number > 0"),
-        (True, "manifest dt True is not a number > 0"),
+        # check loads the manifest's config, and the loader names what it refuses
+        (0, "manifest config: dt must be positive and finite, got 0.0"),
+        (-0.002, "manifest config: dt must be positive and finite, got -0.002"),
+        (float("nan"), "manifest config: config.solver.dt must be a number, got nan"),
+        ("0.002", "manifest config: config.solver.dt must be a number, got '0.002'"),
+        (True, "manifest config: config.solver.dt must be a number, got True"),
         # positive, but the series spans more steps than a float holds
         (5e-324, "span no finite number of steps"),
     ],
@@ -674,6 +702,36 @@ def test_check_fails_in_one_line_on_a_manifest_dt_it_cannot_step_by(tmp_path, ca
 
 
 @pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("model", "colour", "red", "unknown keys at config.model: ['colour']"),
+        ("model", "gamma", 1.5, "velocity prediction requires gamma >= 2, got 1.5"),
+    ],
+)
+def test_check_fails_in_one_line_on_a_manifest_config_the_loader_refuses(tmp_path, capsys,
+                                                                       section, key, value,
+                                                                       message):
+    out_dir = finished_run(tmp_path, capsys)
+    manifest_path = out_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"][section][key] = value
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["check", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"check failed: manifest config: {message}\n"
+
+
+def checkpoint_moved_next_door(name):
+    """The outputs of a run whose checkpoint moved to the sibling directory
+    `other`, naming it name(its new path)."""
+    def outputs(out_dir):
+        moved = out_dir.parent / "other" / "checkpoint_final.txt"
+        moved.parent.mkdir()
+        (out_dir / "checkpoint_final.txt").rename(moved)
+        return {"timeseries": "timeseries.csv", "checkpoint": name(moved)}
+    return outputs
+
+
+@pytest.mark.parametrize(
     "key, value, message",
     [
         (None, [], "the top level is not an object"),
@@ -682,6 +740,15 @@ def test_check_fails_in_one_line_on_a_manifest_dt_it_cannot_step_by(tmp_path, ca
         ("outputs", {"timeseries": 5}, "outputs.timeseries is 5, not a file name"),
         ("outputs", {"profiles": {"1": None}}, "outputs.profiles.1 is None, not a file name"),
         ("violations", "xy", "violations is not a list"),
+        # names that lead out of the run directory: each used to pass
+        pytest.param("outputs",
+                     checkpoint_moved_next_door(lambda moved: "../other/checkpoint_final.txt"),
+                     "outputs.checkpoint is '../other/checkpoint_final.txt', not a file name "
+                     "in the run directory", id="relative-path"),
+        pytest.param("outputs", checkpoint_moved_next_door(str), "outputs.checkpoint is '/",
+                     id="absolute-path"),
+        pytest.param("outputs", {"profiles": {"1": ".."}},
+                     "outputs.profiles.1 is '..', not a file name", id="parent-directory"),
     ],
 )
 def test_check_fails_in_one_line_on_a_manifest_of_the_wrong_shape(tmp_path, capsys, key, value,
@@ -689,6 +756,8 @@ def test_check_fails_in_one_line_on_a_manifest_of_the_wrong_shape(tmp_path, caps
     out_dir = finished_run(tmp_path, capsys)
     manifest_path = out_dir / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
+    if callable(value):
+        value = value(out_dir)
     if key is None:
         manifest = value
     else:
@@ -906,6 +975,57 @@ def test_sweep_runs_every_member_when_one_fails(tmp_path, monkeypatch, capsys):
     assert main(["check", str(good)]) == 0
 
 
+def test_sweep_reports_an_oserror_as_its_members_failure(tmp_path, monkeypatch, capsys):
+    # writing the first member's series fails; the second member still runs
+    from autophagy_tumor.diagnostics import TimeSeries
+
+    to_csv = TimeSeries.to_csv
+
+    def disk_full_for_the_first(series, path):
+        if "t_end=0.004" in str(path):
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+        to_csv(series, path)
+
+    monkeypatch.setattr(TimeSeries, "to_csv", disk_full_for_the_first)
+    rc = main(["sweep", "--preset", "fig-s4f2-D0.3", "--vary", "t_end=0.004,0.008",
+               "--out", str(tmp_path), "--jobs", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    failed, good = tmp_path / "fig-s4f2-D0.3-t_end=0.004", tmp_path / "fig-s4f2-D0.3-t_end=0.008"
+    assert captured.err == (f"FAILED {failed}: [Errno {errno.ENOSPC}] No space left on device: "
+                            f"'{failed / 'timeseries.csv'}'\n")
+    assert captured.out == f"wrote {good} (4 steps)\n"
+    assert json.loads((failed / "manifest.json").read_text())["failed"] is True
+    assert main(["check", str(good)]) == 0
+
+
+def test_sweep_reports_a_dead_worker_as_its_members_failure(tmp_path, monkeypatch, capsys):
+    import concurrent.futures
+    from concurrent.futures.process import BrokenProcessPool
+
+    class DyingPool(concurrent.futures.Executor):
+        # the first member's worker dies; the second member runs in this process
+        def __init__(self, max_workers):
+            pass
+
+        def submit(self, func, item):
+            future = concurrent.futures.Future()
+            if item[1].endswith("t_end=0.004"):
+                future.set_exception(BrokenProcessPool("a worker was terminated abruptly"))
+            else:
+                future.set_result(func(item))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DyingPool)
+    rc = main(["sweep", "--preset", "fig-s4f2-D0.3", "--vary", "t_end=0.004,0.008",
+               "--out", str(tmp_path), "--jobs", "2"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    failed, good = tmp_path / "fig-s4f2-D0.3-t_end=0.004", tmp_path / "fig-s4f2-D0.3-t_end=0.008"
+    assert captured.err == f"FAILED {failed}: a worker was terminated abruptly\n"
+    assert captured.out == f"wrote {good} (4 steps)\n"
+
+
 def test_sweep_hands_workers_the_configs_it_validated(tmp_path, monkeypatch, capsys):
     import autophagy_tumor.cli as cli
 
@@ -1005,19 +1125,15 @@ def test_sweep_starts_at_most_one_worker_per_member(tmp_path, monkeypatch, capsy
 
     started = []
 
-    class FakePool:
+    class FakePool(concurrent.futures.Executor):
         # runs the members in this process and records the pool size asked for
         def __init__(self, max_workers):
             started.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, func, items):
-            return map(func, items)
+        def submit(self, func, item):
+            future = concurrent.futures.Future()
+            future.set_result(func(item))
+            return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     argv = ["sweep", "--preset", "fig-s4f2-D0.3", "--vary", "t_end=0.004,0.008",
