@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kinetics import _Finite
+
 __all__ = [
     "AnalyticSetup",
     "RadiusTrajectory",
@@ -39,7 +41,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class AnalyticSetup:
+class AnalyticSetup(_Finite):
     """Constant-composition slab setup: fraction mu, growth gain g, release a,
     autophagic death D, ambient nutrient c_B, initial front radius R0."""
 
@@ -51,9 +53,7 @@ class AnalyticSetup:
     R0: float
 
     def __post_init__(self):
-        for name in ("mu", "g", "a", "D", "c_B", "R0"):
-            if not abs(getattr(self, name)) <= sys.float_info.max:  # not NaN, inf or a huge int
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        super().__post_init__()
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError(f"mu must lie in [0, 1], got {self.mu}")
         if not self.g > 0.0:

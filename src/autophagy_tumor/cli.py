@@ -36,7 +36,7 @@ from .scenarios import (
 )
 from .solver import RunLog, SolverError, read_checkpoint
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,11 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     try:
-        if args.preset is not None:
-            cfg = config_from_dict({"preset": args.preset})
-        else:
-            cfg = load_config(args.config)
-    except (OSError, ValueError, json.JSONDecodeError) as err:
+        cfg = (load_config(args.config) if args.preset is None
+               else config_from_dict({"preset": args.preset}))
+    except (OSError, ValueError) as err:  # a JSONDecodeError is a ValueError
         print(f"bad config: {err}", file=sys.stderr)
         return 2
     try:
@@ -136,40 +134,28 @@ def _cmd_analytic(args) -> int:
 
 # --- sweep ------------------------------------------------------------------
 
-def _nested_sections(node: dict):
-    """Every dict below node, depth first."""
-    for value in node.values():
+def _entries(node: dict, prefix: str = ""):
+    """(dotted path, holding dict, key) of every entry of a config tree, depth first."""
+    for key, value in node.items():
+        yield prefix + key, node, key
         if isinstance(value, dict):
-            yield value
-            yield from _nested_sections(value)
+            yield from _entries(value, f"{prefix}{key}.")
 
 
 def set_config_value(data: dict, key: str, value) -> None:
-    """Assign into a config dict an entry it already holds.
-
-    A dotted key is a path from the root (`params.` is an alias of
-    `model.`). A bare key is the top-level entry of that name if there is
-    one, and otherwise the one entry of that name anywhere in the nested
-    sections: none is "not found", more than one is "ambiguous".
-    """
-    if "." in key:
-        first, *middle, last = key.split(".")
-        node = data
-        for part in ("model" if first == "params" else first, *middle):
-            node = node.get(part) if isinstance(node, dict) else None
-        if not isinstance(node, dict) or last not in node:
-            raise ValueError(f"no such config entry: {key!r}")
-        node[last] = value
-        return
-    if key in data:
-        data[key] = value
-        return
-    hits = [node for node in _nested_sections(data) if key in node]
+    """Assign into a config dict the entry whose dotted path is key (`params.` is
+    an alias of `model.`), or for a bare key without one, the one entry whose
+    path ends in `.key`; none is "no such config entry", several "ambiguous"."""
+    path = "model." + key[len("params."):] if key.startswith("params.") else key
+    entries = list(_entries(data))
+    hits = [entry for entry in entries if entry[0] == path] or [
+        entry for entry in entries if "." not in path and entry[0].endswith("." + path)]
     if not hits:
-        raise ValueError(f"key {key!r} not found in the config")
+        raise ValueError(f"no such config entry: {key!r}")
     if len(hits) > 1:
         raise ValueError(f"key {key!r} is ambiguous; use a dotted path")
-    hits[0][key] = value
+    _, node, last = hits[0]
+    node[last] = value
 
 
 def _parse_value(token: str):
@@ -197,11 +183,9 @@ def _run_members(members: list[tuple[ScenarioConfig, str]], jobs: int) -> int:
     process when that is 1; report each and return the worst status. A
     member whose worker process dies fails (status 1) with the pool's error.
 
-    Raises ValueError for jobs < 1 before any member runs. The process pool is
-    imported only when it is used, so the other commands start without it.
+    The process pool is imported only when it is used, so the other commands
+    start without it.
     """
-    if jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {jobs}")
     workers = min(jobs, len(members))
     if workers <= 1:
         outcomes = [_run_member(member) for member in members]
@@ -255,15 +239,12 @@ def _cmd_sweep(args) -> int:
             check_out_dir(out_dir)
             # validated here, before any member starts
             members.append((config_from_dict(data), out_dir))
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     except ValueError as err:
         print(f"bad sweep: {err}", file=sys.stderr)
         return 2
-
-    try:
-        return _run_members(members, args.jobs)
-    except ValueError as err:  # bad --jobs; each member's errors are reported as its outcome
-        print(f"bad sweep: {err}", file=sys.stderr)
-        return 2
+    return _run_members(members, args.jobs)
 
 
 # --- check ------------------------------------------------------------------
@@ -321,24 +302,25 @@ def _check_series_against_manifest(rows: list[list[float]], manifest: dict,
                         f"but the series ends at {clamped!r}")
 
 
-def _manifest_shape_problem(manifest) -> str | None:
-    """What makes a parsed manifest the wrong shape to check, or None: the
-    checks below read violations as a list and outputs as the names of
-    files in the run directory."""
+def _output_files(manifest) -> dict[str, str]:
+    """A manifest's {outputs key: file name} in the order checked (`timeseries`,
+    `profiles.<key>`, `checkpoint`); ValueError says what makes it the wrong shape."""
     if not isinstance(manifest, dict):
-        return "the top level is not an object"
+        raise ValueError("the top level is not an object")
     if not isinstance(manifest.get("violations", []), list):
-        return "violations is not a list"
+        raise ValueError("violations is not a list")
     outputs = manifest.get("outputs", {})
     profiles = outputs.get("profiles", {}) if isinstance(outputs, dict) else None
     if not isinstance(profiles, dict):
-        return "outputs or outputs.profiles is not an object"
-    files = {key: outputs[key] for key in ("timeseries", "checkpoint") if key in outputs}
+        raise ValueError("outputs or outputs.profiles is not an object")
+    files = {"timeseries": outputs["timeseries"]} if "timeseries" in outputs else {}
     files.update((f"profiles.{key}", name) for key, name in profiles.items())
+    if "checkpoint" in outputs:
+        files["checkpoint"] = outputs["checkpoint"]
     for key, name in files.items():
         if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
-            return f"outputs.{key} is {name!r}, not a file name in the run directory"
-    return None
+            raise ValueError(f"outputs.{key} is {name!r}, not a file name in the run directory")
+    return files
 
 
 def _cmd_check(args) -> int:
@@ -348,36 +330,31 @@ def _cmd_check(args) -> int:
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
+        files = _output_files(manifest)
     except (OSError, json.JSONDecodeError) as err:
         print(f"check failed: {manifest_path}: {err}", file=sys.stderr)
         return 1
-    shape = _manifest_shape_problem(manifest)
-    if shape:
-        print(f"check failed: manifest.json: {shape}", file=sys.stderr)
+    except ValueError as err:  # the wrong shape, or bytes the text decoder refuses
+        print(f"check failed: manifest.json: {err}", file=sys.stderr)
         return 1
 
     if manifest.get("failed"):
         problems.append(f"run failed: {manifest.get('error')}")
-    for line in manifest.get("violations", []):
-        problems.append(f"violation: {line}")
-
-    outputs = manifest.get("outputs", {})
-    if "timeseries" in outputs:
-        rows = _read_csv(run_dir / outputs["timeseries"], SERIES_CHANNELS, problems)
-        if rows is not None and not manifest.get("failed"):
+    problems.extend(f"violation: {line}" for line in manifest.get("violations", []))
+    for key, name in files.items():
+        if key == "checkpoint":
+            try:
+                read_checkpoint(run_dir / name)
+            except (OSError, ValueError) as err:
+                problems.append(f"{name}: {err}")
+            continue
+        header = SERIES_CHANNELS if key == "timeseries" else PROFILE_COLUMNS
+        rows = _read_csv(run_dir / name, header, problems)
+        if key == "timeseries" and rows is not None and not manifest.get("failed"):
             _check_series_against_manifest(rows, manifest, problems)
-    for fname in outputs.get("profiles", {}).values():
-        _read_csv(run_dir / fname, PROFILE_COLUMNS, problems)
-    if "checkpoint" in outputs:
-        try:
-            read_checkpoint(run_dir / outputs["checkpoint"])
-        except (OSError, ValueError) as err:
-            problems.append(f"{outputs['checkpoint']}: {err}")
-    listed = {"manifest.json", outputs.get("timeseries"), outputs.get("checkpoint"),
-              *outputs.get("profiles", {}).values()}
-    for path in sorted(run_dir.iterdir()):
-        if path.name not in listed:
-            problems.append(f"{path.name}: not listed in the manifest")
+    listed = {"manifest.json", *files.values()}
+    problems.extend(f"{path.name}: not listed in the manifest"
+                    for path in sorted(run_dir.iterdir()) if path.name not in listed)
 
     if problems:
         for line in problems:
@@ -388,8 +365,7 @@ def _cmd_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import contextlib
 import math
 import sys
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import cached_property
 from typing import Union
 
@@ -35,7 +35,18 @@ _ZERO, _TENTH, _ONE, _TWO, _FOUR = (np.array(v) for v in (0.0, 0.1, 1.0, 2.0, 4.
 # ---------------------------------------------------------------------------
 # rate-law variants
 
-class _Bound:
+class _Finite:
+    """Refuses a NaN, inf or huge int in a field annotated `float` or `tuple[float, ...]`."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            values = {"float": (value,), "tuple[float, ...]": value}.get(f.type, ())
+            if not all(abs(v) <= sys.float_info.max for v in values):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+
+
+class _Bound(_Finite):
     """A rate law whose `_operands`, its fields as read-only float64 0-d arrays formed
     once per spec, spare numpy the conversion of a Python float operand per call."""
 
@@ -79,6 +90,7 @@ class ConstantTransitions(_Bound):
     K2: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not (self.K1 >= 0.0 and self.K2 >= 0.0):
             raise ValueError(f"switch rates must be >= 0, got K1={self.K1}, K2={self.K2}")
 
@@ -96,6 +108,7 @@ class HullTransitions(_Bound):
     omega: float
 
     def __post_init__(self):  # omega = 0 would give K = 0/0 at c = 0
+        super().__post_init__()
         if not (self.k1max >= 0.0 and self.k2max >= 0.0 and self.omega > 0.0):
             raise ValueError(f"hull switch needs k1max, k2max >= 0 and omega > 0, got {self}")
 
@@ -109,18 +122,19 @@ TransitionSpec = Union[ConstantTransitions, HullTransitions, RationalPairTransit
 
 
 @dataclass(frozen=True)
-class ConstantFlux:
+class ConstantFlux(_Finite):
     value: float
 
 
 @dataclass(frozen=True)
-class PeriodicFlux:
+class PeriodicFlux(_Finite):
     """On/off wall flux: `high` on the first half of each period, 0 after."""
 
     high: float
     period: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.period > 0.0:
             raise ValueError(f"flux period must be positive, got {self.period}")
 
@@ -174,7 +188,7 @@ NEUMANN = "dynamic_neumann"
 
 
 @dataclass(frozen=True)
-class ModelParameters:
+class ModelParameters(_Finite):
     """All model constants and rate-law choices for one setup.
 
     nutrient_mode selects the instantaneous-diffusion closure (Dirichlet
@@ -194,9 +208,7 @@ class ModelParameters:
     lambda_schedule: FluxSchedule | None = None
 
     def __post_init__(self):
-        for name in ("gamma", "D", "a", "c_B"):
-            if not abs(getattr(self, name)) <= sys.float_info.max:  # not NaN, inf or a huge int
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        super().__post_init__()
         if not self.gamma >= 2.0:
             raise ValueError(f"velocity prediction requires gamma >= 2, got {self.gamma:g}")
         if self.D < 0.0:

@@ -35,6 +35,7 @@ from .kinetics import (
     PeriodicFlux,
     Proportional,
     RationalPairTransitions,
+    _Finite,
     equilibrium_roots,
 )
 from .solver import (
@@ -98,13 +99,14 @@ class ProfileComposition:
 
 
 @dataclass(frozen=True)
-class TableComposition:
+class TableComposition(_Finite):
     """Fraction profile interpolated linearly from (x, mu) samples."""
 
     x: tuple[float, ...]
     mu: tuple[float, ...]
 
     def __post_init__(self):
+        super().__post_init__()
         if len(self.x) != len(self.mu) or len(self.x) < 2:
             raise ValueError("table composition needs matching x/mu lists, length >= 2")
         if any(b <= a for a, b in zip(self.x, self.x[1:])):
@@ -425,10 +427,19 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     return cfg
 
 
+def _unrepeated(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; json.load alone would keep a repeated key's last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r} in a JSON object")
+        out[key] = value
+    return out
+
+
 def load_config(path) -> ScenarioConfig:
     with open(path) as fh:
-        data = json.load(fh)
-    return config_from_dict(data)
+        return config_from_dict(json.load(fh, object_pairs_hook=_unrepeated))
 
 
 def _insert_after(d: dict, after: str, key: str, value) -> dict:

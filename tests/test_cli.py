@@ -302,6 +302,18 @@ def test_run_rejects_unrunnable_model_at_load(tmp_path, capsys, section, entries
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("first, repeated, key", [('"dt": 0.002', '"dt": 0.004', "dt"),
+                                                  ('"D": 0.3', '"D": 0.6', "D")])
+def test_run_refuses_a_config_that_repeats_a_key(tmp_path, capsys, first, repeated, key):
+    # json.load alone keeps the last value: these configs used to run with it
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(tiny_config_dict()).replace(first, f"{first}, {repeated}"))
+    out_dir = tmp_path / "never"
+    assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"bad config: repeated key {key!r} in a JSON object\n"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "preset, model, message",
     [
@@ -769,6 +781,15 @@ def test_check_fails_in_one_line_on_a_manifest_of_the_wrong_shape(tmp_path, caps
     assert f"check failed: manifest.json: {message}" in err
 
 
+def test_check_fails_in_one_line_on_a_manifest_that_is_not_text(tmp_path, capsys):
+    # the UTF-8 decoder's error used to end check in a traceback
+    out_dir = finished_run(tmp_path, capsys)
+    (out_dir / "manifest.json").write_bytes(b"\xff\xfe{}")
+    assert main(["check", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("check failed: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("row, value", [(1, "nan"), (-1, "inf"), (-1, "-inf")])
 def test_check_fails_in_one_line_on_series_times_that_are_not_finite(tmp_path, capsys, row,
                                                                      value):
@@ -860,7 +881,7 @@ def test_set_config_value_errors():
     data = config_to_dict(PRESETS["fig-s4limit-gamma5"])
     with pytest.raises(ValueError, match="ambiguous"):
         set_config_value(data, "type", "constant")  # growth, transitions, initial, ...
-    with pytest.raises(ValueError, match="not found"):
+    with pytest.raises(ValueError, match="no such config entry: 'zzz'"):
         set_config_value(data, "zzz", 1)
     with pytest.raises(ValueError, match="no such config entry: 'grid.dx'"):
         set_config_value(data, "grid.dx", 0.1)
@@ -1111,6 +1132,16 @@ def test_sweep_usage_errors(tmp_path, capsys):
     assert f"bad sweep: output directory {member} is not empty" in captured.err
     assert captured.out == ""
     assert [p.name for p in tmp_path.iterdir()] == [member.name]
+    # a key the config does not hold, and a bare key it holds more than once
+    for vary, message in (("zzz=1", "no such config entry: 'zzz'"),
+                          ("type=constant", "key 'type' is ambiguous; use a dotted path")):
+        assert main(
+            ["sweep", "--preset", "fig-s4f2-D0.3", "--vary", vary, "--out", str(tmp_path)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"bad sweep: {message}\n"
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == [member.name]
     taken = tmp_path / "taken"
     taken.write_text("")
     assert main(

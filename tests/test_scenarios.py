@@ -571,6 +571,31 @@ def test_load_config_reads_json(tmp_path):
     assert cfg.name == "tiny"
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: Proportional(g=np.inf), "g"),
+        (lambda: AffineDeath(delta=np.nan), "delta"),
+        (lambda: Logistic(g=1.0, M=np.nan, delta=0.1), "M"),
+        (lambda: HullTransitions(k1max=np.inf, k2max=1.0, omega=0.5), "k1max"),
+        (lambda: HullTransitions(k1max=2.0, k2max=1.0, omega=np.inf), "omega"),
+        (lambda: ConstantTransitions(K1=np.inf, K2=1.0), "K1"),
+        (lambda: ConstantFlux(np.nan), "value"),
+        (lambda: PeriodicFlux(high=np.inf, period=20.0), "high"),
+        (lambda: PeriodicFlux(high=0.5, period=np.inf), "period"),
+        (lambda: TableComposition(x=(-1.0, np.nan), mu=(0.5, 0.5)), "x"),
+        (lambda: TableComposition(x=(-1.0, 1.0), mu=(0.5, np.inf)), "mu"),
+    ],
+    ids=["Proportional", "AffineDeath", "Logistic", "HullTransitions-k1max",
+         "HullTransitions-omega", "ConstantTransitions", "ConstantFlux", "PeriodicFlux-high",
+         "PeriodicFlux-period", "TableComposition-x", "TableComposition-mu"],
+)
+def test_recipes_built_in_python_refuse_non_finite_fields(build, field):
+    # JSON configs never reach these: the loader refuses a non-finite number first
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # preset catalogue
 
