@@ -32,9 +32,10 @@ from .scenarios import (
     config_from_dict,
     config_to_dict,
     load_config,
+    read_json,
     run_scenario,
 )
-from .solver import RunLog, SolverError, read_checkpoint
+from .solver import RunLog, SolverError, check_checkpoint_gamma, read_checkpoint
 
 __all__ = ["main"]
 
@@ -215,17 +216,14 @@ def _run_members(members: list[tuple[ScenarioConfig, str]], jobs: int) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if "=" not in args.vary:
-        print("--vary needs the form KEY=V1,V2,...", file=sys.stderr)
-        return 2
-    key, _, value_list = args.vary.partition("=")
+    key, equals, value_list = args.vary.partition("=")
     tokens = [tok for tok in value_list.split(",") if tok]
-    if not tokens:
-        print("--vary lists no values", file=sys.stderr)
-        return 2
-
     members = []
     try:
+        if not equals:
+            raise ValueError("--vary needs the form KEY=V1,V2,...")
+        if not tokens:
+            raise ValueError("--vary lists no values")
         if key == "name":
             raise ValueError("each member is named <preset>-<key>=<value>; 'name' cannot vary")
         base = config_to_dict(config_from_dict({"preset": args.preset}))
@@ -272,29 +270,27 @@ def _read_csv(path: Path, expected_header: tuple[str, ...], problems: list[str])
         return None
 
 
-def _check_series_against_manifest(rows: list[list[float]], manifest: dict,
+def _check_end(what: str, t: float, cfg: ScenarioConfig, problems: list[str]) -> None:
+    """`what` ends at time t, which is t_end to the nearest step (an infinite or NaN gap is not)."""
+    if not abs(cfg.t_end - t) / cfg.solver.dt <= 0.5:
+        problems.append(f"{what} ends at t={t:g}, not at t_end {cfg.t_end:g}")
+
+
+def _check_series_against_manifest(rows: list[list[float]], manifest: dict, cfg: ScenarioConfig,
                                    problems: list[str]) -> None:
-    """The manifest's config loads, its step count spans the series' first
-    to last time in steps of the config's dt, the last time is t_end to the
-    nearest step, and the manifest's clamped mass is the series' last."""
-    try:
-        cfg = config_from_dict(manifest.get("config"))
-    except ValueError as err:
-        problems.append(f"manifest config: {err}")
-        return
-    dt, t_end = cfg.solver.dt, cfg.t_end
+    """The manifest's step count spans the series' first to last time in
+    steps of the config's dt, the last time is t_end to the nearest step,
+    and the manifest's clamped mass is the series' last."""
     steps, clamped = 0, 0.0
     if rows:
         t, neg = SERIES_CHANNELS.index("t"), SERIES_CHANNELS.index("neg_mass_clamped")
-        span, to_end = (rows[-1][t] - rows[0][t]) / dt, (t_end - rows[-1][t]) / dt
-        if not (math.isfinite(span) and math.isfinite(to_end)):
+        span = (rows[-1][t] - rows[0][t]) / cfg.solver.dt
+        if not math.isfinite(span):
             problems.append(f"the series times {rows[0][t]!r} to {rows[-1][t]!r} "
                             f"span no finite number of steps")
             return
-        steps = round(span)
-        clamped = rows[-1][neg]
-        if round(to_end) != 0:
-            problems.append(f"the series ends at t={rows[-1][t]:g}, not at t_end {t_end:g}")
+        steps, clamped = round(span), rows[-1][neg]
+        _check_end("the series", rows[-1][t], cfg, problems)
     if manifest.get("steps") != steps:
         problems.append(f"manifest steps {manifest.get('steps')} but the series spans {steps}")
     if manifest.get("clamped_neg_mass") != clamped:
@@ -325,33 +321,41 @@ def _output_files(manifest) -> dict[str, str]:
 
 def _cmd_check(args) -> int:
     run_dir = Path(args.run_dir)
-    problems: list[str] = []
-    manifest_path = run_dir / "manifest.json"
     try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
+        manifest = read_json(run_dir / "manifest.json")
         files = _output_files(manifest)
-    except (OSError, json.JSONDecodeError) as err:
-        print(f"check failed: {manifest_path}: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:  # the wrong shape, or bytes the text decoder refuses
+    except (OSError, ValueError) as err:  # ValueError: not text or JSON, a repeated key, a bad shape
         print(f"check failed: manifest.json: {err}", file=sys.stderr)
         return 1
 
+    problems = [f"violation: {line}" for line in manifest.get("violations", [])]
+    cfg = None
     if manifest.get("failed"):
         problems.append(f"run failed: {manifest.get('error')}")
-    problems.extend(f"violation: {line}" for line in manifest.get("violations", []))
+    else:
+        try:
+            cfg = config_from_dict(manifest.get("config"))
+        except ValueError as err:
+            problems.append(f"manifest config: {err}")
+        else:
+            # profiles are not required: a restart skips those before its start
+            problems.extend(f"outputs.{entry} is missing, but the manifest config asks for it"
+                            for entry in ("timeseries", "checkpoint")
+                            if entry in cfg.outputs and entry not in files)
     for key, name in files.items():
         if key == "checkpoint":
             try:
-                read_checkpoint(run_dir / name)
+                state, gamma = read_checkpoint(run_dir / name)
+                if cfg is not None:
+                    check_checkpoint_gamma(gamma, cfg.params)
+                    _check_end(f"{name}: the checkpoint", state.t, cfg, problems)
             except (OSError, ValueError) as err:
                 problems.append(f"{name}: {err}")
             continue
         header = SERIES_CHANNELS if key == "timeseries" else PROFILE_COLUMNS
         rows = _read_csv(run_dir / name, header, problems)
-        if key == "timeseries" and rows is not None and not manifest.get("failed"):
-            _check_series_against_manifest(rows, manifest, problems)
+        if key == "timeseries" and rows is not None and cfg is not None:
+            _check_series_against_manifest(rows, manifest, cfg, problems)
     listed = {"manifest.json", *files.values()}
     problems.extend(f"{path.name}: not listed in the manifest"
                     for path in sorted(run_dir.iterdir()) if path.name not in listed)

@@ -45,6 +45,7 @@ from .solver import (
     _check_t_end,
     _Coefficients,
     _settle,
+    check_checkpoint_gamma,
     read_checkpoint,
     run,
     write_checkpoint,
@@ -64,6 +65,7 @@ __all__ = [
     "config_from_dict",
     "config_to_dict",
     "load_config",
+    "read_json",
     "check_out_dir",
     "run_scenario",
     "write_profile_csv",
@@ -258,10 +260,7 @@ def build_initial_state(
             state, gamma = read_checkpoint(initial.path)
         except OSError as err:
             raise ValueError(f"cannot read checkpoint {initial.path}: {err.strerror or err}") from err
-        if abs(gamma - params.gamma) > 1e-12:
-            raise ValueError(
-                f"checkpoint was written with gamma={gamma:g}, model has gamma={params.gamma:g}"
-            )
+        check_checkpoint_gamma(gamma, params)
         return state
 
     if isinstance(initial, AnalyticPressureInit):
@@ -437,9 +436,14 @@ def _unrepeated(pairs: list) -> dict:
     return out
 
 
-def load_config(path) -> ScenarioConfig:
+def read_json(path):
+    """The value of a JSON file; an object that repeats a key is a ValueError."""
     with open(path) as fh:
-        return config_from_dict(json.load(fh, object_pairs_hook=_unrepeated))
+        return json.load(fh, object_pairs_hook=_unrepeated)
+
+
+def load_config(path) -> ScenarioConfig:
+    return config_from_dict(read_json(path))
 
 
 def _insert_after(d: dict, after: str, key: str, value) -> dict:

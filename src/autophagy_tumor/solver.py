@@ -55,7 +55,7 @@ from .kinetics import (
 
 __all__ = [
     "SolverConfig", "FieldState", "SolverError", "StepDiagnostics", "RunLog", "RunResult",
-    "run", "write_checkpoint", "read_checkpoint",
+    "run", "write_checkpoint", "read_checkpoint", "check_checkpoint_gamma",
 ]
 
 
@@ -81,44 +81,28 @@ class FieldState:
 
     Both densities live in one float64 array, `densities`: n1 is its first
     half and n2 its second, and the attributes n1 and n2 are views of the
-    halves. A state is assembled once from its final arrays: the constructor
-    converts and checks them and forms n once, and nothing is written after
-    it (but `run` restamps t on the fresh state `step` returns), so states
-    are shared, never copied. densities, n1, n2 and n are read-only.
+    halves. A state is assembled once from its final arrays, kept as given
+    with no conversion, copy or check (`read_checkpoint` checks those it
+    reads), and nothing is written after it (but `run` restamps t on the
+    fresh state `step` returns), so states are shared, never copied.
+    densities, n1, n2 and n are read-only.
 
     The state also carries its support: `support(threshold)` is
     `support_components(n > threshold)`, found at most once per state and
-    threshold. `_settle` hands a state the components its quasi-static
-    nutrient solve found, and an enlarged state gets its source's, shifted."""
+    threshold, or given as `support`, (threshold, those components), when
+    known: `_settle` hands a state the components its quasi-static nutrient
+    solve found, and an enlarged state gets its source's, shifted."""
 
     densities = property(attrgetter("_densities"))
     n1 = property(attrgetter("_n1"))
     n2 = property(attrgetter("_n2"))
     n = property(attrgetter("_n"))
 
-    def __init__(self, grid: Grid1D, n1, n2, c, u, t: float):
-        m = grid.n_cells
-        n1, n2, c, u = (np.asarray(arr, dtype=float) for arr in (n1, n2, c, u))
-        for name, arr, want in (("n1", n1, m), ("n2", n2, m), ("c", c, m), ("u", u, m - 1)):
-            if arr.shape != (want,):
-                raise ValueError(f"{name} must have shape ({want},), got {arr.shape}")
-        self._hold(grid, np.concatenate((n1, n2)), n1 + n2, c, u, t)
-
-    def _hold(self, grid, densities, n, c, u, t, support=(None, ())) -> None:
+    def __init__(self, grid: Grid1D, densities: np.ndarray, n: np.ndarray, c: np.ndarray,
+                 u: np.ndarray, t: float, support=(None, ())):
         self.grid, self._densities, self._n, self.c, self.u, self.t = grid, densities, n, c, u, t
         self._n1, self._n2 = densities[: grid.n_cells], densities[grid.n_cells :]
         self._support = support
-
-    @classmethod
-    def _of(cls, grid: Grid1D, densities: np.ndarray, n: np.ndarray, c: np.ndarray,
-            u: np.ndarray, t: float, support=(None, ())) -> "FieldState":
-        """The state over arrays the solver has just formed: `densities` (n1
-        then n2) and the total density n, taken as they are, with no
-        conversion, copy or shape check; `support` is (threshold, the
-        components of n > threshold) when they are known."""
-        state = cls.__new__(cls)
-        state._hold(grid, densities, n, c, u, t, support)
-        return state
 
     def support(self, threshold: float) -> tuple[tuple[int, int], ...]:
         """The inclusive (start, end) runs of cells where n > threshold."""
@@ -399,19 +383,17 @@ def enlarge_domain_if_needed(state: FieldState, k: _Coefficients) -> tuple[Field
     pad_right = 2 * margin - right_gap if right_gap <= margin else 0
     if pad_left == 0 and pad_right == 0:
         return state, False
-    dx, c_B = state.grid.dx, k.params.c_B
+    dx, pad = state.grid.dx, (pad_left, pad_right)
     grid = Grid1D(state.grid.x_min - pad_left * dx, dx, n_cells + pad_left + pad_right)
-    zeros_l, zeros_r = np.zeros(pad_left), np.zeros(pad_right)
-    new = FieldState._of(
+    return FieldState(
         grid,
-        np.concatenate((zeros_l, state.n1, zeros_r, zeros_l, state.n2, zeros_r)),
-        np.concatenate((zeros_l, state.n, zeros_r)),
-        np.concatenate((np.full(pad_left, c_B), state.c, np.full(pad_right, c_B))),
-        np.concatenate((zeros_l, state.u, zeros_r)),
+        np.pad(state.densities.reshape(2, n_cells), ((0, 0), pad)).ravel(),
+        np.pad(state.n, pad),
+        np.pad(state.c, pad, constant_values=k.params.c_B),
+        np.pad(state.u, pad),
         state.t,
         (threshold, tuple((s + pad_left, e + pad_left) for s, e in components)),
-    )
-    return new, True
+    ), True
 
 
 def _settle(grid: Grid1D, densities: np.ndarray, c: np.ndarray | None, t: float,
@@ -429,7 +411,7 @@ def _settle(grid: Grid1D, densities: np.ndarray, c: np.ndarray | None, t: float,
     p = _pressure(n, k.g1, k.p_factor)  # unchecked: see pressure_from_density
     u = p[1:] - p[:-1]
     u /= k.neg_dx  # -(a/b) == a/(-b) bit for bit
-    return FieldState._of(grid, densities, n, c, u, t, support)
+    return FieldState(grid, densities, n, c, u, t, support)
 
 
 class StepDiagnostics(NamedTuple):
@@ -694,6 +676,14 @@ def read_checkpoint(path) -> tuple[FieldState, float]:
             raise ValueError(f"checkpoint column {name} must be {need}; "
                              f"data row {row + 1} holds {values[row]:g}")
     grid = Grid1D(x_min=float(header["x_min"]), dx=float(header["dx"]), n_cells=n_cells)
-    state = FieldState(grid=grid, n1=arr[:, 0], n2=arr[:, 1], c=arr[:, 2],
-                       u=arr[:n_cells - 1, 3], t=float(header["t"]))
+    n1, n2 = arr[:, 0], arr[:, 1]
+    state = FieldState(grid, np.concatenate((n1, n2)), n1 + n2, arr[:, 2], arr[:n_cells - 1, 3],
+                       float(header["t"]))
     return state, float(header["gamma"])
+
+
+def check_checkpoint_gamma(gamma: float, params: ModelParameters) -> None:
+    """Raise ValueError unless a checkpoint's gamma is the model's (to within 1e-12)."""
+    if abs(gamma - params.gamma) > 1e-12:
+        raise ValueError(f"checkpoint was written with gamma={gamma:g}, "
+                         f"model has gamma={params.gamma:g}")

@@ -25,7 +25,7 @@ from autophagy_tumor.scenarios import (
     config_from_dict,
     config_to_dict,
 )
-from autophagy_tumor.solver import RunLog, RunResult, write_checkpoint
+from autophagy_tumor.solver import RunLog, RunResult, read_checkpoint, write_checkpoint
 
 from conftest import make_state
 
@@ -274,6 +274,8 @@ def test_restart_warns_about_profile_before_its_start(tmp_path, capsys):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["outputs"]["profiles"] == {"0.02": "profile_t0.02.csv"}
     assert any("no snapshot at t=0.004" in w for w in manifest["warnings"])
+    # check requires the series and checkpoint a config asks for, but not its profiles
+    assert main(["check", str(out_dir)]) == 0
 
 
 @pytest.mark.parametrize(
@@ -687,6 +689,54 @@ def test_check_tests_the_last_sample_time_against_t_end(tmp_path, capsys):
         assert (f"the series ends at t=0.01, not at t_end {t_end:g}" in err) == bool(rc)
 
 
+def test_check_refuses_a_manifest_that_repeats_a_key(tmp_path, capsys):
+    # json.load alone kept the last value, and check passed
+    out_dir = finished_run(tmp_path, capsys)
+    manifest_path = out_dir / "manifest.json"
+    text = manifest_path.read_text()
+    manifest_path.write_text(text.replace('"steps": 5,', '"steps": 1, "steps": 5,', 1))
+    assert main(["check", str(out_dir)]) == 1
+    assert capsys.readouterr().err == (
+        "check failed: manifest.json: repeated key 'steps' in a JSON object\n")
+
+
+@pytest.mark.parametrize("key, file_name", [("timeseries", "timeseries.csv"),
+                                            ("checkpoint", "checkpoint_final.txt")])
+def test_check_requires_the_outputs_the_config_asks_for(tmp_path, capsys, key, file_name):
+    out_dir = finished_run(tmp_path, capsys)
+    manifest_path = out_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["outputs"][key]
+    manifest_path.write_text(json.dumps(manifest))
+    (out_dir / file_name).unlink()
+    assert main(["check", str(out_dir)]) == 1
+    assert capsys.readouterr().err == (
+        f"check failed: outputs.{key} is missing, but the manifest config asks for it\n")
+
+
+@pytest.mark.parametrize(
+    "gamma, t, message",
+    [
+        (80.0, 0.01, "checkpoint_final.txt: checkpoint was written with gamma=80, "
+                     "model has gamma=5"),
+        (5.0, 0.02, "checkpoint_final.txt: the checkpoint ends at t=0.02, not at t_end 0.01"),
+        (5.0, 0.008, "checkpoint_final.txt: the checkpoint ends at t=0.008, not at t_end 0.01"),
+        # a gap of no finite number of steps
+        (5.0, -1e308, "checkpoint_final.txt: the checkpoint ends at t=-1e+308, not at t_end 0.01"),
+    ],
+)
+def test_check_cross_checks_the_checkpoint_against_the_config(tmp_path, capsys, gamma, t,
+                                                              message):
+    # a checkpoint a restart with this config refuses, or one from another time, used to pass
+    out_dir = finished_run(tmp_path, capsys)
+    chk = out_dir / "checkpoint_final.txt"
+    state, _ = read_checkpoint(chk)
+    state.t = t
+    write_checkpoint(chk, state, gamma)
+    assert main(["check", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"check failed: {message}\n"
+
+
 @pytest.mark.parametrize(
     "dt, message",
     [
@@ -1080,11 +1130,11 @@ def test_sweep_usage_errors(tmp_path, capsys):
     assert main(
         ["sweep", "--preset", "fig-s4limit-gamma5", "--vary", "t_end", "--out", str(tmp_path)]
     ) == 2
-    assert "--vary" in capsys.readouterr().err
+    assert capsys.readouterr().err == "bad sweep: --vary needs the form KEY=V1,V2,...\n"
     assert main(
         ["sweep", "--preset", "fig-s4limit-gamma5", "--vary", "t_end=", "--out", str(tmp_path)]
     ) == 2
-    assert "no values" in capsys.readouterr().err
+    assert capsys.readouterr().err == "bad sweep: --vary lists no values\n"
     # values are validated before any run starts
     assert main(
         ["sweep", "--preset", "fig-s4limit-gamma5", "--vary", "gamma=0.5", "--out", str(tmp_path)]

@@ -25,7 +25,6 @@ from autophagy_tumor.kinetics import (
     eval_transitions,
 )
 from autophagy_tumor.solver import (
-    FieldState,
     RunLog,
     SolverConfig,
     SolverError,
@@ -128,15 +127,6 @@ def test_solver_config_validation():
         SolverConfig(dt=0.01, enlargement_margin=2)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.01, sample_interval=0.0)
-
-
-def test_field_state_shape_checks():
-    g = Grid1D(x_min=0.0, dx=0.1, n_cells=5)
-    FieldState(grid=g, n1=np.zeros(5), n2=np.zeros(5), c=np.ones(5), u=np.zeros(4), t=0.0)
-    with pytest.raises(ValueError):
-        FieldState(grid=g, n1=np.zeros(4), n2=np.zeros(5), c=np.ones(5), u=np.zeros(4), t=0.0)
-    with pytest.raises(ValueError):
-        FieldState(grid=g, n1=np.zeros(5), n2=np.zeros(5), c=np.ones(5), u=np.zeros(5), t=0.0)
 
 
 def test_field_state_densities_are_one_read_only_buffer():
@@ -1197,21 +1187,17 @@ def reference_enlarge(state, params, cfg):
     pad_right = 2 * margin - right_gap if right_gap <= margin else 0
     if pad_left == 0 and pad_right == 0:
         return state, False
-    grid = Grid1D(
-        x_min=state.grid.x_min - pad_left * state.grid.dx,
-        dx=state.grid.dx,
-        n_cells=n_cells + pad_left + pad_right,
-    )
     zl = np.zeros(pad_left)
     zr = np.zeros(pad_right)
     cl = np.full(pad_left, params.c_B)
     cr = np.full(pad_right, params.c_B)
-    return FieldState(
-        grid=grid,
-        n1=np.concatenate((zl, state.n1, zr)),
-        n2=np.concatenate((zl, state.n2, zr)),
+    return make_state(
+        np.concatenate((zl, state.n1, zr)),
+        np.concatenate((zl, state.n2, zr)),
         c=np.concatenate((cl, state.c, cr)),
         u=np.concatenate((zl, state.u, zr)),
+        dx=state.grid.dx,
+        x_min=state.grid.x_min - pad_left * state.grid.dx,
         t=state.t,
     ), True
 
@@ -1279,7 +1265,8 @@ def reference_step(state, params, cfg):
     u_star = reference_predict(state, params, dt)
     cfl = float(np.max(np.abs(u_star)) * dt / state.grid.dx) if len(u_star) else 0.0
     n1, n2, clamped = correct_densities_per_species(state, u_star, params, dt)
-    new = FieldState(grid=state.grid, n1=n1, n2=n2, c=state.c, u=state.u, t=state.t + dt)
+    new = make_state(n1, n2, c=state.c, u=state.u, dx=state.grid.dx, x_min=state.grid.x_min,
+                     t=state.t + dt)
     p = pressure_from_density(new.n, params.gamma)
     new.u = -np.diff(p) / state.grid.dx
     nutrient_clamped = 0
