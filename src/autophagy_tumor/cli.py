@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import AnalyticSetup, analytic_nutrient, analytic_pressure, integrate_radius
-from .diagnostics import SERIES_CHANNELS, write_table
+from .diagnostics import SERIES_CHANNELS, read_table, write_table
 from .scenarios import (
     PRESETS,
     PROFILE_COLUMNS,
@@ -248,28 +248,6 @@ def _cmd_sweep(args) -> int:
 # --- check ------------------------------------------------------------------
 
 
-def _read_csv(path: Path, expected_header: tuple[str, ...], problems: list[str]):
-    """The rows of a CSV with the expected header, as lists of floats, or
-    None after appending what is wrong to problems."""
-    try:
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != ",".join(expected_header):
-                problems.append(f"{path.name}: unexpected header {header!r}")
-                return None
-            rows = []
-            for lineno, line in enumerate(fh, start=2):
-                fields = line.strip().split(",")
-                if len(fields) != len(expected_header):
-                    problems.append(f"{path.name}:{lineno}: wrong column count")
-                    return None
-                rows.append([float(tok) for tok in fields])
-            return rows
-    except (OSError, ValueError) as err:
-        problems.append(f"{path.name}: {err}")
-        return None
-
-
 def _check_end(what: str, t: float, cfg: ScenarioConfig, problems: list[str]) -> None:
     """`what` ends at time t, which is t_end to the nearest step (an infinite or NaN gap is not)."""
     if not abs(cfg.t_end - t) / cfg.solver.dt <= 0.5:
@@ -338,24 +316,33 @@ def _cmd_check(args) -> int:
         except ValueError as err:
             problems.append(f"manifest config: {err}")
         else:
-            # profiles are not required: a restart skips those before its start
+            # profiles are not required (a restart skips those before its start),
+            # but each one listed must be at a time the config asks for
             problems.extend(f"outputs.{entry} is missing, but the manifest config asks for it"
                             for entry in ("timeseries", "checkpoint")
                             if entry in cfg.outputs and entry not in files)
+            times = {f"{t:g}" for t in cfg.snapshot_times()}
+            problems.extend(f"outputs.{key}: the manifest config asks for no profile at t={key[9:]}"
+                            for key in files if key.startswith("profiles.") and key[9:] not in times)
     for key, name in files.items():
-        if key == "checkpoint":
-            try:
+        try:  # ValueError: not text, a header, row or value that is wrong
+            if key == "checkpoint":
                 state, gamma = read_checkpoint(run_dir / name)
                 if cfg is not None:
                     check_checkpoint_gamma(gamma, cfg.params)
                     _check_end(f"{name}: the checkpoint", state.t, cfg, problems)
-            except (OSError, ValueError) as err:
-                problems.append(f"{name}: {err}")
+                continue
+            columns = SERIES_CHANNELS if key == "timeseries" else PROFILE_COLUMNS
+            with open(run_dir / name) as fh:
+                header = fh.readline().strip()
+                if header != ",".join(columns):
+                    raise ValueError(f"unexpected header {header!r}")
+                table = read_table(fh.readlines(), ",", len(columns))
+        except (OSError, ValueError) as err:
+            problems.append(f"{name}: {err}")
             continue
-        header = SERIES_CHANNELS if key == "timeseries" else PROFILE_COLUMNS
-        rows = _read_csv(run_dir / name, header, problems)
-        if key == "timeseries" and rows is not None and cfg is not None:
-            _check_series_against_manifest(rows, manifest, cfg, problems)
+        if key == "timeseries" and cfg is not None:
+            _check_series_against_manifest(table.tolist(), manifest, cfg, problems)
     listed = {"manifest.json", *files.values()}
     problems.extend(f"{path.name}: not listed in the manifest"
                     for path in sorted(run_dir.iterdir()) if path.name not in listed)

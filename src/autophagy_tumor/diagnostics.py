@@ -21,7 +21,7 @@ from .kinetics import (
 
 __all__ = [
     "TimeSeries", "SERIES_CHANNELS", "support_components", "deviation_norms", "uniform_bound_at",
-    "l2n_condition_and_rate", "total_population", "write_table",
+    "l2n_condition_and_rate", "total_population", "write_table", "read_table",
 ]
 
 
@@ -148,3 +148,19 @@ def write_table(fh, table: np.ndarray, sep: str) -> None:
     for start in range(0, n_rows, _TABLE_BLOCK_ROWS):
         block = table[start : start + _TABLE_BLOCK_ROWS]
         fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
+def read_table(lines, sep: str | None, n_cols: int) -> np.ndarray:
+    """The (len(lines), n_cols) float array of text rows split on `sep` (None:
+    runs of whitespace), each value read as `float()` reads it, by one
+    `np.array`; when that refuses, ValueError names the first bad row."""
+    rows = [line.strip().split(sep) for line in lines]
+    try:
+        return np.array(rows, dtype=float).reshape(len(rows), n_cols)
+    except ValueError:
+        for k, (line, row) in enumerate(zip(lines, rows), start=1):
+            try:
+                np.array(row, dtype=float).reshape(n_cols)
+            except ValueError:
+                raise ValueError(f"data row {k} is not {n_cols} numbers: {line.strip()!r}") from None
+        raise

@@ -38,6 +38,7 @@ import numpy as np
 from .diagnostics import (
     TimeSeries,
     deviation_norms,
+    read_table,
     support_components,
     total_population,
     write_table,
@@ -632,35 +633,29 @@ def read_checkpoint(path) -> tuple[FieldState, float]:
     that is not finite, a data row that is not 4 numbers, a row count that
     does not match, a value that is not finite, and a negative n1, n2 or c."""
     header: dict[str, str] = {}
-    rows: list[list[float]] = []
+    data_lines: list[str] = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" in line:
+        for line in map(str.strip, fh):  # blank and `#` lines are skipped
+            if "=" in line and not line.startswith("#"):
                 key, _, value = (part.strip() for part in line.partition("="))
                 if key in header:
                     raise ValueError(f"checkpoint repeats header key {key!r}")
                 header[key] = value
-                continue
-            try:
-                row = [float(tok) for tok in line.split()]
-            except ValueError:  # a token that is not a number
-                row = []
-            if len(row) != 4:
-                raise ValueError(f"checkpoint data row {len(rows) + 1} is not 4 numbers: {line!r}")
-            rows.append(row)
+            elif line and not line.startswith("#"):
+                data_lines.append(line)
+    try:
+        arr = read_table(data_lines, None, 4)
+    except ValueError as err:
+        raise ValueError(f"checkpoint {err}") from None
     for key in ("x_min", "dx", "n_cells", "t", "gamma"):
         if key not in header:
             raise ValueError(f"checkpoint is missing header key {key!r}")
     if not header["n_cells"].isdecimal():
         raise ValueError(f"checkpoint header n_cells = {header['n_cells']} is not a cell count")
     n_cells = int(header["n_cells"])
-    if len(rows) != n_cells:
-        raise ValueError(f"checkpoint has {len(rows)} data rows "
+    if len(arr) != n_cells:
+        raise ValueError(f"checkpoint has {len(arr)} data rows "
                          f"but header says {n_cells} cells")
-    arr = np.array(rows, dtype=float).reshape(n_cells, 4)
     for key in ("x_min", "dx", "t", "gamma"):
         with contextlib.suppress(ValueError):  # a value that is not a number is named below
             if math.isfinite(float(header[key])):

@@ -627,15 +627,23 @@ def test_check_accepts_good_run(tmp_path, capsys):
     assert "OK" in capsys.readouterr().out
 
 
-def test_check_flags_corrupted_csv(tmp_path, capsys):
+@pytest.mark.parametrize("case", ["semicolon", "blank line", "header", "bad token"])
+def test_check_flags_corrupted_csv(tmp_path, capsys, case):
+    # the series of the tiny run: a header and two data rows, t = 0 and t = 0.01
     out_dir = finished_run(tmp_path, capsys)
     series = out_dir / "timeseries.csv"
-    lines = series.read_text().splitlines()
-    lines[1] = lines[1].replace(",", ";", 1)
+    header, row1, row2 = series.read_text().splitlines()
+    semicolon, bad_token = row1.replace(",", ";", 1), "x" + row2[row2.index(","):]
+    wrong_header = header.replace("radius", "r", 1)
+    lines, message = {
+        "semicolon": ([header, semicolon, row2], f"data row 1 is not 10 numbers: {semicolon!r}"),
+        "blank line": ([header, row1, "", row2], "data row 2 is not 10 numbers: ''"),
+        "header": ([wrong_header, row1, row2], f"unexpected header {wrong_header!r}"),
+        "bad token": ([header, row1, bad_token], f"data row 2 is not 10 numbers: {bad_token!r}"),
+    }[case]
     series.write_text("\n".join(lines) + "\n")
-    rc = main(["check", str(out_dir)])
-    assert rc == 1
-    assert "check failed" in capsys.readouterr().err
+    assert main(["check", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"check failed: timeseries.csv: {message}\n"
 
 
 def test_check_flags_truncated_checkpoint(tmp_path, capsys):
@@ -674,6 +682,24 @@ def test_check_cross_checks_the_manifest_against_the_series(tmp_path, capsys, ke
     manifest_path.write_text(json.dumps(manifest))
     assert main(["check", str(out_dir)]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_check_tests_the_profile_times_against_the_config(tmp_path, capsys):
+    # a profile listed under a time the config never asks for used to pass
+    data = tiny_config_dict()
+    data["outputs"] = ["timeseries", "profiles@0.01", "checkpoint"]
+    out_dir = tmp_path / "run"
+    assert main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)]) == 0
+    assert main(["check", str(out_dir)]) == 0
+    capsys.readouterr()
+    manifest_path = out_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["outputs"]["profiles"] == {"0.01": "profile_t0.01.csv"}
+    manifest["outputs"]["profiles"] = {"0.5": "profile_t0.01.csv"}
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["check", str(out_dir)]) == 1
+    assert capsys.readouterr().err == (
+        "check failed: outputs.profiles.0.5: the manifest config asks for no profile at t=0.5\n")
 
 
 def test_check_tests_the_last_sample_time_against_t_end(tmp_path, capsys):

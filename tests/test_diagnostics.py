@@ -13,6 +13,7 @@ from autophagy_tumor.diagnostics import (
     l2n_condition_and_rate,
     support_components,
     total_population,
+    read_table,
     uniform_bound_at,
     write_table,
 )
@@ -337,6 +338,47 @@ def test_write_table_blocks_match_per_value_loop(rng):
     fh = io.StringIO()
     write_table(fh, table, " ")
     assert fh.getvalue() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_cols=st.integers(1, 7),
+    values=st.lists(_TABLE_VALUES, max_size=60),
+    sep=st.sampled_from([",", None]),
+)
+@example(n_cols=3, values=[], sep=",")
+@example(n_cols=4, values=[], sep=None)
+def test_read_table_reads_write_table_back_bit_for_bit(n_cols, values, sep):
+    table = np.array(values[: len(values) // n_cols * n_cols], dtype=float).reshape(-1, n_cols)
+    fh = io.StringIO()
+    write_table(fh, table, sep or " ")
+    back = read_table(fh.getvalue().splitlines(keepends=True), sep, n_cols)
+    assert back.shape == table.shape
+    # "%.17g" keeps every bit but a NaN's sign and payload: "nan" reads back as np.nan
+    want = np.where(np.isnan(table), np.nan, table)
+    np.testing.assert_array_equal(back.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("token", ["1_0", " 1.5 ", "-nan", "iNf", "\uff11", "1e999", "-0"])
+def test_read_table_reads_a_value_as_float_does(token):
+    back = read_table([token + "\n"], ",", 1)
+    np.testing.assert_array_equal(back.view(np.uint64), np.array([[float(token)]]).view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "lines, sep, n_cols, message",
+    [
+        (["1,2,3\n", "4,5\n", "6,7,8\n"], ",", 3, "data row 2 is not 3 numbers: '4,5'"),
+        (["1,2\n", "\n", "3,4\n"], ",", 2, "data row 2 is not 2 numbers: ''"),
+        (["1 2\n", "3 x\n"], None, 2, "data row 2 is not 2 numbers: '3 x'"),
+        (["1,2\n", "3,4\n"], ",", 3, "data row 1 is not 3 numbers: '1,2'"),
+    ],
+    ids=["ragged row", "blank line", "bad token", "every row one short"],
+)
+def test_read_table_names_the_first_row_it_refuses(lines, sep, n_cols, message):
+    with pytest.raises(ValueError) as info:
+        read_table(lines, sep, n_cols)
+    assert str(info.value) == message
 
 
 def test_norms_accept_the_on_support_fraction(rng):

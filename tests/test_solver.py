@@ -1726,9 +1726,11 @@ def test_checkpoint_rejects_values_no_state_holds(tmp_path, key, value, message)
 
 
 def test_checkpoint_accepts_negative_zero_and_ignores_the_u_pad(tmp_path):
+    # the second body has a blank line and a comment between data rows: both are skipped
     p = tmp_path / "chk.txt"
-    p.write_text("x_min = 0\ndx = 0.1\nn_cells = 3\nt = 0\ngamma = 2\n"
-                 "-0 0 1 0\n0.5 -0 -0 0\n0 0 1 nan\n")
-    state, _ = read_checkpoint(p)
-    np.testing.assert_array_equal(state.n1, [0.0, 0.5, 0.0])
-    np.testing.assert_array_equal(state.u, [0.0, 0.0])
+    for body in ("-0 0 1 0\n0.5 -0 -0 0\n0 0 1 nan\n",
+                 "-0 0 1 0\n\n0.5 -0 -0 0\n# a comment\n0 0 1 nan\n"):
+        p.write_text("x_min = 0\ndx = 0.1\nn_cells = 3\nt = 0\ngamma = 2\n" + body)
+        state, _ = read_checkpoint(p)
+        np.testing.assert_array_equal(state.n1, [0.0, 0.5, 0.0])
+        np.testing.assert_array_equal(state.u, [0.0, 0.0])
