@@ -27,10 +27,10 @@ __all__ = [
 
 def support_components(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
     """Inclusive (start, end) index runs of a 1D support mask, left to right:
-    one `np.flatnonzero` finds the occupied cells, and when they form one run
+    one `nonzero` call finds the occupied cells, and when they form one run
     (last - first + 1 cells) it is returned at once; otherwise that index
     array is split where consecutive indices jump."""
-    cells = np.flatnonzero(mask)
+    cells = mask.nonzero()[0]
     if not cells.size:
         return ()
     first, last = int(cells[0]), int(cells[-1])

@@ -90,29 +90,41 @@ def _limit(d_minus, d_plus, d_center, out):
     return out
 
 
-def _edge_faces(values: np.ndarray, n: int, dx, two_dx, half_dx) -> tuple[np.ndarray, np.ndarray]:
+class _FaceScratch:
+    """`_edge_faces`' buffers for `size` values and their views, formed once;
+    the slopes' two end values are never written and stay 0."""
+
+    def __init__(self, size: int):
+        self.d, self.left, self.right = np.empty((3, size - 1))
+        self.d_center, self.s = np.empty(size - 2), np.zeros(size)
+        self.d_minus, self.d_plus = self.d[:-1], self.d[1:]
+        self.s_inner, self.s_left, self.s_right = self.s[1:-1], self.s[:-1], self.s[1:]
+
+
+def _edge_faces(values: np.ndarray, n: int, dx, two_dx, half_dx,
+                f: _FaceScratch) -> tuple[np.ndarray, np.ndarray]:
     """Second-order left/right states at the faces of `values`, a flat array
-    of fields of n cells of width dx (two_dx = 2*dx, half_dx = dx/2) end to end.
+    of fields of n cells of width dx (two_dx = 2*dx, half_dx = dx/2) end to
+    end: `f.left` and `f.right`, written into f, a `_FaceScratch` of its size.
 
     Face i lies between cells i and i + 1. Each field's two end cells get
     slope 0 (one-sided reconstruction degenerates to the cell value there);
     the faces between two fields join unrelated cells, and their states are
     junk for the caller to discard. Each other cell's slope is `_limit` of
     its upwind, downwind and centered differences; the first two are
-    overlapping slices of one difference array.
-    """
-    s = np.zeros(values.shape)
-    d = values[1:] - values[:-1]
-    d /= dx
-    d_center = values[2:] - values[:-2]
-    d_center /= two_dx
-    _limit(d[:-1], d[1:], d_center, s[1:-1])
-    for i in range(n, values.size, n):  # the first and last cells keep the 0 of np.zeros
-        s[i - 1] = s[i] = 0.0
-    s *= half_dx
-    left = values[:-1] + s[:-1]
-    right = values[1:] - s[1:]
-    return left, right
+    overlapping slices of one difference array."""
+    lo, hi = values[:-1], values[1:]
+    np.subtract(hi, lo, out=f.d)
+    f.d /= dx
+    np.subtract(values[2:], values[:-2], out=f.d_center)
+    f.d_center /= two_dx
+    _limit(f.d_minus, f.d_plus, f.d_center, f.s_inner)
+    for i in range(n, values.size, n):  # the first and last cells keep their 0
+        f.s[i - 1] = f.s[i] = 0.0
+    f.s *= half_dx
+    np.add(lo, f.s_left, out=f.left)
+    np.subtract(hi, f.s_right, out=f.right)
+    return f.left, f.right
 
 
 def numerical_flux(left, right, u, out=None):

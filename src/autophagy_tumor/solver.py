@@ -23,7 +23,6 @@ once; README "Performance" explains how a step keeps its per-call cost down.
 from __future__ import annotations
 
 import contextlib
-import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -35,24 +34,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diagnostics import (
-    TimeSeries,
-    deviation_norms,
-    read_table,
-    support_components,
-    total_population,
-    write_table,
-)
-from .grid import Grid1D, _edge_faces, _pressure, numerical_flux
-from .kinetics import (
-    QUASISTATIC,
-    ConstantTransitions,
-    ModelParameters,
-    equilibrium_roots,
-    eval_flux,
-    eval_growth,
-    eval_transitions,
-)
+from .diagnostics import (TimeSeries, deviation_norms, read_table, support_components,
+                          total_population, write_table)
+from .grid import Grid1D, _edge_faces, _FaceScratch, _pressure, numerical_flux
+from .kinetics import (QUASISTATIC, ConstantTransitions, ModelParameters, equilibrium_roots,
+                       eval_flux, eval_growth, eval_transitions)
 
 __all__ = [
     "SolverConfig", "FieldState", "SolverError", "StepDiagnostics", "RunLog", "RunResult",
@@ -137,15 +123,13 @@ def _load_dgtsv():
 
 
 dgtsv = _load_dgtsv()
-_ZERO = np.zeros(1)
 
 
 class _Coefficients:
-    """A run's (params, cfg) and its scalar coefficients with cell width dx,
-    which an enlargement keeps, as float64 0-d arrays with the bits of their
-    Python float formulas: numpy converts a Python float operand on every
-    call, not a 0-d array (`c_B_dx2`, only added to single elements, is a
-    faster Python float, and so is `off_diag`, which fills a buffer)."""
+    """A run's (params, cfg), step temporaries (so it serves one run at a time)
+    and scalar coefficients with cell width dx, which an enlargement keeps, as
+    float64 0-d arrays with the bits of their Python float formulas, which numpy
+    need not convert per call (`c_B_dx2` and `off_diag`, used as scalars, are floats)."""
 
     def __init__(self, params: ModelParameters, cfg: SolverConfig, dx: float):
         self.params, self.cfg, dt, g = params, cfg, cfg.dt, params.gamma
@@ -161,17 +145,35 @@ class _Coefficients:
         self.B = np.array(g * dt / dx)
         self.inv_dt_two_dx2 = np.array(1.0 / dt + 2.0 / dx**2)
         self.singular = 1e-14 * (1.0 / dt**2)
+        self._scratch = None
+
+    def scratch(self, n_cells: int) -> _Scratch:
+        """The step temporaries for n_cells cells; a new size drops the last size's."""
+        if self._scratch is None or self._scratch.n_cells != n_cells:
+            self._scratch = _Scratch(n_cells)
+        return self._scratch
 
 
-@functools.lru_cache(maxsize=8)
-def _filled(size: int, value: float) -> np.ndarray:
-    """A read-only np.full(size, value), formed once per (size, value): the
-    nutrient solves copy (a prefix of) the packed system (`_views`) of a
-    grid's N cells with -1/dx^2 off-diagonals, `_filled(4N - 2, -1/dx^2)`,
-    and the ambient row `_filled(N, c_B)`."""
-    out = np.full(size, value, dtype=float)
-    out.flags.writeable = False
-    return out
+class _Scratch:
+    """A step's temporaries on N cells, which no state keeps, and their views,
+    formed once: each packed system (`_views`) is a prefix of `system`; the
+    zeros of u_pad (the face between the species) and flux (the walls) stay."""
+
+    def __init__(self, N: int):
+        self.n_cells, F = N, N - 1
+        self.system, self.faces = np.empty(4 * N - 2), _FaceScratch(2 * N)
+        self.predict, self.neumann = _views(self.system[: 4 * F - 2], F), _views(self.system, N)
+        self.w, self.ws, self.source2, self.a11, self.a22, self.det = np.empty((6, N))
+        self.m, self.w_sum = np.empty((2, F))
+        self.w_lo, self.w_hi, self.w_mid = self.w[:-1], self.w[1:], self.w[1:-1]
+        self.ws_lo, self.ws_hi = self.ws[:-1], self.ws[1:]
+        self.m_lo, self.m_hi = self.m[:-1], self.m[1:]
+        self.u_pad, self.flux = np.zeros(2 * N), np.zeros(2 * N + 1)
+        self.u_faces, self.u_rows = self.u_pad[:-1], self.u_pad.reshape(2, N)[:, :F]
+        self.flux_inner, self.flux_hi, self.flux_lo = self.flux[1:-1], self.flux[1:], self.flux[:-1]
+        self.r, self.cross, self.div = np.empty((3, 2 * N))
+        self.r1, self.r2 = self.r[:N], self.r[N:]
+        self.cross1, self.cross2 = self.cross[:N], self.cross[N:]
 
 
 class SolverError(RuntimeError):
@@ -223,39 +225,37 @@ def predict_velocity(state: FieldState, k: _Coefficients, growth: np.ndarray) ->
     Euler discretization of the pressure-gradient evolution with lagged
     density weights n^(gamma-2), bounded at vacuum as ModelParameters holds
     gamma >= 2. The first and last interior faces are held at zero.
-    `growth` is the rate G(c, n) on `state`."""
-    n = state.n
-    w = n**k.g2
+    `growth` is the rate G(c, n) on `state`; u* lives in `k`'s scratch until its next solve."""
+    n, s = state.n, k.scratch(state.grid.n_cells)
+    w = np.power(n, k.g2, out=s.w)
     # ws = w * (n1*G + n2*(G - D))
-    ws = state.n1 * growth
-    source2 = growth - k.D
+    ws = np.multiply(state.n1, growth, out=s.ws)
+    source2 = np.subtract(growth, k.D, out=s.source2)
     source2 *= state.n2
     ws += source2
     ws *= w
 
     # A = gamma*dt/dx^2, B = gamma*dt/dx
-    system, lower, upper, diag, rhs = _views(np.empty(4 * state.u.size - 2), state.u.size)
-    m = n[:-1] + n[1:]
+    system, lower, upper, diag, rhs = s.predict
+    m = np.add(n[:-1], n[1:], out=s.m)
     m *= k.half
     np.multiply(m, k.A, out=diag)
-    diag *= w[:-1] + w[1:]
+    diag *= np.add(s.w_lo, s.w_hi, out=s.w_sum)
     diag += k.one
-    np.multiply(w[1:-1], k.neg_A, out=lower)
-    np.multiply(lower, m[1:], out=upper)
-    lower *= m[:-1]
-    np.subtract(ws[1:], ws[:-1], out=rhs)
+    np.multiply(s.w_mid, k.neg_A, out=lower)
+    np.multiply(lower, s.m_hi, out=upper)
+    lower *= s.m_lo
+    np.subtract(s.ws_hi, s.ws_lo, out=rhs)
     rhs *= k.B
     np.subtract(state.u, rhs, out=rhs)
 
-    # hold the outermost interior faces at rest
     diag[0] = diag[-1] = 1.0
     rhs[0] = rhs[-1] = upper[0] = lower[-1] = 0.0
     return _solve_packed(system, lower, upper, diag, rhs)
 
 
-def correct_densities(
-    state: FieldState, u_star: np.ndarray, k: _Coefficients, growth: np.ndarray
-) -> tuple[np.ndarray, float]:
+def correct_densities(state: FieldState, u_star: np.ndarray, k: _Coefficients,
+                      growth: np.ndarray) -> tuple[np.ndarray, float]:
     """Transport both species with the predicted velocity and apply the
     exchange/growth terms semi-implicitly; `growth` is the rate G(c, n) on
     `state`.
@@ -263,40 +263,39 @@ def correct_densities(
     Returns (densities, clamped_mass): the new n1 then n2 in one array, as
     in `FieldState.densities`, and the total mass removed by zeroing
     negative densities."""
-    m = state.grid.n_cells
+    m, s = state.grid.n_cells, k.scratch(state.grid.n_cells)
     K1, K2 = eval_transitions(k.params.transitions, state.c)
 
     # both species in one pass over the flat n1-then-n2 array: u* on each
     # species' faces, and zero flux through the walls and through the junk
     # face between the two species
     values = state.densities
-    left, right = _edge_faces(values, m, k.dx, k.two_dx, k.half_dx)
-    flux = np.zeros(2 * m + 1)
-    numerical_flux(left, right, np.concatenate((u_star, _ZERO, u_star)), out=flux[1:-1])
-    flux[m] = 0.0
-    div = flux[1:] - flux[:-1]
+    left, right = _edge_faces(values, m, k.dx, k.two_dx, k.half_dx, s.faces)
+    s.u_rows[...] = u_star
+    numerical_flux(left, right, s.u_faces, out=s.flux_inner)
+    s.flux[m] = 0.0
+    div = np.subtract(s.flux_hi, s.flux_lo, out=s.div)
     div /= k.dx
 
     # a11 = 1/dt - G + K1, a22 = 1/dt - (G - D) + K2
-    a11 = k.inv_dt - growth
+    a11 = np.subtract(k.inv_dt, growth, out=s.a11)
     a11 += K1
-    a22 = k.inv_dt - (growth - k.D)
+    a22 = np.subtract(growth, k.D, out=s.a22)
+    np.subtract(k.inv_dt, a22, out=a22)
     a22 += K2
-    det = a11 * a22
+    det = np.multiply(a11, a22, out=s.det)
     det -= K1 * K2
     if np.minimum.reduce(np.abs(det)) < k.singular:
         raise SolverError("reaction solve is singular (dt too large for the reaction rates)")
-    r = values / k.dt
+    r = np.divide(values, k.dt, out=s.r)
     r -= div
-    r1, r2 = r[:m], r[m:]
     # new = [a22*r1 + K2*r2, K1*r1 + a11*r2] / det
-    new = np.empty_like(r)
-    np.multiply(a22, r1, out=new[:m])
-    np.multiply(K1, r1, out=new[m:])
-    cross = np.empty_like(r)
-    np.multiply(K2, r2, out=cross[:m])
-    np.multiply(a11, r2, out=cross[m:])
-    new += cross
+    new = np.empty(2 * m)
+    np.multiply(a22, s.r1, out=new[:m])
+    np.multiply(K1, s.r1, out=new[m:])
+    np.multiply(K2, s.r2, out=s.cross1)
+    np.multiply(a11, s.r2, out=s.cross2)
+    new += s.cross
     rows = new.reshape(2, m)
     rows /= det
 
@@ -310,24 +309,20 @@ def correct_densities(
     return new, clamped
 
 
-def solve_nutrient_quasistatic(
-    grid: Grid1D, n: np.ndarray, n2: np.ndarray, k: _Coefficients,
-    components: tuple[tuple[int, int], ...],
-) -> np.ndarray:
+def solve_nutrient_quasistatic(grid: Grid1D, n: np.ndarray, n2: np.ndarray, k: _Coefficients,
+                               components: tuple[tuple[int, int], ...]) -> np.ndarray:
     """Solve -c'' + c*n = a*n2 on `grid` for each occupied component, an
     inclusive (start, end) run of `components` (`support_components` of
     n > threshold, found by the caller, who can hand them on to the state),
     with c equal to the ambient level at the first unoccupied cell on
     either side, and ambient everywhere off the occupied region."""
-    c = _filled(grid.n_cells, k.params.c_B).copy()
-    off = _filled(4 * grid.n_cells - 2, k.off_diag)
+    c, packed = np.full(grid.n_cells, k.params.c_B, dtype=float), k.scratch(grid.n_cells).system
     for s, e in components:
         if s == 0 or e == grid.n_cells - 1:
-            raise SolverError(
-                "occupied region reached the domain edge; "
-                "increase the enlargement margin or the initial padding"
-            )
-        system, lower, upper, diag, rhs = _views(off[: 4 * (e - s) + 2].copy(), e - s + 1)
+            raise SolverError("occupied region reached the domain edge; "
+                              "increase the enlargement margin or the initial padding")
+        system, lower, upper, diag, rhs = _views(packed[: 4 * (e - s) + 2], e - s + 1)
+        system.fill(k.off_diag)
         np.add(k.two_dx2, n[s : e + 1], out=diag)
         np.multiply(k.a, n2[s : e + 1], out=rhs)
         rhs[0] += k.c_B_dx2
@@ -336,9 +331,8 @@ def solve_nutrient_quasistatic(
     return c
 
 
-def step_nutrient_neumann(
-    state: FieldState, k: _Coefficients, t_new: float
-) -> tuple[np.ndarray, int]:
+def step_nutrient_neumann(state: FieldState, k: _Coefficients,
+                          t_new: float) -> tuple[np.ndarray, int]:
     """One backward Euler step of c_t - c'' + c*n = a*n2 on the whole box,
     with the wall flux lambda(t) prescribed through the boundary rows
     (c[1]-c[0])/dx = lambda and (c[N-2]-c[N-1])/dx = lambda.
@@ -349,15 +343,15 @@ def step_nutrient_neumann(
     interior cells exactly (positive lambda lowers both wall cells below
     their neighbours and carries nutrient out). Negative values are clamped
     to zero; returns (c, number of clamped cells)."""
-    m = state.grid.n_cells
-    system, lower, upper, diag, rhs = _views(_filled(4 * m - 2, k.off_diag).copy(), m)
+    system, lower, upper, diag, rhs = k.scratch(state.grid.n_cells).neumann
+    system.fill(k.off_diag)
     np.add(k.inv_dt_two_dx2, state.n, out=diag)
     np.divide(state.c, k.dt, out=rhs)
     rhs += state.n2 * k.a
     lower[-1] = upper[0] = 1.0
     diag[0] = diag[-1] = -1.0
     rhs[0] = rhs[-1] = eval_flux(k.params.lambda_schedule, t_new) * state.grid.dx
-    c = _solve_packed(system, lower, upper, diag, rhs)
+    c = _solve_packed(system, lower, upper, diag, rhs).copy()  # the scratch is not kept
     neg = c < k.zero
     clamped = int(np.count_nonzero(neg))
     if clamped:
@@ -386,15 +380,10 @@ def enlarge_domain_if_needed(state: FieldState, k: _Coefficients) -> tuple[Field
         return state, False
     dx, pad = state.grid.dx, (pad_left, pad_right)
     grid = Grid1D(state.grid.x_min - pad_left * dx, dx, n_cells + pad_left + pad_right)
-    return FieldState(
-        grid,
-        np.pad(state.densities.reshape(2, n_cells), ((0, 0), pad)).ravel(),
-        np.pad(state.n, pad),
-        np.pad(state.c, pad, constant_values=k.params.c_B),
-        np.pad(state.u, pad),
-        state.t,
-        (threshold, tuple((s + pad_left, e + pad_left) for s, e in components)),
-    ), True
+    return FieldState(grid, np.pad(state.densities.reshape(2, n_cells), ((0, 0), pad)).ravel(),
+                      np.pad(state.n, pad), np.pad(state.c, pad, constant_values=k.params.c_B),
+                      np.pad(state.u, pad), state.t,
+                      (threshold, tuple((s + pad_left, e + pad_left) for s, e in components))), True
 
 
 def _settle(grid: Grid1D, densities: np.ndarray, c: np.ndarray | None, t: float,
@@ -426,9 +415,8 @@ class StepDiagnostics(NamedTuple):
 
 
 def step(state: FieldState, k: _Coefficients) -> tuple[FieldState, StepDiagnostics]:
-    """Advance one time step with the run's coefficients `k` and return the
-    new state, built once and sharing no array with `state`, with per-step
-    diagnostics."""
+    """Advance one time step with the run's bundle `k`: the new state, built once and
+    sharing no array with `state` or with `k`'s scratch, and per-step diagnostics."""
     params, dt = k.params, k.cfg.dt
     t_new = state.t + dt
     enlarged = False

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from autophagy_tumor.grid import (
     Grid1D,
     _edge_faces,
+    _FaceScratch,
     _limit,
     density_from_pressure,
     numerical_flux,
@@ -61,7 +62,7 @@ def _edge_arrays(values, dx):
     n = values.shape[-1]
     faces = np.arange(values.size - 1) % n != n - 1
     shape = values.shape[:-1] + (n - 1,)
-    sides = _edge_faces(values.reshape(-1), n, dx, 2.0 * dx, 0.5 * dx)
+    sides = _edge_faces(values.reshape(-1), n, dx, 2.0 * dx, 0.5 * dx, _FaceScratch(values.size))
     return tuple(side[faces].reshape(shape) for side in sides)
 
 
@@ -172,10 +173,10 @@ def test_edge_arrays_stacked_rows_match_one_dimensional_calls(rows):
     # the rows laid end to end as one flat array, as correct_densities
     # passes n1 and n2: each segment's faces equal the one-field call's
     n = rows.shape[1]
-    left, right = _edge_faces(rows.reshape(-1), n, 0.1, 0.2, 0.05)
+    left, right = _edge_faces(rows.reshape(-1), n, 0.1, 0.2, 0.05, _FaceScratch(rows.size))
     assert left.shape == right.shape == (rows.size - 1,)
     for k, row in enumerate(rows):
-        row_left, row_right = _edge_faces(row, n, 0.1, 0.2, 0.05)
+        row_left, row_right = _edge_faces(row, n, 0.1, 0.2, 0.05, _FaceScratch(n))
         _assert_same_bits(left[k * n : k * n + n - 1], row_left)
         _assert_same_bits(right[k * n : k * n + n - 1], row_right)
 

@@ -240,7 +240,7 @@ def test_the_first_step_reuses_what_set_up_formed(monkeypatch, preset):
 
 def test_a_run_forms_its_coefficients_once_while_its_grid_grows(monkeypatch):
     # set-up forms one bundle and `run` one more, which serves every step:
-    # an enlargement keeps dx, and the grid-sized buffers are keyed by value
+    # an enlargement keeps dx, and the bundle forms its scratch again per size
     cfg = PRESETS["fig-s3unicon"]
     assert cfg.params.nutrient_mode == QUASISTATIC
     formed = []

@@ -1,12 +1,20 @@
 import dataclasses
+import gc
+import importlib
+import itertools
 import math
+import sys
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import solve_banded
 
-from autophagy_tumor.grid import Grid1D, _edge_faces, numerical_flux, pressure_from_density
+from autophagy_tumor.grid import (
+    Grid1D, _edge_faces, _FaceScratch, numerical_flux, pressure_from_density,
+)
 import autophagy_tumor.solver as solver_module
 from autophagy_tumor.diagnostics import SERIES_CHANNELS, deviation_norms, support_components
 from autophagy_tumor.kinetics import (
@@ -30,7 +38,6 @@ from autophagy_tumor.solver import (
     SolverError,
     StepDiagnostics,
     _Coefficients,
-    _filled,
     _solve_packed,
     _views,
     _sample,
@@ -209,32 +216,45 @@ def test_tridiagonal_reports_bad_gtsv_argument(monkeypatch):
         packed_solve(np.zeros(2), np.ones(3), np.zeros(2), np.ones(3))
 
 
+def scratch_arrays(scratch):
+    """Every array a `_Scratch` holds, its views and its reconstruction's included."""
+    held = [*vars(scratch).values(), *scratch.predict, *scratch.neumann, *vars(scratch.faces).values()]
+    return [a for a in held if isinstance(a, np.ndarray)]
+
+
 def test_packed_solves_write_neither_their_state_nor_the_coefficients():
-    # gtsv overwrites each solve's own packed buffer alone: the state and
-    # the read-only coefficient buffers (copied, never written) keep their
-    # bits, and no solution shares memory with them or with another one; a
-    # one-cell component takes the 1x1 path
+    # gtsv overwrites the bundle's scratch alone, and each solve writes every
+    # entry of the packed buffer it reads, the -1/dx^2 off-diagonals
+    # included: the state keeps its bits, and each solve gives the same bits
+    # when the packed buffer holds NaN before it. The velocity is a view of
+    # the scratch; each nutrient c, which a state keeps, shares memory with
+    # no state array, no scratch array and no other solution; a one-cell
+    # component takes the 1x1 path
     n1 = np.zeros(21)
     n1[4], n1[8:15] = 0.7, np.linspace(0.2, 0.9, 7)
     state = make_state(n1, 0.5 * n1, c=np.linspace(0.5, 1.0, 21), u=np.linspace(-0.1, 0.1, 20))
     params = neumann_params(gamma=3.0, D=0.2, K1=0.5, K2=0.3)
     dt = 0.01
     k = coefficients(state, params, dt)
-    buffers = {"off": _filled(4 * 21 - 2, k.off_diag), "ambient": _filled(21, k.params.c_B)}
-    kept = frozen_copy(state) | {name: arr.copy() for name, arr in buffers.items()}
+    kept = frozen_copy(state)
     growth = eval_growth(params.growth, state.c, state.n)
-    solutions = [
-        predict_velocity(state, k, growth),
-        step_nutrient_neumann(state, k, state.t + dt)[0],
-        solve_nutrient_quasistatic(state.grid, state.n, state.n2, k, ((4, 4), (8, 14))),
+    solves = [
+        lambda: predict_velocity(state, k, growth),
+        lambda: step_nutrient_neumann(state, k, state.t + dt)[0],
+        lambda: solve_nutrient_quasistatic(state.grid, state.n, state.n2, k, ((4, 4), (8, 14))),
     ]
+    u_star = solves[0]()
+    solutions = [u_star.copy()] + [solve() for solve in solves[1:]]  # they reuse u*'s buffer
     for name, arr in kept.items():
-        held = buffers[name] if name in buffers else getattr(state, name)
-        assert held.tobytes() == arr.tobytes()
-    arrays = [getattr(state, name) for name in ("densities", "n", "c", "u")] + [*buffers.values()]
-    for i, x in enumerate(solutions):
-        assert not any(np.shares_memory(x, a) for a in arrays + solutions[:i])
-    assert not any(arr.flags.writeable for arr in buffers.values())
+        assert getattr(state, name).tobytes() == arr.tobytes(), name
+    scratch = scratch_arrays(k.scratch(21))
+    assert any(u_star.base is a for a in scratch)
+    arrays = [getattr(state, name) for name in ("densities", "n", "c", "u")]
+    for i, c in enumerate(solutions[1:], start=1):
+        assert not any(np.shares_memory(c, a) for a in arrays + scratch + solutions[:i])
+    for solve, x in zip(solves, solutions, strict=True):
+        k.scratch(21).system.fill(np.nan)
+        assert solve().tobytes() == x.tobytes()
 
 
 def test_tridiagonal_one_by_one_divides():
@@ -409,7 +429,7 @@ def correct_densities_per_species(state, u_star, params, dt):
     K1, K2 = eval_transitions(params.transitions, state.c)
     div = []
     for ns in (state.n1, state.n2):
-        left, right = _edge_faces(ns, ns.size, dx, 2.0 * dx, 0.5 * dx)
+        left, right = _edge_faces(ns, ns.size, dx, 2.0 * dx, 0.5 * dx, _FaceScratch(ns.size))
         flux = numerical_flux(left, right, u_star)
         div.append(np.diff(np.concatenate(([0.0], flux, [0.0]))) / dx)
     a11 = 1.0 / dt - growth + K1
@@ -1115,16 +1135,22 @@ def test_run_snapshots_at_requested_times():
 
 @pytest.mark.parametrize("case", ["padded-enlarges", "neumann-hull"])
 def test_run_shares_read_only_states(case):
-    # run keeps the states step returns instead of copying them, and no
-    # step writes into its input: with every array of the initial state
-    # read-only nothing raises, and each snapshot is what a run stopped at
-    # its time ends with
+    # run keeps the states step returns instead of copying them, no step
+    # writes into its input, and no step temporary (the bundle's scratch)
+    # reaches a state: with every array of the initial state read-only
+    # nothing raises, the states kept at each step of a run across an
+    # enlargement or a dynamic nutrient step share no memory, and each is
+    # what a run stopped at its time ends with
     make, params, cfg = REFERENCE_CASES[case]
     state = make()
     frozen_copy(state)
-    times = (0.0, 5 * cfg.dt, 10 * cfg.dt)
+    times = tuple(j * cfg.dt for j in range(21))
     res = run(state, params, cfg, t_end=times[-1], snapshot_times=times)
     assert res.snapshots[0.0] is state
+    held = [[getattr(res.snapshots[ts], name) for name in ("densities", "n", "c", "u")]
+            for ts in times]
+    for i, j in itertools.combinations(range(len(times)), 2):
+        assert not any(np.shares_memory(a, b) for a in held[i] for b in held[j]), (i, j)
     for ts in times:
         snap, want = res.snapshots[ts], run(state, params, cfg, t_end=ts).final_state
         assert (snap.t, snap.grid) == (want.t, want.grid), ts
@@ -1506,23 +1532,21 @@ def test_coefficients_are_0d_float64_with_the_bits_of_their_formulas():
         got = getattr(k, name)
         assert type(got) is np.ndarray and got.shape == () and got.dtype == np.float64, name
         assert got.tobytes() == np.float64(value).tobytes(), name
-    # added to single elements only, where a Python float is the faster operand
+    # added to single elements only, where a Python float is the faster
+    # operand, or filled into the nutrient systems' off-diagonals
     assert type(k.c_B_dx2) is float and k.c_B_dx2 == params.c_B / dx**2
     assert k.singular == 1e-14 * (1.0 / dt**2)
-    # the nutrient solves copy (a prefix of) a packed system (lower, upper,
-    # diag, rhs end to end) whose off-diagonals hold -1/dx^2, and the ambient
-    # row; read-only buffers, formed once per value
-    assert k.off_diag == -1.0 / dx**2
-    off, ambient = _filled(4 * 21 - 2, k.off_diag), _filled(21, params.c_B)
-    assert off.tobytes() == np.full(4 * 21 - 2, -1.0 / dx**2).tobytes()
-    assert ambient.tobytes() == np.full(21, params.c_B).tobytes()
-    assert not any(a.flags.writeable for a in (off, ambient))
-    with pytest.raises(ValueError, match="read-only"):
-        off[0] = 0.0
-    # matched by value: equal parameters in another object, another dt
+    assert type(k.off_diag) is float and k.off_diag == -1.0 / dx**2
+    # the scratch: one per bundle, kept while the grid size holds, formed
+    # again for another size; another bundle (equal parameters in another
+    # object, another dt, the same dx) shares none of its memory, so setups
+    # stepped in turn cannot write into each other's temporaries
+    scratch = k.scratch(21)
+    assert k.scratch(21) is scratch
     other = _Coefficients(dataclasses.replace(params), SolverConfig(dt=0.0025), dx)
-    assert _filled(4 * 21 - 2, other.off_diag) is off
-    assert _filled(21, other.params.c_B) is ambient
+    for a, b in itertools.product(scratch_arrays(scratch), scratch_arrays(other.scratch(21))):
+        assert not np.shares_memory(a, b)
+    assert k.scratch(25) is not scratch and k.scratch(25).system.size == 4 * 25 - 2
 
 
 def test_step_matches_reference_when_setups_alternate():
@@ -1560,6 +1584,75 @@ def test_step_matches_reference_when_setups_alternate():
     # equal parameters step equally, whichever object holds them
     for name in ("n1", "n2", "c", "u"):
         assert np.array_equal(getattr(states[0], name), getattr(states[2], name))
+
+
+def test_a_run_holds_the_scratch_of_its_current_grid_size_only(monkeypatch):
+    # a grid that grows five times in 60 steps: each size forms its own
+    # scratch, and the run's bundle lets the last one go, so a run that
+    # enlarges dozens of times holds one size's temporaries, not every size's
+    state = edge_bump_state()
+    params = basic_params(g=2.0, K1=1.0, K2=1.0, a=0.5)
+    cfg = SolverConfig(dt=0.01, enlargement_margin=3)
+    bundles, sizes, scratches, real_step = set(), [], [], solver_module.step
+
+    def recording(state, k):
+        new, diag = real_step(state, k)
+        bundles.add(k)
+        sizes.append(new.grid.n_cells)
+        current = k.scratch(new.grid.n_cells)
+        if not scratches or scratches[-1]() is not current:
+            scratches.append(weakref.ref(current))
+        return new, diag
+
+    monkeypatch.setattr(solver_module, "step", recording)
+    final = run(state, params, cfg, t_end=0.6).final_state
+    (k,) = bundles
+    assert len(sizes) == 60 and len(set(sizes)) == len(scratches) == 6
+    gc.collect()
+    assert [ref() for ref in scratches if ref() is not None] == [k.scratch(final.grid.n_cells)]
+    assert k.scratch(final.grid.n_cells).system.size == 4 * final.grid.n_cells - 2
+
+
+# each function a profiler may wrap by replacing its name in every module of
+# the package that holds it, with its calls per step of a run
+_PROBED = {
+    "solver": ("run", "step", "enlarge_domain_if_needed", "predict_velocity", "correct_densities",
+               "solve_nutrient_quasistatic", "step_nutrient_neumann"),
+    "grid": ("numerical_flux", "_pressure"),
+    "kinetics": ("eval_growth", "eval_transitions", "eval_flux"),
+}
+_EACH_STEP = {"step": 1, "predict_velocity": 1, "correct_densities": 1, "numerical_flux": 1,
+              "_pressure": 1, "eval_growth": 1, "eval_transitions": 1}
+
+
+@pytest.mark.parametrize("case, per_step", [
+    ("padded-enlarges", {"enlarge_domain_if_needed": 1, "solve_nutrient_quasistatic": 1}),
+    ("neumann-hull", {"step_nutrient_neumann": 1, "eval_flux": 1}),
+])
+def test_each_phase_is_called_through_its_module_global(monkeypatch, case, per_step):
+    # a wrapper put in place of a name, wherever the package holds it, sees
+    # every call: no phase is reached through a bound method, a closure or a
+    # reference taken at import
+    calls = Counter()
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "autophagy_tumor"]
+    for module_name, names in _PROBED.items():
+        module = importlib.import_module(f"autophagy_tumor.{module_name}")
+        for name in names:
+            func = getattr(module, name)
+            for holder in modules:
+                for key, value in list(vars(holder).items()):
+                    if value is func:
+                        monkeypatch.setattr(holder, key, counting(name, func))
+    make, params, cfg = REFERENCE_CASES[case]
+    solver_module.run(make(), params, cfg, t_end=5 * cfg.dt)
+    assert calls == Counter({"run": 1, **{name: 5 * n for name, n in (_EACH_STEP | per_step).items()}})
 
 
 @settings(max_examples=200, deadline=None)
