@@ -51,19 +51,16 @@ class AnalyticSetup(_Finite):
     D: float
     c_B: float
     R0: float
+    _positive = ("g", "R0")
 
     def __post_init__(self):
         super().__post_init__()
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError(f"mu must lie in [0, 1], got {self.mu}")
-        if not self.g > 0.0:
-            raise ValueError(f"growth gain g must be positive, got {self.g}")
         if self.D < 0.0:
             raise ValueError(f"death rate D must be >= 0, got {self.D}")
         if not 0.0 <= self.a < self.c_B:
             raise ValueError(f"need 0 <= a < c_B, got a={self.a}, c_B={self.c_B}")
-        if not self.R0 > 0.0:
-            raise ValueError(f"initial radius must be positive, got {self.R0}")
 
 
 def cosh_ratio(x, R: float):

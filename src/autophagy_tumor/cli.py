@@ -27,6 +27,7 @@ from .diagnostics import SERIES_CHANNELS, read_table, write_table
 from .scenarios import (
     PRESETS,
     PROFILE_COLUMNS,
+    PROFILE_FILE,
     ScenarioConfig,
     check_out_dir,
     config_from_dict,
@@ -317,13 +318,15 @@ def _cmd_check(args) -> int:
             problems.append(f"manifest config: {err}")
         else:
             # profiles are not required (a restart skips those before its start),
-            # but each one listed must be at a time the config asks for
+            # but each one listed must be at a time the config asks for, in its file
             problems.extend(f"outputs.{entry} is missing, but the manifest config asks for it"
                             for entry in ("timeseries", "checkpoint")
                             if entry in cfg.outputs and entry not in files)
-            times = {f"{t:g}" for t in cfg.snapshot_times()}
+            names = {f"profiles.{t:g}": PROFILE_FILE.format(t) for t in cfg.snapshot_times()}
             problems.extend(f"outputs.{key}: the manifest config asks for no profile at t={key[9:]}"
-                            for key in files if key.startswith("profiles.") and key[9:] not in times)
+                            if key not in names else f"outputs.{key} is {name!r}, not {names[key]!r}"
+                            for key, name in files.items()
+                            if key.startswith("profiles.") and names.get(key) != name)
     for key, name in files.items():
         try:  # ValueError: not text, a header, row or value that is wrong
             if key == "checkpoint":

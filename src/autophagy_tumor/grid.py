@@ -8,27 +8,26 @@ are n_cells - 1.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .kinetics import _Finite
 
 __all__ = ["Grid1D", "pressure_from_density", "density_from_pressure", "numerical_flux"]
 _HALF, _ZERO = np.array(0.5), np.array(0.0)  # 0-d operands, which numpy need not convert per call
 
 
 @dataclass(frozen=True)
-class Grid1D:
+class Grid1D(_Finite):
     x_min: float
     dx: float
     n_cells: int
+    _positive = ("dx",)
 
     def __post_init__(self):
-        if not abs(self.x_min) <= sys.float_info.max:  # not NaN, inf or a huge int
-            raise ValueError(f"x_min must be finite, got {self.x_min}")
-        if not 0.0 < self.dx <= sys.float_info.max:
-            raise ValueError(f"dx must be positive and finite, got {self.dx}")
+        super().__post_init__()
         if self.n_cells < 3:
             raise ValueError(f"need at least 3 cells, got {self.n_cells}")
 

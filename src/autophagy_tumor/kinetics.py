@@ -38,12 +38,15 @@ _ZERO, _TENTH, _ONE, _TWO, _FOUR = (np.array(v) for v in (0.0, 0.1, 1.0, 2.0, 4.
 class _Finite:
     """Refuses a NaN, inf or huge int in a field annotated `float` or `tuple[float, ...]`."""
 
-    def __post_init__(self):
+    _positive: tuple[str, ...] = ()  # the `float` fields that must also be > 0
+
+    def __post_init__(self):  # names the first bad field, in field order
         for f in fields(self):
             value = getattr(self, f.name)
             values = {"float": (value,), "tuple[float, ...]": value}.get(f.type, ())
-            if not all(abs(v) <= sys.float_info.max for v in values):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+            positive = f.name in self._positive
+            if not all((v > 0.0 or not positive) and abs(v) <= sys.float_info.max for v in values):
+                raise ValueError(f"{f.name} must be {'positive and ' * positive}finite, got {value}")
 
 
 class _Bound(_Finite):
@@ -132,11 +135,7 @@ class PeriodicFlux(_Finite):
 
     high: float
     period: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.period > 0.0:
-            raise ValueError(f"flux period must be positive, got {self.period}")
+    _positive = ("period",)
 
 
 FluxSchedule = Union[ConstantFlux, PeriodicFlux]
@@ -206,6 +205,7 @@ class ModelParameters(_Finite):
     transitions: TransitionSpec
     nutrient_mode: str = QUASISTATIC
     lambda_schedule: FluxSchedule | None = None
+    _positive = ("c_B",)
 
     def __post_init__(self):
         super().__post_init__()
@@ -215,8 +215,6 @@ class ModelParameters(_Finite):
             raise ValueError(f"death-rate offset D must be >= 0, got {self.D}")
         if self.a < 0.0:
             raise ValueError(f"nutrient release rate a must be >= 0, got {self.a}")
-        if not self.c_B > 0.0:
-            raise ValueError(f"ambient nutrient level c_B must be > 0, got {self.c_B}")
         if self.nutrient_mode not in (QUASISTATIC, NEUMANN):
             raise ValueError(f"unknown nutrient_mode {self.nutrient_mode!r}")
         if self.nutrient_mode == NEUMANN and self.lambda_schedule is None:

@@ -70,6 +70,7 @@ __all__ = [
     "run_scenario",
     "write_profile_csv",
     "PROFILE_COLUMNS",
+    "PROFILE_FILE",
 ]
 
 
@@ -78,12 +79,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ConstantComposition:
+class ConstantComposition(_Finite):
     """Spatially constant normal fraction."""
 
     value: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0.0 <= self.value <= 1.0:
             raise ValueError(f"composition must lie in [0, 1], got {self.value}")
 
@@ -119,36 +121,31 @@ CompositionInit = Union[ConstantComposition, ProfileComposition, TableCompositio
 
 
 @dataclass(frozen=True)
-class AnalyticPressureInit:
+class AnalyticPressureInit(_Finite):
     """Slab of radius R0 whose pressure follows the constant-composition
     closed form, split between the species by the given fraction recipe."""
 
     R0: float
     dx: float
     composition: CompositionInit
-
-    def __post_init__(self):
-        for name in ("R0", "dx"):
-            value = getattr(self, name)
-            if not 0.0 < value <= sys.float_info.max:  # not NaN, inf or a huge int
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+    _positive = ("R0", "dx")
 
 
 @dataclass(frozen=True)
-class CustomCoshInit:
+class CustomCoshInit(_Finite):
     """All-normal slab with p(x) = max(0, 1 - cosh(x)/cosh(R)) on a fixed
     box [-halfwidth, halfwidth], nutrient identically 1."""
 
     R: float
     dx: float
     halfwidth: float
+    _positive = ("dx",)
 
     def __post_init__(self):
         if not 0.0 < self.R < self.halfwidth <= sys.float_info.max:  # R and halfwidth finite
             raise ValueError(f"need 0 < R < halfwidth, both finite, got R={self.R}, "
                              f"halfwidth={self.halfwidth}")
-        if not 0.0 < self.dx <= sys.float_info.max:
-            raise ValueError(f"dx must be positive and finite, got {self.dx}")
+        super().__post_init__()
         cells = self.halfwidth / self.dx
         if not cells <= sys.float_info.max:  # round() cannot take the infinity
             raise ValueError(f"halfwidth {self.halfwidth} / dx {self.dx} overflows the cell count")
@@ -192,24 +189,25 @@ def analytic_setup(initial: AnalyticPressureInit, params: ModelParameters) -> An
                          R0=initial.R0)
 
 
-# the file a profiles@T output writes
-_PROFILE_FILE = "profile_t{:g}.csv"
+# the file a profiles@T output writes, and its columns
+PROFILE_FILE = "profile_t{:g}.csv"
+PROFILE_COLUMNS = ("x", "n1", "n2", "n", "c", "p", "u")
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(_Finite):
     name: str
     params: ModelParameters
     solver: SolverConfig
     initial: InitialSpec
     t_end: float
     outputs: tuple[str, ...] = ("timeseries", "checkpoint")
+    _positive = ("t_end",)
 
     def __post_init__(self):
+        super().__post_init__()
         if isinstance(self.initial, AnalyticPressureInit):
             analytic_setup(self.initial, self.params)
-        if not 0.0 < self.t_end <= sys.float_info.max:  # not NaN, inf or a huge int
-            raise ValueError(f"t_end must be finite and positive, got {self.t_end!r}")
         profile_files = set()
         for entry in self.outputs:
             if entry.startswith("profiles@"):
@@ -222,7 +220,7 @@ class ScenarioConfig:
                         f"output {entry!r}: the profile time must be finite "
                         f"and lie in [0, t_end = {self.t_end:g}]"
                     )
-                fname = _PROFILE_FILE.format(ts)
+                fname = PROFILE_FILE.format(ts)
                 if fname in profile_files:
                     raise ValueError(f"output {entry!r}: an earlier profiles@ entry writes {fname}")
                 profile_files.add(fname)
@@ -263,25 +261,28 @@ def build_initial_state(
         check_checkpoint_gamma(gamma, params)
         return state
 
-    if isinstance(initial, AnalyticPressureInit):
-        setup = analytic_setup(initial, params)
-        n_side = math.ceil(initial.R0 / initial.dx - 1e-12) + 2 * solver_cfg.enlargement_margin
-        grid = Grid1D(x_min=-n_side * initial.dx, dx=initial.dx, n_cells=2 * n_side + 1)
-        x = grid.cell_x
-        inside = np.abs(x) <= initial.R0
-        p = np.zeros(grid.n_cells)
-        p[inside] = np.maximum(analytic_pressure(x[inside], initial.R0, setup), 0.0)
-        n = density_from_pressure(p, params.gamma)
-        mu0 = _composition_values(initial.composition, x, initial.R0)
-        n1, n2, c = mu0 * n, (1.0 - mu0) * n, np.full(grid.n_cells, params.c_B)
-    else:  # CustomCoshInit
-        n_side = round(initial.halfwidth / initial.dx)
-        grid = Grid1D(x_min=-n_side * initial.dx, dx=initial.dx, n_cells=2 * n_side + 1)
-        p = np.maximum(0.0, 1.0 - np.cosh(grid.cell_x) / np.cosh(initial.R))
-        n1 = density_from_pressure(p, params.gamma)
-        n2, c = np.zeros(grid.n_cells), np.ones(grid.n_cells)
-    k = _Coefficients(params, solver_cfg, grid.dx)
-    return _settle(grid, np.concatenate((n1, n2)), c, 0.0, k)
+    try:  # MemoryError: a grid past memory (numpy refuses one past int64 with ValueError)
+        if isinstance(initial, AnalyticPressureInit):
+            setup = analytic_setup(initial, params)
+            n_side = math.ceil(initial.R0 / initial.dx - 1e-12) + 2 * solver_cfg.enlargement_margin
+            grid = Grid1D(x_min=-n_side * initial.dx, dx=initial.dx, n_cells=2 * n_side + 1)
+            x = grid.cell_x
+            inside = np.abs(x) <= initial.R0
+            p = np.zeros(grid.n_cells)
+            p[inside] = np.maximum(analytic_pressure(x[inside], initial.R0, setup), 0.0)
+            n = density_from_pressure(p, params.gamma)
+            mu0 = _composition_values(initial.composition, x, initial.R0)
+            n1, n2, c = mu0 * n, (1.0 - mu0) * n, np.full(grid.n_cells, params.c_B)
+        else:  # CustomCoshInit
+            n_side = round(initial.halfwidth / initial.dx)
+            grid = Grid1D(x_min=-n_side * initial.dx, dx=initial.dx, n_cells=2 * n_side + 1)
+            p = np.maximum(0.0, 1.0 - np.cosh(grid.cell_x) / np.cosh(initial.R))
+            n1 = density_from_pressure(p, params.gamma)
+            n2, c = np.zeros(grid.n_cells), np.ones(grid.n_cells)
+        k = _Coefficients(params, solver_cfg, grid.dx)
+        return _settle(grid, np.concatenate((n1, n2)), c, 0.0, k)
+    except MemoryError:
+        raise ValueError(f"a grid of {grid.n_cells} cells cannot be allocated") from None
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +543,6 @@ PRESETS: dict[str, ScenarioConfig] = {cfg.name: cfg for cfg in (
 # ---------------------------------------------------------------------------
 # run-to-disk driver
 
-PROFILE_COLUMNS = ("x", "n1", "n2", "n", "c", "p", "u")
-
 
 def write_profile_csv(path, state: FieldState, gamma: float) -> None:
     """One row per cell: x, n1, n2, n, c, p, u (face velocity padded with a
@@ -602,7 +601,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunResult:
             manifest["outputs"]["timeseries"] = "timeseries.csv"
         profile_files = {}
         for ts, snap in sorted(result.snapshots.items()):
-            fname = _PROFILE_FILE.format(ts)
+            fname = PROFILE_FILE.format(ts)
             write_profile_csv(out / fname, snap, cfg.params.gamma)
             profile_files[f"{ts:g}"] = fname
         if profile_files:

@@ -37,8 +37,8 @@ import numpy as np
 from .diagnostics import (TimeSeries, deviation_norms, read_table, support_components,
                           total_population, write_table)
 from .grid import Grid1D, _edge_faces, _FaceScratch, _pressure, numerical_flux
-from .kinetics import (QUASISTATIC, ConstantTransitions, ModelParameters, equilibrium_roots,
-                       eval_flux, eval_growth, eval_transitions)
+from .kinetics import (QUASISTATIC, ConstantTransitions, ModelParameters, _Finite,
+                       equilibrium_roots, eval_flux, eval_growth, eval_transitions)
 
 __all__ = [
     "SolverConfig", "FieldState", "SolverError", "StepDiagnostics", "RunLog", "RunResult",
@@ -47,17 +47,15 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(_Finite):
     dt: float
     support_threshold: float = 1e-8
     enlargement_margin: int = 25
     sample_interval: float = 0.1
+    _positive = ("dt", "support_threshold", "sample_interval")
 
     def __post_init__(self):
-        for name in ("dt", "support_threshold", "sample_interval"):
-            value = getattr(self, name)
-            if not 0.0 < value <= sys.float_info.max:  # not NaN, inf or a huge int
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        super().__post_init__()
         if self.enlargement_margin < 3:
             raise ValueError("enlargement_margin must be at least 3 cells")
 

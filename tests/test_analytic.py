@@ -172,7 +172,8 @@ def test_integrate_radius_bookkeeping():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_setup_refuses_non_finite_fields(field, value):
     fields = {"mu": 0.5, "g": 1.0, "a": 0.5, "D": 0.3, "c_B": 1.0, "R0": 1.0, field: value}
-    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+    positive = "positive and " if field in ("g", "R0") else ""
+    with pytest.raises(ValueError, match=f"^{field} must be {positive}finite"):
         AnalyticSetup(**fields)
 
 

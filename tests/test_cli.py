@@ -253,7 +253,7 @@ def test_run_rejects_bad_t_end_at_load(tmp_path, capsys, t_end):
     out_dir = tmp_path / "never"
     rc = main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)])
     assert rc == 2
-    expected = (f"t_end must be finite and positive, got {t_end!r}" if t_end in (-1.0, 0.0)
+    expected = (f"t_end must be positive and finite, got {t_end!r}" if t_end in (-1.0, 0.0)
                 else f"config.t_end must be a number, got {t_end!r}")
     assert expected in capsys.readouterr().err
     assert not out_dir.exists()
@@ -441,6 +441,20 @@ def test_run_rejects_mistyped_value_at_load(tmp_path, capsys, key, value, kind):
     assert not out_dir.exists()
 
 
+def test_run_refuses_a_grid_it_cannot_allocate(tmp_path, capsys):
+    # a margin of 10**17 cells per side needs over 1 EiB per array, more than
+    # any address space; set-up used to die with a MemoryError traceback
+    data = tiny_config_dict()
+    data["solver"]["enlargement_margin"] = 10**17
+    out_dir = tmp_path / "never"
+    rc = main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)])
+    assert rc == 2
+    n_cells = 2 * (25 + 2 * 10**17) + 1  # R0 / dx = 25 slab cells per side, and the margins
+    assert capsys.readouterr().err == (
+        f"bad config {out_dir}: a grid of {n_cells} cells cannot be allocated\n")
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("period", [0, -20.0])
 def test_run_rejects_a_non_positive_flux_period_at_load(tmp_path, capsys, period):
     # it used to fail at the first step with a ZeroDivisionError traceback
@@ -453,7 +467,7 @@ def test_run_rejects_a_non_positive_flux_period_at_load(tmp_path, capsys, period
     out_dir = tmp_path / "never"
     rc = main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)])
     assert rc == 2
-    assert f"flux period must be positive, got {period}" in capsys.readouterr().err
+    assert f"period must be positive and finite, got {float(period)}" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -485,7 +499,7 @@ def test_run_rejects_initial_recipe_the_model_cannot_use(tmp_path, capsys, edits
     "key, value, message",
     [
         ("a", 1.5, "need 0 <= a < c_B, got a=1.5, c_B=1.0"),
-        ("g", -1, "growth gain g must be positive, got -1.0"),
+        ("g", -1, "g must be positive and finite, got -1.0"),
         ("D", 0, "degenerate: need D > 0, got D=0.0"),
         ("K1", 0, "root ordering needs K1, K2 > 0, got K1=0.0, K2=1.0"),
     ],
@@ -700,6 +714,26 @@ def test_check_tests_the_profile_times_against_the_config(tmp_path, capsys):
     assert main(["check", str(out_dir)]) == 1
     assert capsys.readouterr().err == (
         "check failed: outputs.profiles.0.5: the manifest config asks for no profile at t=0.5\n")
+
+
+def test_check_tests_each_profile_name_against_its_time(tmp_path, capsys):
+    # two profiles listed under each other's times used to pass
+    data = tiny_config_dict()
+    data["outputs"] = ["timeseries", "profiles@0.004", "profiles@0.01", "checkpoint"]
+    out_dir = tmp_path / "run"
+    assert main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)]) == 0
+    assert main(["check", str(out_dir)]) == 0
+    capsys.readouterr()
+    manifest_path = out_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["outputs"]["profiles"] == {"0.004": "profile_t0.004.csv",
+                                               "0.01": "profile_t0.01.csv"}
+    manifest["outputs"]["profiles"] = {"0.004": "profile_t0.01.csv", "0.01": "profile_t0.004.csv"}
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["check", str(out_dir)]) == 1
+    assert capsys.readouterr().err == (
+        "check failed: outputs.profiles.0.004 is 'profile_t0.01.csv', not 'profile_t0.004.csv'\n"
+        "check failed: outputs.profiles.0.01 is 'profile_t0.004.csv', not 'profile_t0.01.csv'\n")
 
 
 def test_check_tests_the_last_sample_time_against_t_end(tmp_path, capsys):

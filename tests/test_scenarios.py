@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from autophagy_tumor import scenarios, solver
+from autophagy_tumor.analytic import AnalyticSetup
 from autophagy_tumor.diagnostics import SERIES_CHANNELS, support_components
-from autophagy_tumor.grid import pressure_from_density
+from autophagy_tumor.grid import Grid1D, pressure_from_density
 from autophagy_tumor.kinetics import (
     NEUMANN,
     QUASISTATIC,
@@ -21,6 +22,7 @@ from autophagy_tumor.kinetics import (
     PeriodicFlux,
     Proportional,
     RationalPairTransitions,
+    _Finite,
     equilibrium_roots,
 )
 from autophagy_tumor.scenarios import (
@@ -571,29 +573,79 @@ def test_load_config_reads_json(tmp_path):
     assert cfg.name == "tiny"
 
 
+_SLAB = PRESETS["fig-s4limit-gamma5"]
+# a valid instance of each class with fields that must be > 0, and those fields
+_POSITIVE = [
+    (SolverConfig(dt=0.002), ("dt", "support_threshold", "sample_interval")),
+    (Grid1D(x_min=-1.0, dx=0.04, n_cells=51), ("dx",)),
+    (_SLAB.initial, ("R0", "dx")),
+    (CustomCoshInit(R=4.0, dx=0.04, halfwidth=5.0), ("dx",)),
+    (_SLAB, ("t_end",)),
+    (AnalyticSetup(mu=0.5, g=1.0, a=0.5, D=0.3, c_B=1.0, R0=1.0), ("g", "R0")),
+    (_SLAB.params, ("c_B",)),
+    (PeriodicFlux(high=0.5, period=20.0), ("period",)),
+]
+_NON_POSITIVE = [(valid, field, value) for valid, names in _POSITIVE for field in names
+                 for value in (0.0, -1.0)]
+
+
 @pytest.mark.parametrize(
-    "build, field",
+    "build, message",
     [
-        (lambda: Proportional(g=np.inf), "g"),
-        (lambda: AffineDeath(delta=np.nan), "delta"),
-        (lambda: Logistic(g=1.0, M=np.nan, delta=0.1), "M"),
-        (lambda: HullTransitions(k1max=np.inf, k2max=1.0, omega=0.5), "k1max"),
-        (lambda: HullTransitions(k1max=2.0, k2max=1.0, omega=np.inf), "omega"),
-        (lambda: ConstantTransitions(K1=np.inf, K2=1.0), "K1"),
-        (lambda: ConstantFlux(np.nan), "value"),
-        (lambda: PeriodicFlux(high=np.inf, period=20.0), "high"),
-        (lambda: PeriodicFlux(high=0.5, period=np.inf), "period"),
-        (lambda: TableComposition(x=(-1.0, np.nan), mu=(0.5, 0.5)), "x"),
-        (lambda: TableComposition(x=(-1.0, 1.0), mu=(0.5, np.inf)), "mu"),
+        (lambda: Proportional(g=np.inf), "g must be finite, got inf"),
+        (lambda: AffineDeath(delta=np.nan), "delta must be finite, got nan"),
+        (lambda: Logistic(g=1.0, M=np.nan, delta=0.1), "M must be finite, got nan"),
+        (lambda: HullTransitions(k1max=np.inf, k2max=1.0, omega=0.5),
+         "k1max must be finite, got inf"),
+        (lambda: HullTransitions(k1max=2.0, k2max=1.0, omega=np.inf),
+         "omega must be finite, got inf"),
+        (lambda: ConstantTransitions(K1=np.inf, K2=1.0), "K1 must be finite, got inf"),
+        (lambda: ConstantFlux(np.nan), "value must be finite, got nan"),
+        (lambda: PeriodicFlux(high=np.inf, period=20.0), "high must be finite, got inf"),
+        (lambda: PeriodicFlux(high=0.5, period=np.inf),
+         "period must be positive and finite, got inf"),
+        (lambda: TableComposition(x=(-1.0, np.nan), mu=(0.5, 0.5)),
+         "x must be finite, got (-1.0, nan)"),
+        (lambda: TableComposition(x=(-1.0, 1.0), mu=(0.5, np.inf)),
+         "mu must be finite, got (0.5, inf)"),
+        (lambda: ConstantComposition(np.nan), "value must be finite, got nan"),
+        (lambda: Grid1D(x_min=np.inf, dx=0.04, n_cells=51), "x_min must be finite, got inf"),
+        (lambda: SolverConfig(dt=np.nan), "dt must be positive and finite, got nan"),
+        (lambda: dataclasses.replace(_SLAB.initial, dx=np.inf),
+         "dx must be positive and finite, got inf"),
+        (lambda: CustomCoshInit(R=4.0, dx=np.nan, halfwidth=5.0),
+         "dx must be positive and finite, got nan"),
+        (lambda: dataclasses.replace(_SLAB, t_end=np.inf),
+         "t_end must be positive and finite, got inf"),
+        *((lambda valid=valid, field=field, value=value:
+           dataclasses.replace(valid, **{field: value}),
+           f"{field} must be positive and finite, got {value}")
+          for valid, field, value in _NON_POSITIVE),
     ],
     ids=["Proportional", "AffineDeath", "Logistic", "HullTransitions-k1max",
          "HullTransitions-omega", "ConstantTransitions", "ConstantFlux", "PeriodicFlux-high",
-         "PeriodicFlux-period", "TableComposition-x", "TableComposition-mu"],
+         "PeriodicFlux-period", "TableComposition-x", "TableComposition-mu",
+         "ConstantComposition", "Grid1D-x_min", "SolverConfig-dt", "AnalyticPressureInit-dx",
+         "CustomCoshInit-dx", "ScenarioConfig-t_end",
+         *(f"{type(valid).__name__}-{field}={value:g}" for valid, field, value in _NON_POSITIVE)],
 )
-def test_recipes_built_in_python_refuse_non_finite_fields(build, field):
-    # JSON configs never reach these: the loader refuses a non-finite number first
-    with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+def test_recipes_built_in_python_refuse_non_finite_fields(build, message):
+    # JSON configs never reach the non-finite values: the loader refuses them first
+    with pytest.raises(ValueError) as err:
         build()
+    assert str(err.value) == message
+
+
+def test_every_config_class_with_a_float_field_has_the_one_check():
+    # every class the loader builds, and Grid1D, checks its float fields
+    # through kinetics._Finite, and each `_positive` name is a float field
+    variants = (cls for _, tagged in scenarios._VARIANTS.values() for cls in tagged.values())
+    for cls in {ScenarioConfig, Grid1D, *scenarios._SECTIONS.values(), *variants}:
+        kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+        if {"float", "tuple[float, ...]"} & set(kinds.values()):
+            assert issubclass(cls, _Finite), cls.__name__
+        for name in getattr(cls, "_positive", ()):
+            assert kinds.get(name) == "float", (cls.__name__, name)
 
 
 # ---------------------------------------------------------------------------
