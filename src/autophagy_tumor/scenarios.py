@@ -23,54 +23,17 @@ import numpy as np
 from .analytic import AnalyticSetup, analytic_pressure
 from .diagnostics import write_table
 from .grid import Grid1D, density_from_pressure, pressure_from_density
-from .kinetics import (
-    NEUMANN,
-    QUASISTATIC,
-    AffineDeath,
-    ConstantFlux,
-    ConstantTransitions,
-    HullTransitions,
-    Logistic,
-    ModelParameters,
-    PeriodicFlux,
-    Proportional,
-    RationalPairTransitions,
-    _Finite,
-    equilibrium_roots,
-)
-from .solver import (
-    FieldState,
-    RunResult,
-    SolverConfig,
-    _check_t_end,
-    _Coefficients,
-    _settle,
-    check_checkpoint_gamma,
-    read_checkpoint,
-    run,
-    write_checkpoint,
-)
+from .kinetics import (NEUMANN, QUASISTATIC, AffineDeath, ConstantFlux, ConstantTransitions,
+                       HullTransitions, Logistic, ModelParameters, PeriodicFlux, Proportional,
+                       RationalPairTransitions, _Finite, equilibrium_roots)
+from .solver import (FieldState, RunResult, SolverConfig, _check_t_end, _Coefficients, _settle,
+                     check_checkpoint_gamma, read_checkpoint, run, write_checkpoint)
 
 __all__ = [
-    "ConstantComposition",
-    "ProfileComposition",
-    "TableComposition",
-    "AnalyticPressureInit",
-    "CustomCoshInit",
-    "CheckpointInit",
-    "ScenarioConfig",
-    "PRESETS",
-    "analytic_setup",
-    "build_initial_state",
-    "config_from_dict",
-    "config_to_dict",
-    "load_config",
-    "read_json",
-    "check_out_dir",
-    "run_scenario",
-    "write_profile_csv",
-    "PROFILE_COLUMNS",
-    "PROFILE_FILE",
+    "ConstantComposition", "ProfileComposition", "TableComposition", "AnalyticPressureInit",
+    "CustomCoshInit", "CheckpointInit", "ScenarioConfig", "PRESETS", "analytic_setup",
+    "build_initial_state", "config_from_dict", "config_to_dict", "load_config", "read_json",
+    "check_out_dir", "run_scenario", "write_profile_csv", "PROFILE_COLUMNS", "PROFILE_FILE",
 ]
 
 

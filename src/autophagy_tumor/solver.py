@@ -161,6 +161,9 @@ class _Scratch:
         self.n_cells, F = N, N - 1
         self.system, self.faces = np.empty(4 * N - 2), _FaceScratch(2 * N)
         self.predict, self.neumann = _views(self.system[: 4 * F - 2], F), _views(self.system, N)
+        # the Neumann system's off-diagonals, and (length, off-diagonals, `_views`) of the
+        # last quasi-static component's system, formed again only when the length changes
+        self.neumann_off, self.component_views = self.system[: 2 * N - 2], (0, None, None)
         self.w, self.ws, self.source2, self.a11, self.a22, self.det = np.empty((6, N))
         self.m, self.w_sum = np.empty((2, F))
         self.w_lo, self.w_hi, self.w_mid = self.w[:-1], self.w[1:], self.w[1:-1]
@@ -196,10 +199,14 @@ def _views(system: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     return system, system[: n - 1], system[n - 1 : 2 * n - 2], system[2 * n - 2 : -n], system[-n:]
 
 
-def _solve_packed(system, lower, upper, diag, rhs) -> np.ndarray:
+_NON_FINITE_SOLUTION = "tridiagonal solve produced non-finite values"
+
+
+def _solve_packed(system, lower, upper, diag, rhs, check_solution=True) -> np.ndarray:
     """Solve lower[k-1]*x[k-1] + diag[k]*x[k] + upper[k]*x[k+1] = rhs[k], `_views`
     of `system`, into rhs by LAPACK gtsv. Non-finite entries, then a singular
-    matrix or a bad argument, then a non-finite solution raise SolverError."""
+    matrix or a bad argument, then a non-finite solution (unless the caller,
+    passing check_solution=False, tests it itself) raise SolverError."""
     if not _all_finite(system):
         raise SolverError("tridiagonal system has non-finite entries")
     if len(diag) < 2:
@@ -211,8 +218,8 @@ def _solve_packed(system, lower, upper, diag, rhs) -> np.ndarray:
             raise SolverError(f"tridiagonal solve failed: singular matrix (zero pivot {info})")
         if info < 0:
             raise SolverError(f"tridiagonal solve failed: bad argument {-info} to gtsv")
-    if not _all_finite(x):
-        raise SolverError("tridiagonal solve produced non-finite values")
+    if check_solution and not _all_finite(x):
+        raise SolverError(_NON_FINITE_SOLUTION)
     return x
 
 
@@ -223,7 +230,8 @@ def predict_velocity(state: FieldState, k: _Coefficients, growth: np.ndarray) ->
     Euler discretization of the pressure-gradient evolution with lagged
     density weights n^(gamma-2), bounded at vacuum as ModelParameters holds
     gamma >= 2. The first and last interior faces are held at zero.
-    `growth` is the rate G(c, n) on `state`; u* lives in `k`'s scratch until its next solve."""
+    `growth` is the rate G(c, n) on `state`; u* lives in `k`'s scratch until its next solve.
+    u* is not tested for finiteness: `step` reads that test from its CFL number."""
     n, s = state.n, k.scratch(state.grid.n_cells)
     w = np.power(n, k.g2, out=s.w)
     # ws = w * (n1*G + n2*(G - D))
@@ -249,7 +257,7 @@ def predict_velocity(state: FieldState, k: _Coefficients, growth: np.ndarray) ->
 
     diag[0] = diag[-1] = 1.0
     rhs[0] = rhs[-1] = upper[0] = lower[-1] = 0.0
-    return _solve_packed(system, lower, upper, diag, rhs)
+    return _solve_packed(system, lower, upper, diag, rhs, check_solution=False)
 
 
 def correct_densities(state: FieldState, u_star: np.ndarray, k: _Coefficients,
@@ -314,13 +322,17 @@ def solve_nutrient_quasistatic(grid: Grid1D, n: np.ndarray, n2: np.ndarray, k: _
     n > threshold, found by the caller, who can hand them on to the state),
     with c equal to the ambient level at the first unoccupied cell on
     either side, and ambient everywhere off the occupied region."""
-    c, packed = np.full(grid.n_cells, k.params.c_B, dtype=float), k.scratch(grid.n_cells).system
+    c, scratch = np.empty(grid.n_cells), k.scratch(grid.n_cells)
+    c.fill(k.params.c_B)  # np.full's Python wrapper costs about a microsecond more
     for s, e in components:
         if s == 0 or e == grid.n_cells - 1:
             raise SolverError("occupied region reached the domain edge; "
                               "increase the enlargement margin or the initial padding")
-        system, lower, upper, diag, rhs = _views(packed[: 4 * (e - s) + 2], e - s + 1)
-        system.fill(k.off_diag)
+        if scratch.component_views[0] != e - s + 1:
+            packed = scratch.system[: 4 * (e - s) + 2]
+            scratch.component_views = (e - s + 1, packed[: 2 * (e - s)], _views(packed, e - s + 1))
+        _, off, (system, lower, upper, diag, rhs) = scratch.component_views
+        off.fill(k.off_diag)  # diag and rhs are written in full below
         np.add(k.two_dx2, n[s : e + 1], out=diag)
         np.multiply(k.a, n2[s : e + 1], out=rhs)
         rhs[0] += k.c_B_dx2
@@ -341,8 +353,9 @@ def step_nutrient_neumann(state: FieldState, k: _Coefficients,
     interior cells exactly (positive lambda lowers both wall cells below
     their neighbours and carries nutrient out). Negative values are clamped
     to zero; returns (c, number of clamped cells)."""
-    system, lower, upper, diag, rhs = k.scratch(state.grid.n_cells).neumann
-    system.fill(k.off_diag)
+    scratch = k.scratch(state.grid.n_cells)
+    system, lower, upper, diag, rhs = scratch.neumann
+    scratch.neumann_off.fill(k.off_diag)  # diag and rhs are written in full below
     np.add(k.inv_dt_two_dx2, state.n, out=diag)
     np.divide(state.c, k.dt, out=rhs)
     rhs += state.n2 * k.a
@@ -423,7 +436,10 @@ def step(state: FieldState, k: _Coefficients) -> tuple[FieldState, StepDiagnosti
     try:
         growth = eval_growth(params.growth, state.c, state.n)
         u_star = predict_velocity(state, k, growth)
-        cfl = float(np.maximum.reduce(np.abs(u_star)) * dt / state.grid.dx)
+        u_max = float(np.maximum.reduce(np.abs(u_star)))  # NaN or inf exactly when u* is not finite
+        if not math.isfinite(u_max):
+            raise SolverError(_NON_FINITE_SOLUTION)
+        cfl = u_max * dt / state.grid.dx
         densities, clamped = correct_densities(state, u_star, k, growth)
         c, nutrient_clamped = None, 0
         if params.nutrient_mode != QUASISTATIC:
@@ -461,10 +477,13 @@ def _sample(state: FieldState, t: float, threshold: float, mu_star: float | None
     are appended to log.violations.
 
     One pass over the state's support: the fraction mu = n1/n and c on it
-    are read once, as slices of a single run or gathered over several. The
-    deviation norms need mu_star, the nutrient check (c <= c_ceiling + 1e-6
-    on the support) c_ceiling; each is skipped when None. An empty support
-    gives radius 0, NaN norms and c_max, and no checks."""
+    are read once, as slices of a single run or gathered over several, and
+    mu's range [lo, hi] serves the [0, 1] check and the sup deviation: as
+    rounding is monotone and symmetric, max(hi - mu*, mu* - lo) is
+    max |mu - mu*| bit for bit. The deviation norms need mu_star, the
+    nutrient check (c <= c_ceiling + 1e-6 on the support) c_ceiling; each is
+    skipped when None. An empty support gives radius 0, NaN norms and c_max,
+    and no checks."""
     mass_total, mass_auto = total_population(state)
     components = state.support(threshold)
     if not components:
@@ -475,11 +494,11 @@ def _sample(state: FieldState, t: float, threshold: float, mu_star: float | None
     cells = (slice(components[0][0], components[0][1] + 1) if len(components) == 1
              else np.concatenate([np.arange(s, e + 1) for s, e in components]))
     mu = state.n1[cells] / state.n[cells]
-    c_max = float(state.c[cells].max())
+    c_max = float(np.maximum.reduce(state.c[cells]))
+    lo, hi = np.minimum.reduce(mu), np.maximum.reduce(mu)
     norms = (math.nan,) * 4
     if mu_star is not None:
-        norms = deviation_norms(mu - mu_star, state.grid.dx)
-    lo, hi = mu.min(), mu.max()
+        norms = deviation_norms(mu - mu_star, dx, max(hi - mu_star, mu_star - lo))
     if lo < -1e-8 or hi > 1.0 + 1e-8:
         log.violations.append(f"composition fraction left [0, 1] at t={t:.6g} "
                               f"(range [{lo:.3e}, {hi:.3e}])")
@@ -568,7 +587,7 @@ def run(initial: FieldState, params: ModelParameters, cfg: SolverConfig, t_end: 
             max_cfl = diag.cfl
             if diag.cfl > 0.5 and first_cfl_t is None:
                 first_cfl_t = state.t
-        for ts in snapshot_steps.get(j + 1, []):
+        for ts in snapshot_steps.get(j + 1, ()):
             snapshots[ts] = state
         if (j + 1) % steps_per_sample == 0:
             sample(state.t)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from autophagy_tumor.diagnostics import (
     SERIES_CHANNELS,
@@ -397,6 +398,37 @@ def test_norms_accept_the_on_support_fraction(rng):
         assert abs(norm - want) <= (0.0 if k == 2 else 2 * math.ulp(want))
     with pytest.raises(ValueError, match="empty support"):
         deviation_norms(np.empty(0), 0.1)
+
+
+def separate_sums_norms(dev, dx):
+    """The norms as formed with a `.sum()` per power and `np.abs(dev).max()`."""
+    d2 = dev * dev
+    d4 = d2 * d2
+    return (float(np.abs(dev).max()), float((dx * d2.sum()) ** 0.5),
+            float((dx * d4.sum()) ** 0.25), float((dx * (d4 * d4).sum()) ** 0.125))
+
+
+def _random_deviations(n, seed):
+    return np.random.default_rng(seed).standard_normal(n) * 0.3
+
+
+@settings(max_examples=150, deadline=None)
+@given(dev=arrays(np.float64, st.integers(1, 10_000), elements=st.floats(allow_nan=False)),
+       dx=st.sampled_from([0.01, 0.04, 0.1, 1.0]))
+@example(dev=_random_deviations(8_192, 1), dx=0.04)
+@example(dev=_random_deviations(8_193, 2), dx=0.04)
+@example(dev=_random_deviations(10_000, 3), dx=0.1)
+@example(dev=np.array([1e200, -1e-300, 0.0]), dx=0.1)
+def test_norms_keep_the_bits_of_a_sum_per_power(dev, dx):
+    # the three powers summed by one reduction over one buffer, on lengths
+    # past numpy's 8,192-element buffer too, against a `.sum()` per power;
+    # a sup the caller passes replaces max |dev| and nothing else
+    with np.errstate(over="ignore"):
+        got, want = deviation_norms(dev, dx), separate_sums_norms(dev, dx)
+        passed = deviation_norms(dev, dx, 0.25)
+    assert all(type(v) is float for v in got)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert passed[0] == 0.25 and np.array(passed[1:]).tobytes() == np.array(got[1:]).tobytes()
 
 
 @settings(max_examples=200, deadline=None)

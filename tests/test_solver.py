@@ -1078,6 +1078,46 @@ def test_step_failure_carries_the_state_it_advanced_and_the_time_it_failed_at(ca
         assert np.array_equal(getattr(err.value.state, name), getattr(want, name), equal_nan=True)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("case", ["padded-enlarges", "neumann-hull"])
+def test_a_non_finite_velocity_prediction_stops_the_step(monkeypatch, case, bad):
+    # `_solve_packed` leaves the prediction's u* to `step`, which reads its
+    # finiteness from the CFL reduction: a u* that gtsv returns with one bad
+    # face raises the solve's message before the transport runs, with the
+    # state the step advanced (in quasi-static mode, enlarged first) and the
+    # t it failed at; `run` names the step
+    make, params, cfg = REFERENCE_CASES[case]
+    state = make()
+    want = enlarge(state, params, cfg)[0] if params.nutrient_mode == QUASISTATIC else state
+    solves, transports = [], []
+    real_gtsv, real_correct = solver_module.dgtsv, solver_module.correct_densities
+
+    def poisoned_gtsv(*args):
+        out = real_gtsv(*args)
+        if not solves:  # a step's first solve is the velocity prediction's
+            out[3][len(out[3]) // 2] = bad
+        solves.append(len(out[3]))
+        return out
+
+    monkeypatch.setattr(solver_module, "dgtsv", poisoned_gtsv)
+    monkeypatch.setattr(solver_module, "correct_densities",
+                        lambda *args: transports.append(1) or real_correct(*args))
+    message = "tridiagonal solve produced non-finite values"
+    with np.errstate(all="ignore"), pytest.raises(SolverError, match=f"^{message}$") as err:
+        step(state, _Coefficients(params, cfg, state.grid.dx))
+    assert solves == [want.grid.n_cells - 1] and transports == []
+    assert err.value.t == state.t + cfg.dt
+    assert err.value.state.grid == want.grid and err.value.state.t == state.t
+    if want is state:
+        assert err.value.state is state
+    for name in ("n1", "n2", "c", "u"):
+        assert np.array_equal(getattr(err.value.state, name), getattr(want, name))
+    solves.clear()
+    with np.errstate(all="ignore"), pytest.raises(SolverError, match=f"^step 1: {message}$"):
+        run(state, params, cfg, t_end=state.t + 3 * cfg.dt)
+    assert transports == []
+
+
 def test_run_zero_steps_returns_empty_series():
     state = bump_state()
     res = run(state, basic_params(), SolverConfig(dt=0.01), t_end=0.0)
@@ -1511,6 +1551,36 @@ def test_sample_matches_reference_on_built_states():
     assert violations == ["nutrient exceeded its maximum-principle bound by 3.000e-01 at t=0"]
 
 
+@st.composite
+def sampled_states(draw):
+    """(state, mu_star, c0): a 40-cell state whose support has 0, 1 or 3
+    components of 1 to 8 cells, with fractions drawn from 0, 1 and [0, 1],
+    and mu_star None, 0, 1, drawn, or one support cell's fraction exactly."""
+    n1, n2, c = np.zeros(40), np.zeros(40), np.ones(40)
+    for start in (2, 14, 26)[: draw(st.sampled_from([0, 1, 3]))]:
+        for i in range(start, start + draw(st.integers(1, 8))):
+            n = draw(st.floats(1e-6, 5.0))
+            mu = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+            n1[i] = mu * n
+            n2[i] = n - n1[i]  # 0 for mu = 1, so that n1/n is exactly 1
+            c[i] = draw(st.floats(0.5, 1.5))
+    state = make_state(n1, n2, c=c, t=draw(st.floats(0.0, 10.0)))
+    support = state.n > 1e-8
+    fractions = state.n1[support] / state.n[support]
+    mu_star = draw(st.one_of(st.none(), st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0),
+                             *([st.sampled_from(fractions.tolist())] if fractions.size else [])))
+    return state, mu_star, draw(st.floats(1.0, 1.3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=sampled_states())
+def test_sample_matches_reference_on_drawn_states(drawn):
+    # the sup deviation from the fraction's range, max(hi - mu*, mu* - lo),
+    # equals max |mu - mu*| bit for bit, with mu at 0, 1 and mu* itself
+    state, mu_star, c0 = drawn
+    assert_sample_matches_reference(state, basic_params(), mu_star, c0)
+
+
 # ---------------------------------------------------------------------------
 # the coefficients bound per run and the support carried by each state
 
@@ -1547,6 +1617,47 @@ def test_coefficients_are_0d_float64_with_the_bits_of_their_formulas():
     for a, b in itertools.product(scratch_arrays(scratch), scratch_arrays(other.scratch(21))):
         assert not np.shares_memory(a, b)
     assert k.scratch(25) is not scratch and k.scratch(25).system.size == 4 * 25 - 2
+
+
+def lopsided_two_bump_state(m=121, dx=0.1):
+    # a wide bump left of x = 0 and a narrow one right of it
+    x = (np.arange(m) - (m - 1) / 2) * dx
+    n = 0.8 * np.clip(1.0 - ((x + 2.5) / 1.2) ** 2, 0.0, None)
+    n += 0.6 * np.clip(1.0 - ((x - 2.5) / 0.5) ** 2, 0.0, None)
+    return make_state(0.7 * n, 0.3 * n, dx=dx)
+
+
+@pytest.mark.parametrize("case", ["padded-enlarges", "two-components", "lopsided"])
+def test_quasistatic_nutrient_from_kept_views_matches_freshly_sliced_views(case):
+    # the scratch keeps the packed views of the last quasi-static component
+    # length and slices them again only when that length changes: each
+    # step's c equals a solve over views sliced afresh from a new buffer,
+    # bit for bit, while one component grows, while two components of one
+    # length share the kept entry, and while two of different lengths take
+    # turns with it
+    make, params, cfg = REFERENCE_CASES[case if case != "lopsided" else "two-components"]
+    state = make() if case != "lopsided" else lopsided_two_bump_state()
+    k = _Coefficients(params, cfg, state.grid.dx)
+    lengths = []
+    for _ in range(60):
+        state, _ = step(state, k)
+        components = state.support(cfg.support_threshold)
+        want = np.full(state.grid.n_cells, params.c_B)
+        for s, e in components:
+            off = np.full(e - s, k.off_diag)
+            rhs = np.multiply(k.a, state.n2[s : e + 1])
+            rhs[0] += k.c_B_dx2
+            rhs[-1] += k.c_B_dx2
+            want[s : e + 1] = packed_solve(off, np.add(k.two_dx2, state.n[s : e + 1]), off.copy(),
+                                           rhs)
+        assert state.c.tobytes() == want.tobytes()
+        lengths.append(tuple(e - s + 1 for s, e in components))
+        assert k.scratch(state.grid.n_cells).component_views[0] == lengths[-1][-1]
+    if case == "padded-enlarges":
+        assert {len(ls) for ls in lengths} == {1} and len(set(lengths)) > 3
+    else:
+        assert {len(ls) for ls in lengths} == {2}
+        assert all((a == b) == (case == "two-components") for a, b in lengths)
 
 
 def test_step_matches_reference_when_setups_alternate():
