@@ -25,6 +25,7 @@ import numpy as np
 from .analytic import AnalyticSetup, analytic_nutrient, analytic_pressure, integrate_radius
 from .diagnostics import SERIES_CHANNELS, read_table, write_table
 from .scenarios import (
+    OUTPUT_FILES,
     PRESETS,
     PROFILE_COLUMNS,
     PROFILE_FILE,
@@ -317,16 +318,18 @@ def _cmd_check(args) -> int:
         except ValueError as err:
             problems.append(f"manifest config: {err}")
         else:
-            # profiles are not required (a restart skips those before its start),
-            # but each one listed must be at a time the config asks for, in its file
+            # profiles are not required (a restart skips those before its start), but
+            # each output listed must be one the config asks for, in the file it writes
+            names = {entry: name for entry, name in OUTPUT_FILES.items() if entry in cfg.outputs}
             problems.extend(f"outputs.{entry} is missing, but the manifest config asks for it"
-                            for entry in ("timeseries", "checkpoint")
-                            if entry in cfg.outputs and entry not in files)
-            names = {f"profiles.{t:g}": PROFILE_FILE.format(t) for t in cfg.snapshot_times()}
-            problems.extend(f"outputs.{key}: the manifest config asks for no profile at t={key[9:]}"
-                            if key not in names else f"outputs.{key} is {name!r}, not {names[key]!r}"
-                            for key, name in files.items()
-                            if key.startswith("profiles.") and names.get(key) != name)
+                            for entry in names if entry not in files)
+            names.update((f"profiles.{t:g}", PROFILE_FILE.format(t)) for t in cfg.snapshot_times())
+            for key, name in files.items():
+                output = f"profile at t={key[9:]}" if key.startswith("profiles.") else key
+                if key not in names:
+                    problems.append(f"outputs.{key}: the manifest config asks for no {output}")
+                elif name != names[key]:
+                    problems.append(f"outputs.{key} is {name!r}, not {names[key]!r}")
     for key, name in files.items():
         try:  # ValueError: not text, a header, row or value that is wrong
             if key == "checkpoint":

@@ -33,7 +33,8 @@ __all__ = [
     "ConstantComposition", "ProfileComposition", "TableComposition", "AnalyticPressureInit",
     "CustomCoshInit", "CheckpointInit", "ScenarioConfig", "PRESETS", "analytic_setup",
     "build_initial_state", "config_from_dict", "config_to_dict", "load_config", "read_json",
-    "check_out_dir", "run_scenario", "write_profile_csv", "PROFILE_COLUMNS", "PROFILE_FILE",
+    "check_out_dir", "run_scenario", "write_profile_csv", "OUTPUT_FILES", "PROFILE_COLUMNS",
+    "PROFILE_FILE",
 ]
 
 
@@ -152,9 +153,10 @@ def analytic_setup(initial: AnalyticPressureInit, params: ModelParameters) -> An
                          R0=initial.R0)
 
 
-# the file a profiles@T output writes, and its columns
+# the file a profiles@T output writes, and its columns; the file each other output writes
 PROFILE_FILE = "profile_t{:g}.csv"
 PROFILE_COLUMNS = ("x", "n1", "n2", "n", "c", "p", "u")
+OUTPUT_FILES = {"timeseries": "timeseries.csv", "checkpoint": "checkpoint_final.txt"}
 
 
 @dataclass(frozen=True)
@@ -187,7 +189,7 @@ class ScenarioConfig(_Finite):
                 if fname in profile_files:
                     raise ValueError(f"output {entry!r}: an earlier profiles@ entry writes {fname}")
                 profile_files.add(fname)
-            elif entry not in ("timeseries", "checkpoint"):
+            elif entry not in OUTPUT_FILES:
                 raise ValueError(f"unknown output entry {entry!r}")
 
     def snapshot_times(self) -> tuple[float, ...]:
@@ -560,8 +562,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunResult:
         manifest.update(asdict(result.log))
 
         if "timeseries" in cfg.outputs:
-            result.series.to_csv(out / "timeseries.csv")
-            manifest["outputs"]["timeseries"] = "timeseries.csv"
+            result.series.to_csv(out / OUTPUT_FILES["timeseries"])
+            manifest["outputs"]["timeseries"] = OUTPUT_FILES["timeseries"]
         profile_files = {}
         for ts, snap in sorted(result.snapshots.items()):
             fname = PROFILE_FILE.format(ts)
@@ -570,8 +572,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunResult:
         if profile_files:
             manifest["outputs"]["profiles"] = profile_files
         if "checkpoint" in cfg.outputs:
-            write_checkpoint(out / "checkpoint_final.txt", result.final_state, cfg.params.gamma)
-            manifest["outputs"]["checkpoint"] = "checkpoint_final.txt"
+            write_checkpoint(out / OUTPUT_FILES["checkpoint"], result.final_state, cfg.params.gamma)
+            manifest["outputs"]["checkpoint"] = OUTPUT_FILES["checkpoint"]
     except BaseException as err:
         manifest["failed"] = True
         # an exception without a message (an interrupt) is named by its class

@@ -68,9 +68,8 @@ class FieldState:
     half and n2 its second, and the attributes n1 and n2 are views of the
     halves. A state is assembled once from its final arrays, kept as given
     with no conversion, copy or check (`read_checkpoint` checks those it
-    reads), and nothing is written after it (but `run` restamps t on the
-    fresh state `step` returns), so states are shared, never copied.
-    densities, n1, n2 and n are read-only.
+    reads), and nothing is written after it, t included, so states are
+    shared, never copied. densities, n1, n2 and n are read-only.
 
     The state also carries its support: `support(threshold)` is
     `support_components(n > threshold)`, found at most once per state and
@@ -425,11 +424,11 @@ class StepDiagnostics(NamedTuple):
     enlarged: bool
 
 
-def step(state: FieldState, k: _Coefficients) -> tuple[FieldState, StepDiagnostics]:
-    """Advance one time step with the run's bundle `k`: the new state, built once and
-    sharing no array with `state` or with `k`'s scratch, and per-step diagnostics."""
+def step(state: FieldState, k: _Coefficients, t_new: float) -> tuple[FieldState, StepDiagnostics]:
+    """Advance one time step of the run's bundle `k` to t_new, which the caller chooses:
+    the new state at t_new, built once and sharing no array with `state` or with `k`'s
+    scratch, and per-step diagnostics."""
     params, dt = k.params, k.cfg.dt
-    t_new = state.t + dt
     enlarged = False
     if params.nutrient_mode == QUASISTATIC:
         state, enlarged = enlarge_domain_if_needed(state, k)
@@ -471,10 +470,10 @@ class RunResult:
     log: RunLog
 
 
-def _sample(state: FieldState, t: float, threshold: float, mu_star: float | None,
+def _sample(state: FieldState, threshold: float, mu_star: float | None,
             c_ceiling: float | None, log: RunLog) -> list[float]:
-    """One time-series row (the SERIES_CHANNELS) at time t; bound breaches
-    are appended to log.violations.
+    """One time-series row (the SERIES_CHANNELS) at the state's time t; bound
+    breaches are appended to log.violations.
 
     One pass over the state's support: the fraction mu = n1/n and c on it
     are read once, as slices of a single run or gathered over several, and
@@ -484,6 +483,7 @@ def _sample(state: FieldState, t: float, threshold: float, mu_star: float | None
     nutrient check (c <= c_ceiling + 1e-6 on the support) c_ceiling; each is
     skipped when None. An empty support gives radius 0, NaN norms and c_max,
     and no checks."""
+    t = state.t
     mass_total, mass_auto = total_population(state)
     components = state.support(threshold)
     if not components:
@@ -518,11 +518,12 @@ def run(initial: FieldState, params: ModelParameters, cfg: SolverConfig, t_end: 
         snapshot_times: tuple[float, ...] = ()) -> RunResult:
     """March the scheme from the initial state to t_end.
 
-    Samples the diagnostic series every `sample_interval` (and at the start
-    and end), captures field snapshots at the requested times (rounded to
-    the nearest step), and records warnings (CFL excursions, nutrient
-    clamping) and violations (bound breaches, excessive clamped mass).
-    Raises ValueError if t_end precedes the initial time."""
+    One clock: step j steps to t0 + j*dt, the time of state j, j = 0..n_steps.
+    State j is sampled every `sample_interval` in steps and last (a run of no
+    steps samples nothing), and is the snapshot of each requested time nearest
+    it. Records warnings (CFL excursions, nutrient clamping) and violations
+    (bound breaches, excessive clamped mass). Raises ValueError if t_end
+    precedes the initial time."""
     log = RunLog()
     t0 = initial.t
     dt = cfg.dt
@@ -549,10 +550,8 @@ def run(initial: FieldState, params: ModelParameters, cfg: SolverConfig, t_end: 
             log.warnings.append(f"no snapshot at t={ts:g}: outside this run's span "
                                 f"[{t0:g}, {t0 + n_steps * dt:g}]")
 
-    # states are shared, not copied: step never writes into its input, and
-    # only the t of the fresh state step returns is restamped below
-    state = initial
-    snapshots = {ts: state for ts in snapshot_steps.get(0, [])}
+    # states are shared, not copied: nothing writes into a state once built
+    state, snapshots = initial, {}
 
     # in quasi-static mode the nutrient keeps below the maximum-principle
     # ceiling max(c_B, c0), c0 the initial nutrient maximum on the support
@@ -566,34 +565,24 @@ def run(initial: FieldState, params: ModelParameters, cfg: SolverConfig, t_end: 
     max_cfl = 0.0
     first_cfl_t = None
     nutrient_clamp_events = 0
-
-    def sample(t: float) -> None:
-        rows.append(_sample(state, t, cfg.support_threshold, mu_star, c_ceiling, log))
-
-    if n_steps > 0:
-        sample(t0)
-
-    for j in range(n_steps):
-        try:
-            state, diag = step(state, k)
-        except SolverError as err:
-            err.args = (f"step {j + 1}: {err.args[0]}",)
-            raise
-        state.t = t0 + (j + 1) * dt
-        log.steps += 1
-        log.clamped_neg_mass += diag.clamped_mass
-        nutrient_clamp_events += diag.nutrient_cells_clamped
-        if diag.cfl > max_cfl:
-            max_cfl = diag.cfl
-            if diag.cfl > 0.5 and first_cfl_t is None:
-                first_cfl_t = state.t
-        for ts in snapshot_steps.get(j + 1, ()):
+    for j in range(n_steps + 1):
+        if j:
+            try:
+                state, diag = step(state, k, t0 + j * dt)
+            except SolverError as err:
+                err.args = (f"step {j}: {err.args[0]}",)
+                raise
+            log.steps += 1
+            log.clamped_neg_mass += diag.clamped_mass
+            nutrient_clamp_events += diag.nutrient_cells_clamped
+            if diag.cfl > max_cfl:
+                max_cfl = diag.cfl
+                if diag.cfl > 0.5 and first_cfl_t is None:
+                    first_cfl_t = state.t
+        for ts in snapshot_steps.get(j, ()):
             snapshots[ts] = state
-        if (j + 1) % steps_per_sample == 0:
-            sample(state.t)
-
-    if n_steps > 0 and n_steps % steps_per_sample != 0:
-        sample(state.t)
+        if n_steps and (j % steps_per_sample == 0 or j == n_steps):
+            rows.append(_sample(state, cfg.support_threshold, mu_star, c_ceiling, log))
 
     if max_cfl > 0.5:
         log.warnings.append(f"transport CFL number exceeded 0.5 (max {max_cfl:.3f}, "

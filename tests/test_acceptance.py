@@ -291,7 +291,7 @@ def test_acceptance_7_invariants_on_all_runs():
         k = _Coefficients(params, cfg, state.grid.dx)
         for _ in range(n_steps):
             old = state
-            state, diag = step(state, k)
+            state, diag = step(state, k, state.t + dt)
             assert diag.clamped_mass == 0.0
             G = eval_growth(params.growth, old.c, old.n)
             lhs = dx * np.sum(state.n - old.n) / dt

@@ -736,6 +736,37 @@ def test_check_tests_each_profile_name_against_its_time(tmp_path, capsys):
         "check failed: outputs.profiles.0.01 is 'profile_t0.004.csv', not 'profile_t0.01.csv'\n")
 
 
+def test_check_tests_the_series_and_checkpoint_names(tmp_path, capsys):
+    # a series and a checkpoint listed and renamed alike used to pass
+    out_dir = finished_run(tmp_path, capsys)
+    manifest_path = out_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["outputs"] == {"timeseries": "timeseries.csv",
+                                   "checkpoint": "checkpoint_final.txt"}
+    manifest["outputs"] = {"timeseries": "series.csv", "checkpoint": "state.txt"}
+    manifest_path.write_text(json.dumps(manifest))
+    (out_dir / "timeseries.csv").rename(out_dir / "series.csv")
+    (out_dir / "checkpoint_final.txt").rename(out_dir / "state.txt")
+    assert main(["check", str(out_dir)]) == 1
+    assert capsys.readouterr().err == (
+        "check failed: outputs.timeseries is 'series.csv', not 'timeseries.csv'\n"
+        "check failed: outputs.checkpoint is 'state.txt', not 'checkpoint_final.txt'\n")
+
+
+@pytest.mark.parametrize("key, asked", [("timeseries", ["checkpoint"]),
+                                        ("checkpoint", ["timeseries"])])
+def test_check_refuses_an_output_the_config_does_not_ask_for(tmp_path, capsys, key, asked):
+    # a timeseries.csv listed but never asked for used to pass
+    out_dir = finished_run(tmp_path, capsys)
+    manifest_path = out_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"]["outputs"] = asked
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["check", str(out_dir)]) == 1
+    assert capsys.readouterr().err == (
+        f"check failed: outputs.{key}: the manifest config asks for no {key}\n")
+
+
 def test_check_tests_the_last_sample_time_against_t_end(tmp_path, capsys):
     # the tiny run ends at t_end = 0.01 after five steps of 0.002
     out_dir = finished_run(tmp_path, capsys)

@@ -51,7 +51,7 @@ def sample_row(state, mu_star=None, c_ceiling=None):
     """The series row `run` samples from `state`, as {channel: value}, and
     the violations the sample records."""
     log = RunLog()
-    row = _sample(state, state.t, THRESH, mu_star, c_ceiling, log)
+    row = _sample(state, THRESH, mu_star, c_ceiling, log)
     return dict(zip(SERIES_CHANNELS, row)), log.violations
 
 

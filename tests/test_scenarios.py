@@ -235,7 +235,8 @@ def test_the_first_step_reuses_what_set_up_formed(monkeypatch, preset):
         if hasattr(module, "support_components"):
             monkeypatch.setattr(module, "support_components", counting)
     state = build_initial_state(cfg.initial, cfg.params, cfg.solver)
-    new, diag = step(state, solver._Coefficients(cfg.params, cfg.solver, state.grid.dx))
+    new, diag = step(state, solver._Coefficients(cfg.params, cfg.solver, state.grid.dx),
+                     state.t + cfg.solver.dt)
     assert not diag.enlarged and new.grid is state.grid
     assert len(scans) == (2 if cfg.params.nutrient_mode == QUASISTATIC else 0)
 

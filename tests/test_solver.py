@@ -1,4 +1,5 @@
 import dataclasses
+import dis
 import gc
 import importlib
 import itertools
@@ -6,6 +7,7 @@ import math
 import sys
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from autophagy_tumor.kinetics import (
     eval_growth,
     eval_transitions,
 )
+from autophagy_tumor.scenarios import PRESETS, build_initial_state
 from autophagy_tumor.solver import (
     RunLog,
     SolverConfig,
@@ -711,7 +714,7 @@ def test_step_zero_state_is_fixed_point():
     state = make_state(np.zeros(15), np.zeros(15), c=np.ones(15))
     params = basic_params(g=1.0, K1=1.0, K2=1.0, c_B=1.0)
     cfg = SolverConfig(dt=0.01)
-    new, diag = step(state, _Coefficients(params, cfg, state.grid.dx))
+    new, diag = step(state, _Coefficients(params, cfg, state.grid.dx), state.t + cfg.dt)
     np.testing.assert_array_equal(new.n1, np.zeros(15))
     np.testing.assert_array_equal(new.n2, np.zeros(15))
     np.testing.assert_array_equal(new.c, np.ones(15))
@@ -724,7 +727,7 @@ def test_step_preserves_mirror_symmetry():
     state = bump_state()
     params = basic_params(g=1.0, D=0.3, K1=1.0, K2=1.0)
     cfg = SolverConfig(dt=0.005)
-    new, _ = step(state, _Coefficients(params, cfg, state.grid.dx))
+    new, _ = step(state, _Coefficients(params, cfg, state.grid.dx), state.t + cfg.dt)
     assert np.max(np.abs(new.n1 - new.n1[::-1])) < 1e-12
     assert np.max(np.abs(new.n2 - new.n2[::-1])) < 1e-12
     assert np.max(np.abs(new.c - new.c[::-1])) < 1e-12
@@ -735,7 +738,7 @@ def test_step_updates_velocity_from_new_pressure():
     state = bump_state()
     params = basic_params(g=1.0, D=0.3, K1=1.0, K2=1.0)
     cfg = SolverConfig(dt=0.005)
-    new, _ = step(state, _Coefficients(params, cfg, state.grid.dx))
+    new, _ = step(state, _Coefficients(params, cfg, state.grid.dx), state.t + cfg.dt)
     p = pressure_from_density(new.n, params.gamma)
     np.testing.assert_allclose(new.u, -np.diff(p) / new.grid.dx, atol=1e-15)
 
@@ -750,7 +753,7 @@ def test_step_discrete_mass_balance():
     state.c = quasistatic(state, basic_params(a=0.5, D=0.3))
     params = basic_params(g=1.0, D=0.3, K1=1.0, K2=1.0, a=0.5)
     cfg = SolverConfig(dt=0.002, enlargement_margin=5)
-    new, diag = step(state, _Coefficients(params, cfg, state.grid.dx))
+    new, diag = step(state, _Coefficients(params, cfg, state.grid.dx), state.t + cfg.dt)
     assert new.grid.n_cells == state.grid.n_cells
     assert diag.clamped_mass == 0.0
     dx = state.grid.dx
@@ -864,7 +867,7 @@ def mirrored(state):
 @given(case=small_cases())
 def test_step_keeps_densities_non_negative_and_balances_mass(case):
     state, params, cfg, reacting = case
-    new, diag = step(state, _Coefficients(params, cfg, state.grid.dx))
+    new, diag = step(state, _Coefficients(params, cfg, state.grid.dx), state.t + cfg.dt)
     assert np.all(new.densities >= 0.0)
     assert diag.clamped_mass >= 0.0
     # without growth and death, transport and exchange conserve mass, so it
@@ -888,8 +891,8 @@ def test_step_keeps_densities_non_negative_and_balances_mass(case):
 def test_step_of_a_mirrored_state_is_the_mirrored_step(case):
     state, params, cfg, _ = case
     k = _Coefficients(params, cfg, state.grid.dx)
-    new, diag = step(state, k)
-    flip, flip_diag = step(mirrored(state), k)
+    new, diag = step(state, k, state.t + cfg.dt)
+    flip, flip_diag = step(mirrored(state), k, state.t + cfg.dt)
     assert flip.grid.n_cells == new.grid.n_cells
     for name, sign in (("n1", 1.0), ("n2", 1.0), ("c", 1.0), ("u", -1.0)):
         want = getattr(new, name)
@@ -918,7 +921,7 @@ def test_step_and_enlargement_never_write_into_their_input(case):
     for _ in range(3):
         before = frozen_copy(state)
         grown, _ = enlarge(state, params, cfg)
-        new, _ = step(state, _Coefficients(params, cfg, state.grid.dx))
+        new, _ = step(state, _Coefficients(params, cfg, state.grid.dx), state.t + cfg.dt)
         for name, arr in before.items():
             assert np.array_equal(getattr(state, name), arr), name
             for out in (grown, new):
@@ -976,7 +979,8 @@ def test_step_names_the_first_non_finite_field(monkeypatch, bad, named):
     params = neumann_params(g=1.0, D=0.3, K1=1.0, K2=1.0)
     with np.errstate(invalid="ignore"):
         with pytest.raises(SolverError, match=f"non-finite values in {named} at t=0.005$") as err:
-            step(state, _Coefficients(params, SolverConfig(dt=0.005), state.grid.dx))
+            step(state, _Coefficients(params, SolverConfig(dt=0.005), state.grid.dx),
+                 state.t + 0.005)
     assert err.value.state is state
     assert err.value.t == 0.005
 
@@ -1068,7 +1072,7 @@ def test_step_failure_carries_the_state_it_advanced_and_the_time_it_failed_at(ca
         want = enlarge(state, params, cfg)[0]
         assert want.grid.n_cells > state.grid.n_cells
     with np.errstate(all="ignore"), pytest.raises(SolverError, match=message) as err:
-        step(state, _Coefficients(params, cfg, state.grid.dx))
+        step(state, _Coefficients(params, cfg, state.grid.dx), state.t + cfg.dt)
     assert err.value.t == state.t + cfg.dt
     if want is state:
         assert err.value.state is state
@@ -1104,7 +1108,7 @@ def test_a_non_finite_velocity_prediction_stops_the_step(monkeypatch, case, bad)
                         lambda *args: transports.append(1) or real_correct(*args))
     message = "tridiagonal solve produced non-finite values"
     with np.errstate(all="ignore"), pytest.raises(SolverError, match=f"^{message}$") as err:
-        step(state, _Coefficients(params, cfg, state.grid.dx))
+        step(state, _Coefficients(params, cfg, state.grid.dx), state.t + cfg.dt)
     assert solves == [want.grid.n_cells - 1] and transports == []
     assert err.value.t == state.t + cfg.dt
     assert err.value.state.grid == want.grid and err.value.state.t == state.t
@@ -1196,6 +1200,42 @@ def test_run_shares_read_only_states(case):
         assert (snap.t, snap.grid) == (want.t, want.grid), ts
         for name in ("n1", "n2", "c", "u"):
             assert np.array_equal(getattr(snap, name), getattr(want, name)), (ts, name)
+
+
+def preset_run_recording_steps(monkeypatch, name, n_steps):
+    """`run` of a preset's first n_steps steps, with each (state, its t) that
+    `step` returned, in order, recorded as step returned it."""
+    cfg = PRESETS[name]
+    initial = build_initial_state(cfg.initial, cfg.params, cfg.solver)
+    returned, real_step = [], solver_module.step
+
+    def recording(*args):
+        new, diag = real_step(*args)
+        returned.append((new, new.t))
+        return new, diag
+
+    monkeypatch.setattr(solver_module, "step", recording)
+    res = run(initial, cfg.params, cfg.solver, t_end=initial.t + n_steps * cfg.solver.dt)
+    assert len(returned) == n_steps and res.final_state is returned[-1][0]
+    return initial, cfg.solver.dt, returned
+
+
+def test_a_step_evaluates_the_wall_flux_at_the_time_of_the_state_it_returns(monkeypatch):
+    # step 10 of neumann-periodic-T20 used to evaluate the flux at
+    # 0.018 + 0.002 = 0.020000000000000004 and end at t = 10 * 0.002 = 0.02
+    flux_times, real_flux = [], solver_module.eval_flux
+    monkeypatch.setattr(solver_module, "eval_flux",
+                        lambda schedule, t: flux_times.append(t) or real_flux(schedule, t))
+    _, _, returned = preset_run_recording_steps(monkeypatch, "neumann-periodic-T20", 20)
+    assert flux_times == [new.t for new, _ in returned]
+
+
+@pytest.mark.parametrize("name", ["neumann-periodic-T20", "fig-s4f2-D0.5"])
+def test_no_state_is_written_after_step_returns_it(monkeypatch, name):
+    # run used to restamp t on each state step returned
+    initial, dt, returned = preset_run_recording_steps(monkeypatch, name, 20)
+    for j, (new, t_returned) in enumerate(returned, 1):
+        assert new.t == t_returned == initial.t + j * dt, j
 
 
 def test_run_grows_domain_before_the_front_arrives():
@@ -1426,7 +1466,7 @@ def test_step_matches_reference_bit_for_bit(case):
     enlargements = nutrient_clamps = 0
     k = _Coefficients(params, cfg, state.grid.dx)  # one for the run, as `run` forms it
     for j in range(50):
-        state, diag = step(state, k)
+        state, diag = step(state, k, state.t + cfg.dt)
         ref, ref_diag = reference_step(ref, params, cfg)
         # every per-step diagnostic, not only their sums
         assert diag == ref_diag, j
@@ -1495,7 +1535,7 @@ def assert_sample_matches_reference(state, params, mu_star, c0, clamped_cum=0.0)
     threshold = SolverConfig(dt=1.0).support_threshold
     c_ceiling = max(params.c_B, c0) if params.nutrient_mode == QUASISTATIC else None
     log = RunLog(clamped_neg_mass=clamped_cum)
-    row = _sample(state, state.t, threshold, mu_star, c_ceiling, log)
+    row = _sample(state, threshold, mu_star, c_ceiling, log)
     want, want_violations = reference_sample(
         state, state.t, params, threshold, mu_star, c0, clamped_cum
     )
@@ -1523,7 +1563,7 @@ def test_sample_matches_reference_on_stepped_states(case):
     k = _Coefficients(params, cfg, state.grid.dx)
     for _ in range(30):
         assert_sample_matches_reference(state, params, mu_star, c0, clamped)
-        state, diag = step(state, k)
+        state, diag = step(state, k, state.t + cfg.dt)
         clamped += diag.clamped_mass
     assert_sample_matches_reference(state, params, None, c0, clamped)
 
@@ -1640,7 +1680,7 @@ def test_quasistatic_nutrient_from_kept_views_matches_freshly_sliced_views(case)
     k = _Coefficients(params, cfg, state.grid.dx)
     lengths = []
     for _ in range(60):
-        state, _ = step(state, k)
+        state, _ = step(state, k, state.t + cfg.dt)
         components = state.support(cfg.support_threshold)
         want = np.full(state.grid.n_cells, params.c_B)
         for s, e in components:
@@ -1684,7 +1724,7 @@ def test_step_matches_reference_when_setups_alternate():
     bundles = [_Coefficients(params, cfg_i, state.grid.dx) for state, params, cfg_i in setups]
     for j in range(20):
         for i, (_, params, cfg_i) in enumerate(setups):
-            states[i], diag = step(states[i], bundles[i])
+            states[i], diag = step(states[i], bundles[i], states[i].t + cfg_i.dt)
             refs[i], ref_diag = reference_step(refs[i], params, cfg_i)
             assert diag == ref_diag, (i, j)
             for name in ("n1", "n2", "c", "u"):
@@ -1706,8 +1746,8 @@ def test_a_run_holds_the_scratch_of_its_current_grid_size_only(monkeypatch):
     cfg = SolverConfig(dt=0.01, enlargement_margin=3)
     bundles, sizes, scratches, real_step = set(), [], [], solver_module.step
 
-    def recording(state, k):
-        new, diag = real_step(state, k)
+    def recording(state, k, t_new):
+        new, diag = real_step(state, k, t_new)
         bundles.add(k)
         sizes.append(new.grid.n_cells)
         current = k.scratch(new.grid.n_cells)
@@ -1766,6 +1806,86 @@ def test_each_phase_is_called_through_its_module_global(monkeypatch, case, per_s
     assert calls == Counter({"run": 1, **{name: 5 * n for name, n in (_EACH_STEP | per_step).items()}})
 
 
+_CALL_OPS = {dis.opmap[name] for name in ("CALL", "CALL_FUNCTION_EX")}
+_PACKAGE = str(Path(solver_module.__file__).parent)
+
+
+def calls_of_a_warm_step(state, params, cfg):
+    """The CALL and CALL_FUNCTION_EX instructions one `step` of `state` executes
+    in the package's own frames (a call into numpy counts once, whatever numpy
+    does below it), once a first step of the same state has formed the run's
+    scratch; with the step's diagnostics."""
+    k = _Coefficients(params, cfg, state.grid.dx)
+    diag = step(state, k, state.t + cfg.dt)[1]
+    calls = 0
+
+    def opcodes(frame, event, arg):
+        nonlocal calls
+        if event == "opcode" and frame.f_code.co_code[frame.f_lasti] in _CALL_OPS:
+            calls += 1
+        return opcodes
+
+    def frames(frame, event, arg):
+        if not frame.f_code.co_filename.startswith(_PACKAGE):
+            return None
+        frame.f_trace_opcodes = True
+        return opcodes
+
+    previous = sys.gettrace()
+    sys.settrace(frames)
+    try:
+        step(state, k, state.t + cfg.dt)
+    finally:
+        sys.settrace(previous)
+    return calls, diag
+
+
+def repeated(state, times=4):
+    """`state` with each cell repeated `times` times at the same dx: the same
+    components and clamps on `times` times the cells."""
+    return make_state(np.repeat(state.n1, times), np.repeat(state.n2, times),
+                      c=np.repeat(state.c, times), dx=state.grid.dx)
+
+
+def starved_box_state():
+    state = hull_box_state()
+    return make_state(state.n1, state.n2, c=np.full(state.grid.n_cells, 0.05), dx=state.grid.dx)
+
+
+# (make, params, cfg, the quasi-static components or whether the nutrient
+# clamps, the budget: the calls one warm step made before the run's time became
+# step's argument, with CPython 3.11)
+_CALL_CASES = {
+    "one-component": (bump_state, basic_params(g=1.0, D=0.3, K1=1.0, K2=1.0, a=0.5),
+                      SolverConfig(dt=0.005, enlargement_margin=5), 1, 88),
+    "two-components": (*REFERENCE_CASES["two-components"], 2, 105),
+    "neumann": (*REFERENCE_CASES["neumann-hull"], False, 89),
+    # a wall flux larger than a starved box holds: the nutrient step clamps
+    "neumann-clamps": (starved_box_state, *REFERENCE_CASES["neumann-nutrient-clamps"][1:],
+                       True, 88),
+}
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+                    reason="the budgets count CPython 3.11's CALL and CALL_FUNCTION_EX opcodes")
+@pytest.mark.parametrize("case", sorted(_CALL_CASES))
+def test_a_warm_step_makes_a_budgeted_number_of_calls_at_any_grid_size(case):
+    # at a few hundred cells a step costs mostly its calls; a count is exact,
+    # where the wall clock is not, and the same at 4x the cells (no per-cell
+    # Python work). A change that lowers a count lowers its budget.
+    make, params, cfg, shape, budget = _CALL_CASES[case]
+    counts = []
+    for state in (make(), repeated(make())):
+        calls, diag = calls_of_a_warm_step(state, params, cfg)
+        assert not diag.enlarged
+        if params.nutrient_mode == QUASISTATIC:
+            assert len(state.support(cfg.support_threshold)) == shape
+        else:
+            assert bool(diag.nutrient_cells_clamped) == shape
+        counts.append(calls)
+    assert counts[0] == counts[1] <= budget, counts
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     cells=st.lists(st.sampled_from([0.0, _THRESHOLD, 2 * _THRESHOLD, 0.5]),
@@ -1811,10 +1931,10 @@ def test_step_hands_its_quasistatic_support_to_the_new_state(monkeypatch):
                         lambda mask: scans.append(1) or support_components(mask))
     k = _Coefficients(params, cfg, state.grid.dx)
     for _ in range(5):
-        state, _ = step(state, k)
+        state, _ = step(state, k, state.t + cfg.dt)
     # one scan for the built state (the first enlargement check), then one
     # per step, the nutrient solve's; enlargement and sampling reuse it
-    _sample(state, state.t, cfg.support_threshold, 0.4, None, RunLog())
+    _sample(state, cfg.support_threshold, 0.4, None, RunLog())
     assert len(scans) == 1 + 5
     assert state.support(cfg.support_threshold) == support_components(
         state.n > cfg.support_threshold)
@@ -1846,10 +1966,10 @@ def test_sample_matches_a_flatnonzero_gather(make):
             sampled = state if not fresh else make_state(
                 state.n1, state.n2, c=state.c, u=state.u, dx=state.grid.dx,
                 x_min=state.grid.x_min, t=state.t)
-            row = _sample(sampled, state.t, cfg.support_threshold, 0.4, None, RunLog())
+            row = _sample(sampled, cfg.support_threshold, 0.4, None, RunLog())
             want = flatnonzero_sample(state, state.t, cfg.support_threshold, 0.4)
             assert np.array(row).tobytes() == np.array(want).tobytes()
-        state, _ = step(state, k)
+        state, _ = step(state, k, state.t + cfg.dt)
     if make is two_bump_state:
         assert len(state.support(cfg.support_threshold)) == 2
 
