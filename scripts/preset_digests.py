@@ -1,6 +1,7 @@
 #!/usr/bin/env python
 """One sha256 per preset run directory, and the test that a change moved
-only the outputs it declares.
+only the outputs it declares (of presets, or of any `<sha256> <name>`
+listing, such as the benchmark workloads' digests at one seed).
 
     python scripts/preset_digests.py digest RUN_DIR...
         prints `<sha256> <name>` for each run directory: every file, by its
@@ -93,7 +94,7 @@ def main(argv=None) -> int:
         print(f"output comparison failed: {line}", file=sys.stderr)
     if not faults:
         moved = ", ".join(sorted(named)) or "none"
-        print(f"{len(current)} presets compared with the parent commit; declared changes: {moved}")
+        print(f"{len(current)} outputs compared with the parent commit; declared changes: {moved}")
     return 1 if faults else 0
 
 

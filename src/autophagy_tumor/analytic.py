@@ -52,13 +52,12 @@ class AnalyticSetup(_Finite):
     c_B: float
     R0: float
     _positive = ("g", "R0")
+    _nonnegative = ("D",)
 
     def __post_init__(self):
         super().__post_init__()
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError(f"mu must lie in [0, 1], got {self.mu}")
-        if self.D < 0.0:
-            raise ValueError(f"death rate D must be >= 0, got {self.D}")
         if not 0.0 <= self.a < self.c_B:
             raise ValueError(f"need 0 <= a < c_B, got a={self.a}, c_B={self.c_B}")
 
@@ -120,10 +119,9 @@ def integrate_radius(s: AnalyticSetup, t_end: float, dt: float = 1e-3) -> Radius
         raise ValueError(f"dt must be finite and positive, got {dt}")
     n = max(1, int(round(t_end / dt))) if t_end > 0.0 else 0
     h = t_end / n if n else 0.0
-    times = np.empty(n + 1)
     radii = np.empty(n + 1)
     R = s.R0
-    times[0], radii[0] = 0.0, R
+    radii[0] = R
     for j in range(n):
         k1 = boundary_speed(R, s)
         k2 = boundary_speed(R + 0.5 * h * k1, s)
@@ -132,9 +130,9 @@ def integrate_radius(s: AnalyticSetup, t_end: float, dt: float = 1e-3) -> Radius
         R = R + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not (R > 0.0 and math.isfinite(R)):
             raise ArithmeticError(f"front radius left (0, inf) at t={(j + 1) * h}")
-        times[j + 1], radii[j + 1] = (j + 1) * h, R
+        radii[j + 1] = R
     speeds = np.array([boundary_speed(r, s) for r in radii])
-    return RadiusTrajectory(times=times, radii=radii, speeds=speeds)
+    return RadiusTrajectory(times=h * np.arange(n + 1), radii=radii, speeds=speeds)
 
 
 def exp_growth_lower_bound(t, s: AnalyticSetup):

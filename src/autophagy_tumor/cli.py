@@ -104,8 +104,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_presets(args) -> int:
-    for name in PRESETS:
-        print(name)
+    print(*PRESETS, sep="\n")
     return 0
 
 

@@ -39,14 +39,18 @@ class _Finite:
     """Refuses a NaN, inf or huge int in a field annotated `float` or `tuple[float, ...]`."""
 
     _positive: tuple[str, ...] = ()  # the `float` fields that must also be > 0
+    _nonnegative: tuple[str, ...] = ()  # the `float` fields that must also be >= 0
 
     def __post_init__(self):  # names the first bad field, in field order
         for f in fields(self):
             value = getattr(self, f.name)
             values = {"float": (value,), "tuple[float, ...]": value}.get(f.type, ())
             positive = f.name in self._positive
-            if not all((v > 0.0 or not positive) and abs(v) <= sys.float_info.max for v in values):
-                raise ValueError(f"{f.name} must be {'positive and ' * positive}finite, got {value}")
+            nonnegative = f.name in self._nonnegative
+            if not all(abs(v) <= sys.float_info.max and (v > 0.0 or not positive)
+                       and (v >= 0.0 or not nonnegative) for v in values):
+                need = "positive and " * positive + "non-negative and " * nonnegative
+                raise ValueError(f"{f.name} must be {need}finite, got {value}")
 
 
 class _Bound(_Finite):
@@ -91,11 +95,7 @@ GrowthSpec = Union[Proportional, AffineDeath, Logistic]
 class ConstantTransitions(_Bound):
     K1: float
     K2: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not (self.K1 >= 0.0 and self.K2 >= 0.0):
-            raise ValueError(f"switch rates must be >= 0, got K1={self.K1}, K2={self.K2}")
+    _nonnegative = ("K1", "K2")
 
 
 @dataclass(frozen=True)
@@ -109,11 +109,8 @@ class HullTransitions(_Bound):
     k1max: float
     k2max: float
     omega: float
-
-    def __post_init__(self):  # omega = 0 would give K = 0/0 at c = 0
-        super().__post_init__()
-        if not (self.k1max >= 0.0 and self.k2max >= 0.0 and self.omega > 0.0):
-            raise ValueError(f"hull switch needs k1max, k2max >= 0 and omega > 0, got {self}")
+    _positive = ("omega",)  # omega = 0 would give K = 0/0 at c = 0
+    _nonnegative = ("k1max", "k2max")
 
 
 @dataclass(frozen=True)
@@ -206,15 +203,12 @@ class ModelParameters(_Finite):
     nutrient_mode: str = QUASISTATIC
     lambda_schedule: FluxSchedule | None = None
     _positive = ("c_B",)
+    _nonnegative = ("D", "a")
 
     def __post_init__(self):
         super().__post_init__()
         if not self.gamma >= 2.0:
             raise ValueError(f"velocity prediction requires gamma >= 2, got {self.gamma:g}")
-        if self.D < 0.0:
-            raise ValueError(f"death-rate offset D must be >= 0, got {self.D}")
-        if self.a < 0.0:
-            raise ValueError(f"nutrient release rate a must be >= 0, got {self.a}")
         if self.nutrient_mode not in (QUASISTATIC, NEUMANN):
             raise ValueError(f"unknown nutrient_mode {self.nutrient_mode!r}")
         if self.nutrient_mode == NEUMANN and self.lambda_schedule is None:

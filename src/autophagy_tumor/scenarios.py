@@ -26,7 +26,7 @@ from .grid import Grid1D, density_from_pressure, pressure_from_density
 from .kinetics import (NEUMANN, QUASISTATIC, AffineDeath, ConstantFlux, ConstantTransitions,
                        HullTransitions, Logistic, ModelParameters, PeriodicFlux, Proportional,
                        RationalPairTransitions, _Finite, equilibrium_roots)
-from .solver import (FieldState, RunResult, SolverConfig, _check_t_end, _Coefficients, _settle,
+from .solver import (FieldState, RunResult, SolverConfig, _clock, _Coefficients, _settle,
                      check_checkpoint_gamma, read_checkpoint, run, write_checkpoint)
 
 __all__ = [
@@ -381,8 +381,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     if tag != "linear":
         raise ValueError(f"unknown consumption type {tag!r} at config.model.consumption")
     _check_empty(consumption, "config.model.consumption")
-    boundary_mode = (_pop(solver, "boundary_mode", "config.solver", _STRING)
-                     if "boundary_mode" in solver else None)
+    boundary_mode = _pop(solver, "boundary_mode", "config.solver", _STRING, None)
     cfg = _from_dict(ScenarioConfig, d, "config")
     implied, mode_name, boundary_name = _BOUNDARY_MODES[cfg.params.nutrient_mode]
     if boundary_mode not in (None, "padded_dirichlet", "neumann_box"):
@@ -535,17 +534,17 @@ def check_out_dir(out_dir) -> None:
 def run_scenario(cfg: ScenarioConfig, out_dir) -> RunResult:
     """Run a scenario and write its outputs and manifest under out_dir.
 
-    out_dir must pass `check_out_dir`. The initial state is built and
-    `t_end` checked against its time before the directory is created, so an
-    unreadable or mismatched checkpoint, or a `t_end` before the
-    checkpoint's time, leaves no directory. Whatever
-    fails once it exists (the solver, writing an output), the manifest is
-    still written (failed: true, with the error) before the exception
+    out_dir must pass `check_out_dir`. The initial state is built and the run's
+    clock checked before the directory is created, so an unreadable or mismatched
+    checkpoint, a `t_end` before the checkpoint's time, or a profile time that no
+    step ends at (its file would be named after a time never reached) leaves no
+    directory. Whatever fails once it exists (the solver, writing an output), the
+    manifest is still written (failed: true, with the error) before the exception
     propagates.
     """
     check_out_dir(out_dir)
     initial = build_initial_state(cfg.initial, cfg.params, cfg.solver)
-    _check_t_end(initial.t, cfg.t_end)
+    _clock(initial.t, cfg.solver, cfg.t_end, cfg.snapshot_times(), [])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {

@@ -133,6 +133,7 @@ class _Coefficients:
         self.dx, self.D, self.a = np.array(dx), np.array(params.D), np.array(params.a)
         self.neg_dx, self.two_dx, self.half_dx = (np.array(v) for v in (-dx, 2.0 * dx, 0.5 * dx))
         self.zero, self.half, self.one = np.array(0.0), np.array(0.5), np.array(1.0)
+        self.threshold = np.array(cfg.support_threshold)
         # the pressure law's and the prediction's n^(gamma-1)*gamma/(gamma-1) and n^(gamma-2)
         self.g1, self.p_factor, self.g2 = (np.array(v) for v in (g - 1.0, g / (g - 1.0), g - 2.0))
         self.two_dx2, self.c_B_dx2 = np.array(2.0 / dx**2), params.c_B / dx**2
@@ -290,7 +291,8 @@ def correct_densities(state: FieldState, u_star: np.ndarray, k: _Coefficients,
     a22 += K2
     det = np.multiply(a11, a22, out=s.det)
     det -= K1 * K2
-    if np.minimum.reduce(np.abs(det)) < k.singular:
+    size = np.abs(det)
+    if size[size.argmin()] < k.singular:  # argmin then an index: cheaper than a ufunc reduction
         raise SolverError("reaction solve is singular (dt too large for the reaction rates)")
     r = np.divide(values, k.dt, out=s.r)
     r -= div
@@ -305,7 +307,7 @@ def correct_densities(state: FieldState, u_star: np.ndarray, k: _Coefficients,
     rows /= det
 
     clamped = 0.0
-    if np.minimum.reduce(new) < 0.0:  # one reduction; the masks only when something clamps
+    if new[new.argmin()] < 0.0:  # one argmin; the masks only when something clamps
         for row in rows:
             row_neg = row < k.zero
             if np.count_nonzero(row_neg):
@@ -405,8 +407,7 @@ def _settle(grid: Grid1D, densities: np.ndarray, c: np.ndarray | None, t: float,
     n = densities[: grid.n_cells] + n2
     support = (None, ())
     if k.params.nutrient_mode == QUASISTATIC:
-        threshold = k.cfg.support_threshold
-        support = (threshold, support_components(n > threshold))
+        support = (k.cfg.support_threshold, support_components(n > k.threshold))
         c = solve_nutrient_quasistatic(grid, n, n2, k, support[1])
     p = _pressure(n, k.g1, k.p_factor)  # unchecked: see pressure_from_density
     u = p[1:] - p[:-1]
@@ -435,7 +436,8 @@ def step(state: FieldState, k: _Coefficients, t_new: float) -> tuple[FieldState,
     try:
         growth = eval_growth(params.growth, state.c, state.n)
         u_star = predict_velocity(state, k, growth)
-        u_max = float(np.maximum.reduce(np.abs(u_star)))  # NaN or inf exactly when u* is not finite
+        speed = np.abs(u_star)
+        u_max = float(speed[speed.argmax()])  # NaN or inf exactly when u* is not finite
         if not math.isfinite(u_max):
             raise SolverError(_NON_FINITE_SOLUTION)
         cfl = u_max * dt / state.grid.dx
@@ -472,17 +474,16 @@ class RunResult:
 
 def _sample(state: FieldState, threshold: float, mu_star: float | None,
             c_ceiling: float | None, log: RunLog) -> list[float]:
-    """One time-series row (the SERIES_CHANNELS) at the state's time t; bound
-    breaches are appended to log.violations.
+    """One time-series row (the SERIES_CHANNELS) at the state's time t; bound breaches
+    are appended to log.violations.
 
-    One pass over the state's support: the fraction mu = n1/n and c on it
-    are read once, as slices of a single run or gathered over several, and
-    mu's range [lo, hi] serves the [0, 1] check and the sup deviation: as
-    rounding is monotone and symmetric, max(hi - mu*, mu* - lo) is
-    max |mu - mu*| bit for bit. The deviation norms need mu_star, the
-    nutrient check (c <= c_ceiling + 1e-6 on the support) c_ceiling; each is
-    skipped when None. An empty support gives radius 0, NaN norms and c_max,
-    and no checks."""
+    One pass over the state's support: mu = n1/n and c on it are read once, as slices of
+    a single run or gathered over several, and each extremum by argmax or argmin (c_max by
+    the reduction when it is a zero, whose sign argmax need not keep). mu's range [lo, hi]
+    serves the [0, 1] check and the sup deviation: as rounding is monotone and symmetric,
+    max(hi - mu*, mu* - lo) is max |mu - mu*| bit for bit. The deviation norms need mu_star,
+    the nutrient check (c <= c_ceiling + 1e-6 on the support) c_ceiling; each is skipped
+    when None. An empty support gives radius 0, NaN norms and c_max, and no checks."""
     t = state.t
     mass_total, mass_auto = total_population(state)
     components = state.support(threshold)
@@ -494,8 +495,9 @@ def _sample(state: FieldState, threshold: float, mu_star: float | None,
     cells = (slice(components[0][0], components[0][1] + 1) if len(components) == 1
              else np.concatenate([np.arange(s, e + 1) for s, e in components]))
     mu = state.n1[cells] / state.n[cells]
-    c_max = float(np.maximum.reduce(state.c[cells]))
-    lo, hi = np.minimum.reduce(mu), np.maximum.reduce(mu)
+    c_on = state.c[cells]
+    c_max = float(c_on[c_on.argmax()] or np.maximum.reduce(c_on))
+    lo, hi = mu[mu.argmin()], mu[mu.argmax()]
     norms = (math.nan,) * 4
     if mu_star is not None:
         norms = deviation_norms(mu - mu_star, dx, max(hi - mu_star, mu_star - lo))
@@ -508,47 +510,55 @@ def _sample(state: FieldState, threshold: float, mu_star: float | None,
     return [t, radius, mass_total, mass_auto, *norms, c_max, log.clamped_neg_mass]
 
 
-def _check_t_end(t0: float, t_end: float) -> None:
-    """Raise ValueError if t_end precedes the initial time t0."""
-    if t_end < t0 - 1e-9 * max(1.0, abs(t_end)):
+def _clock(t0: float, cfg: SolverConfig, t_end: float, snapshot_times: tuple[float, ...],
+           warnings: list[str]) -> tuple[int, int, dict[int, list[float]]]:
+    """A run's steps t0 + j*dt as (n_steps, steps per sample, {j: its snapshot times}), each
+    the step nearest its time. Warns of a t_end or sample_interval off the steps (by more than
+    1e-9 of t_end) and of a snapshot time outside the run. Raises ValueError if t_end precedes
+    t0, or if a snapshot time in the run is off the steps."""
+    dt = cfg.dt
+    tol = 1e-9 * max(1.0, abs(t_end))
+    if t_end < t0 - tol:
         raise ValueError(f"t_end {t_end:g} precedes the initial time {t0:g} of the state")
+    n_steps = max(0, int(round((t_end - t0) / dt)))
+    if abs(t0 + n_steps * dt - t_end) > tol:
+        warnings.append(f"t_end {t_end:g} is not a whole number of steps; "
+                        f"stopping at {t0 + n_steps * dt:g}")
+    steps_per_sample = max(1, int(round(cfg.sample_interval / dt)))
+    if abs(steps_per_sample * dt - cfg.sample_interval) > tol:
+        warnings.append(f"sample_interval {cfg.sample_interval:g} is not a whole number "
+                        f"of steps; sampling every {steps_per_sample * dt:g}")
+    snapshot_steps: dict[int, list[float]] = {}
+    for ts in snapshot_times:
+        j = int(round((ts - t0) / dt))
+        if not 0 <= j <= n_steps:
+            warnings.append(f"no snapshot at t={ts:g}: outside this run's span "
+                            f"[{t0:g}, {t0 + n_steps * dt:g}]")
+        elif abs(t0 + j * dt - ts) > tol:
+            below = t0 + math.floor((ts - t0) / dt) * dt
+            raise ValueError(f"no step ends at the snapshot time {ts:g} (steps of {dt:g} "
+                             f"from t={t0:g}); the nearest end at {below:g} and {below + dt:g}")
+        else:
+            snapshot_steps.setdefault(j, []).append(float(ts))
+    return n_steps, steps_per_sample, snapshot_steps
 
 
 def run(initial: FieldState, params: ModelParameters, cfg: SolverConfig, t_end: float,
         snapshot_times: tuple[float, ...] = ()) -> RunResult:
-    """March the scheme from the initial state to t_end.
-
-    One clock: step j steps to t0 + j*dt, the time of state j, j = 0..n_steps.
-    State j is sampled every `sample_interval` in steps and last (a run of no
-    steps samples nothing), and is the snapshot of each requested time nearest
-    it. Records warnings (CFL excursions, nutrient clamping) and violations
-    (bound breaches, excessive clamped mass). Raises ValueError if t_end
-    precedes the initial time."""
+    """March the scheme from the initial state to t_end on `_clock`'s steps: step j steps
+    to t0 + j*dt, the time of state j, which is sampled every `sample_interval` in steps
+    and last (a run of no steps samples nothing) and is the snapshot of each requested time
+    at its step. Records warnings (`_clock`'s, CFL excursions, nutrient clamping) and
+    violations (bound breaches, excessive clamped mass); raises ValueError as `_clock`."""
     log = RunLog()
     t0 = initial.t
-    dt = cfg.dt
-    _check_t_end(t0, t_end)
-    n_steps = max(0, int(round((t_end - t0) / dt)))
-    if abs(t0 + n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        log.warnings.append(
-            f"t_end {t_end:g} is not a whole number of steps; stopping at {t0 + n_steps * dt:g}"
-        )
-    steps_per_sample = max(1, int(round(cfg.sample_interval / dt)))
+    n_steps, per_sample, snapshot_steps = _clock(t0, cfg, t_end, snapshot_times, log.warnings)
 
     mu_star = None
     tr = params.transitions
     if isinstance(tr, ConstantTransitions):
         with contextlib.suppress(ValueError):  # a rate is 0 or the roots leave the float range
             mu_star = equilibrium_roots(params.D, tr.K1, tr.K2).mu_star
-
-    snapshot_steps: dict[int, list[float]] = {}
-    for ts in snapshot_times:
-        j = int(round((ts - t0) / dt))
-        if 0 <= j <= n_steps:
-            snapshot_steps.setdefault(j, []).append(float(ts))
-        else:
-            log.warnings.append(f"no snapshot at t={ts:g}: outside this run's span "
-                                f"[{t0:g}, {t0 + n_steps * dt:g}]")
 
     # states are shared, not copied: nothing writes into a state once built
     state, snapshots = initial, {}
@@ -568,7 +578,7 @@ def run(initial: FieldState, params: ModelParameters, cfg: SolverConfig, t_end: 
     for j in range(n_steps + 1):
         if j:
             try:
-                state, diag = step(state, k, t0 + j * dt)
+                state, diag = step(state, k, t0 + j * cfg.dt)
             except SolverError as err:
                 err.args = (f"step {j}: {err.args[0]}",)
                 raise
@@ -581,7 +591,7 @@ def run(initial: FieldState, params: ModelParameters, cfg: SolverConfig, t_end: 
                     first_cfl_t = state.t
         for ts in snapshot_steps.get(j, ()):
             snapshots[ts] = state
-        if n_steps and (j % steps_per_sample == 0 or j == n_steps):
+        if n_steps and (j % per_sample == 0 or j == n_steps):
             rows.append(_sample(state, cfg.support_threshold, mu_star, c_ceiling, log))
 
     if max_cfl > 0.5:

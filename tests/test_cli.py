@@ -321,25 +321,21 @@ def test_run_refuses_a_config_that_repeats_a_key(tmp_path, capsys, first, repeat
     [
         # fig-s4limit-gamma5 with K1 = -50 used to fail at step 46 (singular matrix)
         ("fig-s4limit-gamma5", {"transitions": {"type": "constant", "K1": -50.0, "K2": 1.0}},
-         "switch rates must be >= 0, got K1=-50.0, K2=1.0"),
+         "K1 must be non-negative and finite, got -50.0"),
         ("fig-s4limit-gamma5", {"transitions": {"type": "constant", "K1": 1.0, "K2": -0.5}},
-         "switch rates must be >= 0, got K1=1.0, K2=-0.5"),
+         "K2 must be non-negative and finite, got -0.5"),
         ("neumann-autohelp-k2", {"transitions": {"type": "hull", "k1max": -2.0, "k2max": 1.0,
                                                  "omega": 0.5}},
-         "hull switch needs k1max, k2max >= 0 and omega > 0, got "
-         "HullTransitions(k1max=-2.0, k2max=1.0, omega=0.5)"),
+         "k1max must be non-negative and finite, got -2.0"),
         ("neumann-autohelp-k2", {"transitions": {"type": "hull", "k1max": 2.0, "k2max": -1.0,
                                                  "omega": 0.5}},
-         "hull switch needs k1max, k2max >= 0 and omega > 0, got "
-         "HullTransitions(k1max=2.0, k2max=-1.0, omega=0.5)"),
+         "k2max must be non-negative and finite, got -1.0"),
         ("neumann-autohelp-k2", {"transitions": {"type": "hull", "k1max": 2.0, "k2max": 1.0,
                                                  "omega": 0.0}},
-         "hull switch needs k1max, k2max >= 0 and omega > 0, got "
-         "HullTransitions(k1max=2.0, k2max=1.0, omega=0.0)"),
+         "omega must be positive and finite, got 0.0"),
         ("neumann-autohelp-k2", {"transitions": {"type": "hull", "k1max": 2.0, "k2max": 1.0,
                                                  "omega": -0.5}},
-         "hull switch needs k1max, k2max >= 0 and omega > 0, got "
-         "HullTransitions(k1max=2.0, k2max=1.0, omega=-0.5)"),
+         "omega must be positive and finite, got -0.5"),
         # it used to be ignored
         ("fig-s4limit-gamma5", {"lambda_schedule": {"type": "constant", "value": 0.2}},
          "quasi-static nutrient mode takes no lambda_schedule (no wall flux)"),
@@ -620,6 +616,57 @@ def test_run_rejects_t_end_before_the_checkpoint_time(tmp_path, capsys):
     assert capsys.readouterr().err == (f"bad config {out_dir}: t_end 0.01 precedes the initial "
                                        f"time 0.02 of the state\n")
     assert not out_dir.exists()
+
+
+def test_run_refuses_a_profile_time_no_step_ends_at(tmp_path, capsys):
+    # it used to write profile_t0.003.csv holding the state at t = 0.004
+    # (0.003 is 1.5 steps of 0.002, and round(1.5) = 2), with no warning
+    data = config_to_dict(PRESETS["fig-s4limit-gamma80"])
+    data["t_end"], data["outputs"] = 0.01, ["timeseries", "profiles@0.003"]
+    out_dir = tmp_path / "out"
+    rc = main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"bad config {out_dir}: no step ends at the snapshot time 0.003 (steps of 0.002 "
+        f"from t=0); the nearest end at 0.002 and 0.004\n")
+    assert not out_dir.exists()
+
+
+def test_a_restart_takes_profile_times_on_the_steps_from_its_checkpoint(tmp_path, capsys):
+    # the steps of a restart run from the checkpoint's time: 0.016 is one,
+    # 0.017 is not, and 0.004 (before the start) is warned about as before
+    first = tmp_path / "first"
+    assert main(["run", "--config", write_config(tmp_path, tiny_config_dict()),
+                 "--out", str(first)]) == 0
+    data = tiny_config_dict(t_end=0.02)
+    data["initial"] = {"type": "checkpoint", "path": str(first / "checkpoint_final.txt")}
+    capsys.readouterr()
+    for profile, rc in (("profiles@0.017", 2), ("profiles@0.016", 0)):
+        data["outputs"] = ["timeseries", "profiles@0.004", profile]
+        out_dir = tmp_path / profile
+        assert main(["run", "--config", write_config(tmp_path, data, "restart.json"),
+                     "--out", str(out_dir)]) == rc
+        assert out_dir.exists() == (rc == 0)
+        refused = "from t=0.01); the nearest end at 0.016 and 0.018" in capsys.readouterr().err
+        assert refused == (rc == 2)
+    manifest = json.loads((tmp_path / "profiles@0.016" / "manifest.json").read_text())
+    assert manifest["outputs"]["profiles"] == {"0.016": "profile_t0.016.csv"}
+    assert manifest["warnings"] == ["no snapshot at t=0.004: outside this run's span [0.01, 0.02]"]
+
+
+def test_run_warns_about_a_sample_interval_off_the_steps(tmp_path, capsys):
+    # 0.003 is 1.5 steps of 0.002: the series is sampled every 2 steps, and says so
+    data = config_to_dict(PRESETS["fig-s4limit-gamma80"])
+    data["t_end"], data["outputs"] = 0.01, ["timeseries", "checkpoint"]
+    data["solver"]["sample_interval"] = 0.003
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)]) == 0
+    warning = "sample_interval 0.003 is not a whole number of steps; sampling every 0.004"
+    assert f"warning {out_dir}: {warning}\n" in capsys.readouterr().err
+    assert json.loads((out_dir / "manifest.json").read_text())["warnings"] == [warning]
+    times = np.loadtxt(out_dir / "timeseries.csv", delimiter=",", skiprows=1)[:, 0]
+    assert times == pytest.approx([0.0, 0.004, 0.008, 0.01])
+    assert main(["check", str(out_dir)]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1118,7 +1165,9 @@ def test_sweep_reports_violations_like_run(tmp_path, monkeypatch, capsys):
 
 def test_sweep_runs_every_member_when_one_fails(tmp_path, monkeypatch, capsys):
     # dt = 0.5 makes the velocity system singular at step 2; the other
-    # member still runs and is written, and the sweep exits 1
+    # member still runs and is written, and the sweep exits 1 (at dt = 0.004
+    # the preset's sample interval 0.25 is 62.5 steps: the run warns that it
+    # samples every 62 steps)
     from autophagy_tumor import scenarios
 
     short = dataclasses.replace(PRESETS["fig-s4f2-D0.3"], t_end=1.0)
@@ -1129,7 +1178,9 @@ def test_sweep_runs_every_member_when_one_fails(tmp_path, monkeypatch, capsys):
     assert rc == 1
     failed, good = tmp_path / "fig-s4f2-D0.3-dt=0.5", tmp_path / "fig-s4f2-D0.3-dt=0.004"
     assert captured.err == (f"FAILED {failed}: step 2: tridiagonal solve failed: "
-                            f"singular matrix (zero pivot 51)\n")
+                            f"singular matrix (zero pivot 51)\n"
+                            f"warning {good}: sample_interval 0.25 is not a whole number of "
+                            f"steps; sampling every 0.248\n")
     assert captured.out == f"wrote {good} (250 steps)\n"
     assert json.loads((failed / "manifest.json").read_text())["failed"] is True
     manifest = json.loads((good / "manifest.json").read_text())

@@ -585,9 +585,17 @@ _POSITIVE = [
     (AnalyticSetup(mu=0.5, g=1.0, a=0.5, D=0.3, c_B=1.0, R0=1.0), ("g", "R0")),
     (_SLAB.params, ("c_B",)),
     (PeriodicFlux(high=0.5, period=20.0), ("period",)),
+    (HullTransitions(k1max=2.0, k2max=1.0, omega=0.5), ("omega",)),
 ]
 _NON_POSITIVE = [(valid, field, value) for valid, names in _POSITIVE for field in names
                  for value in (0.0, -1.0)]
+# and of each class with fields that must be >= 0, and those fields
+_NON_NEGATIVE = [
+    (AnalyticSetup(mu=0.5, g=1.0, a=0.5, D=0.3, c_B=1.0, R0=1.0), ("D",)),
+    (_SLAB.params, ("D", "a")),
+    (ConstantTransitions(K1=1.0, K2=1.0), ("K1", "K2")),
+    (HullTransitions(k1max=2.0, k2max=1.0, omega=0.5), ("k1max", "k2max")),
+]
 
 
 @pytest.mark.parametrize(
@@ -597,10 +605,11 @@ _NON_POSITIVE = [(valid, field, value) for valid, names in _POSITIVE for field i
         (lambda: AffineDeath(delta=np.nan), "delta must be finite, got nan"),
         (lambda: Logistic(g=1.0, M=np.nan, delta=0.1), "M must be finite, got nan"),
         (lambda: HullTransitions(k1max=np.inf, k2max=1.0, omega=0.5),
-         "k1max must be finite, got inf"),
+         "k1max must be non-negative and finite, got inf"),
         (lambda: HullTransitions(k1max=2.0, k2max=1.0, omega=np.inf),
-         "omega must be finite, got inf"),
-        (lambda: ConstantTransitions(K1=np.inf, K2=1.0), "K1 must be finite, got inf"),
+         "omega must be positive and finite, got inf"),
+        (lambda: ConstantTransitions(K1=np.inf, K2=1.0),
+         "K1 must be non-negative and finite, got inf"),
         (lambda: ConstantFlux(np.nan), "value must be finite, got nan"),
         (lambda: PeriodicFlux(high=np.inf, period=20.0), "high must be finite, got inf"),
         (lambda: PeriodicFlux(high=0.5, period=np.inf),
@@ -637,15 +646,27 @@ def test_recipes_built_in_python_refuse_non_finite_fields(build, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("valid, field", [(valid, field) for valid, names in _NON_NEGATIVE
+                                          for field in names],
+                         ids=[f"{type(valid).__name__}-{field}" for valid, names in _NON_NEGATIVE
+                              for field in names])
+def test_a_non_negative_field_takes_zero_and_refuses_a_negative_value(valid, field):
+    assert getattr(dataclasses.replace(valid, **{field: 0.0}), field) == 0.0
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(valid, **{field: -0.5})
+    assert str(err.value) == f"{field} must be non-negative and finite, got -0.5"
+
+
 def test_every_config_class_with_a_float_field_has_the_one_check():
     # every class the loader builds, and Grid1D, checks its float fields
-    # through kinetics._Finite, and each `_positive` name is a float field
+    # through kinetics._Finite, and each `_positive` or `_nonnegative` name is
+    # a float field
     variants = (cls for _, tagged in scenarios._VARIANTS.values() for cls in tagged.values())
     for cls in {ScenarioConfig, Grid1D, *scenarios._SECTIONS.values(), *variants}:
         kinds = {f.name: f.type for f in dataclasses.fields(cls)}
         if {"float", "tuple[float, ...]"} & set(kinds.values()):
             assert issubclass(cls, _Finite), cls.__name__
-        for name in getattr(cls, "_positive", ()):
+        for name in (*getattr(cls, "_positive", ()), *getattr(cls, "_nonnegative", ())):
             assert kinds.get(name) == "float", (cls.__name__, name)
 
 

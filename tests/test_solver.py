@@ -1086,20 +1086,22 @@ def test_step_failure_carries_the_state_it_advanced_and_the_time_it_failed_at(ca
 @pytest.mark.parametrize("case", ["padded-enlarges", "neumann-hull"])
 def test_a_non_finite_velocity_prediction_stops_the_step(monkeypatch, case, bad):
     # `_solve_packed` leaves the prediction's u* to `step`, which reads its
-    # finiteness from the CFL reduction: a u* that gtsv returns with one bad
-    # face raises the solve's message before the transport runs, with the
-    # state the step advanced (in quasi-static mode, enlarged first) and the
-    # t it failed at; `run` names the step
+    # finiteness from the CFL maximum: a u* that gtsv returns with one bad
+    # face, the first, a middle or the last, raises the solve's message
+    # before the transport runs, with the state the step advanced (in
+    # quasi-static mode, enlarged first) and the t it failed at; `run` names
+    # the step
     make, params, cfg = REFERENCE_CASES[case]
     state = make()
     want = enlarge(state, params, cfg)[0] if params.nutrient_mode == QUASISTATIC else state
-    solves, transports = [], []
+    solves, transports, bad_face = [], [], []
     real_gtsv, real_correct = solver_module.dgtsv, solver_module.correct_densities
 
     def poisoned_gtsv(*args):
         out = real_gtsv(*args)
         if not solves:  # a step's first solve is the velocity prediction's
-            out[3][len(out[3]) // 2] = bad
+            u_star = out[3]
+            u_star[{"first": 0, "middle": len(u_star) // 2, "last": -1}[bad_face[-1]]] = bad
         solves.append(len(out[3]))
         return out
 
@@ -1107,19 +1109,22 @@ def test_a_non_finite_velocity_prediction_stops_the_step(monkeypatch, case, bad)
     monkeypatch.setattr(solver_module, "correct_densities",
                         lambda *args: transports.append(1) or real_correct(*args))
     message = "tridiagonal solve produced non-finite values"
-    with np.errstate(all="ignore"), pytest.raises(SolverError, match=f"^{message}$") as err:
-        step(state, _Coefficients(params, cfg, state.grid.dx), state.t + cfg.dt)
-    assert solves == [want.grid.n_cells - 1] and transports == []
-    assert err.value.t == state.t + cfg.dt
-    assert err.value.state.grid == want.grid and err.value.state.t == state.t
-    if want is state:
-        assert err.value.state is state
-    for name in ("n1", "n2", "c", "u"):
-        assert np.array_equal(getattr(err.value.state, name), getattr(want, name))
-    solves.clear()
-    with np.errstate(all="ignore"), pytest.raises(SolverError, match=f"^step 1: {message}$"):
-        run(state, params, cfg, t_end=state.t + 3 * cfg.dt)
-    assert transports == []
+    for face in ("first", "middle", "last"):
+        bad_face.append(face)
+        solves.clear()
+        with np.errstate(all="ignore"), pytest.raises(SolverError, match=f"^{message}$") as err:
+            step(state, _Coefficients(params, cfg, state.grid.dx), state.t + cfg.dt)
+        assert solves == [want.grid.n_cells - 1] and transports == [], face
+        assert err.value.t == state.t + cfg.dt
+        assert err.value.state.grid == want.grid and err.value.state.t == state.t
+        if want is state:
+            assert err.value.state is state
+        for name in ("n1", "n2", "c", "u"):
+            assert np.array_equal(getattr(err.value.state, name), getattr(want, name))
+        solves.clear()
+        with np.errstate(all="ignore"), pytest.raises(SolverError, match=f"^step 1: {message}$"):
+            run(state, params, cfg, t_end=state.t + 3 * cfg.dt)
+        assert transports == [], face
 
 
 def test_run_zero_steps_returns_empty_series():
@@ -1175,6 +1180,22 @@ def test_run_snapshots_at_requested_times():
     assert set(res.snapshots) == {0.0, 0.05}
     np.testing.assert_array_equal(res.snapshots[0.0].n1, state.n1)
     assert res.snapshots[0.05].t == pytest.approx(0.05)
+
+
+def test_run_refuses_a_snapshot_time_no_step_ends_at():
+    # a snapshot used to be the state nearest its time: 0.015, 1.5 steps of
+    # 0.01, gave the state at 0.02; a time within 1e-9 (of t_end) of a step
+    # is that step's, and one outside the run is still only warned about
+    state = bump_state()
+    params, cfg = basic_params(g=1.0, K1=1.0, K2=1.0), SolverConfig(dt=0.01)
+    with pytest.raises(ValueError, match=r"^no step ends at the snapshot time 0\.015 \(steps "
+                                         r"of 0\.01 from t=0\); the nearest end at 0\.01 and "
+                                         r"0\.02$"):
+        run(state, params, cfg, t_end=0.1, snapshot_times=(0.05, 0.015))
+    res = run(state, params, cfg, t_end=0.1, snapshot_times=(0.05 + 5e-10, 0.2))
+    assert list(res.snapshots) == [0.05 + 5e-10]
+    assert res.snapshots[0.05 + 5e-10].t == 5 * 0.01
+    assert res.log.warnings == ["no snapshot at t=0.2: outside this run's span [0, 0.1]"]
 
 
 @pytest.mark.parametrize("case", ["padded-enlarges", "neumann-hull"])
@@ -1621,6 +1642,51 @@ def test_sample_matches_reference_on_drawn_states(drawn):
     assert_sample_matches_reference(state, basic_params(), mu_star, c0)
 
 
+# float64 values with the edge cases of an extremum: NaN, both infinities,
+# both zeros, subnormals and the largest finite values
+_EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                     2.2250738585072014e-308, sys.float_info.max, -sys.float_info.max]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.lists(_EDGE_FLOATS, min_size=1, max_size=300))
+@example(x=[0.0, -0.0])
+@example(x=[-0.0, 0.0, math.nan, math.inf])
+def test_an_indexed_extremum_has_the_reductions_value(x):
+    # step, correct_densities and _sample read an extremum as x[x.argmax()]
+    # or x[x.argmin()], cheaper than np.maximum.reduce or np.minimum.reduce:
+    # both NaN when any entry is NaN (argmax and argmin return the first
+    # NaN), else equal, infinities included; only a zero's sign may differ
+    x = np.array(x)
+    for got, want in ((x[x.argmax()], np.maximum.reduce(x)), (x[x.argmin()], np.minimum.reduce(x))):
+        assert (math.isnan(got) and math.isnan(want)) or got == want, (got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=st.lists(_EDGE_FLOATS, min_size=1, max_size=300), gaps=st.integers(0, 2))
+@example(c=[0.0, -0.0], gaps=0)  # argmax keeps 0.0; the reduction gives -0.0
+@example(c=[-0.0, -0.0, -1.0], gaps=1)
+def test_a_sample_writes_c_max_with_the_reductions_bits(c, gaps):
+    # c_max is written to the series: `_sample` falls back on the reduction
+    # when the indexed maximum is a zero, so the channel holds
+    # np.maximum.reduce's bits, a zero's sign included, over one run of
+    # occupied cells or two gathered (`gaps` vacuum cells between the halves
+    # of c); the whole row still matches the reference
+    half = len(c) // 2
+    n = np.array([0.0, *[1.0] * half, *[0.0] * gaps, *[1.0] * (len(c) - half), 0.0])
+    c_all = np.array([1.0, *c[:half], *[1.0] * gaps, *c[half:], 1.0])
+    state = make_state(0.5 * n, 0.5 * n, c=c_all)
+    want = np.maximum.reduce(np.array(c))
+    row = _sample(state, SolverConfig(dt=1.0).support_threshold, 0.5, 1.0, RunLog())
+    got = row[SERIES_CHANNELS.index("c_max")]
+    assert (math.isnan(got) and math.isnan(want)) or (
+        np.float64(got).tobytes() == np.float64(want).tobytes()), (got, want)
+    assert_sample_matches_reference(state, basic_params(), 0.5, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # the coefficients bound per run and the support carried by each state
 
@@ -1636,7 +1702,7 @@ def test_coefficients_are_0d_float64_with_the_bits_of_their_formulas():
         "neg_A": -(gamma * dt / dx**2), "B": gamma * dt / dx,
         "inv_dt_two_dx2": 1.0 / dt + 2.0 / dx**2, "neg_dx": -dx, "two_dx": 2.0 * dx,
         "half_dx": 0.5 * dx, "g1": gamma - 1.0, "p_factor": gamma / (gamma - 1.0),
-        "g2": gamma - 2.0,
+        "g2": gamma - 2.0, "threshold": SolverConfig(dt=dt).support_threshold,
     }
     for name, value in formulas.items():
         got = getattr(k, name)
