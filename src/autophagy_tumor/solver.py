@@ -536,8 +536,8 @@ def _clock(t0: float, cfg: SolverConfig, t_end: float, snapshot_times: tuple[flo
                             f"[{t0:g}, {t0 + n_steps * dt:g}]")
         elif abs(t0 + j * dt - ts) > tol:
             below = t0 + math.floor((ts - t0) / dt) * dt
-            raise ValueError(f"no step ends at the snapshot time {ts:g} (steps of {dt:g} "
-                             f"from t={t0:g}); the nearest end at {below:g} and {below + dt:g}")
+            raise ValueError(f"no step ends at the snapshot time {ts:g} (steps of {dt:g} from "
+                             f"t={t0:g}); the nearest steps end at {below:g} and {below + dt:g}")
         else:
             snapshot_steps.setdefault(j, []).append(float(ts))
     return n_steps, steps_per_sample, snapshot_steps

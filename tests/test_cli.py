@@ -628,7 +628,7 @@ def test_run_refuses_a_profile_time_no_step_ends_at(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err == (
         f"bad config {out_dir}: no step ends at the snapshot time 0.003 (steps of 0.002 "
-        f"from t=0); the nearest end at 0.002 and 0.004\n")
+        f"from t=0); the nearest steps end at 0.002 and 0.004\n")
     assert not out_dir.exists()
 
 
@@ -647,7 +647,7 @@ def test_a_restart_takes_profile_times_on_the_steps_from_its_checkpoint(tmp_path
         assert main(["run", "--config", write_config(tmp_path, data, "restart.json"),
                      "--out", str(out_dir)]) == rc
         assert out_dir.exists() == (rc == 0)
-        refused = "from t=0.01); the nearest end at 0.016 and 0.018" in capsys.readouterr().err
+        refused = "from t=0.01); the nearest steps end at 0.016 and 0.018" in capsys.readouterr().err
         assert refused == (rc == 2)
     manifest = json.loads((tmp_path / "profiles@0.016" / "manifest.json").read_text())
     assert manifest["outputs"]["profiles"] == {"0.016": "profile_t0.016.csv"}

@@ -1189,8 +1189,8 @@ def test_run_refuses_a_snapshot_time_no_step_ends_at():
     state = bump_state()
     params, cfg = basic_params(g=1.0, K1=1.0, K2=1.0), SolverConfig(dt=0.01)
     with pytest.raises(ValueError, match=r"^no step ends at the snapshot time 0\.015 \(steps "
-                                         r"of 0\.01 from t=0\); the nearest end at 0\.01 and "
-                                         r"0\.02$"):
+                                         r"of 0\.01 from t=0\); the nearest steps end at 0\.01 "
+                                         r"and 0\.02$"):
         run(state, params, cfg, t_end=0.1, snapshot_times=(0.05, 0.015))
     res = run(state, params, cfg, t_end=0.1, snapshot_times=(0.05 + 5e-10, 0.2))
     assert list(res.snapshots) == [0.05 + 5e-10]
