@@ -104,7 +104,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_presets(args) -> int:
-    print(*PRESETS, sep="\n")
+    for name in PRESETS:
+        print(name)
     return 0
 
 
@@ -171,7 +172,7 @@ def _run_member(member: tuple[ScenarioConfig, str]) -> tuple[int, RunLog | str]:
     """(0, the run's log) of one (config, out_dir) member, or (status, error):
     1 for a solver failure or an OSError (writing its outputs), 2 for a
     refused start (its checkpoint cannot be read, was written with another
-    gamma or starts after t_end)."""
+    gamma or starts after t_end, or a profile time no step ends at)."""
     try:
         return 0, run_scenario(*member).log
     except (SolverError, OSError) as err:

@@ -381,7 +381,8 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     if tag != "linear":
         raise ValueError(f"unknown consumption type {tag!r} at config.model.consumption")
     _check_empty(consumption, "config.model.consumption")
-    boundary_mode = _pop(solver, "boundary_mode", "config.solver", _STRING, None)
+    boundary_mode = (_pop(solver, "boundary_mode", "config.solver", _STRING)
+                     if "boundary_mode" in solver else None)
     cfg = _from_dict(ScenarioConfig, d, "config")
     implied, mode_name, boundary_name = _BOUNDARY_MODES[cfg.params.nutrient_mode]
     if boundary_mode not in (None, "padded_dirichlet", "neumann_box"):

@@ -478,8 +478,7 @@ def _sample(state: FieldState, threshold: float, mu_star: float | None,
     are appended to log.violations.
 
     One pass over the state's support: mu = n1/n and c on it are read once, as slices of
-    a single run or gathered over several, and each extremum by argmax or argmin (c_max by
-    the reduction when it is a zero, whose sign argmax need not keep). mu's range [lo, hi]
+    a single run or gathered over several, and mu's range [lo, hi] (by argmin and argmax)
     serves the [0, 1] check and the sup deviation: as rounding is monotone and symmetric,
     max(hi - mu*, mu* - lo) is max |mu - mu*| bit for bit. The deviation norms need mu_star,
     the nutrient check (c <= c_ceiling + 1e-6 on the support) c_ceiling; each is skipped
@@ -495,8 +494,7 @@ def _sample(state: FieldState, threshold: float, mu_star: float | None,
     cells = (slice(components[0][0], components[0][1] + 1) if len(components) == 1
              else np.concatenate([np.arange(s, e + 1) for s, e in components]))
     mu = state.n1[cells] / state.n[cells]
-    c_on = state.c[cells]
-    c_max = float(c_on[c_on.argmax()] or np.maximum.reduce(c_on))
+    c_max = float(np.maximum.reduce(state.c[cells]))
     lo, hi = mu[mu.argmin()], mu[mu.argmax()]
     norms = (math.nan,) * 4
     if mu_star is not None:
@@ -512,10 +510,10 @@ def _sample(state: FieldState, threshold: float, mu_star: float | None,
 
 def _clock(t0: float, cfg: SolverConfig, t_end: float, snapshot_times: tuple[float, ...],
            warnings: list[str]) -> tuple[int, int, dict[int, list[float]]]:
-    """A run's steps t0 + j*dt as (n_steps, steps per sample, {j: its snapshot times}), each
-    the step nearest its time. Warns of a t_end or sample_interval off the steps (by more than
-    1e-9 of t_end) and of a snapshot time outside the run. Raises ValueError if t_end precedes
-    t0, or if a snapshot time in the run is off the steps."""
+    """A run's steps t0 + j*dt as (n_steps, steps per sample, {j: its snapshot times}), the
+    first two rounded to whole steps. Warns of a t_end or sample_interval off the steps (by
+    more than 1e-9 of t_end) and of a snapshot time outside the run. Raises ValueError if
+    t_end precedes t0, or if a snapshot time in the run is off the steps (none is snapped)."""
     dt = cfg.dt
     tol = 1e-9 * max(1.0, abs(t_end))
     if t_end < t0 - tol:

@@ -1665,28 +1665,6 @@ def test_an_indexed_extremum_has_the_reductions_value(x):
         assert (math.isnan(got) and math.isnan(want)) or got == want, (got, want)
 
 
-@settings(max_examples=300, deadline=None)
-@given(c=st.lists(_EDGE_FLOATS, min_size=1, max_size=300), gaps=st.integers(0, 2))
-@example(c=[0.0, -0.0], gaps=0)  # argmax keeps 0.0; the reduction gives -0.0
-@example(c=[-0.0, -0.0, -1.0], gaps=1)
-def test_a_sample_writes_c_max_with_the_reductions_bits(c, gaps):
-    # c_max is written to the series: `_sample` falls back on the reduction
-    # when the indexed maximum is a zero, so the channel holds
-    # np.maximum.reduce's bits, a zero's sign included, over one run of
-    # occupied cells or two gathered (`gaps` vacuum cells between the halves
-    # of c); the whole row still matches the reference
-    half = len(c) // 2
-    n = np.array([0.0, *[1.0] * half, *[0.0] * gaps, *[1.0] * (len(c) - half), 0.0])
-    c_all = np.array([1.0, *c[:half], *[1.0] * gaps, *c[half:], 1.0])
-    state = make_state(0.5 * n, 0.5 * n, c=c_all)
-    want = np.maximum.reduce(np.array(c))
-    row = _sample(state, SolverConfig(dt=1.0).support_threshold, 0.5, 1.0, RunLog())
-    got = row[SERIES_CHANNELS.index("c_max")]
-    assert (math.isnan(got) and math.isnan(want)) or (
-        np.float64(got).tobytes() == np.float64(want).tobytes()), (got, want)
-    assert_sample_matches_reference(state, basic_params(), 0.5, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # the coefficients bound per run and the support carried by each state
 
