@@ -318,12 +318,11 @@ def _cmd_check(args) -> int:
         except ValueError as err:
             problems.append(f"manifest config: {err}")
         else:
-            # profiles are not required (a restart skips those before its start), but
-            # each output listed must be one the config asks for, in the file it writes
+            # the outputs listed are those the config asks for, each in the file it writes
             names = {entry: name for entry, name in OUTPUT_FILES.items() if entry in cfg.outputs}
+            names.update((f"profiles.{t:g}", PROFILE_FILE.format(t)) for t in cfg.snapshot_times())
             problems.extend(f"outputs.{entry} is missing, but the manifest config asks for it"
                             for entry in names if entry not in files)
-            names.update((f"profiles.{t:g}", PROFILE_FILE.format(t)) for t in cfg.snapshot_times())
             for key, name in files.items():
                 output = f"profile at t={key[9:]}" if key.startswith("profiles.") else key
                 if key not in names:

@@ -511,33 +511,28 @@ def _sample(state: FieldState, threshold: float, mu_star: float | None,
 def _clock(t0: float, cfg: SolverConfig, t_end: float, snapshot_times: tuple[float, ...],
            warnings: list[str]) -> tuple[int, int, dict[int, list[float]]]:
     """A run's steps t0 + j*dt as (n_steps, steps per sample, {j: its snapshot times}), the
-    first two rounded to whole steps. Warns of a t_end or sample_interval off the steps (by
-    more than 1e-9 of t_end) and of a snapshot time outside the run. Raises ValueError if
-    t_end precedes t0, or if a snapshot time in the run is off the steps (none is snapped)."""
+    first two the nearest whole numbers of steps, a tie the earlier one (times match to 1e-9
+    of t_end, at most dt/4). Warns of a t_end or sample_interval off the steps. Raises
+    ValueError if t_end precedes t0, or if a snapshot time is no step 0..n_steps of the run."""
     dt = cfg.dt
-    tol = 1e-9 * max(1.0, abs(t_end))
+    tol = min(1e-9 * max(1.0, abs(t_end)), 0.25 * dt)
     if t_end < t0 - tol:
         raise ValueError(f"t_end {t_end:g} precedes the initial time {t0:g} of the state")
-    n_steps = max(0, int(round((t_end - t0) / dt)))
+    n_steps = max(0, math.ceil((t_end - t0 - tol) / dt - 0.5))
     if abs(t0 + n_steps * dt - t_end) > tol:
         warnings.append(f"t_end {t_end:g} is not a whole number of steps; "
                         f"stopping at {t0 + n_steps * dt:g}")
-    steps_per_sample = max(1, int(round(cfg.sample_interval / dt)))
+    steps_per_sample = max(1, math.ceil((cfg.sample_interval - tol) / dt - 0.5))
     if abs(steps_per_sample * dt - cfg.sample_interval) > tol:
         warnings.append(f"sample_interval {cfg.sample_interval:g} is not a whole number "
                         f"of steps; sampling every {steps_per_sample * dt:g}")
     snapshot_steps: dict[int, list[float]] = {}
     for ts in snapshot_times:
-        j = int(round((ts - t0) / dt))
-        if not 0 <= j <= n_steps:
-            warnings.append(f"no snapshot at t={ts:g}: outside this run's span "
-                            f"[{t0:g}, {t0 + n_steps * dt:g}]")
-        elif abs(t0 + j * dt - ts) > tol:
-            below = t0 + math.floor((ts - t0) / dt) * dt
-            raise ValueError(f"no step ends at the snapshot time {ts:g} (steps of {dt:g} from "
-                             f"t={t0:g}); the nearest steps end at {below:g} and {below + dt:g}")
-        else:
-            snapshot_steps.setdefault(j, []).append(float(ts))
+        j = round((ts - t0) / dt)
+        if not (0 <= j <= n_steps and abs(t0 + j * dt - ts) <= tol):
+            raise ValueError(f"no step of this run ends at the snapshot time {ts:g} (its steps "
+                             f"run from t={t0:g} to {t0 + n_steps * dt:g} in steps of {dt:g})")
+        snapshot_steps.setdefault(j, []).append(float(ts))
     return n_steps, steps_per_sample, snapshot_steps
 
 
@@ -547,7 +542,8 @@ def run(initial: FieldState, params: ModelParameters, cfg: SolverConfig, t_end: 
     to t0 + j*dt, the time of state j, which is sampled every `sample_interval` in steps
     and last (a run of no steps samples nothing) and is the snapshot of each requested time
     at its step. Records warnings (`_clock`'s, CFL excursions, nutrient clamping) and
-    violations (bound breaches, excessive clamped mass); raises ValueError as `_clock`."""
+    violations (bound breaches, excessive clamped mass); raises ValueError as `_clock`
+    (for a t_end before t0, or a snapshot time that is no step of the run)."""
     log = RunLog()
     t0 = initial.t
     n_steps, per_sample, snapshot_steps = _clock(t0, cfg, t_end, snapshot_times, log.warnings)

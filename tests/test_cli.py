@@ -259,7 +259,9 @@ def test_run_rejects_bad_t_end_at_load(tmp_path, capsys, t_end):
     assert not out_dir.exists()
 
 
-def test_restart_warns_about_profile_before_its_start(tmp_path, capsys):
+def test_restart_refuses_a_profile_before_its_start(tmp_path, capsys):
+    # a time before the checkpoint's is no step of the restart: it used to be
+    # skipped with a warning, and `check` then let the profile go missing
     first = tmp_path / "first"
     assert main(["run", "--config", write_config(tmp_path, tiny_config_dict()),
                  "--out", str(first)]) == 0
@@ -269,13 +271,11 @@ def test_restart_warns_about_profile_before_its_start(tmp_path, capsys):
     out_dir = tmp_path / "restart"
     capsys.readouterr()
     assert main(["run", "--config", write_config(tmp_path, data, "restart.json"),
-                 "--out", str(out_dir)]) == 0
-    assert "no snapshot at t=0.004" in capsys.readouterr().err
-    manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert manifest["outputs"]["profiles"] == {"0.02": "profile_t0.02.csv"}
-    assert any("no snapshot at t=0.004" in w for w in manifest["warnings"])
-    # check requires the series and checkpoint a config asks for, but not its profiles
-    assert main(["check", str(out_dir)]) == 0
+                 "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == (
+        f"bad config {out_dir}: no step of this run ends at the snapshot time 0.004 (its "
+        f"steps run from t=0.01 to 0.02 in steps of 0.002)\n")
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(
@@ -627,14 +627,14 @@ def test_run_refuses_a_profile_time_no_step_ends_at(tmp_path, capsys):
     rc = main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)])
     assert rc == 2
     assert capsys.readouterr().err == (
-        f"bad config {out_dir}: no step ends at the snapshot time 0.003 (steps of 0.002 "
-        f"from t=0); the nearest steps end at 0.002 and 0.004\n")
+        f"bad config {out_dir}: no step of this run ends at the snapshot time 0.003 (its "
+        f"steps run from t=0 to 0.01 in steps of 0.002)\n")
     assert not out_dir.exists()
 
 
 def test_a_restart_takes_profile_times_on_the_steps_from_its_checkpoint(tmp_path, capsys):
     # the steps of a restart run from the checkpoint's time: 0.016 is one,
-    # 0.017 is not, and 0.004 (before the start) is warned about as before
+    # 0.017 is not
     first = tmp_path / "first"
     assert main(["run", "--config", write_config(tmp_path, tiny_config_dict()),
                  "--out", str(first)]) == 0
@@ -642,30 +642,32 @@ def test_a_restart_takes_profile_times_on_the_steps_from_its_checkpoint(tmp_path
     data["initial"] = {"type": "checkpoint", "path": str(first / "checkpoint_final.txt")}
     capsys.readouterr()
     for profile, rc in (("profiles@0.017", 2), ("profiles@0.016", 0)):
-        data["outputs"] = ["timeseries", "profiles@0.004", profile]
+        data["outputs"] = ["timeseries", profile]
         out_dir = tmp_path / profile
         assert main(["run", "--config", write_config(tmp_path, data, "restart.json"),
                      "--out", str(out_dir)]) == rc
         assert out_dir.exists() == (rc == 0)
-        refused = "from t=0.01); the nearest steps end at 0.016 and 0.018" in capsys.readouterr().err
+        refused = "time 0.017 (its steps run from t=0.01 to 0.02" in capsys.readouterr().err
         assert refused == (rc == 2)
     manifest = json.loads((tmp_path / "profiles@0.016" / "manifest.json").read_text())
     assert manifest["outputs"]["profiles"] == {"0.016": "profile_t0.016.csv"}
-    assert manifest["warnings"] == ["no snapshot at t=0.004: outside this run's span [0.01, 0.02]"]
+    assert manifest["warnings"] == []
+    assert main(["check", str(tmp_path / "profiles@0.016")]) == 0
 
 
 def test_run_warns_about_a_sample_interval_off_the_steps(tmp_path, capsys):
-    # 0.003 is 1.5 steps of 0.002: the series is sampled every 2 steps, and says so
+    # 0.003 is 1.5 steps of 0.002, a tie: the series is sampled every step (the
+    # earlier of the two), and says so; it was every 2 steps, by round(1.5) = 2
     data = config_to_dict(PRESETS["fig-s4limit-gamma80"])
     data["t_end"], data["outputs"] = 0.01, ["timeseries", "checkpoint"]
     data["solver"]["sample_interval"] = 0.003
     out_dir = tmp_path / "out"
     assert main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)]) == 0
-    warning = "sample_interval 0.003 is not a whole number of steps; sampling every 0.004"
+    warning = "sample_interval 0.003 is not a whole number of steps; sampling every 0.002"
     assert f"warning {out_dir}: {warning}\n" in capsys.readouterr().err
     assert json.loads((out_dir / "manifest.json").read_text())["warnings"] == [warning]
     times = np.loadtxt(out_dir / "timeseries.csv", delimiter=",", skiprows=1)[:, 0]
-    assert times == pytest.approx([0.0, 0.004, 0.008, 0.01])
+    assert times == pytest.approx([0.0, 0.002, 0.004, 0.006, 0.008, 0.01])
     assert main(["check", str(out_dir)]) == 0
 
 
@@ -686,6 +688,20 @@ def test_check_accepts_good_run(tmp_path, capsys):
     rc = main(["check", str(out_dir)])
     assert rc == 0
     assert "OK" in capsys.readouterr().out
+
+
+def test_check_fails_a_failed_run_with_its_error(tmp_path, capsys):
+    # dt = 0.1 makes the velocity system singular at step 2: the manifest
+    # alone is written, and check reports the run's error in one line
+    data = config_to_dict(PRESETS["fig-s4f2-D0.5"])
+    data["solver"]["dt"] = 0.1
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)]) == 1
+    assert [path.name for path in out_dir.iterdir()] == ["manifest.json"]
+    capsys.readouterr()
+    assert main(["check", str(out_dir)]) == 1
+    assert capsys.readouterr().err == ("check failed: run failed: step 2: tridiagonal solve "
+                                       "failed: singular matrix (zero pivot 101)\n")
 
 
 @pytest.mark.parametrize("case", ["semicolon", "blank line", "header", "bad token"])
@@ -760,6 +776,7 @@ def test_check_tests_the_profile_times_against_the_config(tmp_path, capsys):
     manifest_path.write_text(json.dumps(manifest))
     assert main(["check", str(out_dir)]) == 1
     assert capsys.readouterr().err == (
+        "check failed: outputs.profiles.0.01 is missing, but the manifest config asks for it\n"
         "check failed: outputs.profiles.0.5: the manifest config asks for no profile at t=0.5\n")
 
 
@@ -850,6 +867,24 @@ def test_check_requires_the_outputs_the_config_asks_for(tmp_path, capsys, key, f
     assert main(["check", str(out_dir)]) == 1
     assert capsys.readouterr().err == (
         f"check failed: outputs.{key} is missing, but the manifest config asks for it\n")
+
+
+def test_check_requires_every_profile_the_config_asks_for(tmp_path, capsys):
+    # profiles were not required (a restart skipped those before its start
+    # time), so a run directory that lost a profile passed
+    data = tiny_config_dict()
+    data["outputs"] = ["timeseries", "profiles@0.004", "profiles@0.01", "checkpoint"]
+    out_dir = tmp_path / "run"
+    assert main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    manifest_path = out_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["outputs"]["profiles"]["0.004"]
+    manifest_path.write_text(json.dumps(manifest))
+    (out_dir / "profile_t0.004.csv").unlink()
+    assert main(["check", str(out_dir)]) == 1
+    assert capsys.readouterr().err == (
+        "check failed: outputs.profiles.0.004 is missing, but the manifest config asks for it\n")
 
 
 @pytest.mark.parametrize(

@@ -371,6 +371,12 @@ def test_config_from_dict_minimal():
     assert cfg.t_end == 0.01
 
 
+@pytest.mark.parametrize("value", [[], "fig-necrotic", None, 1.0])
+def test_config_must_be_an_object(value):
+    with pytest.raises(ValueError, match=r"^a config must be a JSON object$"):
+        config_from_dict(value)
+
+
 def test_config_rejects_unknown_keys_with_location():
     d = minimal_config_dict()
     d["model"]["gamm"] = 2.0

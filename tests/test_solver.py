@@ -41,6 +41,7 @@ from autophagy_tumor.solver import (
     SolverError,
     StepDiagnostics,
     _Coefficients,
+    _clock,
     _solve_packed,
     _views,
     _sample,
@@ -1185,17 +1186,59 @@ def test_run_snapshots_at_requested_times():
 def test_run_refuses_a_snapshot_time_no_step_ends_at():
     # a snapshot used to be the state nearest its time: 0.015, 1.5 steps of
     # 0.01, gave the state at 0.02; a time within 1e-9 (of t_end) of a step
-    # is that step's, and one outside the run is still only warned about
+    # is that step's, and one outside the run, which used to be skipped with
+    # a warning, is refused too
     state = bump_state()
     params, cfg = basic_params(g=1.0, K1=1.0, K2=1.0), SolverConfig(dt=0.01)
-    with pytest.raises(ValueError, match=r"^no step ends at the snapshot time 0\.015 \(steps "
-                                         r"of 0\.01 from t=0\); the nearest steps end at 0\.01 "
-                                         r"and 0\.02$"):
-        run(state, params, cfg, t_end=0.1, snapshot_times=(0.05, 0.015))
-    res = run(state, params, cfg, t_end=0.1, snapshot_times=(0.05 + 5e-10, 0.2))
-    assert list(res.snapshots) == [0.05 + 5e-10]
+    for ts in (0.015, 0.2, -0.01):
+        with pytest.raises(ValueError, match=rf"^no step of this run ends at the snapshot time "
+                                             rf"{ts:g} \(its steps run from t=0 to 0\.1 in "
+                                             rf"steps of 0\.01\)$"):
+            run(state, params, cfg, t_end=0.1, snapshot_times=(0.05, ts))
+    res = run(state, params, cfg, t_end=0.1, snapshot_times=(0.05 + 5e-10, 0.1))
+    assert list(res.snapshots) == [0.05 + 5e-10, 0.1]
     assert res.snapshots[0.05 + 5e-10].t == 5 * 0.01
-    assert res.log.warnings == ["no snapshot at t=0.2: outside this run's span [0, 0.1]"]
+    assert res.log.warnings == []
+
+
+@pytest.mark.parametrize("t_end, stop, warned", [
+    (0.005, 0.004, True),  # 2.5 steps of 0.002: a tie goes to the earlier step
+    (0.007, 0.006, True),  # 3.5 steps: so does this one, which round() sent to 0.008
+    (0.0071, 0.008, True),  # 3.55 steps: the nearest step, past t_end
+    (0.006 + 5e-10, 0.006, False),  # within 1e-9 of a step
+])
+def test_run_stops_on_the_step_nearest_t_end(t_end, stop, warned):
+    res = run(bump_state(), basic_params(g=1.0, K1=1.0, K2=1.0), SolverConfig(dt=0.002), t_end)
+    assert res.final_state.t == pytest.approx(stop, abs=1e-15)
+    assert res.series.column("t")[-1] == res.final_state.t
+    assert res.log.warnings == ([f"t_end {t_end:g} is not a whole number of steps; "
+                                 f"stopping at {stop:g}"] if warned else [])
+
+
+def test_clock_keeps_its_tolerance_below_half_a_step():
+    # at dt 1e-9 a tolerance of 1e-9 of t_end would make every time a tie or a step:
+    # t_end 1 lost a step and 0.5 + 4e-10 passed as a snapshot time
+    warnings = []
+    cfg = SolverConfig(dt=1e-9, sample_interval=0.1)
+    assert _clock(0.0, cfg, 1.0, (0.5,), warnings) == (10**9, 10**8, {5 * 10**8: [0.5]})
+    assert warnings == []
+    with pytest.raises(ValueError, match="^no step of this run ends at the snapshot time 0.5"):
+        _clock(0.0, cfg, 1.0, (0.5 + 4e-10,), warnings)
+
+
+@pytest.mark.parametrize("interval, dt, every", [
+    (0.003, 0.002, 1),  # 1.5 steps: a tie goes to the earlier whole number, as ...
+    (0.005, 0.002, 2),  # ... at 2.5 steps, where round() agreed by parity
+    (0.25, 0.004, 62),  # 62.5 steps
+    (0.0031, 0.002, 2),  # 1.55 steps: the nearest
+    (0.001, 0.002, 1),  # half a step: at least one
+])
+def test_clock_samples_every_nearest_whole_number_of_steps(interval, dt, every):
+    warnings = []
+    cfg = SolverConfig(dt=dt, sample_interval=interval)
+    assert _clock(0.0, cfg, 1.0, (), warnings)[1] == every
+    assert warnings == [f"sample_interval {interval:g} is not a whole number of steps; "
+                        f"sampling every {every * dt:g}"]
 
 
 @pytest.mark.parametrize("case", ["padded-enlarges", "neumann-hull"])
@@ -1510,6 +1553,16 @@ def test_step_matches_reference_bit_for_bit(case):
         assert nutrient_clamps > 0
     else:
         assert clamped > 0.0
+
+
+def test_run_reports_clamped_mass_beyond_its_bound():
+    # 5 steps of the clamping case clamp nothing; by 10 the clamped mass is
+    # far past 1e-6 of the final total mass
+    make, params, cfg = REFERENCE_CASES["clamps"]
+    assert run(make(), params, cfg, t_end=5 * cfg.dt).log.violations == []
+    log = run(make(), params, cfg, t_end=10 * cfg.dt).log
+    assert log.violations == ["clamped negative mass 1.071e-01 exceeds 1e-6 of the final "
+                              "total mass 2.04243"]
 
 
 def reference_sample(state, t, params, threshold, mu_star, c0, clamped_cum):
@@ -1854,13 +1907,10 @@ _CALL_OPS = {dis.opmap[name] for name in ("CALL", "CALL_FUNCTION_EX")}
 _PACKAGE = str(Path(solver_module.__file__).parent)
 
 
-def calls_of_a_warm_step(state, params, cfg):
-    """The CALL and CALL_FUNCTION_EX instructions one `step` of `state` executes
-    in the package's own frames (a call into numpy counts once, whatever numpy
-    does below it), once a first step of the same state has formed the run's
-    scratch; with the step's diagnostics."""
-    k = _Coefficients(params, cfg, state.grid.dx)
-    diag = step(state, k, state.t + cfg.dt)[1]
+def package_calls(call):
+    """The CALL and CALL_FUNCTION_EX instructions `call()` executes in the
+    package's own frames (a call into numpy counts once, whatever numpy does
+    below it)."""
     calls = 0
 
     def opcodes(frame, event, arg):
@@ -1878,10 +1928,18 @@ def calls_of_a_warm_step(state, params, cfg):
     previous = sys.gettrace()
     sys.settrace(frames)
     try:
-        step(state, k, state.t + cfg.dt)
+        call()
     finally:
         sys.settrace(previous)
-    return calls, diag
+    return calls
+
+
+def calls_of_a_warm_step(state, params, cfg):
+    """`package_calls` of one `step` of `state`, once a first step of the same
+    state has formed the run's scratch; with the step's diagnostics."""
+    k = _Coefficients(params, cfg, state.grid.dx)
+    diag = step(state, k, state.t + cfg.dt)[1]
+    return package_calls(lambda: step(state, k, state.t + cfg.dt)), diag
 
 
 def repeated(state, times=4):
@@ -1928,6 +1986,30 @@ def test_a_warm_step_makes_a_budgeted_number_of_calls_at_any_grid_size(case):
             assert bool(diag.nutrient_cells_clamped) == shape
         counts.append(calls)
     assert counts[0] == counts[1] <= budget, counts
+
+
+# (make, the support components, the budgets with and without mu*: the calls
+# one warm sample made with CPython 3.11)
+_SAMPLE_CASES = {"one-component": (bump_state, 1, 24, 15),
+                 "two-components": (two_bump_state, 2, 27, 18)}
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+                    reason="the budgets count CPython 3.11's CALL and CALL_FUNCTION_EX opcodes")
+@pytest.mark.parametrize("case", sorted(_SAMPLE_CASES))
+@pytest.mark.parametrize("with_mu_star", [True, False])
+def test_a_warm_sample_makes_a_budgeted_number_of_calls_at_any_grid_size(case, with_mu_star):
+    # as a step's budget: a sample of a state whose support is already found
+    # (as every state `step` returns carries it), the same at 4x the cells
+    make, shape, with_budget, without_budget = _SAMPLE_CASES[case]
+    mu_star = equilibrium_roots(0.3, 1.0, 1.0).mu_star if with_mu_star else None
+    counts = []
+    for state in (make(), repeated(make())):
+        assert len(state.support(_THRESHOLD)) == shape
+        log = RunLog()
+        counts.append(package_calls(lambda: _sample(state, _THRESHOLD, mu_star, 1.0, log)))
+        assert log.violations == []
+    assert counts[0] == counts[1] <= (with_budget if with_mu_star else without_budget), counts
 
 
 @settings(max_examples=200, deadline=None)
