@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -37,7 +36,7 @@ from .scenarios import (
     read_json,
     run_scenario,
 )
-from .solver import RunLog, SolverError, check_checkpoint_gamma, read_checkpoint
+from .solver import RunLog, SolverError, _steps_to, check_checkpoint_gamma, read_checkpoint
 
 __all__ = ["main"]
 
@@ -118,18 +117,17 @@ def _cmd_analytic(args) -> int:
         )
         if args.quantity == "radius":
             traj = integrate_radius(setup, args.t_end, args.dt)
-    except ValueError as err:
+            header, columns = "t,radius,speed", (traj.times, traj.radii, traj.speeds)
+        else:
+            x = np.linspace(-args.R0, args.R0, args.points)
+            profile = analytic_nutrient if args.quantity == "nutrient" else analytic_pressure
+            header, columns = "x,value", (x, profile(x, args.R0, setup))
+    except (ValueError, MemoryError) as err:  # MemoryError: a size past memory
         print(f"bad parameters: {err}", file=sys.stderr)
         return 2
     except ArithmeticError as err:
         print(f"integration failed: {err}", file=sys.stderr)
         return 1
-    if args.quantity == "radius":
-        header, columns = "t,radius,speed", (traj.times, traj.radii, traj.speeds)
-    else:
-        x = np.linspace(-args.R0, args.R0, args.points)
-        profile = analytic_nutrient if args.quantity == "nutrient" else analytic_pressure
-        header, columns = "x,value", (x, profile(x, args.R0, setup))
     print(header)
     write_table(sys.stdout, np.column_stack(columns), ",")
     return 0
@@ -251,25 +249,24 @@ def _cmd_sweep(args) -> int:
 
 
 def _check_end(what: str, t: float, cfg: ScenarioConfig, problems: list[str]) -> None:
-    """`what` ends at time t, which is t_end to the nearest step (an infinite or NaN gap is not)."""
-    if not abs(cfg.t_end - t) / cfg.solver.dt <= 0.5:
+    """`what` ends at time t, where `run` stops at t_end: `_steps_to` finds no step to t_end."""
+    if _steps_to(t, cfg.t_end, cfg.solver.dt)[0] != 0:
         problems.append(f"{what} ends at t={t:g}, not at t_end {cfg.t_end:g}")
 
 
 def _check_series_against_manifest(rows: list[list[float]], manifest: dict, cfg: ScenarioConfig,
                                    problems: list[str]) -> None:
-    """The manifest's step count spans the series' first to last time in
-    steps of the config's dt, the last time is t_end to the nearest step,
-    and the manifest's clamped mass is the series' last."""
+    """The manifest's step count is that from the series' first to last time
+    in steps of the config's dt (`_steps_to`), the last time is where `run`
+    stops at t_end, and the manifest's clamped mass is the series' last."""
     steps, clamped = 0, 0.0
     if rows:
         t, neg = SERIES_CHANNELS.index("t"), SERIES_CHANNELS.index("neg_mass_clamped")
-        span = (rows[-1][t] - rows[0][t]) / cfg.solver.dt
-        if not math.isfinite(span):
+        steps, clamped = _steps_to(rows[0][t], rows[-1][t], cfg.solver.dt)[0], rows[-1][neg]
+        if steps is None:
             problems.append(f"the series times {rows[0][t]!r} to {rows[-1][t]!r} "
                             f"span no finite number of steps")
             return
-        steps, clamped = round(span), rows[-1][neg]
         _check_end("the series", rows[-1][t], cfg, problems)
     if manifest.get("steps") != steps:
         problems.append(f"manifest steps {manifest.get('steps')} but the series spans {steps}")
@@ -343,11 +340,10 @@ def _cmd_check(args) -> int:
                 if header != ",".join(columns):
                     raise ValueError(f"unexpected header {header!r}")
                 table = read_table(fh.readlines(), ",", len(columns))
+            if key == "timeseries" and cfg is not None:
+                _check_series_against_manifest(table.tolist(), manifest, cfg, problems)
         except (OSError, ValueError) as err:
             problems.append(f"{name}: {err}")
-            continue
-        if key == "timeseries" and cfg is not None:
-            _check_series_against_manifest(table.tolist(), manifest, cfg, problems)
     listed = {"manifest.json", *files.values()}
     problems.extend(f"{path.name}: not listed in the manifest"
                     for path in sorted(run_dir.iterdir()) if path.name not in listed)

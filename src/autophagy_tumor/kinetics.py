@@ -144,9 +144,7 @@ def eval_growth(spec: GrowthSpec, c, n=0.0):
         return spec._operands[0] * c
     if isinstance(spec, AffineDeath):
         return c - spec._operands[0]
-    if isinstance(spec, Logistic):  # g, M, delta
-        return spec._operands[0] * (spec._operands[1] - n) * c - spec._operands[2]
-    raise TypeError(f"unknown growth spec {spec!r}")
+    return spec._operands[0] * (spec._operands[1] - n) * c - spec._operands[2]  # Logistic
 
 
 def eval_transitions(spec: TransitionSpec, c):
@@ -170,10 +168,8 @@ def eval_transitions(spec: TransitionSpec, c):
 def eval_flux(schedule: FluxSchedule, t: float) -> float:
     if isinstance(schedule, ConstantFlux):
         return schedule.value
-    if isinstance(schedule, PeriodicFlux):
-        phase = t % schedule.period
-        return schedule.high if phase < 0.5 * schedule.period else 0.0
-    raise TypeError(f"unknown flux schedule {schedule!r}")
+    phase = t % schedule.period  # PeriodicFlux
+    return schedule.high if phase < 0.5 * schedule.period else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -205,9 +205,7 @@ def _composition_values(comp: CompositionInit, x: np.ndarray, R0: float) -> np.n
         return np.full(x.shape, comp.value)
     if isinstance(comp, ProfileComposition):
         return np.clip(0.5 + 0.5 * np.cos(2.0 * np.pi * x / R0), 0.0, 1.0)
-    if isinstance(comp, TableComposition):
-        return np.clip(np.interp(x, comp.x, comp.mu), 0.0, 1.0)
-    raise TypeError(f"unknown composition recipe {type(comp).__name__}")
+    return np.clip(np.interp(x, comp.x, comp.mu), 0.0, 1.0)  # TableComposition
 
 
 def build_initial_state(

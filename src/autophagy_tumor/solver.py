@@ -508,17 +508,27 @@ def _sample(state: FieldState, threshold: float, mu_star: float | None,
     return [t, radius, mass_total, mass_auto, *norms, c_max, log.clamped_neg_mass]
 
 
+def _steps_to(t0: float, t: float, dt: float) -> tuple[int | None, float]:
+    """(the whole number of steps of dt from t0 nearest t, a tie the earlier one, or None if no
+    finite number spans them; the tolerance to which times match, 1e-9 of t, at most dt/4)."""
+    tol = min(1e-9 * max(1.0, abs(t)), 0.25 * dt)
+    steps = (t - t0 - tol) / dt - 0.5
+    return (math.ceil(steps) if math.isfinite(steps) else None), tol
+
+
 def _clock(t0: float, cfg: SolverConfig, t_end: float, snapshot_times: tuple[float, ...],
            warnings: list[str]) -> tuple[int, int, dict[int, list[float]]]:
     """A run's steps t0 + j*dt as (n_steps, steps per sample, {j: its snapshot times}), the
-    first two the nearest whole numbers of steps, a tie the earlier one (times match to 1e-9
-    of t_end, at most dt/4). Warns of a t_end or sample_interval off the steps. Raises
-    ValueError if t_end precedes t0, or if a snapshot time is no step 0..n_steps of the run."""
+    first two by `_steps_to`'s rule with t_end's tolerance. Warns of a t_end or
+    sample_interval off the steps. Raises ValueError if t_end precedes t0 or is no finite
+    number of steps after it, or if a snapshot time is no step 0..n_steps of the run."""
     dt = cfg.dt
-    tol = min(1e-9 * max(1.0, abs(t_end)), 0.25 * dt)
+    n_steps, tol = _steps_to(t0, t_end, dt)
     if t_end < t0 - tol:
         raise ValueError(f"t_end {t_end:g} precedes the initial time {t0:g} of the state")
-    n_steps = max(0, math.ceil((t_end - t0 - tol) / dt - 0.5))
+    if n_steps is None:
+        raise ValueError(f"t_end {t_end:g} is no finite number of steps of {dt:g} after {t0:g}")
+    n_steps = max(0, n_steps)
     if abs(t0 + n_steps * dt - t_end) > tol:
         warnings.append(f"t_end {t_end:g} is not a whole number of steps; "
                         f"stopping at {t0 + n_steps * dt:g}")

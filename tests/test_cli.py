@@ -17,15 +17,17 @@ from autophagy_tumor.analytic import (
     analytic_pressure,
     integrate_radius,
 )
-from autophagy_tumor.cli import main, set_config_value
+from autophagy_tumor.cli import _check_end, main, set_config_value
 from autophagy_tumor.scenarios import (
     PRESETS,
+    CheckpointInit,
     ProfileComposition,
     ScenarioConfig,
     config_from_dict,
     config_to_dict,
 )
-from autophagy_tumor.solver import RunLog, RunResult, read_checkpoint, write_checkpoint
+from autophagy_tumor.solver import (RunLog, RunResult, SolverConfig, _clock, read_checkpoint,
+                                    write_checkpoint)
 
 from conftest import make_state
 
@@ -155,6 +157,21 @@ def test_analytic_rejects_bad_flags_in_one_line(capsys, flags, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"bad parameters: {message}\n"
+
+
+@pytest.mark.parametrize("flags, shape", [
+    (["nutrient", "--points", "1000000000000000"], "(1000000000000000,)"),
+    (["radius", "--t-end", "1e13"], "(10000000000000001,)"),  # 1e16 steps of 1e-3
+])
+def test_analytic_refuses_a_size_it_cannot_allocate_in_one_line(capsys, flags, shape):
+    # about 7 and 71 PiB, refused at once by the allocator; each ended in a
+    # numpy MemoryError traceback (exit 1)
+    assert main(["analytic", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bad parameters: Unable to allocate ")
+    assert f"for an array with shape {shape}" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_analytic_fails_in_one_line_on_a_radius_that_leaves_its_range(capsys):
@@ -618,6 +635,21 @@ def test_run_rejects_t_end_before_the_checkpoint_time(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_run_refuses_a_restart_no_finite_number_of_steps_from_t_end(tmp_path, capsys):
+    # 0.01 / 1e-320 overflows: the clock's step count raised OverflowError
+    first = finished_run(tmp_path, capsys)
+    data = tiny_config_dict(t_end=0.02)
+    data["initial"] = {"type": "checkpoint", "path": str(first / "checkpoint_final.txt")}
+    data["solver"]["dt"] = 1e-320
+    out_dir = tmp_path / "restart"
+    rc = main(["run", "--config", write_config(tmp_path, data, "restart.json"),
+               "--out", str(out_dir)])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"bad config {out_dir}: t_end 0.02 is no finite number "
+                                       f"of steps of {1e-320:g} after 0.01\n")
+    assert not out_dir.exists()
+
+
 def test_run_refuses_a_profile_time_no_step_ends_at(tmp_path, capsys):
     # it used to write profile_t0.003.csv holding the state at t = 0.004
     # (0.003 is 1.5 steps of 0.002, and round(1.5) = 2), with no warning
@@ -842,6 +874,41 @@ def test_check_tests_the_last_sample_time_against_t_end(tmp_path, capsys):
         assert main(["check", str(out_dir)]) == rc, t_end
         err = capsys.readouterr().err
         assert (f"the series ends at t=0.01, not at t_end {t_end:g}" in err) == bool(rc)
+
+
+@pytest.mark.parametrize("half", [0.0, 0.5], ids=["on-step", "half-step"])
+@pytest.mark.parametrize("dt", [0.002, 0.003, 0.004, 0.007, 0.01, 0.1])
+def test_check_ends_a_run_where_the_clock_stops_it(dt, half):
+    # t_end = (k + half)*dt: the clock stops a run from t = 0 at step k (a tie
+    # goes to the earlier step), and check's end test accepts that time and
+    # neither neighbouring step; the rule |t_end - t|/dt <= 0.5 it had before
+    # refused 9,781 of these 18,000 half-step ends
+    base = ScenarioConfig(name="grid", params=PRESETS["fig-s4f2-D0.3"].params,
+                          solver=SolverConfig(dt=dt), initial=CheckpointInit("unused"), t_end=1.0)
+    for k in range(0 if half else 1, 3000):  # a config's t_end is positive
+        cfg = dataclasses.replace(base, t_end=(k + half) * dt)
+        n_steps = _clock(0.0, cfg.solver, cfg.t_end, (), [])[0]
+        assert n_steps == k, cfg.t_end
+        for j in (n_steps - 1, n_steps, n_steps + 1):
+            problems = []
+            _check_end("the run", 0.0 + j * dt, cfg, problems)
+            assert bool(problems) == (j != n_steps), (cfg.t_end, j, problems)
+
+
+@pytest.mark.parametrize("outputs", [("timeseries", "checkpoint"), ("checkpoint",)])
+@pytest.mark.parametrize("t_end", [0.017, 0.021])
+def test_check_accepts_a_run_whose_t_end_is_half_a_step_off(tmp_path, capsys, t_end, outputs):
+    # 8.5 and 10.5 steps of 0.002: run stops at 0.016 and 0.02 and warns; check
+    # failed the series and the checkpoint as not ending at t_end
+    data = config_to_dict(dataclasses.replace(PRESETS["fig-s4f2-D0.3"], t_end=t_end,
+                                              outputs=outputs))
+    out_dir = tmp_path / "run"
+    assert main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)]) == 0
+    stop = t_end - 0.001
+    assert f"is not a whole number of steps; stopping at {stop:g}" in capsys.readouterr().err
+    assert read_checkpoint(out_dir / "checkpoint_final.txt")[0].t == pytest.approx(stop)
+    assert main(["check", str(out_dir)]) == 0
+    assert capsys.readouterr() == (f"OK {out_dir}\n", "")
 
 
 def test_check_refuses_a_manifest_that_repeats_a_key(tmp_path, capsys):
