@@ -14,6 +14,7 @@ errors (bad flags, malformed configs, a checkpoint the run cannot start from).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import json
 import sys
@@ -159,13 +160,6 @@ def set_config_value(data: dict, key: str, value) -> None:
     node[last] = value
 
 
-def _parse_value(token: str):
-    try:
-        return json.loads(token)
-    except json.JSONDecodeError:
-        return token
-
-
 def _run_member(member: tuple[ScenarioConfig, str]) -> tuple[int, RunLog | str]:
     """(0, the run's log) of one (config, out_dir) member, or (status, error):
     1 for a solver failure or an OSError (writing its outputs), 2 for a
@@ -229,7 +223,10 @@ def _cmd_sweep(args) -> int:
         base = config_to_dict(config_from_dict({"preset": args.preset}))
         for tok in tokens:
             data = copy.deepcopy(base)
-            set_config_value(data, key, _parse_value(tok))
+            value = tok  # the token as a string, unless it is JSON
+            with contextlib.suppress(json.JSONDecodeError):
+                value = json.loads(tok)
+            set_config_value(data, key, value)
             data["name"] = f"{args.preset}-{key}={tok}"
             out_dir = str(Path(args.out) / data["name"])
             if any(out_dir == taken for _, taken in members):

@@ -40,27 +40,31 @@ def support_components(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple(zip([first, *cells[jumps + 1].tolist()], [*cells[jumps].tolist(), last]))
 
 
-def deviation_norms(dev: np.ndarray, dx: float,
-                    sup: float | None = None) -> tuple[float, float, float, float]:
+def deviation_norms(dev: np.ndarray, dx: float, sup: float | list[float] | None = None
+                    ) -> tuple[float, float, float, float] | list[tuple[float, ...]]:
     """(sup, L2, L4, L8) of the fraction deviation dev = mu - mu* on the
     support cells: max |dev| (or `sup`, when the caller has it) and
-    (dx * sum dev^(2n))^(1/(2n)) for n = 1, 2, 4.
+    (dx * sum dev^(2n))^(1/(2n)) for n = 1, 2, 4; for a 2-D dev (and a list
+    `sup`), a list of each row's, with the bits of that row's own 1-D call.
 
     The even powers are taken by squaring (dev^2, its square, and that
-    square's square), so dev and -dev give bitwise equal norms; the three
-    rows of one buffer are summed by one reduction, each row's sum with the
-    bits of its own `.sum()`. Raises ValueError when the support is empty."""
+    square's square), so dev and -dev give bitwise equal norms; the rows of
+    one buffer are summed by one reduction, each row's sum with the bits of
+    its own `.sum()`. Raises ValueError when the support is empty."""
     if not dev.size:
         raise ValueError("empty support: fraction deviation undefined")
-    powers = np.empty((3, dev.size))
+    if dev.ndim == 1:
+        return deviation_norms(dev[None], dx, None if sup is None else [float(sup)])[0]
+    powers = np.empty((3, *dev.shape))
     d2, d4, d8 = powers
     np.multiply(dev, dev, out=d2)
     np.multiply(d2, d2, out=d4)
     np.multiply(d4, d4, out=d8)
-    s2, s4, s8 = np.add.reduce(powers, axis=1).tolist()  # Python floats: the same bits, cheaper
+    sums = np.add.reduce(powers, axis=2).tolist()  # Python floats: the same bits, cheaper
     if sup is None:
-        sup = np.maximum.reduce(np.abs(dev))
-    return float(sup), (dx * s2) ** 0.5, (dx * s4) ** 0.25, (dx * s8) ** 0.125
+        sup = np.maximum.reduce(np.abs(dev), axis=1).tolist()
+    return [(s, (dx * s2) ** 0.5, (dx * s4) ** 0.25, (dx * s8) ** 0.125)
+            for s, s2, s4, s8 in zip(sup, *sums)]
 
 
 def uniform_bound_at(t, initial_sup_dev: float, eq: ReactionEquilibrium):
@@ -94,10 +98,10 @@ def l2n_condition_and_rate(
     return bool(condition), float(C)
 
 
-def total_population(state) -> tuple[float, float]:
-    """(total mass, autophagic mass) over the whole grid."""
-    dx = state.grid.dx
-    return dx * float(np.add.reduce(state.n)), dx * float(np.add.reduce(state.n2))
+def total_population(n: np.ndarray, n2: np.ndarray, dx: float) -> tuple[float | np.ndarray, ...]:
+    """(total mass, autophagic mass) over a grid of cell width dx; for states
+    stacked a row each in n and n2, arrays of them with each row's own bits."""
+    return dx * np.add.reduce(n, axis=-1), dx * np.add.reduce(n2, axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .kinetics import _Finite
+from .kinetics import _HALF, _ZERO, _Finite
 
 __all__ = ["Grid1D", "pressure_from_density", "density_from_pressure", "numerical_flux"]
-_HALF, _ZERO = np.array(0.5), np.array(0.0)  # 0-d operands, which numpy need not convert per call
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ __all__ = [
     "eval_growth", "eval_transitions", "eval_flux", "equilibrium_roots",
 ]
 # 0-d operands, which numpy need not convert per call
-_ZERO, _TENTH, _ONE, _TWO, _FOUR = (np.array(v) for v in (0.0, 0.1, 1.0, 2.0, 4.0))
+_ZERO, _TENTH, _HALF, _ONE, _TWO, _FOUR = (np.array(v) for v in (0.0, 0.1, 0.5, 1.0, 2.0, 4.0))
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +157,10 @@ def eval_transitions(spec: TransitionSpec, c):
         c4 = np.asarray(c, dtype=float) ** _FOUR
         frac = c4 / (spec.omega**4 + c4)
         return spec._operands[0] * (_ONE - frac), spec._operands[1] * frac  # k1max, k2max
-    if isinstance(spec, RationalPairTransitions):
-        ca = np.asarray(c, dtype=float)
-        k1 = np.maximum(_ZERO, (_ONE - ca) / (ca + _TENTH))
-        k2 = _TWO * ca / (ca + _ONE)
-        return k1, k2
-    raise TypeError(f"unknown transition spec {spec!r}")
+    ca = np.asarray(c, dtype=float)  # RationalPairTransitions
+    k1 = np.maximum(_ZERO, (_ONE - ca) / (ca + _TENTH))
+    k2 = _TWO * ca / (ca + _ONE)
+    return k1, k2
 
 
 def eval_flux(schedule: FluxSchedule, t: float) -> float:

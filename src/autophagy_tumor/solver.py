@@ -37,13 +37,14 @@ import numpy as np
 from .diagnostics import (TimeSeries, deviation_norms, read_table, support_components,
                           total_population, write_table)
 from .grid import Grid1D, _edge_faces, _FaceScratch, _pressure, numerical_flux
-from .kinetics import (QUASISTATIC, ConstantTransitions, ModelParameters, _Finite,
-                       equilibrium_roots, eval_flux, eval_growth, eval_transitions)
+from .kinetics import (QUASISTATIC, ConstantTransitions, ModelParameters, _Finite, _HALF, _ONE,
+                       _ZERO, equilibrium_roots, eval_flux, eval_growth, eval_transitions)
 
 __all__ = [
     "SolverConfig", "FieldState", "SolverError", "StepDiagnostics", "RunLog", "RunResult",
     "run", "write_checkpoint", "read_checkpoint", "check_checkpoint_gamma",
 ]
+_SAMPLE_BATCH = 64  # the most samples `run` holds for one `_sample` call: it bounds their memory
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,8 @@ class SolverConfig(_Finite):
 
     def __post_init__(self):
         super().__post_init__()
+        if not 1e-154 <= self.dt <= 1e154:  # a run's coefficients hold dt^2 and 1/dt^2
+            raise ValueError(f"dt must lie in [1e-154, 1e154], got {self.dt}")
         if self.enlargement_margin < 3:
             raise ValueError("enlargement_margin must be at least 3 cells")
 
@@ -107,16 +110,13 @@ def _load_dgtsv():
     if spec is None or not spec.submodule_search_locations:
         raise ImportError("scipy is not installed")
     searched = [os.path.join(path, "linalg") for path in spec.submodule_search_locations]
-    extensions = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
-    for linalg_dir in searched:
-        finder = importlib.machinery.FileFinder(linalg_dir, extensions)
-        flapack_spec = finder.find_spec("scipy.linalg._flapack")
-        if flapack_spec is not None:
-            flapack = importlib.util.module_from_spec(flapack_spec)
-            sys.modules[flapack_spec.name] = flapack
-            flapack_spec.loader.exec_module(flapack)
-            return flapack.dgtsv
-    raise ImportError(f"scipy's LAPACK wrapper _flapack not found in {', '.join(searched)}")
+    flapack_spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", searched)
+    if flapack_spec is None:
+        raise ImportError(f"scipy's LAPACK wrapper _flapack not found in {', '.join(searched)}")
+    flapack = importlib.util.module_from_spec(flapack_spec)
+    sys.modules[flapack_spec.name] = flapack
+    flapack_spec.loader.exec_module(flapack)
+    return flapack.dgtsv
 
 
 dgtsv = _load_dgtsv()
@@ -132,7 +132,6 @@ class _Coefficients:
         self.params, self.cfg, dt, g = params, cfg, cfg.dt, params.gamma
         self.dx, self.D, self.a = np.array(dx), np.array(params.D), np.array(params.a)
         self.neg_dx, self.two_dx, self.half_dx = (np.array(v) for v in (-dx, 2.0 * dx, 0.5 * dx))
-        self.zero, self.half, self.one = np.array(0.0), np.array(0.5), np.array(1.0)
         self.threshold = np.array(cfg.support_threshold)
         # the pressure law's and the prediction's n^(gamma-1)*gamma/(gamma-1) and n^(gamma-2)
         self.g1, self.p_factor, self.g2 = (np.array(v) for v in (g - 1.0, g / (g - 1.0), g - 2.0))
@@ -244,10 +243,10 @@ def predict_velocity(state: FieldState, k: _Coefficients, growth: np.ndarray) ->
     # A = gamma*dt/dx^2, B = gamma*dt/dx
     system, lower, upper, diag, rhs = s.predict
     m = np.add(n[:-1], n[1:], out=s.m)
-    m *= k.half
+    m *= _HALF
     np.multiply(m, k.A, out=diag)
     diag *= np.add(s.w_lo, s.w_hi, out=s.w_sum)
-    diag += k.one
+    diag += _ONE
     np.multiply(s.w_mid, k.neg_A, out=lower)
     np.multiply(lower, s.m_hi, out=upper)
     lower *= s.m_lo
@@ -309,7 +308,7 @@ def correct_densities(state: FieldState, u_star: np.ndarray, k: _Coefficients,
     clamped = 0.0
     if new[new.argmin()] < 0.0:  # one argmin; the masks only when something clamps
         for row in rows:
-            row_neg = row < k.zero
+            row_neg = row < _ZERO
             if np.count_nonzero(row_neg):
                 clamped -= state.grid.dx * float(row[row_neg].sum())
                 row[row_neg] = 0.0
@@ -364,7 +363,7 @@ def step_nutrient_neumann(state: FieldState, k: _Coefficients,
     diag[0] = diag[-1] = -1.0
     rhs[0] = rhs[-1] = eval_flux(k.params.lambda_schedule, t_new) * state.grid.dx
     c = _solve_packed(system, lower, upper, diag, rhs).copy()  # the scratch is not kept
-    neg = c < k.zero
+    neg = c < _ZERO
     clamped = int(np.count_nonzero(neg))
     if clamped:
         c[neg] = 0.0
@@ -472,40 +471,37 @@ class RunResult:
     log: RunLog
 
 
-def _sample(state: FieldState, threshold: float, mu_star: float | None,
-            c_ceiling: float | None, log: RunLog) -> list[float]:
-    """One time-series row (the SERIES_CHANNELS) at the state's time t; bound breaches
-    are appended to log.violations.
-
-    One pass over the state's support: mu = n1/n and c on it are read once, as slices of
-    a single run or gathered over several, and mu's range [lo, hi] (by argmin and argmax)
-    serves the [0, 1] check and the sup deviation: as rounding is monotone and symmetric,
-    max(hi - mu*, mu* - lo) is max |mu - mu*| bit for bit. The deviation norms need mu_star,
-    the nutrient check (c <= c_ceiling + 1e-6 on the support) c_ceiling; each is skipped
-    when None. An empty support gives radius 0, NaN norms and c_max, and no checks."""
-    t = state.t
-    mass_total, mass_auto = total_population(state)
-    components = state.support(threshold)
-    if not components:
-        return [t, 0.0, mass_total, mass_auto, *(math.nan,) * 5, log.clamped_neg_mass]
-    # cell x_min + dx*i increases, so the largest |x| lies at the first or last support cell
-    x_min, dx = state.grid.x_min, state.grid.dx
-    radius = max(abs(x_min + dx * components[0][0]), abs(x_min + dx * components[-1][1]))
+def _sample(samples: list[tuple[FieldState, float]], threshold: float, mu_star: float | None,
+            c_ceiling: float | None, log: RunLog) -> list[list[float]]:
+    """The series rows of (state, its cumulative clamped mass) samples on one grid with one
+    support, each quantity one numpy call over the states stacked a row each, every row with the
+    bits of that call on its state alone; bound breaches go to log.violations in order. mu's
+    range [lo, hi] is each row's first extremum; max(hi - mu*, mu* - lo) is max |mu - mu*| bit
+    for bit. mu_star=None skips the norms, c_ceiling=None the check c <= c_ceiling + 1e-6."""
+    grid, components = samples[0][0].grid, samples[0][0].support(threshold)
+    stacked = np.concatenate([a for s, _ in samples for a in (s.densities, s.n, s.c)])
+    n1, n2, n, c = stacked.reshape(len(samples), 4, grid.n_cells).transpose(1, 0, 2)
+    masses = zip(samples, *(m.tolist() for m in total_population(n, n2, grid.dx)))
+    if not components:  # radius 0, NaN norms and c_max, and no checks
+        return [[s.t, 0.0, m, m2, *(math.nan,) * 5, cl] for (s, cl), m, m2 in masses]
+    x = grid.cell_x  # increasing, so the largest |x| lies at the first or last support cell
+    radius = max(abs(x[components[0][0]]), abs(x[components[-1][1]]))
     cells = (slice(components[0][0], components[0][1] + 1) if len(components) == 1
              else np.concatenate([np.arange(s, e + 1) for s, e in components]))
-    mu = state.n1[cells] / state.n[cells]
-    c_max = float(np.maximum.reduce(state.c[cells]))
-    lo, hi = mu[mu.argmin()], mu[mu.argmax()]
-    norms = (math.nan,) * 4
-    if mu_star is not None:
-        norms = deviation_norms(mu - mu_star, dx, max(hi - mu_star, mu_star - lo))
-    if lo < -1e-8 or hi > 1.0 + 1e-8:
-        log.violations.append(f"composition fraction left [0, 1] at t={t:.6g} "
-                              f"(range [{lo:.3e}, {hi:.3e}])")
-    if c_ceiling is not None and not c_max - c_ceiling <= 1e-6:  # a NaN is a breach
-        log.violations.append(f"nutrient exceeded its maximum-principle bound by "
-                              f"{c_max - c_ceiling:.3e} at t={t:.6g}")
-    return [t, radius, mass_total, mass_auto, *norms, c_max, log.clamped_neg_mass]
+    mu = n1[:, cells] / n[:, cells]
+    c_max = np.maximum.reduce(c[:, cells], axis=1).tolist()
+    lo, hi = (mu[np.arange(len(mu)), arg(axis=1)].tolist() for arg in (mu.argmin, mu.argmax))
+    norms = [(math.nan,) * 4] * len(mu) if mu_star is None else deviation_norms(
+        mu - mu_star, grid.dx, [max(h - mu_star, mu_star - low) for low, h in zip(lo, hi)])
+    for (s, _), low, h, top in zip(samples, lo, hi, c_max):
+        if low < -1e-8 or h > 1.0 + 1e-8:
+            log.violations.append(f"composition fraction left [0, 1] at t={s.t:.6g} "
+                                  f"(range [{low:.3e}, {h:.3e}])")
+        if c_ceiling is not None and not top - c_ceiling <= 1e-6:  # a NaN is a breach
+            log.violations.append(f"nutrient exceeded its maximum-principle bound by "
+                                  f"{top - c_ceiling:.3e} at t={s.t:.6g}")
+    return [[s.t, radius, m, m2, *norm, top, cl]
+            for ((s, cl), m, m2), norm, top in zip(masses, norms, c_max)]
 
 
 def _steps_to(t0: float, t: float, dt: float) -> tuple[int | None, float]:
@@ -565,17 +561,17 @@ def run(initial: FieldState, params: ModelParameters, cfg: SolverConfig, t_end: 
             mu_star = equilibrium_roots(params.D, tr.K1, tr.K2).mu_star
 
     # states are shared, not copied: nothing writes into a state once built
-    state, snapshots = initial, {}
+    state, snapshots, threshold = initial, {}, cfg.support_threshold
 
     # in quasi-static mode the nutrient keeps below the maximum-principle
     # ceiling max(c_B, c0), c0 the initial nutrient maximum on the support
     c_ceiling = None
     if params.nutrient_mode == QUASISTATIC:
         c_ceiling = max([params.c_B, *(float(state.c[s : e + 1].max())
-                                       for s, e in state.support(cfg.support_threshold))])
+                                       for s, e in state.support(threshold))])
 
     k = _Coefficients(params, cfg, initial.grid.dx)  # an enlargement keeps dx
-    rows: list[list[float]] = []
+    rows, batch = [], []  # the series; (state, clamped mass) samples of one grid and support
     max_cfl = 0.0
     first_cfl_t = None
     nutrient_clamp_events = 0
@@ -596,14 +592,20 @@ def run(initial: FieldState, params: ModelParameters, cfg: SolverConfig, t_end: 
         for ts in snapshot_steps.get(j, ()):
             snapshots[ts] = state
         if n_steps and (j % per_sample == 0 or j == n_steps):
-            rows.append(_sample(state, cfg.support_threshold, mu_star, c_ceiling, log))
+            if batch and (state.grid is not batch[0][0].grid or len(batch) == _SAMPLE_BATCH or
+                          state.support(threshold) != batch[0][0].support(threshold)):
+                rows += _sample(batch, threshold, mu_star, c_ceiling, log)
+                batch = []
+            batch.append((state, log.clamped_neg_mass))
+    if batch:
+        rows += _sample(batch, threshold, mu_star, c_ceiling, log)
 
     if max_cfl > 0.5:
         log.warnings.append(f"transport CFL number exceeded 0.5 (max {max_cfl:.3f}, "
                             f"first at t={first_cfl_t:.6g})")
     if nutrient_clamp_events:
         log.warnings.append(f"nutrient clamped to zero in {nutrient_clamp_events} cell-updates")
-    total_mass = total_population(state)[0]
+    total_mass = total_population(state.n, state.n2, state.grid.dx)[0]
     if total_mass > 0 and log.clamped_neg_mass > 1e-6 * total_mass:
         log.violations.append(f"clamped negative mass {log.clamped_neg_mass:.3e} exceeds "
                               f"1e-6 of the final total mass {total_mass:.6g}")

@@ -25,6 +25,7 @@ from autophagy_tumor.scenarios import (
     ScenarioConfig,
     config_from_dict,
     config_to_dict,
+    load_config,
 )
 from autophagy_tumor.solver import (RunLog, RunResult, SolverConfig, _clock, read_checkpoint,
                                     write_checkpoint)
@@ -636,18 +637,57 @@ def test_run_rejects_t_end_before_the_checkpoint_time(tmp_path, capsys):
 
 
 def test_run_refuses_a_restart_no_finite_number_of_steps_from_t_end(tmp_path, capsys):
-    # 0.01 / 1e-320 overflows: the clock's step count raised OverflowError
+    # (1e300 - 0.01) / 1e-150 overflows: the clock's step count raised OverflowError
+    # (a dt whose dt^2 or 1/dt^2 overflows is refused when the config loads, below)
     first = finished_run(tmp_path, capsys)
-    data = tiny_config_dict(t_end=0.02)
+    data = tiny_config_dict(t_end=1e300)
     data["initial"] = {"type": "checkpoint", "path": str(first / "checkpoint_final.txt")}
-    data["solver"]["dt"] = 1e-320
+    data["solver"]["dt"] = 1e-150
     out_dir = tmp_path / "restart"
     rc = main(["run", "--config", write_config(tmp_path, data, "restart.json"),
                "--out", str(out_dir)])
     assert rc == 2
-    assert capsys.readouterr().err == (f"bad config {out_dir}: t_end 0.02 is no finite number "
-                                       f"of steps of {1e-320:g} after 0.01\n")
+    assert capsys.readouterr().err == (f"bad config {out_dir}: t_end 1e+300 is no finite number "
+                                       f"of steps of 1e-150 after 0.01\n")
     assert not out_dir.exists()
+
+
+_DT_RANGE = "dt must lie in [1e-154, 1e154], got {}"
+
+
+@pytest.mark.parametrize("dt", [5e-324, 1e-160, 1e200])
+def test_run_refuses_a_dt_whose_square_or_inverse_square_overflows_in_one_line(tmp_path, capsys,
+                                                                              dt):
+    # 5e-324 ended in a ZeroDivisionError traceback from the run's coefficients; 1e-160
+    # loaded, printed overflow warnings and failed step 1 with non-finite values in n1;
+    # 1e200 ended in an OverflowError traceback, as float ** raises where * gives inf
+    data = tiny_config_dict()
+    data["solver"]["dt"] = dt
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"bad config: {_DT_RANGE.format(dt)}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("dt", [5e-324, 1e200])
+def test_sweep_refuses_a_dt_whose_square_or_inverse_square_overflows_before_any_member_runs(
+        tmp_path, capsys, dt):
+    # the sweep aborted with a ZeroDivisionError (5e-324) or OverflowError (1e200)
+    # traceback, and its 0.002 member never ran
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--preset", "fig-s4f2-D0.3", "--vary", f"dt={dt},0.002",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"bad sweep: {_DT_RANGE.format(dt)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dt", [1e-150, 1e-154, 1e154])
+def test_a_dt_whose_square_and_inverse_square_are_finite_loads(tmp_path, dt):
+    # 1e-150 is 1e148 steps of the run: loaded, never run
+    data = tiny_config_dict()
+    data["solver"]["dt"] = dt
+    assert load_config(write_config(tmp_path, data)).solver.dt == dt
 
 
 def test_run_refuses_a_profile_time_no_step_ends_at(tmp_path, capsys):
@@ -986,8 +1026,9 @@ def test_check_cross_checks_the_checkpoint_against_the_config(tmp_path, capsys, 
         (float("nan"), "manifest config: config.solver.dt must be a number, got nan"),
         ("0.002", "manifest config: config.solver.dt must be a number, got '0.002'"),
         (True, "manifest config: config.solver.dt must be a number, got True"),
-        # positive, but the series spans more steps than a float holds
-        (5e-324, "span no finite number of steps"),
+        # positive, but 1/dt^2 or dt^2 overflows, so no run could step by it
+        (5e-324, "manifest config: " + _DT_RANGE.format(5e-324)),
+        (1e200, "manifest config: " + _DT_RANGE.format(1e200)),
     ],
 )
 def test_check_fails_in_one_line_on_a_manifest_dt_it_cannot_step_by(tmp_path, capsys, dt,

@@ -51,7 +51,7 @@ def sample_row(state, mu_star=None, c_ceiling=None):
     """The series row `run` samples from `state`, as {channel: value}, and
     the violations the sample records."""
     log = RunLog()
-    row = _sample(state, THRESH, mu_star, c_ceiling, log)
+    [row] = _sample([(state, 0.0)], THRESH, mu_star, c_ceiling, log)
     return dict(zip(SERIES_CHANNELS, row)), log.violations
 
 
@@ -89,7 +89,7 @@ def test_support_components_match_a_python_scan(cells):
 def test_support_info_empty():
     state = make_state(np.zeros(9), np.zeros(9))
     assert support_components(state.n > THRESH) == ()
-    assert total_population(state)[0] == 0.0
+    assert total_population(state.n, state.n2, state.grid.dx)[0] == 0.0
 
 
 def test_support_info_indicator_geometry():
@@ -104,7 +104,7 @@ def test_support_info_indicator_geometry():
     # measured radius within one cell of the true half-width
     assert abs(sample_row(state)[0]["radius"] - 1.0) <= dx + 1e-12
     # indicator of [-1, 1] holds mass 2, quadrature error at the two edges
-    assert abs(total_population(state)[0] - 2.0) <= 2 * dx + 1e-12
+    assert abs(total_population(state.n, state.n2, state.grid.dx)[0] - 2.0) <= 2 * dx + 1e-12
 
 
 def test_support_info_two_bumps():
@@ -117,7 +117,7 @@ def test_support_info_two_bumps():
     assert support_components(mask) == ((5, 9), (25, 31))
     x = state.grid.cell_x
     assert sample_row(state)[0]["radius"] == pytest.approx(max(abs(x[5]), abs(x[31])))
-    assert total_population(state)[0] == pytest.approx(dx * (5 * 1.0 + 7 * 0.5))
+    assert total_population(state.n, state.n2, state.grid.dx)[0] == pytest.approx(dx * (5 * 1.0 + 7 * 0.5))
 
 
 @pytest.mark.parametrize(
@@ -262,7 +262,8 @@ def test_nutrient_bound_check():
 def test_total_population():
     n1 = np.array([0.5, 1.0, 0.25])
     n2 = np.array([0.5, 0.0, 0.75])
-    total, auto = total_population(make_state(n1, n2, dx=0.2))
+    state = make_state(n1, n2, dx=0.2)
+    total, auto = total_population(state.n, state.n2, state.grid.dx)
     assert total == pytest.approx(0.2 * 3.0, rel=1e-14)
     assert auto == pytest.approx(0.2 * 1.25, rel=1e-14)
 
@@ -271,7 +272,7 @@ def test_total_population_invariant_under_domain_growth(rng):
     n1 = rng.random(21)
     n2 = rng.random(21)
     state = make_state(n1, n2, dx=0.1)
-    before = total_population(state)
+    before = total_population(state.n, state.n2, state.grid.dx)
     cfg = SolverConfig(dt=1e-3, enlargement_margin=5)
     params = params_with(ConstantTransitions(K1=1.0, K2=1.0))
     grown, changed = enlarge_domain_if_needed(state, _Coefficients(params, cfg, state.grid.dx))
@@ -281,7 +282,7 @@ def test_total_population_invariant_under_domain_growth(rng):
     pad = (grown.grid.n_cells - state.grid.n_cells) // 2
     assert np.array_equal(grown.n1[pad:pad + 21], n1)
     assert np.array_equal(grown.n2[pad:pad + 21], n2)
-    after = total_population(grown)
+    after = total_population(grown.n, grown.n2, grown.grid.dx)
     assert after[0] == pytest.approx(before[0], rel=1e-12)
     assert after[1] == pytest.approx(before[1], rel=1e-12)
 

@@ -11,12 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 from scipy.linalg import solve_banded
 
 from autophagy_tumor.grid import (
     Grid1D, _edge_faces, _FaceScratch, numerical_flux, pressure_from_density,
 )
+import autophagy_tumor.kinetics as kinetics_module
 import autophagy_tumor.solver as solver_module
 from autophagy_tumor.diagnostics import SERIES_CHANNELS, deviation_norms, support_components
 from autophagy_tumor.kinetics import (
@@ -36,6 +37,7 @@ from autophagy_tumor.kinetics import (
 )
 from autophagy_tumor.scenarios import PRESETS, build_initial_state
 from autophagy_tumor.solver import (
+    FieldState,
     RunLog,
     SolverConfig,
     SolverError,
@@ -1609,7 +1611,7 @@ def assert_sample_matches_reference(state, params, mu_star, c0, clamped_cum=0.0)
     threshold = SolverConfig(dt=1.0).support_threshold
     c_ceiling = max(params.c_B, c0) if params.nutrient_mode == QUASISTATIC else None
     log = RunLog(clamped_neg_mass=clamped_cum)
-    row = _sample(state, threshold, mu_star, c_ceiling, log)
+    [row] = _sample([(state, clamped_cum)], threshold, mu_star, c_ceiling, log)
     want, want_violations = reference_sample(
         state, state.t, params, threshold, mu_star, c0, clamped_cum
     )
@@ -1728,17 +1730,21 @@ def test_coefficients_are_0d_float64_with_the_bits_of_their_formulas():
     gamma = params.gamma
     k = _Coefficients(params, SolverConfig(dt=dt), dx)
     formulas = {
-        "dx": dx, "D": params.D, "a": params.a, "zero": 0.0, "half": 0.5, "one": 1.0,
+        "dx": dx, "D": params.D, "a": params.a,
         "two_dx2": 2.0 / dx**2, "dt": dt, "inv_dt": 1.0 / dt, "A": gamma * dt / dx**2,
         "neg_A": -(gamma * dt / dx**2), "B": gamma * dt / dx,
         "inv_dt_two_dx2": 1.0 / dt + 2.0 / dx**2, "neg_dx": -dx, "two_dx": 2.0 * dx,
         "half_dx": 0.5 * dx, "g1": gamma - 1.0, "p_factor": gamma / (gamma - 1.0),
         "g2": gamma - 2.0, "threshold": SolverConfig(dt=dt).support_threshold,
     }
-    for name, value in formulas.items():
-        got = getattr(k, name)
+    # the step's constants are the package's one set of 0-d operands, in kinetics
+    constants = {"_ZERO": 0.0, "_HALF": 0.5, "_ONE": 1.0}
+    for name, value in [*formulas.items(), *constants.items()]:
+        got = getattr(kinetics_module, name) if name in constants else getattr(k, name)
         assert type(got) is np.ndarray and got.shape == () and got.dtype == np.float64, name
         assert got.tobytes() == np.float64(value).tobytes(), name
+        if name in constants:
+            assert getattr(solver_module, name) is got, name
     # added to single elements only, where a Python float is the faster
     # operand, or filled into the nutrient systems' off-diagonals
     assert type(k.c_B_dx2) is float and k.c_B_dx2 == params.c_B / dx**2
@@ -1989,9 +1995,12 @@ def test_a_warm_step_makes_a_budgeted_number_of_calls_at_any_grid_size(case):
 
 
 # (make, the support components, the budgets with and without mu*: the calls
-# one warm sample made with CPython 3.11)
-_SAMPLE_CASES = {"one-component": (bump_state, 1, 24, 15),
-                 "two-components": (two_bump_state, 2, 27, 18)}
+# one warm sample of one state made with CPython 3.11)
+_SAMPLE_CASES = {"one-component": (bump_state, 1, 45, 34),
+                 "two-components": (two_bump_state, 2, 48, 37)}
+# the calls each further state of a batch adds at most: its row, and with mu*
+# its sup deviation
+_SAMPLE_CALLS_PER_STATE = 2
 
 
 @pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
@@ -1999,17 +2008,24 @@ _SAMPLE_CASES = {"one-component": (bump_state, 1, 24, 15),
 @pytest.mark.parametrize("case", sorted(_SAMPLE_CASES))
 @pytest.mark.parametrize("with_mu_star", [True, False])
 def test_a_warm_sample_makes_a_budgeted_number_of_calls_at_any_grid_size(case, with_mu_star):
-    # as a step's budget: a sample of a state whose support is already found
-    # (as every state `step` returns carries it), the same at 4x the cells
+    # as a step's budget, per batch: a sample of states whose support is
+    # already found (as every state `step` returns carries it) makes the same
+    # count at 4x the cells; a batch of one state keeps within the budget, and
+    # each further state adds at most _SAMPLE_CALLS_PER_STATE
     make, shape, with_budget, without_budget = _SAMPLE_CASES[case]
     mu_star = equilibrium_roots(0.3, 1.0, 1.0).mu_star if with_mu_star else None
-    counts = []
-    for state in (make(), repeated(make())):
+    counts = {}
+    for cells, state in (("base", make()), ("4x", repeated(make()))):
         assert len(state.support(_THRESHOLD)) == shape
-        log = RunLog()
-        counts.append(package_calls(lambda: _sample(state, _THRESHOLD, mu_star, 1.0, log)))
-        assert log.violations == []
-    assert counts[0] == counts[1] <= (with_budget if with_mu_star else without_budget), counts
+        for size in (1, 10):
+            log = RunLog()
+            batch = [(state, 0.0)] * size
+            counts[cells, size] = package_calls(
+                lambda: _sample(batch, _THRESHOLD, mu_star, 1.0, log))
+            assert log.violations == []
+    one, ten = counts["base", 1], counts["base", 10]
+    assert one == counts["4x", 1] <= (with_budget if with_mu_star else without_budget), counts
+    assert ten == counts["4x", 10] <= one + 9 * _SAMPLE_CALLS_PER_STATE, counts
 
 
 @settings(max_examples=200, deadline=None)
@@ -2060,7 +2076,7 @@ def test_step_hands_its_quasistatic_support_to_the_new_state(monkeypatch):
         state, _ = step(state, k, state.t + cfg.dt)
     # one scan for the built state (the first enlargement check), then one
     # per step, the nutrient solve's; enlargement and sampling reuse it
-    _sample(state, cfg.support_threshold, 0.4, None, RunLog())
+    _sample([(state, 0.0)], cfg.support_threshold, 0.4, None, RunLog())
     assert len(scans) == 1 + 5
     assert state.support(cfg.support_threshold) == support_components(
         state.n > cfg.support_threshold)
@@ -2092,12 +2108,159 @@ def test_sample_matches_a_flatnonzero_gather(make):
             sampled = state if not fresh else make_state(
                 state.n1, state.n2, c=state.c, u=state.u, dx=state.grid.dx,
                 x_min=state.grid.x_min, t=state.t)
-            row = _sample(sampled, cfg.support_threshold, 0.4, None, RunLog())
+            [row] = _sample([(sampled, 0.0)], cfg.support_threshold, 0.4, None, RunLog())
             want = flatnonzero_sample(state, state.t, cfg.support_threshold, 0.4)
             assert np.array(row).tobytes() == np.array(want).tobytes()
         state, _ = step(state, k, state.t + cfg.dt)
     if make is two_bump_state:
         assert len(state.support(cfg.support_threshold)) == 2
+
+
+def per_state_sample(state, clamped, threshold, mu_star, c_ceiling):
+    """The series row and bound violations of one state as `_sample` formed
+    them one state at a time: the masses by `np.add.reduce` of n and n2, the
+    support cells gathered, c_max by `np.maximum.reduce`, mu's range as its
+    first minimum and maximum, the sup deviation max(hi - mu*, mu* - lo) and
+    each norm's sum of the squared, fourth and eighth powers by `.sum()`."""
+    t, dx, x_min = state.t, state.grid.dx, state.grid.x_min
+    mass_total, mass_auto = dx * float(np.add.reduce(state.n)), dx * float(np.add.reduce(state.n2))
+    components = support_components(state.n > threshold)
+    if not components:
+        return [t, 0.0, mass_total, mass_auto, *(math.nan,) * 5, clamped], []
+    radius = max(abs(x_min + dx * components[0][0]), abs(x_min + dx * components[-1][1]))
+    cells = np.concatenate([np.arange(s, e + 1) for s, e in components])
+    mu = state.n1[cells] / state.n[cells]
+    c_max = float(np.maximum.reduce(state.c[cells]))
+    lo, hi = mu[mu.argmin()], mu[mu.argmax()]
+    norms = (math.nan,) * 4
+    if mu_star is not None:
+        d2 = (mu - mu_star) * (mu - mu_star)
+        d4 = d2 * d2
+        sums = (float(d2.sum()), float(d4.sum()), float((d4 * d4).sum()))
+        norms = (float(max(hi - mu_star, mu_star - lo)),
+                 *((dx * s) ** p for s, p in zip(sums, (0.5, 0.25, 0.125))))
+    violations = []
+    if lo < -1e-8 or hi > 1.0 + 1e-8:
+        violations.append(f"composition fraction left [0, 1] at t={t:.6g} "
+                          f"(range [{lo:.3e}, {hi:.3e}])")
+    if c_ceiling is not None and not c_max - c_ceiling <= 1e-6:
+        violations.append(f"nutrient exceeded its maximum-principle bound by "
+                          f"{c_max - c_ceiling:.3e} at t={t:.6g}")
+    return [t, radius, mass_total, mass_auto, *norms, c_max, clamped], violations
+
+
+def assert_rows_are_per_state_samples(rows, violations, states, clamped, threshold, mu_star,
+                                      c_ceiling):
+    """`rows` (and `violations`, in order) equal `per_state_sample` of each
+    state, bit for bit on the uint64 view."""
+    want = [per_state_sample(s, cl, threshold, mu_star, c_ceiling)
+            for s, cl in zip(states, clamped, strict=True)]
+    assert violations == [line for _, lines in want for line in lines]
+    got = np.array(rows, dtype=float).reshape(-1, len(SERIES_CHANNELS))
+    expected = np.array([row for row, _ in want], dtype=float).reshape(got.shape)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), (got, expected)
+
+
+_OFF_SUPPORT = np.array([(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 1e-8),
+                         (5e-9, 5e-9)])  # n1, n2 with n <= 1e-8: vacant cells
+
+
+@st.composite
+def sample_batches(draw):
+    """(states, clamped, mu_star, c_ceiling): 1 to 70 states on one grid of 6
+    to 24 cells, all with one support of no, one or two runs, their times
+    increasing, and mu_star and c_ceiling None or drawn. The values are drawn
+    by a numpy generator of a drawn seed: on the support n1 and n2 with
+    signed zeros (fractions of ±0 and 1) and, in some states, a negative
+    entry (a fraction outside [0, 1]); off it, signed zeros and n at the
+    threshold; c in [0, 1.1] with signed zeros and 1."""
+    m = draw(st.integers(6, 24))
+    grid = Grid1D(x_min=draw(st.floats(-2.0, 0.0)), dx=draw(st.sampled_from([0.05, 0.1, 0.3])),
+                  n_cells=m)
+    cuts = sorted(draw(st.lists(st.integers(1, m - 2), max_size=4, unique=True)))
+    if len(cuts) % 2:
+        cuts.append(cuts[-1])  # a run of one cell
+    runs = [(s, e) for s, e in zip(cuts[::2], cuts[1::2])]
+    runs = [run for k, run in enumerate(runs) if k == 0 or run[0] > runs[k - 1][1] + 1]
+    occupied = np.zeros(m, dtype=bool)
+    for s, e in runs:
+        occupied[s : e + 1] = True
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states, t = [], draw(st.floats(0.0, 5.0))
+    for _ in range(draw(st.integers(1, 70))):
+        n1, n2 = rng.uniform(1e-6, 2.0, (2, m))
+        for x in (n1, n2):
+            zero = rng.random(m) < 0.2
+            x[zero] = rng.choice([0.0, -0.0], m)[zero]
+        n2[n1 + n2 <= 1e-8] = 1.0
+        if occupied.any() and rng.random() < 0.2:
+            cell = rng.choice(np.flatnonzero(occupied))
+            n1[cell], n2[cell] = (-0.1, 0.6) if rng.random() < 0.5 else (0.6, -0.1)
+        n1[~occupied], n2[~occupied] = _OFF_SUPPORT[rng.integers(0, 6, m)][~occupied].T
+        c = rng.uniform(0.0, 1.1, m)
+        special = rng.random(m) < 0.3
+        c[special] = rng.choice([0.0, -0.0, 1.0], m)[special]
+        states.append(FieldState(grid, np.concatenate((n1, n2)), n1 + n2, c, np.zeros(m - 1), t))
+        t += rng.choice([0.001, 0.1])
+    for state in states:
+        assert state.support(_THRESHOLD) == tuple(runs)
+    clamped = np.cumsum(rng.choice([0.0, 1e-9], len(states))).tolist()
+    mu_star = draw(st.one_of(st.none(), st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    return states, clamped, mu_star, draw(st.one_of(st.none(), st.floats(0.9, 1.1)))
+
+
+@seed(20261022)
+@settings(max_examples=300, deadline=None)
+@given(batch=sample_batches())
+def test_a_batch_samples_each_state_as_a_sample_of_its_own(batch):
+    states, clamped, mu_star, c_ceiling = batch
+    log = RunLog()
+    rows = _sample(list(zip(states, clamped)), _THRESHOLD, mu_star, c_ceiling, log)
+    assert_rows_are_per_state_samples(rows, log.violations, states, clamped, _THRESHOLD,
+                                      mu_star, c_ceiling)
+
+
+@pytest.mark.parametrize("case, longest", [("padded-enlarges", 1), ("neumann-hull", 65)])
+def test_a_run_sampled_every_step_samples_each_state_as_a_sample_of_its_own(monkeypatch, case,
+                                                                             longest):
+    # the batches flush where the grid grows, where the support changes and
+    # at 64 states; the Neumann box keeps one grid and support for more steps
+    make, params, cfg = REFERENCE_CASES[case]
+    cfg = dataclasses.replace(cfg, sample_interval=cfg.dt)
+    if case == "padded-enlarges":  # D > 0: the fraction has an equilibrium, and the run norms
+        params = dataclasses.replace(params, D=0.3)
+    n_steps, batches, sample = 150, [], solver_module._sample
+    monkeypatch.setattr(solver_module, "_sample",
+                        lambda samples, *args: batches.append(samples) or sample(samples, *args))
+    result = run(make(), params, cfg, t_end=n_steps * cfg.dt)
+    # every sampled state once, in batches of one grid and support, each as
+    # long as the cap and the next sample's grid and support let it be
+    assert sum(map(len, batches)) == n_steps + 1
+    keys = [[(s.grid, s.support(cfg.support_threshold)) for s, _ in b] for b in batches]
+    cap = solver_module._SAMPLE_BATCH
+    assert all(len(b) <= cap and b.count(b[0]) == len(b) for b in keys)
+    assert all(len(a) == cap or a[0] != b[0] for a, b in zip(keys, keys[1:]))
+    assert (max(map(len, batches)) == cap) == (longest > cap)
+    state = make()
+    k = _Coefficients(params, cfg, state.grid.dx)
+    states, clamped, enlarged = [state], [0.0], 0
+    for j in range(1, n_steps + 1):
+        state, diag = step(state, k, j * cfg.dt)
+        states.append(state)
+        clamped.append(clamped[-1] + diag.clamped_mass)
+        enlarged += diag.enlarged
+    keys = [(s.grid, s.support(cfg.support_threshold)) for s in states]
+    same = max(len(list(group)) for _, group in itertools.groupby(keys))
+    assert same >= longest and (enlarged > 0) == (case == "padded-enlarges")
+    mu_star, tr, c_ceiling = None, params.transitions, None
+    if isinstance(tr, ConstantTransitions):
+        mu_star = equilibrium_roots(params.D, tr.K1, tr.K2).mu_star
+    if params.nutrient_mode == QUASISTATIC:
+        first = states[0]
+        c_ceiling = max([params.c_B, *(float(first.c[s : e + 1].max())
+                                       for s, e in first.support(cfg.support_threshold))])
+    assert_rows_are_per_state_samples(result.series.data, result.log.violations, states, clamped,
+                                      cfg.support_threshold, mu_star, c_ceiling)
 
 
 # ---------------------------------------------------------------------------
